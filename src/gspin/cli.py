@@ -23,7 +23,7 @@ from .characters import AlphaClass
 from .dualgroups import GL4_GL1, GSPIN5, SP4_GL1, gspin_even_tag
 from .exactlin import ExactMatrix, QuadraticSpace
 from . import endoscopy
-from .params import classify, multiplicity, psi_disc_membership
+from .params import classify, component_group_table, multiplicity, psi_disc_membership
 from .restriction import (
     packet_members,
     project_parameter,
@@ -98,14 +98,9 @@ def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
             fixture = _fixture(scn, req)
             target = _GROUP_NAMES[req.get("target", "gspin5")]
             if target.family == "gspin_odd":
-                sgroup = classify(
-                    scn.group, fixture.parameter, fixture.root_number_minus
-                ).component_group
-            else:
-                from .params import component_group_table
-
-                sgroup = component_group_table(fixture.parameter)
-            data = local_characters(fixture, sgroup)
+                # reject a psi that classify rejects before reading its local data
+                classify(scn.group, fixture.parameter, fixture.root_number_minus)
+            data = local_characters(fixture, component_group_table(fixture.parameter))
             m = multiplicity(
                 scn.group,
                 fixture.parameter,
@@ -172,14 +167,12 @@ def _fixture(scn, req):
 
 
 def _verify_endoscopy_lines(seed: int) -> tuple[list[str], bool]:
-    alpha = AlphaClass("alpha")
     lines = []
     ok = True
-    for ambient, classes in (("twisted_gl4", [alpha]), ("gspin5", []), ("gspin4", [alpha])):
-        for d in endoscopy.catalog(ambient, classes):
-            report = endoscopy.verify_centralizer(d, seed=seed)
-            ok &= report.ok
-            lines.append(report.message())
+    for d in endoscopy.full_catalog():
+        report = endoscopy.verify_centralizer(d, seed=seed)
+        ok &= report.ok
+        lines.append(report.message())
     diagrams = endoscopy.restriction_diagrams_commute(seed=seed, samples=20)
     ok &= diagrams.ok
     lines.append(diagrams.message())

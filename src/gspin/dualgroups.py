@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import ExactMatrix, frac, ONE, ZERO
+from .exactlin import ExactMatrix, frac, matrix_equation_kernel, similitude_factor, ONE, ZERO
 
 # ---------------------------------------------------------------------------
 # group tags
@@ -57,18 +57,6 @@ class GroupTag:
         """-1 exactly when the dual group is symplectic."""
         return -1 if self.family == "gspin_odd" else +1
 
-    @property
-    def dual_lie_dim(self) -> int:
-        """Dimension of the dual group (gsp_2n, so_{2n+1} + 1, gso_2n, gl_N + 1)."""
-        n = self.n
-        if self.family == "gspin_odd":
-            return n * (2 * n + 1) + 1
-        if self.family == "sp_gl1":
-            return n * (2 * n + 1) + 1
-        if self.family == "gspin_even":
-            return n * (2 * n - 1) + 1
-        return n * n + 1
-
     def describe(self) -> str:
         if self.family == "gspin_odd":
             return f"GSpin{2 * self.n + 1}"
@@ -80,7 +68,6 @@ class GroupTag:
 
 
 GSPIN5 = GroupTag("gspin_odd", 2)
-GSPIN3 = GroupTag("gspin_odd", 1)
 SP4_GL1 = GroupTag("sp_gl1", 2)
 GL4_GL1 = GroupTag("gl_gl1", 4)
 
@@ -171,24 +158,13 @@ def antidiag_ones(n: int) -> ExactMatrix:
     return ExactMatrix.antidiagonal([1] * n)
 
 
-SO5_AMBIENT_GRAM = antidiag_ones(5)
-
-
-def similitude_factor(g: ExactMatrix, form: ExactMatrix) -> Fraction | None:
-    """x with t(g) form g = x form, or None."""
-    lhs = g.transpose() * form * g
-    x = None
-    for i in range(form.rows):
-        for j in range(form.cols):
-            if form[i, j] != 0:
-                cand = lhs[i, j] / form[i, j]
-                if x is None:
-                    x = cand
-                elif x != cand:
-                    return None
-            elif lhs[i, j] != 0:
-                return None
-    return x
+def embed_pair(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """(a, b) acting on the planes span(e1, e4) and span(e2, e3)."""
+    m = [[ZERO] * 4 for _ in range(4)]
+    for (i0, i1), blk in (((0, 3), a), ((1, 2), b)):
+        m[i0][i0], m[i0][i1] = blk[0, 0], blk[0, 1]
+        m[i1][i0], m[i1][i1] = blk[1, 0], blk[1, 1]
+    return ExactMatrix(m)
 
 
 def fixed_point_check(e: DualElement) -> bool:
@@ -198,12 +174,6 @@ def fixed_point_check(e: DualElement) -> bool:
 
 def gsp4_similitude(g: ExactMatrix) -> Fraction | None:
     return similitude_factor(g, THETA_J)
-
-
-def is_gso4(g: ExactMatrix) -> bool:
-    """Member of GSO4 for the fixed Gram: similitude nu with det g = nu^2."""
-    nu = similitude_factor(g, GSO4_GRAM)
-    return nu is not None and g.det() == nu * nu
 
 
 def std_rep(tag: GroupTag, e: DualElement) -> tuple[ExactMatrix, Fraction]:
@@ -277,12 +247,11 @@ OMEGA_COMPLEMENT = _omega_complement_basis()
 
 # basis change [omega | complement] on the bivector space
 SPLIT_BASIS = ExactMatrix.from_columns([list(OMEGA)] + [list(v) for v in OMEGA_COMPLEMENT])
-_SPLIT_BASIS = SPLIT_BASIS
 _SPLIT_BASIS_INV = SPLIT_BASIS.inverse()
 
 
 def _so5_gram() -> ExactMatrix:
-    m = _SPLIT_BASIS.transpose() * BIVECTOR_FORM * _SPLIT_BASIS
+    m = SPLIT_BASIS.transpose() * BIVECTOR_FORM * SPLIT_BASIS
     return ExactMatrix([[m[i, j] for j in range(1, 6)] for i in range(1, 6)])
 
 
@@ -299,7 +268,7 @@ def project_to_so5(e: DualElement) -> ExactMatrix:
     if not fixed_point_check(e):
         raise ValueError("input is not in the symplectic similitude realization")
     f = exterior_square(e.g).scale(ONE / e.x)
-    split = _SPLIT_BASIS_INV * f * _SPLIT_BASIS
+    split = _SPLIT_BASIS_INV * f * SPLIT_BASIS
     # the invariant line must be exactly fixed
     if split[0, 0] != 1 or any(split[i, 0] != 0 for i in range(1, 6)) or any(
         split[0, j] != 0 for j in range(1, 6)
@@ -325,7 +294,7 @@ def embed_so4_block(x4: ExactMatrix) -> ExactMatrix:
     basis6 = ExactMatrix.from_columns([list(OMEGA), list(omega_prime)] + [list(t) for t in tensor])
     block6 = ExactMatrix.block_diagonal([ExactMatrix.identity(2), x4])
     full6 = basis6 * block6 * basis6.inverse()
-    split = _SPLIT_BASIS_INV * full6 * _SPLIT_BASIS
+    split = _SPLIT_BASIS_INV * full6 * SPLIT_BASIS
     if split[0, 0] != 1:
         raise ValueError("embedding does not fix the invariant line")
     return ExactMatrix([[split[i, j] for j in range(1, 6)] for i in range(1, 6)])
@@ -382,27 +351,16 @@ def pinning_fixed_by_theta(j: ExactMatrix | None = None) -> PinningReport:
 def _gsp4_nilpotent_basis() -> list[ExactMatrix]:
     """Basis of the strictly upper triangular part of the symplectic Lie
     algebra for THETA_J (elements X with XJ + J tX = 0, X strictly upper)."""
-    from .exactlin import kernel as _kernel
-
     n = 4
-    rows = []
-    # condition: X J + J tX = 0  (16 equations, unknown X entries)
-    for i in range(n):
-        for j in range(n):
-            row = [ZERO] * (n * n)
-            for k in range(n):
-                row[i * n + k] += THETA_J[k, j]
-                row[j * n + k] += THETA_J[i, k]
-            rows.append(row)
-    # strictly-upper restriction
-    for i in range(n):
-        for j in range(n):
-            if i >= j:
-                row = [ZERO] * (n * n)
-                row[i * n + j] = ONE
-                rows.append(row)
-    basis = _kernel(ExactMatrix(rows))
-    return [ExactMatrix([[v[i * n + j] for j in range(n)] for i in range(n)]) for v in basis]
+    ident = ExactMatrix.identity(n)
+    on_or_below_diagonal = [
+        ExactMatrix([[ONE if (r, c) == (i, j) else ZERO for c in range(n)] for r in range(n)])
+        for i in range(n)
+        for j in range(i + 1)
+    ]
+    return matrix_equation_kernel(
+        [[(ident, "X", THETA_J), (THETA_J, "Xt", ident)]], on_or_below_diagonal
+    )
 
 
 _GSP4_NILPOTENTS = _gsp4_nilpotent_basis()

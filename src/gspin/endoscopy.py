@@ -20,6 +20,7 @@ from .dualgroups import (
     GSO4_GRAM,
     SPLIT_BASIS,
     THETA_J,
+    embed_pair,
     embed_so4_block,
     exterior_square,
     project_to_so5,
@@ -27,7 +28,9 @@ from .dualgroups import (
     sample_gso4,
     sample_gsp4,
 )
-from .exactlin import ExactMatrix, frac, in_span, kernel, ONE, ZERO
+# kernel is no longer called here but stays bound: perfbench/test_perfbench.py
+# checks that the tracer wraps it at this binding site too
+from .exactlin import ExactMatrix, frac, in_span, kernel, matrix_equation_kernel, ONE  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # printed matrices
@@ -162,69 +165,41 @@ def catalog(ambient: str, classes: Sequence[AlphaClass] = ()) -> list[Endoscopic
     raise ValueError(f"unsupported ambient {ambient!r}")
 
 
+def full_catalog() -> list[EndoscopicDatum]:
+    """The data of all three ambients with the one nontrivial square class
+    'alpha' declared: what verify-endoscopy and the selftest verify."""
+    alpha = AlphaClass("alpha")
+    return [
+        d
+        for ambient, classes in (("twisted_gl4", [alpha]), ("gspin5", []), ("gspin4", [alpha]))
+        for d in catalog(ambient, classes)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # centralizer Lie algebras
-
-
-def _pair_space_basis(rows_builder, n: int = 4) -> list[tuple[ExactMatrix, Fraction]]:
-    """Solve a linear system on pairs (X, t), X an n x n matrix, t a scalar."""
-    rows = rows_builder()
-    basis = kernel(ExactMatrix(rows))
-    out = []
-    for v in basis:
-        x = ExactMatrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-        out.append((x, v[n * n]))
-    return out
 
 
 def twisted_centralizer_basis(s: ExactMatrix) -> list[tuple[ExactMatrix, Fraction]]:
     """Basis of {(X, t) : X A + A tX = t A}, A = s J: the Lie algebra of the
     fixed points of Ad(s) composed with the dual twist."""
     a = s * THETA_J
-    n = 4
-
-    def rows():
-        out = []
-        for i in range(n):
-            for j in range(n):
-                row = [ZERO] * (n * n + 1)
-                for k in range(n):
-                    row[i * n + k] += a[k, j]      # (X A)[i,j]
-                    row[j * n + k] += a[i, k]      # (A tX)[i,j] = sum_k A[i,k] X[j,k]
-                row[n * n] -= a[i, j]
-                out.append(row)
-        return out
-
-    return _pair_space_basis(rows)
+    ident = ExactMatrix.identity(4)
+    return matrix_equation_kernel([[(ident, "X", a), (a, "Xt", ident)]], scalar=a)
 
 
 def ordinary_centralizer_basis(
     s: ExactMatrix, form: ExactMatrix
 ) -> list[tuple[ExactMatrix, Fraction]]:
     """Basis of {(X, t) : tX form + form X = t form, s X = X s}."""
-    n = form.rows
-    rows_list = []
-    for i in range(n):
-        for j in range(n):
-            row = [ZERO] * (n * n + 1)
-            for k in range(n):
-                row[k * n + i] += form[k, j]       # (tX form)[i,j] = sum_k X[k,i] form[k,j]
-                row[k * n + j] += form[i, k]       # (form X)[i,j] = sum_k form[i,k] X[k,j]
-            row[n * n] -= form[i, j]
-            rows_list.append(row)
-    for i in range(n):
-        for j in range(n):
-            row = [ZERO] * (n * n + 1)
-            for k in range(n):
-                row[k * n + j] += s[i, k]          # (s X)[i,j]
-                row[i * n + k] -= s[k, j]          # (X s)[i,j]
-            rows_list.append(row)
-    basis = kernel(ExactMatrix(rows_list))
-    out = []
-    for v in basis:
-        x = ExactMatrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-        out.append((x, v[n * n]))
-    return out
+    ident = ExactMatrix.identity(form.rows)
+    return matrix_equation_kernel(
+        [
+            [(ident, "Xt", form), (form, "X", ident)],
+            [(s, "X", ident), (-ident, "X", s)],
+        ],
+        scalar=form,
+    )
 
 
 def _lie_basis(d: EndoscopicDatum) -> list[tuple[ExactMatrix, Fraction]]:
@@ -269,7 +244,7 @@ def _xi_samples(d: EndoscopicDatum, rng: random.Random) -> list[DualElement]:
             det = frac(rng.randint(1, 5))
             a = sample_gl2(rng, det)
             b = sample_gl2(rng, det)
-            g = _embed_pair_blocks(a, b)
+            g = embed_pair(a, b)
             out.append(DualElement(g, det))
         return out
     # gspin4: the diagonal torus ad = bc
@@ -278,16 +253,6 @@ def _xi_samples(d: EndoscopicDatum, rng: random.Random) -> list[DualElement]:
         a, b, c = (frac(rng.randint(1, 5)) for _ in range(3))
         out.append(DualElement(ExactMatrix.diagonal([a, b, c, b * c / a]), b * c))
     return out
-
-
-def _embed_pair_blocks(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """(a, b) acting on the planes span(e1,e4) and span(e2,e3)."""
-    m = [[ZERO] * 4 for _ in range(4)]
-    (i0, i1) = (0, 3)
-    m[i0][i0], m[i0][i1], m[i1][i0], m[i1][i1] = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    (j0, j1) = (1, 2)
-    m[j0][j0], m[j0][j1], m[j1][j0], m[j1][j1] = b[0, 0], b[0, 1], b[1, 0], b[1, 1]
-    return ExactMatrix(m)
 
 
 @dataclass(frozen=True)
@@ -404,7 +369,7 @@ def restriction_diagrams_commute(seed: int = 0, samples: int = 20) -> DiagramRep
         det = frac(rng.randint(1, 5))
         a = sample_gl2(rng, det)
         b = sample_gl2(rng, det)
-        via_gsp4 = project_to_so5(DualElement(_embed_pair_blocks(a, b), det))
+        via_gsp4 = project_to_so5(DualElement(embed_pair(a, b), det))
         from .exactlin import kron
 
         via_so4 = embed_so4_block(kron(a, b).scale(ONE / det))

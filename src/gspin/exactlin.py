@@ -320,6 +320,18 @@ def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
     return solve(m, v) is not None
 
 
+def restrict_to(m: ExactMatrix, basis: Sequence[Sequence]) -> ExactMatrix:
+    """Matrix of m on the span of basis, in the basis coordinates."""
+    span = ExactMatrix.from_columns([list(v) for v in basis])
+    cols = []
+    for v in basis:
+        coords = solve(span, m.apply(v))
+        if coords is None:
+            raise ValueError("subspace is not invariant")
+        cols.append(list(coords))
+    return ExactMatrix.from_columns(cols)
+
+
 def vec_add(u: Sequence, v: Sequence) -> tuple:
     return tuple(frac(a) + frac(b) for a, b in zip(u, v))
 
@@ -330,11 +342,68 @@ def vec_scale(s, v: Sequence) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# commutants
+# linear matrix equations and commutants
 
 
-def _flatten_index(n: int, i: int, j: int) -> int:
-    return i * n + j
+def matrix_equation_kernel(
+    equations: Sequence[Sequence[tuple]],
+    functionals: Sequence[ExactMatrix] = (),
+    scalar: ExactMatrix | None = None,
+) -> list:
+    """Basis of the n x n matrices X solving a homogeneous linear system.
+
+    Each equation is a sequence of terms whose sum is set to zero; a term
+    (a, "X", b) stands for a X b and (a, "Xt", b) for a tX b, with a and b
+    n x n.  Each functional c imposes sum_ij c[i,j] X[i,j] = 0.  Given an
+    n x n matrix scalar = c, a scalar unknown t joins X, the first equation
+    reads (sum of its terms) = t c, and the basis is of pairs (X, t).
+
+    The unknowns are X[0,0], X[0,1], ..., X[n-1,n-1] in row-major order, then
+    t; the row of (a X b)[i,j] holds a[i,k] b[l,j] at X[k,l], i.e. the system
+    is vec(a X b) = (a kron tb) vec(X) for row-major vec.
+    """
+    if not equations or not equations[0]:
+        raise ValueError("need at least one equation")
+    n = equations[0][0][0].rows
+
+    def check_size(m: ExactMatrix) -> None:
+        if m.rows != n or m.cols != n:
+            raise ValueError(f"expected a {n} x {n} matrix")
+
+    width = n * n + (scalar is not None)
+    rows = []
+    for terms in equations:
+        block = [[ZERO] * width for _ in range(n * n)]
+        for a, which, b in terms:
+            if which not in ("X", "Xt"):
+                raise ValueError(f"unknown term {which!r}")
+            check_size(a)
+            check_size(b)
+            for i, a_row in enumerate(a.entries()):
+                for k, a_ik in enumerate(a_row):
+                    if not a_ik:
+                        continue
+                    for l, b_row in enumerate(b.entries()):
+                        col = l * n + k if which == "Xt" else k * n + l
+                        for j, b_lj in enumerate(b_row):
+                            if b_lj:
+                                block[i * n + j][col] += a_ik * b_lj
+        rows.extend(block)
+    if scalar is not None:
+        check_size(scalar)
+        for r, x in enumerate(x for c_row in scalar.entries() for x in c_row):
+            rows[r][n * n] -= x
+    for c in functionals:
+        check_size(c)
+        rows.append([x for c_row in c.entries() for x in c_row] + [ZERO] * (width - n * n))
+    basis = kernel(ExactMatrix(rows))
+
+    def unflatten(v):
+        return ExactMatrix([v[i * n : i * n + n] for i in range(n)])
+
+    if scalar is None:
+        return [unflatten(v) for v in basis]
+    return [(unflatten(v), v[n * n]) for v in basis]
 
 
 def commutant_basis(
@@ -352,23 +421,10 @@ def commutant_basis(
     for g in generators:
         if not g.is_square() or g.rows != n:
             raise ValueError("generators must be square of equal size")
-    rows = []
-    for g in generators:
-        # (Xg - gX)[i,j] = sum_k X[i,k] g[k,j] - g[i,k] X[k,j]
-        for i in range(n):
-            for j in range(n):
-                row = [ZERO] * (n * n)
-                for k in range(n):
-                    row[_flatten_index(n, i, k)] += g[k, j]
-                    row[_flatten_index(n, k, j)] -= g[i, k]
-                rows.append(row)
-    if ambient:
-        for c in ambient:
-            if c.rows != n or c.cols != n:
-                raise ValueError("ambient constraint of wrong size")
-            rows.append([c[i, j] for i in range(n) for j in range(n)])
-    basis = kernel(ExactMatrix(rows))
-    return [ExactMatrix([[v[_flatten_index(n, i, j)] for j in range(n)] for i in range(n)]) for v in basis]
+    ident = ExactMatrix.identity(n)
+    return matrix_equation_kernel(
+        [[(ident, "X", g), (-g, "X", ident)] for g in generators], ambient or ()
+    )
 
 
 def commutant_dimension(
@@ -572,7 +628,39 @@ def _factorial(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quadratic spaces
+# bilinear forms and quadratic spaces
+
+
+def _dot(u: Sequence, w: Sequence) -> Fraction:
+    return sum((frac(a) * b for a, b in zip(u, w)), ZERO)
+
+
+def bilinear(form: ExactMatrix, u: Sequence, v: Sequence) -> Fraction:
+    """The pairing tu form v."""
+    return _dot(u, form.apply(v))
+
+
+def pairing_matrix(form: ExactMatrix, us: Sequence[Sequence], vs: Sequence[Sequence]) -> ExactMatrix:
+    """The matrix of pairings tu form v, one row per u and one column per v."""
+    form_vs = [form.apply(v) for v in vs]
+    return ExactMatrix([[_dot(u, fv) for fv in form_vs] for u in us])
+
+
+def similitude_factor(g: ExactMatrix, form: ExactMatrix) -> Fraction | None:
+    """nu with t(g) form g = nu form, or None if g is not a similitude."""
+    lhs = g.transpose() * form * g
+    nu = None
+    for i in range(form.rows):
+        for j in range(form.cols):
+            if form[i, j] != 0:
+                cand = lhs[i, j] / form[i, j]
+                if nu is None:
+                    nu = cand
+                elif nu != cand:
+                    return None
+            elif lhs[i, j] != 0:
+                return None
+    return nu
 
 
 @dataclass(frozen=True)
@@ -591,8 +679,7 @@ class QuadraticSpace:
             raise ValueError("gram must be invertible")
 
     def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
-        gv = self.gram.apply(v)
-        return sum((frac(a) * b for a, b in zip(u, gv)), ZERO)
+        return bilinear(self.gram, u, v)
 
     def reflection(self, v: Sequence) -> ExactMatrix:
         """Reflection in the non-isotropic vector v; lies in O(gram), det -1."""
@@ -610,16 +697,4 @@ class QuadraticSpace:
 
     def similitude_factor(self, g: ExactMatrix) -> Fraction | None:
         """nu with t(g) gram g = nu gram, or None if g is not a similitude."""
-        lhs = g.transpose() * self.gram * g
-        nu = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.gram[i, j] != 0:
-                    cand = lhs[i, j] / self.gram[i, j]
-                    if nu is None:
-                        nu = cand
-                    elif nu != cand:
-                        return None
-                elif lhs[i, j] != 0:
-                    return None
-        return nu
+        return similitude_factor(g, self.gram)

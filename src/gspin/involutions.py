@@ -28,7 +28,10 @@ from .exactlin import (
     frac,
     is_rational_square,
     kernel,
+    matrix_equation_kernel,
     matrix_log_unipotent,
+    pairing_matrix,
+    restrict_to,
     solve,
     span_basis,
     vec_add,
@@ -84,33 +87,15 @@ def verify(e: SimilitudeElement, p: InvolutionPair) -> bool:
 # subspace utilities (vectors are ambient tuples)
 
 
-def _restrict_matrix(m: ExactMatrix, basis: Sequence[tuple]) -> ExactMatrix:
-    span = ExactMatrix.from_columns([list(v) for v in basis])
-    cols = []
-    for v in basis:
-        coords = solve(span, m.apply(v))
-        if coords is None:
-            raise ValueError("subspace not invariant")
-        cols.append(list(coords))
-    return ExactMatrix.from_columns(cols)
-
-
 def _orthocomplement_in(space: QuadraticSpace, inside: Sequence[tuple], of: Sequence[tuple]) -> list[tuple]:
     """Vectors of span(inside) orthogonal to every vector of `of`."""
     if not inside:
         return []
-    rows = []
-    for w in of:
-        rows.append([space.bilinear(v, w) for v in inside])
-    coords = kernel(ExactMatrix(rows)) if rows else [
+    coords = kernel(pairing_matrix(space.gram, of, inside)) if of else [
         tuple(ONE if i == j else ZERO for j in range(len(inside))) for i in range(len(inside))
     ]
     span = ExactMatrix.from_columns([list(v) for v in inside])
     return [span.apply(c) for c in coords]
-
-
-def _gram_on(space: QuadraticSpace, basis: Sequence[tuple]) -> ExactMatrix:
-    return ExactMatrix([[space.bilinear(u, v) for v in basis] for u in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +339,7 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple])
                 if len(trial) == len(chain):
                     break
                 chain.append(nxt)
-            if _gram_on(space, chain).det() != 0:
+            if pairing_matrix(space.gram, chain, chain).det() != 0:
                 found = chain
                 break
         if found is None:
@@ -406,9 +391,9 @@ def _reversing_involution(space: QuadraticSpace, g0: ExactMatrix) -> ExactMatrix
             continue
         # restrict to the invariant subspace with its own coordinates
         span = ExactMatrix.from_columns([list(v) for v in part])
-        sub_gram = _gram_on(space, part)
+        sub_gram = pairing_matrix(space.gram, part, part)
         sub_space = QuadraticSpace(len(part), sub_gram)
-        g_res = _restrict_matrix(g0, part)
+        g_res = restrict_to(g0, part)
         u = g_res if sign == 1 else -g_res
         for p in _unipotent_pieces(sub_space, u):
             ambient_basis = [span.apply(v) for v in p.basis]
@@ -482,26 +467,13 @@ def _search_reversing_involution(e: SimilitudeElement) -> InvolutionPair | None:
     space, g, nu = e.space, e.g, e.nu
     n2 = space.dim
     gram = space.gram
-    target = g.inverse().scale(nu)
-    rows = []
-    for i in range(n2):
-        for j in range(n2):
-            row = [ZERO] * (n2 * n2)
-            for k in range(n2):
-                row[i * n2 + k] += g[k, j]        # (x g)[i,j]
-                row[k * n2 + j] -= target[i, k]   # (nu g^-1 x)[i,j]
-            rows.append(row)
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            row = [ZERO] * (n2 * n2)
-            for k in range(n2):
-                row[k * n2 + i] += gram[j, k]     # (gram x)[j,i]
-                row[k * n2 + j] -= gram[i, k]     # (gram x)[i,j]
-            rows.append(row)
-    basis = [
-        ExactMatrix([[v[i * n2 + j] for j in range(n2)] for i in range(n2)])
-        for v in kernel(ExactMatrix(rows))
-    ]
+    ident = ExactMatrix.identity(n2)
+    basis = matrix_equation_kernel(
+        [
+            [(gram, "X", ident), (-ident, "Xt", gram)],  # gram x = t(x) gram
+            [(ident, "X", g), (-g.inverse().scale(nu), "X", ident)],  # x g = nu g^-1 x
+        ]
+    )
 
     def candidates():
         import itertools
@@ -523,7 +495,6 @@ def _search_reversing_involution(e: SimilitudeElement) -> InvolutionPair | None:
                         m = m + (b if c == 1 else -b)
                 yield m
 
-    ident = ExactMatrix.identity(n2)
     wanted_det = Fraction(-1) ** (n2 // 2)
     for cand in candidates():
         sq = cand * cand

@@ -16,8 +16,18 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .characters import AlphaClass, CharacterGroup, HeckeCharacterHandle
-from .dualgroups import GroupTag, THETA_J, similitude_factor
-from .exactlin import ExactMatrix, commutant_basis, frac, kernel, kron, ONE, ZERO
+from .dualgroups import GroupTag, THETA_J, embed_pair
+from .exactlin import (
+    ExactMatrix,
+    bilinear,
+    commutant_basis,
+    frac,
+    kron,
+    matrix_equation_kernel,
+    similitude_factor,
+    ONE,
+    ZERO,
+)
 
 # ---------------------------------------------------------------------------
 # elementary abelian 2-groups with named basis
@@ -541,15 +551,7 @@ _SL2_GENS = (
     ExactMatrix([[Fraction(2), 0], [0, Fraction(1, 2)]]),
 )
 
-_PLANE_PAIRS = ((0, 3), (1, 2))  # the two symplectic coordinate planes
-
-
-def _embed_plane(a: ExactMatrix, pair: tuple[int, int]) -> ExactMatrix:
-    out = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
-    (i0, i1) = pair
-    out[i0][i0], out[i0][i1] = a[0, 0], a[0, 1]
-    out[i1][i0], out[i1][i1] = a[1, 0], a[1, 1]
-    return ExactMatrix(out)
+_IDENTITY2 = ExactMatrix.identity(2)
 
 
 def _sym_cube(g: ExactMatrix) -> ExactMatrix:
@@ -581,23 +583,13 @@ def _binom(n: int, k: int) -> Fraction:
 def _invariant_form(rep_gens: list[ExactMatrix]) -> ExactMatrix:
     """The (up to scale unique) invariant bilinear form of an irreducible
     representation, found by exact linear solve."""
-    n = rep_gens[0].rows
-    rows = []
-    for g in rep_gens:
-        # t(g) B g - B = 0
-        for i in range(n):
-            for j in range(n):
-                row = [ZERO] * (n * n)
-                for k in range(n):
-                    for l in range(n):
-                        row[k * n + l] += g[k, i] * g[l, j]
-                row[i * n + j] -= ONE
-                rows.append(row)
-    basis = kernel(ExactMatrix(rows))
+    ident = ExactMatrix.identity(rep_gens[0].rows)
+    basis = matrix_equation_kernel(
+        [[(g.transpose(), "X", g), (-ident, "X", ident)] for g in rep_gens]  # t(g) B g = B
+    )
     if len(basis) != 1:
         raise ValueError("invariant form is not unique")
-    v = basis[0]
-    return ExactMatrix([[v[i * n + j] for j in range(n)] for i in range(n)])
+    return basis[0]
 
 
 def _symplectic_congruence(form_from: ExactMatrix, form_to: ExactMatrix) -> ExactMatrix:
@@ -607,25 +599,18 @@ def _symplectic_congruence(form_from: ExactMatrix, form_to: ExactMatrix) -> Exac
         n = form.rows
         remaining = [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
         basis: list[tuple] = []
-
-        def pairing(u, v):
-            return sum(
-                (frac(a) * form[i, j] * frac(b) for i, a in enumerate(u) for j, b in enumerate(v)),
-                ZERO,
-            )
-
         while remaining:
             u = remaining.pop(0)
-            w = next((v for v in remaining if pairing(u, v) != 0), None)
+            w = next((v for v in remaining if bilinear(form, u, v) != 0), None)
             if w is None:
                 continue
             remaining.remove(w)
-            c = pairing(u, w)
+            c = bilinear(form, u, w)
             w = tuple(x / c for x in w)
             basis.extend([u, w])
             new_remaining = []
             for v in remaining:
-                cu, cw = pairing(v, w), pairing(v, u)
+                cu, cw = bilinear(form, v, w), bilinear(form, v, u)
                 adj = tuple(
                     frac(v[i]) - cu * frac(u[i]) + cw * frac(w[i]) for i in range(n)
                 )
@@ -663,24 +648,23 @@ def _summand_blocks(psi: FormalParameter) -> tuple[dict, Fraction]:
     blocks: dict[str, list[ExactMatrix]] = {}
     if shape == ((2, 1), (2, 1)):
         c = frac(3)
-        for (h, _), pair in zip(summands, _PLANE_PAIRS):
-            blocks[h.id] = [_embed_plane(a, pair) for a in plane_gens(c)]
+        (h1, _), (h2, _) = summands
+        blocks[h1.id] = [embed_pair(a, _IDENTITY2) for a in plane_gens(c)]
+        blocks[h2.id] = [embed_pair(_IDENTITY2, a) for a in plane_gens(c)]
         return blocks, c
     if shape == ((2, 1), (1, 2)):
         s = frac(3)
         c = s * s
         (pi, _), (eta, _) = summands
-        blocks[pi.id] = [_embed_plane(a, _PLANE_PAIRS[0]) for a in plane_gens(c)]
-        blocks[eta.id] = [
-            _embed_plane(u.scale(s), _PLANE_PAIRS[1]) for u in _SL2_GENS
-        ]
+        blocks[pi.id] = [embed_pair(a, _IDENTITY2) for a in plane_gens(c)]
+        blocks[eta.id] = [embed_pair(_IDENTITY2, u.scale(s)) for u in _SL2_GENS]
         return blocks, c
     if shape == ((1, 2), (1, 2)):
         s1, s2 = frac(3), frac(-3)
         c = s1 * s1
         (e1, _), (e2, _) = summands
-        blocks[e1.id] = [_embed_plane(u.scale(s1), _PLANE_PAIRS[0]) for u in _SL2_GENS]
-        blocks[e2.id] = [_embed_plane(u.scale(s2), _PLANE_PAIRS[1]) for u in _SL2_GENS]
+        blocks[e1.id] = [embed_pair(u.scale(s1), _IDENTITY2) for u in _SL2_GENS]
+        blocks[e2.id] = [embed_pair(_IDENTITY2, u.scale(s2)) for u in _SL2_GENS]
         return blocks, c
     if shape == ((2, 2),):
         c = frac(3)

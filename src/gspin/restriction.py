@@ -14,20 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dualgroups import (
-    DualElement,
-    SO5_GRAM,
-    THETA_J,
-    project_to_so5,
-    similitude_factor,
-)
+from .dualgroups import DualElement, SO5_GRAM, THETA_J, embed_pair, project_to_so5
 from .exactlin import (
     ExactMatrix,
     commutant_basis,
     frac,
     kron,
+    pairing_matrix,
     rational_eigensplit,
-    solve,
+    restrict_to,
+    similitude_factor,
     ONE,
     ZERO,
 )
@@ -90,19 +86,6 @@ class SignGroup:
 # commutant pieces
 
 
-def _restrict(m: ExactMatrix, basis: list[tuple]) -> ExactMatrix:
-    """Matrix of m on the span of basis, in the basis coordinates."""
-    span = ExactMatrix.from_columns([list(v) for v in basis])
-    cols = []
-    for v in basis:
-        image = m.apply(v)
-        coords = solve(span, image)
-        if coords is None:
-            raise ValueError("subspace is not invariant")
-        cols.append(list(coords))
-    return ExactMatrix.from_columns(cols)
-
-
 def _split_pieces(generators: Sequence[ExactMatrix]) -> list[list[tuple]]:
     """Joint eigenspace decomposition under the commutant algebra."""
     n = generators[0].rows
@@ -116,7 +99,7 @@ def _split_pieces(generators: Sequence[ExactMatrix]) -> list[list[tuple]]:
         for b in algebra:
             new_pieces: list[list[tuple]] = []
             for basis in pieces:
-                restricted = _restrict(b, basis)
+                restricted = restrict_to(b, basis)
                 parts, irrational = rational_eigensplit(restricted)
                 if irrational:
                     raise ValueError("degenerate generator set: irrational commutant spectrum")
@@ -140,15 +123,10 @@ class PieceData:
 
 
 def _classify_pieces(pieces: list[list[tuple]], form: ExactMatrix) -> list[PieceData]:
-    def pairing_block(b1, b2):
-        return ExactMatrix(
-            [[sum((frac(u[i]) * form[i, j] * frac(v[j]) for i in range(form.rows) for j in range(form.cols)), ZERO) for v in b2] for u in b1]
-        )
-
     named = [(f"p{i}", basis) for i, basis in enumerate(pieces)]
     out = []
     for label, basis in named:
-        self_block = pairing_block(basis, basis)
+        self_block = pairing_matrix(form, basis, basis)
         if self_block.det() != 0:
             out.append(PieceData(label, tuple(basis), True, None))
             continue
@@ -157,7 +135,7 @@ def _classify_pieces(pieces: list[list[tuple]], form: ExactMatrix) -> list[Piece
         partners = [
             lab2
             for lab2, basis2 in named
-            if lab2 != label and not pairing_block(basis, basis2).is_zero()
+            if lab2 != label and not pairing_matrix(form, basis, basis2).is_zero()
         ]
         if len(partners) != 1:
             raise ValueError("degenerate generator set: ambiguous isotropic pairing")
@@ -279,14 +257,6 @@ def packet_members(phi: BoundedParameterDescriptor) -> list[PacketMember]:
     return [PacketMember(phi, "+"), PacketMember(phi, "-")]
 
 
-def _embed_pair(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    m = [[ZERO] * 4 for _ in range(4)]
-    for (i0, i1), blk in (((0, 3), a), ((1, 2), b)):
-        m[i0][i0], m[i0][i1] = blk[0, 0], blk[0, 1]
-        m[i1][i0], m[i1][i1] = blk[1, 0], blk[1, 1]
-    return ExactMatrix(m)
-
-
 def shape_catalog() -> dict[str, BoundedParameterDescriptor]:
     """Representative generator samples for the supported bounded shapes."""
     from .dualgroups import _GSP4_NILPOTENTS
@@ -302,15 +272,15 @@ def shape_catalog() -> dict[str, BoundedParameterDescriptor]:
     flip = ExactMatrix([[0, 1], [-6, 0]])
     # the two 2-dim blocks vary independently across sample points
     two_two = [
-        DualElement(_embed_pair(diag_a, diag_b), c),
-        DualElement(_embed_pair(flip, ExactMatrix.diagonal([7, Fraction(6, 7)])), c),
-        DualElement(_embed_pair(ExactMatrix.diagonal([11, Fraction(6, 11)]), flip), c),
+        DualElement(embed_pair(diag_a, diag_b), c),
+        DualElement(embed_pair(flip, ExactMatrix.diagonal([7, Fraction(6, 7)])), c),
+        DualElement(embed_pair(ExactMatrix.diagonal([11, Fraction(6, 11)]), flip), c),
     ]
 
     dihedral_flip = ExactMatrix([[0, 1], [6, 0]])  # determinant -6 on both blocks
     two_two_dihedral = [
-        DualElement(_embed_pair(diag_a, diag_b), c),
-        DualElement(_embed_pair(dihedral_flip, dihedral_flip), -c),
+        DualElement(embed_pair(diag_a, diag_b), c),
+        DualElement(embed_pair(dihedral_flip, dihedral_flip), -c),
     ]
 
     principal = [

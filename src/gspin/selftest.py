@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .characters import AlphaClass, CharacterGroup
+from .characters import CharacterGroup
 from .dualgroups import (
     DualElement,
     GSPIN5,
@@ -168,24 +168,19 @@ def check_projection(seed: int, corrupt: bool) -> CheckResult:
 
 
 def check_endoscopy_catalog(seed: int, corrupt: bool) -> CheckResult:
-    alpha = AlphaClass("alpha")
+    data = endoscopy.full_catalog()
     reports = []
-    for ambient, classes in (("twisted_gl4", [alpha]), ("gspin5", []), ("gspin4", [alpha])):
-        for d in endoscopy.catalog(ambient, classes):
-            if corrupt and d.name == "h1":
-                from dataclasses import replace
+    for d in data:
+        if corrupt and d.name == "h1":
+            from dataclasses import replace
 
-                d = replace(d, s=DualElement(ExactMatrix.diagonal([1, 1, -1, 1]), 1))
-            reports.append(endoscopy.verify_centralizer(d, seed=seed))
+            d = replace(d, s=DualElement(ExactMatrix.diagonal([1, 1, -1, 1]), 1))
+        reports.append(endoscopy.verify_centralizer(d, seed=seed))
     bad = [r for r in reports if not r.ok]
     dims = ",".join(str(r.computed_dim) for r in reports)
     if bad:
         return CheckResult("endoscopy.catalog", False, "; ".join(r.message() for r in bad))
-    iotas = {
-        d.name: d.stabilisation_constant
-        for d in endoscopy.catalog("twisted_gl4", [alpha]) + endoscopy.catalog("gspin5")
-        if d.stabilisation_constant is not None
-    }
+    iotas = {d.name: d.stabilisation_constant for d in data if d.stabilisation_constant is not None}
     if iotas != {"gspin5": Fraction(1), "h1": Fraction(1, 4)}:
         return CheckResult("endoscopy.catalog", False, "stabilisation constants off")
     return CheckResult("endoscopy.catalog", True, f"centralizer dims {dims}; constants 1 and 1/4")

@@ -91,6 +91,24 @@ def test_undeclared_id_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("local", [[], [["v1", {"pi1": -1}]]])
+def test_multiplicity_rejects_non_discrete_parameter(tmp_path, capsys, local):
+    # pi1[1] + pi1[1] repeats a summand; the rejection names that whether or
+    # not the local data would make a character of its component group
+    doc = {
+        "characters": {"generators": [{"name": "chi0"}], "defined": {"chi": {"free": {"chi0": 1}}}},
+        "cuspidals": [{"id": "pi1", "N": 2, "central_character": "chi", "chi": "chi"}],
+        "parameters": [{"name": "psi", "chi": "chi", "summands": [["pi1", 1], ["pi1", 1]]}],
+        "local_data": {"psi": local},
+        "requests": [{"op": "multiplicity", "parameter": "psi"}],
+    }
+    code = main(["run", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "computation error: not a discrete parameter: not discrete: repeated summand\n"
+
+
 def test_parse_error_is_position_annotated(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{ nope }")

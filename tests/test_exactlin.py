@@ -11,6 +11,8 @@ from gspin.exactlin import (
     frac,
     is_rational_square,
     kernel,
+    kron,
+    matrix_equation_kernel,
     matrix_exp_nilpotent,
     matrix_log_unipotent,
     poly_divmod,
@@ -129,6 +131,47 @@ def test_commutant_with_ambient_constraints():
                 c[i][j] = 1
                 constraints.append(ExactMatrix(c))
     assert commutant_dimension([ExactMatrix.identity(n)], constraints) == 4
+
+
+def test_matrix_equation_single_term_matches_kron():
+    # vec(a X b) = (a kron tb) vec(X) for row-major vec
+    a = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, -1]])  # rank 2
+    b = ExactMatrix([[2, 1, 0], [0, 1, 0], [1, 0, 3]])
+    expected = [ExactMatrix([v[0:3], v[3:6], v[6:9]]) for v in kernel(kron(a, b.transpose()))]
+    got = matrix_equation_kernel([[(a, "X", b)]])
+    assert len(got) == 3
+    assert got == expected
+    for x in got:
+        assert (a * x * b).is_zero()
+
+
+def test_matrix_equation_symmetric_solutions():
+    n = 4
+    ident = ExactMatrix.identity(n)
+    basis = matrix_equation_kernel([[(ident, "X", ident), (-ident, "Xt", ident)]])
+    assert len(basis) == n * (n + 1) // 2
+    assert all(x.is_symmetric() for x in basis)
+
+
+def test_matrix_equation_functional_constraint():
+    d = ExactMatrix.diagonal([1, 2, 3])
+    ident = ExactMatrix.identity(3)
+    equations = [[(ident, "X", d), (-d, "X", ident)]]
+    assert len(matrix_equation_kernel(equations)) == 3
+    traceless = matrix_equation_kernel(equations, [ident])  # sum_i X[i,i] = 0
+    assert len(traceless) == 2
+    for x in traceless:
+        assert x.trace() == 0 and x * d == d * x
+
+
+def test_matrix_equation_scalar_unknown():
+    # X + tX = t 1: X is antisymmetric plus t/2 times the identity
+    ident = ExactMatrix.identity(2)
+    pairs = matrix_equation_kernel([[(ident, "X", ident), (ident, "Xt", ident)]], scalar=ident)
+    assert len(pairs) == 2
+    for x, t in pairs:
+        assert x + x.transpose() == ident.scale(t)
+    assert any(t != 0 for _, t in pairs)
 
 
 def test_commutant_basis_commutes():
