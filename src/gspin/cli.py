@@ -23,7 +23,13 @@ from .characters import AlphaClass
 from .dualgroups import GL4_GL1, GSPIN5, SP4_GL1, gspin_even_tag
 from .exactlin import ExactMatrix, QuadraticSpace
 from . import endoscopy
-from .params import classify, component_group_table, multiplicity, psi_disc_membership
+from .params import (
+    classify,
+    component_group_table,
+    multiplicity,
+    psi_disc_membership,
+    require_membership,
+)
 from .restriction import (
     packet_members,
     project_parameter,
@@ -97,9 +103,8 @@ def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
         elif op == "multiplicity":
             fixture = _fixture(scn, req)
             target = _GROUP_NAMES[req.get("target", "gspin5")]
-            if target.family == "gspin_odd":
-                # reject a psi that classify rejects before reading its local data
-                classify(scn.group, fixture.parameter, fixture.root_number_minus)
+            # reject a psi outside the target's discrete set before reading its local data
+            require_membership(scn.group, fixture.parameter, target)
             data = local_characters(fixture, component_group_table(fixture.parameter))
             m = multiplicity(
                 scn.group,

@@ -30,82 +30,107 @@ from .exactlin import (
 )
 
 # ---------------------------------------------------------------------------
-# elementary abelian 2-groups with named basis
+# elementary abelian 2-groups of sign patterns on named labels
+
+
+def _pattern_key(pattern: frozenset) -> tuple:
+    return (len(pattern), sorted(pattern))
+
+
+def _span(patterns: Iterable[frozenset]) -> set[frozenset]:
+    """All symmetric differences of the given patterns, the empty one included."""
+    span = {frozenset()}
+    for p in patterns:
+        if p not in span:
+            span |= {s ^ p for s in span}
+    return span
 
 
 class TwoGroup:
-    """Elementary abelian 2-group presented by basis labels and subset-sum
-    relations; elements are canonical frozensets of labels."""
+    """Elementary abelian 2-group of sign patterns (label subsets, multiplied
+    by symmetric difference): the patterns in `elements` (every pattern when
+    omitted; when given, it must list a whole subgroup) modulo those spanned
+    by `relations`.  Each element is the least member of its coset, ordered
+    by (size, sorted labels)."""
 
-    def __init__(self, basis_labels: Sequence[str], relations: Iterable[frozenset] = ()):
+    def __init__(
+        self,
+        basis_labels: Sequence[str],
+        relations: Iterable[frozenset] = (),
+        elements: Iterable[frozenset] | None = None,
+    ):
         self.basis_labels = tuple(basis_labels)
-        self.relations = tuple(frozenset(r) for r in relations)
-        index = {lab: i for i, lab in enumerate(self.basis_labels)}
-        self._index = index
-        rel_masks = []
-        for r in self.relations:
-            mask = 0
-            for lab in r:
-                mask ^= 1 << index[lab]
-            rel_masks.append(mask)
-        self._rel_echelon = _gf2_echelon(rel_masks)
+        if len(set(self.basis_labels)) != len(self.basis_labels):
+            raise ValueError("repeated basis label")
+        self.relations = tuple(self._pattern(r) for r in relations)
+        if elements is None:
+            self._members = _span(frozenset([lab]) for lab in self.basis_labels)
+        else:
+            self._members = {self._pattern(e) for e in elements}
+            if _span(self._members) != self._members:
+                raise ValueError("sign patterns do not form a group")
+        self._relation_span = _span(self.relations)
+        if not self._relation_span <= self._members:
+            raise ValueError("relation outside the group")
+        self._elements = tuple(
+            sorted({self.canonical(m) for m in self._members}, key=_pattern_key)
+        )
 
-    def _mask(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for lab in labels:
-            mask ^= 1 << self._index[lab]
-        return mask
-
-    def _reduce(self, mask: int) -> int:
-        for pivot, row in self._rel_echelon:
-            if mask >> pivot & 1:
-                mask ^= row
-        return mask
+    def _pattern(self, labels: Iterable[str]) -> frozenset:
+        pattern = frozenset(labels)
+        unknown = pattern.difference(self.basis_labels)
+        if unknown:
+            raise ValueError(f"unknown label {min(unknown)!r}")
+        return pattern
 
     def canonical(self, labels: Iterable[str]) -> frozenset:
-        mask = self._reduce(self._mask(labels))
-        return frozenset(lab for lab, i in self._index.items() if mask >> i & 1)
+        pattern = self._pattern(labels)
+        return min((pattern ^ r for r in self._relation_span), key=_pattern_key)
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis_labels) - len(self._rel_echelon)
+    def contains(self, labels: Iterable[str]) -> bool:
+        return self._pattern(labels) in self._members
+
+    def is_identity(self, labels: Iterable[str]) -> bool:
+        return self._pattern(labels) in self._relation_span
 
     @property
     def order(self) -> int:
-        return 1 << self.rank
+        return len(self._elements)
+
+    @property
+    def rank(self) -> int:
+        return self.order.bit_length() - 1
 
     def elements(self) -> list[frozenset]:
-        seen = {}
-        for bits in range(1 << len(self.basis_labels)):
-            red = self._reduce(bits)
-            if red not in seen:
-                seen[red] = frozenset(lab for lab, i in self._index.items() if red >> i & 1)
-        return sorted(seen.values(), key=lambda s: (len(s), sorted(s)))
+        return list(self._elements)
 
-    def is_identity(self, labels: Iterable[str]) -> bool:
-        return self._reduce(self._mask(labels)) == 0
+    def characters(self) -> list["TwoGroupCharacter"]:
+        """Every character once, as the least label set it flips; a flip set
+        must meet each relation evenly to be a character of the quotient."""
+        out = []
+        seen = set()
+        for r in range(len(self.basis_labels) + 1):
+            for flips in itertools.combinations(sorted(self.basis_labels), r):
+                flips = frozenset(flips)
+                if any(len(flips & rel) % 2 for rel in self.relations):
+                    continue
+                key = tuple(len(flips & e) % 2 for e in self._elements)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(TwoGroupCharacter.make(self, dict.fromkeys(flips, -1)))
+        assert len(out) == self.order
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, TwoGroup)
             and self.basis_labels == other.basis_labels
             and self.relations == other.relations
+            and self._members == other._members
         )
 
     def __repr__(self):
         return f"TwoGroup(rank={self.rank}, basis={self.basis_labels})"
-
-
-def _gf2_echelon(masks: list[int]) -> list[tuple[int, int]]:
-    echelon: list[tuple[int, int]] = []
-    for m in masks:
-        for pivot, row in echelon:
-            if m >> pivot & 1:
-                m ^= row
-        if m:
-            echelon.append((m.bit_length() - 1, m))
-            echelon.sort(reverse=True)
-    return echelon
 
 
 @dataclass(frozen=True)
@@ -116,26 +141,23 @@ class TwoGroupCharacter:
 
     @staticmethod
     def make(group: TwoGroup, values: Mapping[str, int]) -> "TwoGroupCharacter":
-        vals = {}
-        for lab in group.basis_labels:
-            v = values.get(lab, 1)
-            if v not in (1, -1):
-                raise ValueError("character values must be +-1")
-            vals[lab] = v
-        for rel in group.relations:
-            prod = 1
-            for lab in rel:
-                prod *= vals[lab]
-            if prod != 1:
-                raise ValueError("character violates the relations of the group")
-        return TwoGroupCharacter(tuple(sorted(vals.items())))
+        group._pattern(values)  # every label must name a basis label
+        vals = {lab: values.get(lab, 1) for lab in group.basis_labels}
+        if any(v not in (1, -1) for v in vals.values()):
+            raise ValueError("character values must be +-1")
+        ch = TwoGroupCharacter(tuple(sorted(vals.items())))
+        if any(ch.evaluate(rel) != 1 for rel in group.relations):
+            raise ValueError("character violates the relations of the group")
+        return ch
 
     @staticmethod
     def trivial(group: TwoGroup) -> "TwoGroupCharacter":
         return TwoGroupCharacter.make(group, {})
 
-    def value(self, lab: str) -> int:
-        return dict(self.values)[lab]
+    @property
+    def rep(self) -> frozenset:
+        """The labels this character flips."""
+        return frozenset(lab for lab, v in self.values if v == -1)
 
     def evaluate(self, labels: Iterable[str]) -> int:
         vals = dict(self.values)
@@ -156,20 +178,7 @@ class TwoGroupCharacter:
 
 def character_dual(group: TwoGroup) -> list[TwoGroupCharacter]:
     """All characters of the group (each counted once)."""
-    out = []
-    seen = set()
-    labs = group.basis_labels
-    for signs in itertools.product((1, -1), repeat=len(labs)):
-        try:
-            ch = TwoGroupCharacter.make(group, dict(zip(labs, signs)))
-        except ValueError:
-            continue
-        key = tuple(ch.evaluate(el) for el in group.elements())
-        if key not in seen:
-            seen.add(key)
-            out.append(ch)
-    assert len(out) == group.order
-    return out
+    return group.characters()
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +385,13 @@ def psi_disc_membership(
     return MembershipReport(True, "ok")
 
 
+def require_membership(group: CharacterGroup, psi: FormalParameter, target: GroupTag) -> None:
+    """Raise ValueError unless psi lies in the discrete set of the target."""
+    report = psi_disc_membership(group, psi, target)
+    if not report.ok:
+        raise ValueError(f"not a discrete parameter: {report.reason}")
+
+
 # ---------------------------------------------------------------------------
 # the six types
 
@@ -439,9 +455,7 @@ def classify(
     discrete parameter for the rank-two odd similitude spin group."""
     from .dualgroups import GSPIN5
 
-    report = psi_disc_membership(group, psi, GSPIN5)
-    if not report.ok:
-        raise ValueError(f"not a discrete parameter: {report.reason}")
+    require_membership(group, psi, GSPIN5)
     summands = psi.sorted_summands()
     shape = tuple((h.N, d) for h, d in summands)
     sgroup = component_group_table(psi)
@@ -494,10 +508,12 @@ def multiplicity(
     """The number of copies in the discrete spectrum: the prefactor if the
     product of the local characters equals the automorphy character, else 0.
 
-    Only finitely many places contribute; unlisted places are trivial."""
+    Only finitely many places contribute; unlisted places are trivial.  A psi
+    outside the discrete set of the target raises ValueError."""
     from .dualgroups import GSPIN5
 
     target = target or GSPIN5
+    require_membership(group, psi, target)
     if target.family == "gspin_odd":
         cls = classify(group, psi, root_number_minus=root_number_minus)
         sgroup, eps = cls.component_group, cls.automorphy_character
@@ -739,7 +755,6 @@ def component_group_oracle(psi: FormalParameter) -> OracleResult:
                 if any(gi[i, j] != 0 for j in range(4)) or any(gi[j, i] != 0 for j in range(4)):
                     sup.add(i)
         supports[h.id] = sorted(sup) if k > 1 else [0, 1, 2, 3]
-    labels = [h.id for h, _ in summands]
     valid = []
     for pattern in itertools.product((1, -1), repeat=k):
         m = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
@@ -753,6 +768,6 @@ def component_group_oracle(psi: FormalParameter) -> OracleResult:
             continue
         valid.append(pattern)
     assert len(valid) == 1 << k
-    group = TwoGroup(labels, [frozenset(labels)])
+    group = component_group_table(psi)
     s_support = group.canonical({h.id for h, d in summands if d % 2 == 0})
     return OracleResult(component_group=group, sign_element=s_support, commutant_dim=len(comm))

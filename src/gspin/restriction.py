@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dualgroups import DualElement, SO5_GRAM, THETA_J, embed_pair, project_to_so5
+from .params import TwoGroup, TwoGroupCharacter
 from .exactlin import (
     ExactMatrix,
     commutant_basis,
@@ -29,57 +30,14 @@ from .exactlin import (
 )
 
 # ---------------------------------------------------------------------------
-# sign groups (explicit element lists; subgroups of {+-1}^pieces)
+# sign groups: the component groups are params.TwoGroup
+
+SignGroupCharacter = TwoGroupCharacter
 
 
-@dataclass(frozen=True)
-class SignGroupCharacter:
-    """Character given by a representative label subset T: value on an
-    element e is (-1)^(|T meet e|)."""
-
-    rep: frozenset
-
-    def evaluate(self, element: frozenset) -> int:
-        return -1 if len(self.rep & element) % 2 else 1
-
-
-class SignGroup:
-    """An elementary abelian 2-group of sign patterns on named pieces."""
-
-    def __init__(self, labels: Sequence[str], elements: Sequence[frozenset]):
-        self.labels = tuple(labels)
-        elems = {frozenset(e) for e in elements}
-        if frozenset() not in elems:
-            raise ValueError("sign group must contain the identity")
-        for a in elems:
-            for b in elems:
-                if a ^ b not in elems:
-                    raise ValueError("sign patterns are not closed under products")
-        self.elements = tuple(sorted(elems, key=lambda s: (len(s), sorted(s))))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def rank(self) -> int:
-        return self.order.bit_length() - 1
-
-    def characters(self) -> list[SignGroupCharacter]:
-        out = []
-        seen = set()
-        for r in range(len(self.labels) + 1):
-            for subset in itertools.combinations(sorted(self.labels), r):
-                ch = SignGroupCharacter(frozenset(subset))
-                key = tuple(ch.evaluate(e) for e in self.elements)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(ch)
-        assert len(out) == self.order
-        return out
-
-    def contains(self, element: frozenset) -> bool:
-        return frozenset(element) in set(self.elements)
+def SignGroup(labels: Sequence[str], elements: Sequence[frozenset]) -> TwoGroup:
+    """The subgroup of sign patterns on named pieces listed by `elements`."""
+    return TwoGroup(labels, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +103,8 @@ def _classify_pieces(pieces: list[list[tuple]], form: ExactMatrix) -> list[Piece
 
 @dataclass(frozen=True)
 class ComponentSignGroup:
-    group: SignGroup
+    group: TwoGroup
     pieces: tuple[PieceData, ...]
-    center_relation: frozenset | None
 
     def matrix_for(self, pattern: frozenset) -> ExactMatrix:
         n = len(self.pieces[0].basis[0])
@@ -181,15 +138,7 @@ class ComponentSignGroup:
                     raise ValueError("matrix does not act by a sign on a piece")
             if sgn == -1:
                 pattern.add(p.label)
-        return self.canonical(pattern)
-
-    def canonical(self, pattern) -> frozenset:
-        pattern = frozenset(pattern)
-        if self.center_relation is not None:
-            alt = pattern ^ self.center_relation
-            if (len(alt), sorted(alt)) < (len(pattern), sorted(pattern)):
-                return alt
-        return pattern
+        return self.group.canonical(pattern)
 
 
 def component_sign_group(
@@ -205,7 +154,7 @@ def component_sign_group(
     sit in connected factors and contribute nothing."""
     pieces = _classify_pieces(_split_pieces(generators), form)
     self_labels = [p.label for p in pieces if p.self_paired]
-    raw = ComponentSignGroup(SignGroup(self_labels, [frozenset()]), tuple(pieces), None)
+    raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), tuple(pieces))
     valid = []
     for r in range(len(self_labels) + 1):
         for subset in itertools.combinations(self_labels, r):
@@ -222,16 +171,10 @@ def component_sign_group(
             if special and m.det() != 1:
                 continue
             valid.append(pattern)
-    center = None
-    if mod_center:
-        all_pattern = frozenset(self_labels)
-        if all_pattern in valid and all_pattern:
-            center = all_pattern
-    if center is not None:
-        canon = lambda p: min((p, p ^ center), key=lambda s: (len(s), sorted(s)))
-        valid = sorted({canon(p) for p in valid}, key=lambda s: (len(s), sorted(s)))
-    group = SignGroup(self_labels, valid)
-    return ComponentSignGroup(group, tuple(pieces), center)
+    center = frozenset(self_labels)
+    relations = [center] if mod_center and center and center in valid else []
+    group = TwoGroup(self_labels, relations, elements=valid)
+    return ComponentSignGroup(group, tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +280,7 @@ def project_parameter(phi: BoundedParameterDescriptor) -> ProjectedParameter:
     )
     embedded = None
     if upstairs.group.rank == 1:
-        (nontrivial,) = [e for e in upstairs.group.elements if e]
+        (nontrivial,) = [e for e in upstairs.group.elements() if e]
         s_mat = upstairs.matrix_for(nontrivial)
         x = similitude_factor(s_mat, THETA_J)
         s_prime = project_to_so5(DualElement(s_mat, x))

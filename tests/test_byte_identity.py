@@ -29,6 +29,22 @@ def test_selftest_report_matches_recorded_digest(seed):
     assert _sha256("\n".join(lines) + "\n") == digests[str(seed)]
 
 
+def test_restriction_constituents_of_every_shape(tmp_path, capsys):
+    shapes = ("irreducible", "two_two_generic", "two_two_dihedral", "principal_series")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"requests": [{"op": "restriction", "shape": s} for s in shapes]}))
+    out_path = tmp_path / "report.json"
+    assert main(["run", str(scenario), "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    results = json.loads(out_path.read_text())["results"]
+    assert [r["constituents"] for r in results] == [
+        {"packet": [[]]},
+        {"+": [[]], "-": [["p0"]]},
+        {"+": [[], ["p0", "p1"]], "-": [["p0"], ["p1"]]},
+        {"packet": [[]]},
+    ]
+
+
 def test_demo_scenario_report_bytes(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(

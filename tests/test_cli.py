@@ -73,6 +73,29 @@ def test_yoshida_scenario_multiplicity_one(tmp_path, capsys):
     assert "membership[psi]: yes" in captured
 
 
+@pytest.mark.parametrize(
+    "v2, unknown",
+    [({"pl1": -1, "pl2": -1}, "pl1"), ({"pi1": -1, "pl2": -1}, "pl2")],
+    ids=["every-label-misspelt", "one-label-misspelt"],
+)
+def test_local_data_with_unknown_label_is_input_error(tmp_path, capsys, v2, unknown):
+    doc = {
+        "characters": {"generators": [{"name": "chi0"}], "defined": {"chi": {"free": {"chi0": 1}}}},
+        "cuspidals": [
+            {"id": "pi1", "N": 2, "central_character": "chi", "chi": "chi"},
+            {"id": "pi2", "N": 2, "central_character": "chi", "chi": "chi"},
+        ],
+        "parameters": [{"name": "psi", "chi": "chi", "summands": [["pi1", 1], ["pi2", 1]]}],
+        "local_data": {"psi": [["v1", {"pi1": -1, "pi2": -1}], ["v2", v2]]},
+        "requests": [{"op": "multiplicity", "parameter": "psi"}],
+    }
+    code = main(["run", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: local character at 'v2': unknown label {unknown!r}\n"
+
+
 def test_empty_request_list(tmp_path, capsys):
     doc = {"requests": []}
     code = main(["run", write_scenario(tmp_path, doc)])
@@ -91,8 +114,9 @@ def test_undeclared_id_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["gspin5", "gspin4", "gl4"])
 @pytest.mark.parametrize("local", [[], [["v1", {"pi1": -1}]]])
-def test_multiplicity_rejects_non_discrete_parameter(tmp_path, capsys, local):
+def test_multiplicity_rejects_non_discrete_parameter(tmp_path, capsys, local, target):
     # pi1[1] + pi1[1] repeats a summand; the rejection names that whether or
     # not the local data would make a character of its component group
     doc = {
@@ -100,7 +124,7 @@ def test_multiplicity_rejects_non_discrete_parameter(tmp_path, capsys, local):
         "cuspidals": [{"id": "pi1", "N": 2, "central_character": "chi", "chi": "chi"}],
         "parameters": [{"name": "psi", "chi": "chi", "summands": [["pi1", 1], ["pi1", 1]]}],
         "local_data": {"psi": local},
-        "requests": [{"op": "multiplicity", "parameter": "psi"}],
+        "requests": [{"op": "multiplicity", "parameter": "psi", "target": target}],
     }
     code = main(["run", write_scenario(tmp_path, doc)])
     captured = capsys.readouterr()

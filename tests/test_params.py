@@ -121,6 +121,26 @@ def test_two_group_quotient():
     assert len(tg.elements()) == 2
 
 
+def test_two_group_rejects_repeated_label():
+    with pytest.raises(ValueError, match="repeated basis label"):
+        TwoGroup(("a", "a", "b"), [frozenset({"a", "b"})])
+
+
+def test_two_group_subquotient():
+    # the patterns spanned by {a,b} and {b,c}, modulo {a,c}
+    span = [frozenset(), frozenset("ab"), frozenset("bc"), frozenset("ac")]
+    tg = TwoGroup(("a", "b", "c"), [frozenset("ac")], elements=span)
+    assert tg.order == 2 and tg.rank == 1
+    assert tg.canonical({"b", "c"}) == frozenset("ab")
+    assert tg.canonical({"a", "c"}) == frozenset()
+    assert tg.elements() == [frozenset(), frozenset("ab")]
+    chars = tg.characters()
+    assert len(chars) == tg.order
+    assert [ch.rep for ch in chars] == [frozenset(), frozenset("b")]
+    for ch in chars:
+        assert ch.evaluate(frozenset("ac")) == 1
+
+
 def test_character_respects_relations():
     tg = TwoGroup(("a", "b"), [frozenset({"a", "b"})])
     with pytest.raises(ValueError):
@@ -418,6 +438,14 @@ def test_multiplicity_gspin4_prefactor_two():
     target = gspin_even_tag("1")
     assert psi_disc_membership(g, psi, target).ok
     assert multiplicity(g, psi, [], target=target) == 2
+
+
+def test_multiplicity_rejects_non_member_of_even_target():
+    g = make_group()
+    psi = one_dimensional_parameter(g)  # 1[4] is symplectic, GSpin4 needs orthogonal
+    assert not psi_disc_membership(g, psi, gspin_even_tag("1")).ok
+    with pytest.raises(ValueError, match="not a discrete parameter: .*needs -1"):
+        multiplicity(g, psi, [], target=gspin_even_tag("1"))
 
 
 def test_multiplicity_rejects_bad_character():

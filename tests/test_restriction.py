@@ -27,6 +27,8 @@ def test_sign_group_basics():
     assert len(nontrivial) == 1
     with pytest.raises(ValueError):
         SignGroup(("a",), [frozenset({"a"})])  # missing identity
+    with pytest.raises(ValueError):
+        SignGroup(("a", "b"), [frozenset(), frozenset({"a"}), frozenset({"b"})])  # not closed
 
 
 def test_shape_ranks_upstairs():
