@@ -2,15 +2,27 @@
 
 Everything downstream (dual-group realizations, centralizer dimensions,
 involution factorizations) reduces to kernels, determinants and
-characteristic polynomials of small dense matrices with Fraction entries.
-No floating point anywhere; dimensions in play never exceed 8, so dense
-Gaussian elimination is all that is needed.
+characteristic polynomials of small dense rational matrices.  No floating
+point anywhere; dimensions in play never exceed 8 (65 unknowns for the
+vectorised matrix equations), so dense elimination is all that is needed.
+
+An ``ExactMatrix`` stores integer numerators over one positive common
+denominator, and all arithmetic runs on Python integers: products and sums
+normalise once per result, and ``det``, ``inverse`` and ``rref`` use
+fraction-free elimination in the style of E. H. Bareiss, *Sylvester's
+identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
+22 (1968).  ``Fraction`` is the API edge: entries, rows, traces,
+determinants and the vectors returned by ``apply``, ``kernel`` and ``solve``
+are Fractions, and constructors accept ints, strings like '3/4' and
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -30,28 +42,89 @@ def frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class ExactMatrix:
-    """Dense matrix over Fraction with value semantics."""
+def _rational(x):
+    """x as an int or a Fraction (both carry numerator and denominator)."""
+    return x if isinstance(x, (int, Fraction)) else frac(x)
 
-    __slots__ = ("rows", "cols", "_e")
+
+def _over_one_denominator(values: Iterable) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of the values."""
+    vals = [_rational(x) for x in values]
+    den = lcm(*(x.denominator for x in vals))
+    if den == 1:
+        return [x.numerator for x in vals], 1
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def _canonical(num: tuple, den: int) -> tuple[tuple, int]:
+    """Rows of numerators and a denominator with the denominator positive and
+    gcd(every numerator, denominator) = 1."""
+    if den < 0:
+        num = tuple(tuple(-x for x in r) for r in num)
+        den = -den
+    if den != 1:
+        g = den
+        for r in num:
+            g = gcd(g, *r)
+            if g == 1:
+                return num, den
+        num = tuple(tuple(x // g for x in r) for r in num)
+        den //= g
+    return num, den
+
+
+class ExactMatrix:
+    """Dense rational matrix with value semantics.
+
+    Stored as a tuple of integer row tuples over one positive denominator,
+    kept canonical (gcd of every numerator and the denominator is 1), so
+    equal matrices have equal storage.  Entries leave the class as
+    ``Fraction``.
+    """
+
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(frac(x) for x in row) for row in entries)
+        rows = [[_rational(x) for x in row] for row in entries]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        self._e = rows
+        den = lcm(*(x.denominator for r in rows for x in r))
+        # over the least common denominator of reduced entries the numerators
+        # already have no common factor with it
+        self._num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows)
+        self._den = den
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
+
+    @classmethod
+    def _raw(cls, num: tuple, den: int, cols: int) -> "ExactMatrix":
+        """A matrix from row tuples of ints and a denominator that are
+        already canonical."""
+        m = object.__new__(cls)
+        m._num = num
+        m._den = den
+        m.rows = len(num)
+        m.cols = cols if num else 0
+        return m
+
+    @classmethod
+    def _make(cls, num: tuple, den: int, cols: int) -> "ExactMatrix":
+        """A matrix from a tuple of integer row tuples and a nonzero
+        denominator, normalised."""
+        num, den = _canonical(num, den)
+        return cls._raw(num, den, cols)
 
     # construction -----------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return ExactMatrix._raw(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n
+        )
 
     @staticmethod
     def zeros(r: int, c: int) -> "ExactMatrix":
-        return ExactMatrix([[ZERO] * c for _ in range(r)])
+        return ExactMatrix._raw(tuple((0,) * c for _ in range(r)), 1, c)
 
     @staticmethod
     def diagonal(values: Iterable) -> "ExactMatrix":
@@ -67,73 +140,87 @@ class ExactMatrix:
 
     @staticmethod
     def block_diagonal(blocks: Sequence["ExactMatrix"]) -> "ExactMatrix":
-        n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
-        out = [[ZERO] * m for _ in range(n)]
-        i0 = j0 = 0
+        den = lcm(*(b._den for b in blocks))
+        out = []
+        j0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[i0 + i][j0 + j] = b[i, j]
-            i0 += b.rows
+            f = den // b._den
+            for r in b._num:
+                out.append((0,) * j0 + tuple(x * f for x in r) + (0,) * (m - j0 - b.cols))
             j0 += b.cols
-        return ExactMatrix(out)
+        return ExactMatrix._make(tuple(out), den, m)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence]) -> "ExactMatrix":
-        cols = [tuple(frac(x) for x in c) for c in columns]
+        cols = [[_rational(x) for x in c] for c in columns]
         n = len(cols[0])
         return ExactMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
-    # accessors ---------------------------------------------------------
+    # accessors: entries leave as Fractions -----------------------------
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._e[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def row(self, i: int) -> tuple:
-        return self._e[i]
+        d = self._den
+        return tuple(Fraction(x, d) for x in self._num[i])
 
     def column(self, j: int) -> tuple:
-        return tuple(self._e[i][j] for i in range(self.rows))
+        d = self._den
+        return tuple(Fraction(r[j], d) for r in self._num)
 
     def entries(self) -> tuple:
-        return self._e
+        d = self._den
+        return tuple(tuple(Fraction(x, d) for x in r) for r in self._num)
 
     def tolist(self) -> list:
-        return [list(r) for r in self._e]
+        return [list(r) for r in self.entries()]
 
     # algebra -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self._e == other._e
+        return (
+            isinstance(other, ExactMatrix)
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self):
-        return hash(self._e)
+        return hash((self._num, self._den))
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign * other."""
+        self._check_same_shape(other)
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, sign * (den // other._den)
+        num = tuple(
+            tuple([f1 * a + f2 * b for a, b in zip(r1, r2)])
+            for r1, r2 in zip(self._num, other._num)
+        )
+        return ExactMatrix._make(num, den, self.cols)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in r] for r in self._e])
+        num = tuple(tuple(-a for a in r) for r in self._num)
+        return ExactMatrix._raw(num, self._den, self.cols)
 
     def scale(self, s) -> "ExactMatrix":
-        s = frac(s)
-        return ExactMatrix([[s * a for a in r] for r in self._e])
+        s = _rational(s)
+        p, q = s.numerator, s.denominator
+        return ExactMatrix._make(
+            tuple(tuple([p * a for a in r]) for r in self._num), q * self._den, self.cols
+        )
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            oT = list(zip(*other._e))
-            return ExactMatrix(
-                [[sum((a * b for a, b in zip(row, col)), ZERO) for col in oT] for row in self._e]
-            )
+            return _matmul(self, other)
         if isinstance(other, (tuple, list)):
             return self.apply(other)
         return self.scale(other)
@@ -142,10 +229,11 @@ class ExactMatrix:
         return self.scale(other)
 
     def apply(self, v: Sequence) -> tuple:
-        vec = [frac(x) for x in v]
+        vec, vd = _over_one_denominator(v)
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum((a * x for a, x in zip(row, vec)), ZERO) for row in self._e)
+        den = self._den * vd
+        return tuple(Fraction(sum(map(mul, row, vec)), den) for row in self._num)
 
     def __pow__(self, k: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -162,10 +250,12 @@ class ExactMatrix:
         return out
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self._e))) if self.rows else self
+        if not self.rows:
+            return self
+        return ExactMatrix._raw(tuple(zip(*self._num)), self._den, self.rows)
 
     def trace(self) -> Fraction:
-        return sum((self._e[i][i] for i in range(self.rows)), ZERO)
+        return Fraction(sum(self._num[i][i] for i in range(self.rows)), self._den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -177,61 +267,47 @@ class ExactMatrix:
         return self.is_square() and self.transpose() == -self
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self._e for a in r)
+        return not any(any(r) for r in self._num)
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
         n = self.rows
-        m = [list(r) for r in self._e]
-        det = ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = ONE / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] == 0:
-                    continue
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-        return det
+        a = [list(r) for r in self._num]
+        pivots, last, swaps = _eliminate(a, n, jordan=False)
+        if len(pivots) < n:
+            return ZERO
+        return Fraction(-last if swaps % 2 else last, self._den**n)
 
     def inverse(self) -> "ExactMatrix":
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        m = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(self._e)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            m[c], m[piv] = m[piv], m[c]
-            inv = ONE / m[c][c]
-            m[c] = [x * inv for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-        return ExactMatrix([row[n:] for row in m])
+        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self._num)]
+        pivots, last, _ = _eliminate(a, n, jordan=True)
+        if len(pivots) < n:
+            raise ValueError("singular matrix")
+        # [num | 1] reduces to [last 1 | last num^-1], and self^-1 = den num^-1
+        d = self._den
+        return ExactMatrix._make(tuple(tuple([x * d for x in r[n:]]) for r in a), last, n)
 
     def charpoly(self) -> list:
-        """Coefficients of det(xI - A), ascending degree, via Faddeev-LeVerrier."""
+        """Coefficients of det(xI - A), ascending degree, via Faddeev-LeVerrier
+        on the integer numerators (A = num / den has the coefficient of
+        x^(n-k) of num divided by den^k)."""
         if not self.is_square():
             raise ValueError("charpoly of non-square matrix")
         n = self.rows
+        numerators = ExactMatrix._raw(self._num, 1, n)
         coeffs = [ZERO] * (n + 1)
         coeffs[n] = ONE
         m = ExactMatrix.identity(n)
+        den_power = 1
         for k in range(1, n + 1):
-            m = self * m
-            c = -m.trace() / k
-            coeffs[n - k] = c
+            m = numerators * m
+            c = -sum(m._num[i][i] for i in range(n)) // k  # exact: an integer coefficient
+            den_power *= self._den
+            coeffs[n - k] = Fraction(c, den_power)
             m = m + ExactMatrix.identity(n).scale(c)
         return coeffs
 
@@ -240,8 +316,75 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._e)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries())
         return f"ExactMatrix[{body}]"
+
+
+def _matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    b_cols = list(zip(*b._num))
+    num = tuple(tuple([sum(map(mul, row, col)) for col in b_cols]) for row in a._num)
+    return ExactMatrix._make(num, a._den * b._den, b.cols)
+
+
+def _eliminate(a: list[list[int]], ncols: int, jordan: bool) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows a, in place,
+    on the first ncols columns.
+
+    With jordan set, every other row is cleared in each pivot column and
+    the pivot rows end as last * (reduced row echelon form); otherwise only
+    the rows below are cleared and last is the determinant of the pivot
+    minor up to the sign (-1)^swaps.  Returns (pivot columns, last, swaps).
+
+    Bareiss's step k replaces each other row by (p_k row - f pivot_row) /
+    p_(k-1), an exact division; a row with f = 0 would only be multiplied
+    by p_k / p_(k-1).  That rescaling is deferred: a row remembers the step
+    at which it was last written, and when it is next combined it is divided
+    by the pivot of that step instead, which equals rescaling it first.
+    """
+    nr = len(a)
+    piv_vals = [1]  # piv_vals[k] is the pivot of step k
+    written = [0] * nr  # row i holds its values of step written[i]
+    pivots: list[int] = []
+    swaps = 0
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        i0 = next((i for i in range(r, nr) if a[i][c]), None)
+        if i0 is None:
+            continue
+        if i0 != r:
+            a[r], a[i0] = a[i0], a[r]
+            written[r], written[i0] = written[i0], written[r]
+            swaps += 1
+        step = len(piv_vals)
+        prev = piv_vals[-1]
+        prow = a[r]
+        if written[r] != step - 1:
+            prow = a[r] = [x * prev // piv_vals[written[r]] for x in prow]
+        written[r] = step
+        p = prow[c]
+        for i in range(0 if jordan else r + 1, nr):
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                d = piv_vals[written[i]]
+                if d == 1:
+                    a[i] = [p * x - f * y for x, y in zip(row, prow)]
+                else:
+                    a[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                written[i] = step
+        piv_vals.append(p)
+        pivots.append(c)
+        r += 1
+    last = piv_vals[-1]
+    if jordan:
+        for i in range(r):
+            if written[i] != len(piv_vals) - 1:
+                a[i] = [x * last // piv_vals[written[i]] for x in a[i]]
+    return pivots, last, swaps
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +393,11 @@ class ExactMatrix:
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    a = [list(r) for r in m.entries()]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return ExactMatrix(a), pivots
+    a = [list(r) for r in m._num]
+    pivots, last, _ = _eliminate(a, m.cols, jordan=True)
+    zero = (0,) * m.cols
+    num = tuple(tuple(a[i]) if i < len(pivots) else zero for i in range(m.rows))
+    return ExactMatrix._make(num, last, m.cols), pivots
 
 
 def rank(m: ExactMatrix) -> int:
@@ -279,6 +407,7 @@ def rank(m: ExactMatrix) -> int:
 def kernel(m: ExactMatrix) -> list[tuple]:
     """Basis of the right kernel {v : m v = 0}, as tuples of Fractions."""
     red, pivots = rref(m)
+    num, den = red._num, red._den
     nc = m.cols
     free = [c for c in range(nc) if c not in pivots]
     basis = []
@@ -286,30 +415,34 @@ def kernel(m: ExactMatrix) -> list[tuple]:
         v = [ZERO] * nc
         v[f] = ONE
         for r, p in enumerate(pivots):
-            v[p] = -red[r, f]
+            v[p] = Fraction(-num[r][f], den)
         basis.append(tuple(v))
     return basis
 
 
 def solve(a: ExactMatrix, b: Sequence) -> tuple | None:
     """One solution of a x = b, or None if inconsistent."""
-    bvec = [frac(x) for x in b]
-    aug = ExactMatrix([list(r) + [bvec[i]] for i, r in enumerate(a.entries())])
-    red, pivots = rref(aug)
+    bnum, bden = _over_one_denominator(b)
+    # a x = b  <=>  (bden num(a)) x = den(a) bnum
+    aug = tuple(tuple([x * bden for x in r] + [bnum[i] * a._den]) for i, r in enumerate(a._num))
+    red, pivots = rref(ExactMatrix._make(aug, 1, a.cols + 1))
     if a.cols in pivots:
         return None
+    num, den = red._num, red._den
     x = [ZERO] * a.cols
     for r, p in enumerate(pivots):
-        x[p] = red[r, a.cols]
+        x[p] = Fraction(num[r][a.cols], den)
     return tuple(x)
 
 
 def span_basis(vectors: Sequence[Sequence]) -> list[tuple]:
     """Reduced basis of the span of the given vectors."""
-    vecs = [tuple(frac(x) for x in v) for v in vectors if any(frac(x) != 0 for x in v)]
-    if not vecs:
+    # rescaling a vector leaves the span alone, so each row is cleared of
+    # its own denominators
+    rows = tuple(tuple(num) for num, _ in map(_over_one_denominator, vectors) if any(num))
+    if not rows:
         return []
-    red, pivots = rref(ExactMatrix(vecs))
+    red, pivots = rref(ExactMatrix._make(rows, 1, len(rows[0])))
     return [red.row(i) for i in range(len(pivots))]
 
 
@@ -360,7 +493,8 @@ def matrix_equation_kernel(
 
     The unknowns are X[0,0], X[0,1], ..., X[n-1,n-1] in row-major order, then
     t; the row of (a X b)[i,j] holds a[i,k] b[l,j] at X[k,l], i.e. the system
-    is vec(a X b) = (a kron tb) vec(X) for row-major vec.
+    is vec(a X b) = (a kron tb) vec(X) for row-major vec.  Each equation's
+    rows are scaled to integers by the common denominator of its terms.
     """
     if not equations or not equations[0]:
         raise ValueError("need at least one equation")
@@ -370,33 +504,41 @@ def matrix_equation_kernel(
         if m.rows != n or m.cols != n:
             raise ValueError(f"expected a {n} x {n} matrix")
 
+    if scalar is not None:
+        check_size(scalar)
     width = n * n + (scalar is not None)
     rows = []
-    for terms in equations:
-        block = [[ZERO] * width for _ in range(n * n)]
+    for index, terms in enumerate(equations):
+        dens = [a._den * b._den for a, _, b in terms]
+        if index == 0 and scalar is not None:
+            dens.append(scalar._den)
+        den = lcm(*dens)
+        block = [[0] * width for _ in range(n * n)]
         for a, which, b in terms:
             if which not in ("X", "Xt"):
                 raise ValueError(f"unknown term {which!r}")
             check_size(a)
             check_size(b)
-            for i, a_row in enumerate(a.entries()):
+            f = den // (a._den * b._den)
+            for i, a_row in enumerate(a._num):
                 for k, a_ik in enumerate(a_row):
                     if not a_ik:
                         continue
-                    for l, b_row in enumerate(b.entries()):
+                    a_ik *= f
+                    for l, b_row in enumerate(b._num):
                         col = l * n + k if which == "Xt" else k * n + l
                         for j, b_lj in enumerate(b_row):
                             if b_lj:
                                 block[i * n + j][col] += a_ik * b_lj
+        if index == 0 and scalar is not None:
+            f = den // scalar._den
+            for r, x in enumerate(x for c_row in scalar._num for x in c_row):
+                block[r][n * n] -= f * x
         rows.extend(block)
-    if scalar is not None:
-        check_size(scalar)
-        for r, x in enumerate(x for c_row in scalar.entries() for x in c_row):
-            rows[r][n * n] -= x
     for c in functionals:
         check_size(c)
-        rows.append([x for c_row in c.entries() for x in c_row] + [ZERO] * (width - n * n))
-    basis = kernel(ExactMatrix(rows))
+        rows.append([x for c_row in c._num for x in c_row] + [0] * (width - n * n))
+    basis = kernel(ExactMatrix._make(tuple(map(tuple, rows)), 1, width))
 
     def unflatten(v):
         return ExactMatrix([v[i * n : i * n + n] for i in range(n)])
@@ -437,11 +579,12 @@ def commutant_dimension(
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product a (x) b."""
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            out.append([a[i, j] * b[k, l] for j in range(a.cols) for l in range(b.cols)])
-    return ExactMatrix(out)
+    num = tuple(
+        tuple([x * y for x in a_row for y in b_row])
+        for a_row in a._num
+        for b_row in b._num
+    )
+    return ExactMatrix._make(num, a._den * b._den, a.cols * b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +641,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         cs = cs[low:]
     if len(cs) == 1:
         return roots
-    denom_lcm = 1
-    for c in cs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in cs]
+    ints, _ = _over_one_denominator(cs)
     a0, an = ints[0], ints[-1]
     for p in _divisors(abs(a0)):
         for q in _divisors(abs(an)):
@@ -516,12 +656,6 @@ def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(coeffs):
         out = out * x + c
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:
@@ -551,7 +685,6 @@ def rational_eigensplit(g: ExactMatrix) -> tuple[list[tuple[Fraction, list[tuple
     parts = []
     remaining = list(cp)
     for lam in sorted(rational_roots(cp)):
-        power = ExactMatrix.identity(n)
         shifted = g - ExactMatrix.identity(n).scale(lam)
         basis = kernel(shifted ** n)
         parts.append((lam, basis))
@@ -631,36 +764,39 @@ def _factorial(k: int) -> int:
 # bilinear forms and quadratic spaces
 
 
-def _dot(u: Sequence, w: Sequence) -> Fraction:
-    return sum((frac(a) * b for a, b in zip(u, w)), ZERO)
-
-
 def bilinear(form: ExactMatrix, u: Sequence, v: Sequence) -> Fraction:
     """The pairing tu form v."""
-    return _dot(u, form.apply(v))
+    un, ud = _over_one_denominator(u)
+    vn, vd = _over_one_denominator(v)
+    total = sum(x * sum(map(mul, row, vn)) for x, row in zip(un, form._num) if x)
+    return Fraction(total, form._den * ud * vd)
 
 
 def pairing_matrix(form: ExactMatrix, us: Sequence[Sequence], vs: Sequence[Sequence]) -> ExactMatrix:
-    """The matrix of pairings tu form v, one row per u and one column per v."""
-    form_vs = [form.apply(v) for v in vs]
-    return ExactMatrix([[_dot(u, fv) for fv in form_vs] for u in us])
+    """The matrix of pairings tu form v, one row per u and one column per v:
+    the product tU form V of the matrices with columns us and vs."""
+    if not us or not vs:
+        return ExactMatrix([[] for _ in us])
+    return _matmul(_matmul(ExactMatrix(us), form), ExactMatrix.from_columns(vs))
 
 
 def similitude_factor(g: ExactMatrix, form: ExactMatrix) -> Fraction | None:
     """nu with t(g) form g = nu form, or None if g is not a similitude."""
     lhs = g.transpose() * form * g
-    nu = None
-    for i in range(form.rows):
-        for j in range(form.cols):
-            if form[i, j] != 0:
-                cand = lhs[i, j] / form[i, j]
-                if nu is None:
-                    nu = cand
-                elif nu != cand:
-                    return None
-            elif lhs[i, j] != 0:
-                return None
-    return nu
+    # the first nonzero entry of the form fixes nu; then num(lhs) f0 must
+    # equal num(form) l0 entrywise, with f0 and l0 the numerators there
+    first = next(((i, j) for i, r in enumerate(form._num) for j, x in enumerate(r) if x), None)
+    if first is None:
+        return None
+    i, j = first
+    f0, l0 = form._num[i][j], lhs._num[i][j]
+    if any(
+        x * f0 != y * l0
+        for r_lhs, r_form in zip(lhs._num, form._num)
+        for x, y in zip(r_lhs, r_form)
+    ):
+        return None
+    return Fraction(l0 * form._den, f0 * lhs._den)
 
 
 @dataclass(frozen=True)

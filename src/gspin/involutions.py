@@ -497,9 +497,12 @@ def _search_reversing_involution(e: SimilitudeElement) -> InvolutionPair | None:
 
     wanted_det = Fraction(-1) ** (n2 // 2)
     for cand in candidates():
-        sq = cand * cand
-        s = sq[0, 0]
-        if s == 0 or sq != ident.scale(s):
+        # most candidates fail already on the first row of their square
+        first_row = cand.transpose().apply(cand.row(0))
+        s = first_row[0]
+        if s == 0 or any(first_row[1:]):
+            continue
+        if cand * cand != ident.scale(s):
             continue
         ok, r = is_rational_square(s)
         if not ok:

@@ -10,7 +10,7 @@ patterns on self-paired pieces, modulo the centre and the connected part."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -105,20 +105,18 @@ def _classify_pieces(pieces: list[list[tuple]], form: ExactMatrix) -> list[Piece
 class ComponentSignGroup:
     group: TwoGroup
     pieces: tuple[PieceData, ...]
+    # inverse of the matrix whose columns are the piece bases, in order
+    basis_inverse: ExactMatrix = field(repr=False, compare=False)
 
     def matrix_for(self, pattern: frozenset) -> ExactMatrix:
-        n = len(self.pieces[0].basis[0])
-        columns = []
-        order = []
-        for p in self.pieces:
-            sgn = -1 if p.label in pattern else 1
-            for v in p.basis:
-                order.append([frac(sgn) * frac(x) for x in v])
-        basis = ExactMatrix.from_columns(
-            [list(v) for p in self.pieces for v in p.basis]
+        flipped = ExactMatrix.from_columns(
+            [
+                [-x for x in v] if p.label in pattern else list(v)
+                for p in self.pieces
+                for v in p.basis
+            ]
         )
-        flipped = ExactMatrix.from_columns(order)
-        return flipped * basis.inverse()
+        return flipped * self.basis_inverse
 
     def pattern_of(self, m: ExactMatrix) -> frozenset:
         """Express a matrix acting by +-1 on every piece as a sign pattern."""
@@ -152,9 +150,10 @@ def component_sign_group(
     """Sign patterns on self-paired commutant pieces that satisfy the form
     condition, modulo the centre when requested.  Isotropically paired pieces
     sit in connected factors and contribute nothing."""
-    pieces = _classify_pieces(_split_pieces(generators), form)
+    pieces = tuple(_classify_pieces(_split_pieces(generators), form))
     self_labels = [p.label for p in pieces if p.self_paired]
-    raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), tuple(pieces))
+    basis_inverse = ExactMatrix.from_columns([list(v) for p in pieces for v in p.basis]).inverse()
+    raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), pieces, basis_inverse)
     valid = []
     for r in range(len(self_labels) + 1):
         for subset in itertools.combinations(self_labels, r):
@@ -174,7 +173,7 @@ def component_sign_group(
     center = frozenset(self_labels)
     relations = [center] if mod_center and center and center in valid else []
     group = TwoGroup(self_labels, relations, elements=valid)
-    return ComponentSignGroup(group, tuple(pieces))
+    return ComponentSignGroup(group, pieces, basis_inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .weyl import (
     LeviDescriptor,
     TwistedWeylElement,
 )
-from .involutions import SimilitudeElement, factor, verify
+from .involutions import InvolutionPair, SimilitudeElement, factor, verify
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,10 @@ def check_involutions(seed: int, corrupt: bool) -> CheckResult:
             lam = frac(rng.randint(1, 4))
             g = g.scale(lam)
             e = SimilitudeElement(space, g, space.similitude_factor(g))
-            if not verify(e, factor(e)):
+            pair = factor(e)
+            if corrupt and count == 3:
+                pair = InvolutionPair(pair.x, -pair.y)  # wrong on purpose: x y = -g
+            if not verify(e, pair):
                 return CheckResult("involutions.factor", False, f"dim {space.dim}")
             count += 1
     return CheckResult("involutions.factor", True, f"{count} seeded factorizations verified")

@@ -4,6 +4,7 @@ import pytest
 
 from gspin.cli import main
 from gspin.scenario import ScenarioError, load_scenario
+from gspin.selftest import run_selftest
 
 
 SK_SCENARIO = {
@@ -176,6 +177,13 @@ def test_selftest_fault_injection(capsys):
     assert code == 1
     assert "FAIL endoscopy.catalog" in out
     assert "selftest FAIL" in out
+
+
+def test_selftest_involutions_fault_injection():
+    ok, lines = run_selftest(0, corrupt="involutions")
+    assert ok is False
+    assert any(line.startswith("FAIL involutions.factor") for line in lines)
+    assert lines[-1] == "selftest FAIL"
 
 
 def test_factor_involution_subcommand(tmp_path, capsys):

@@ -131,6 +131,47 @@ def test_nonsquare_similitude_dim4_via_direct_search():
         assert verify(e, factor(e))
 
 
+def test_direct_search_returns_the_recorded_pair():
+    # the search keeps its candidate order, so it accepts the same x; the
+    # expected pairs were recorded with the Fraction-entry implementation
+    space4 = SPACES[4][0]
+    g4 = ExactMatrix([[-2, -1, 0, 0], [-1, -2, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]])
+    pair = factor(SimilitudeElement(space4, g4, 3))
+    assert pair.x == ExactMatrix.diagonal([1, -1, -1, 1])
+    assert pair.y == ExactMatrix([[-2, -1, 0, 0], [1, 2, 0, 0], [0, 0, 2, -1], [0, 0, 1, -2]])
+
+    space8 = SPACES[8][0]
+    a = [[1, 1, 0, 0], [2, -1, 0, 0], [0, 0, -1, 2], [0, 0, 1, 1]]
+    d = [[1, 2, 0, 0], [1, -1, 0, 0], [0, 0, -1, 1], [0, 0, 2, 1]]  # J tA J
+    g8 = ExactMatrix.block_diagonal([ExactMatrix(a), ExactMatrix(d)])
+    pair = factor(SimilitudeElement(space8, g8, 3))
+    half = Fraction(1, 2)
+    assert pair.x == ExactMatrix(
+        [
+            [0, 0, 0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 2, 0, 0],
+            [0, 0, 0, 0, 0, 0, 2, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1],
+            [1, 0, 0, 0, 0, 0, 0, 0],
+            [0, half, 0, 0, 0, 0, 0, 0],
+            [0, 0, half, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0, 0],
+        ]
+    )
+    assert pair.y == ExactMatrix(
+        [
+            [0, 0, 0, 0, 1, 2, 0, 0],
+            [0, 0, 0, 0, 2, -2, 0, 0],
+            [0, 0, 0, 0, 0, 0, -2, 2],
+            [0, 0, 0, 0, 0, 0, 2, 1],
+            [1, 1, 0, 0, 0, 0, 0, 0],
+            [1, -half, 0, 0, 0, 0, 0, 0],
+            [0, 0, -half, 1, 0, 0, 0, 0],
+            [0, 0, 1, 1, 0, 0, 0, 0],
+        ]
+    )
+
+
 def test_unsupported_dimension_reported():
     big = QuadraticSpace(10, ExactMatrix.antidiagonal([1] * 10))
     with pytest.raises(FactorizationUnsupportedError):
