@@ -158,10 +158,14 @@ def antidiag_ones(n: int) -> ExactMatrix:
     return ExactMatrix.antidiagonal([1] * n)
 
 
+# coordinates of the two symplectic planes span(e1, e4) and span(e2, e3)
+PAIR_PLANES = ((0, 3), (1, 2))
+
+
 def embed_pair(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """(a, b) acting on the planes span(e1, e4) and span(e2, e3)."""
     m = [[ZERO] * 4 for _ in range(4)]
-    for (i0, i1), blk in (((0, 3), a), ((1, 2), b)):
+    for (i0, i1), blk in zip(PAIR_PLANES, (a, b)):
         m[i0][i0], m[i0][i1] = blk[0, 0], blk[0, 1]
         m[i1][i0], m[i1][i1] = blk[1, 0], blk[1, 1]
     return ExactMatrix(m)
@@ -206,31 +210,18 @@ def exterior_square(g: ExactMatrix) -> ExactMatrix:
     """Matrix of g acting on the 6-dimensional space of bivectors e_i ^ e_j."""
     if g.rows != 4 or g.cols != 4:
         raise ValueError("4x4 matrix required")
-    out = []
-    for (i, j) in _BIVECTOR_INDEX:
-        row = []
-        for (k, l) in _BIVECTOR_INDEX:
-            row.append(g[i, k] * g[j, l] - g[i, l] * g[j, k])
-        out.append(row)
-    return ExactMatrix(out)
+    e = g.entries()
+    return ExactMatrix(
+        [
+            [e[i][k] * e[j][l] - e[i][l] * e[j][k] for (k, l) in _BIVECTOR_INDEX]
+            for (i, j) in _BIVECTOR_INDEX
+        ]
+    )
 
 
-def _bivector_form() -> ExactMatrix:
-    """Symmetric form on bivectors induced by the symplectic form:
-    B(u^v, w^z) = J(u,w)J(v,z) - J(u,z)J(v,w)."""
-    def j(a, b):
-        return THETA_J[a, b]
-
-    out = []
-    for (i, jdx) in _BIVECTOR_INDEX:
-        row = []
-        for (k, l) in _BIVECTOR_INDEX:
-            row.append(j(i, k) * j(jdx, l) - j(i, l) * j(jdx, k))
-        out.append(row)
-    return ExactMatrix(out)
-
-
-BIVECTOR_FORM = _bivector_form()
+# symmetric form on bivectors induced by the symplectic form:
+# B(u^v, w^z) = J(u,w)J(v,z) - J(u,z)J(v,w)
+BIVECTOR_FORM = exterior_square(THETA_J)
 
 # invariant line: the bivector of the inverse symplectic form (e1^e4 - e2^e3)
 OMEGA = (ZERO, ZERO, ONE, -ONE, ZERO, ZERO)

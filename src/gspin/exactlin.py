@@ -454,15 +454,22 @@ def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
 
 
 def restrict_to(m: ExactMatrix, basis: Sequence[Sequence]) -> ExactMatrix:
-    """Matrix of m on the span of basis, in the basis coordinates."""
+    """Matrix of m on the span of basis, in the basis coordinates.
+
+    One elimination of [span | m span]: the basis is independent and its
+    span invariant exactly when the pivots are the first k columns, and the
+    right-hand block of the first k rows then holds the coordinates."""
     span = ExactMatrix.from_columns([list(v) for v in basis])
-    cols = []
-    for v in basis:
-        coords = solve(span, m.apply(v))
-        if coords is None:
-            raise ValueError("subspace is not invariant")
-        cols.append(list(coords))
-    return ExactMatrix.from_columns(cols)
+    image = _matmul(m, span)
+    k = span.cols
+    aug = tuple(
+        tuple([x * image._den for x in r] + [y * span._den for y in s])
+        for r, s in zip(span._num, image._num)
+    )
+    red, pivots = rref(ExactMatrix._make(aug, 1, 2 * k))
+    if pivots != list(range(k)):
+        raise ValueError("subspace is not invariant")
+    return ExactMatrix._make(tuple(r[k:] for r in red._num[:k]), red._den, k)
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:

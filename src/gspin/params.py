@@ -16,16 +16,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .characters import AlphaClass, CharacterGroup, HeckeCharacterHandle
-from .dualgroups import GroupTag, THETA_J, embed_pair
+from .dualgroups import PAIR_PLANES, GroupTag, THETA_J, embed_pair
 from .exactlin import (
     ExactMatrix,
-    bilinear,
     commutant_basis,
     frac,
     kron,
     matrix_equation_kernel,
     similitude_factor,
-    ONE,
     ZERO,
 )
 
@@ -567,7 +565,8 @@ _SL2_GENS = (
     ExactMatrix([[Fraction(2), 0], [0, Fraction(1, 2)]]),
 )
 
-_IDENTITY2 = ExactMatrix.identity(2)
+# the idle plane of a two-summand block: similitude factor 9, like the samples
+_IDLE_PLANE = ExactMatrix.identity(2).scale(3)
 
 
 def _sym_cube(g: ExactMatrix) -> ExactMatrix:
@@ -608,48 +607,24 @@ def _invariant_form(rep_gens: list[ExactMatrix]) -> ExactMatrix:
     return basis[0]
 
 
-def _symplectic_congruence(form_from: ExactMatrix, form_to: ExactMatrix) -> ExactMatrix:
-    """T with t(T) form_from T = form_to, both alternating nondegenerate."""
-
-    def canonical_basis(form: ExactMatrix) -> ExactMatrix:
-        n = form.rows
-        remaining = [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
-        basis: list[tuple] = []
-        while remaining:
-            u = remaining.pop(0)
-            w = next((v for v in remaining if bilinear(form, u, v) != 0), None)
-            if w is None:
-                continue
-            remaining.remove(w)
-            c = bilinear(form, u, w)
-            w = tuple(x / c for x in w)
-            basis.extend([u, w])
-            new_remaining = []
-            for v in remaining:
-                cu, cw = bilinear(form, v, w), bilinear(form, v, u)
-                adj = tuple(
-                    frac(v[i]) - cu * frac(u[i]) + cw * frac(w[i]) for i in range(n)
-                )
-                new_remaining.append(adj)
-            remaining = new_remaining
-        m = ExactMatrix.from_columns([list(b) for b in basis])
-        return m
-
-    s1 = canonical_basis(form_from)
-    s2 = canonical_basis(form_to)
-    check1 = s1.transpose() * form_from * s1
-    check2 = s2.transpose() * form_to * s2
-    if check1 != check2:
-        raise ValueError("congruence failed")
-    return s1 * s2.inverse()
+def _antidiagonal_congruence(form: ExactMatrix) -> ExactMatrix:
+    """Diagonal t with t(t) THETA_J t = form, for an antidiagonal alternating
+    form: t = diag(1, 1, form[1,2]/J[1,2], form[0,3]/J[0,3])."""
+    t = ExactMatrix.diagonal(
+        [1, 1, form[1, 2] / THETA_J[1, 2], form[0, 3] / THETA_J[0, 3]]
+    )
+    if t.transpose() * THETA_J * t != form:
+        raise ValueError("form is not diagonally congruent to THETA_J")
+    return t
 
 
-def _summand_blocks(psi: FormalParameter) -> tuple[dict, Fraction]:
+def _summand_blocks(psi: FormalParameter) -> dict[str, list[ExactMatrix]]:
     """Per-summand generator matrices in the fixed symplectic realization.
 
-    Returns ({summand id: [4x4 generators restricted to its subspace, as 4x4
-    with identity elsewhere]}, chi sample value).  Distinct handles receive
-    distinct prime samples; similitude compatibility forces the chi sample."""
+    Returns {summand id: 4x4 generators}.  With two summands, each acts on
+    its plane of PAIR_PLANES through `embed_pair`, with 3 times the identity
+    on the other plane, so that every generator is a similitude of THETA_J
+    with factor 9.  Distinct handles receive distinct prime samples."""
     summands = psi.sorted_summands()
     shape = tuple((h.N, d) for h, d in summands)
     primes = iter((2, 5, 7, 11, 13))
@@ -663,25 +638,23 @@ def _summand_blocks(psi: FormalParameter) -> tuple[dict, Fraction]:
 
     blocks: dict[str, list[ExactMatrix]] = {}
     if shape == ((2, 1), (2, 1)):
-        c = frac(3)
+        c = frac(9)
         (h1, _), (h2, _) = summands
-        blocks[h1.id] = [embed_pair(a, _IDENTITY2) for a in plane_gens(c)]
-        blocks[h2.id] = [embed_pair(_IDENTITY2, a) for a in plane_gens(c)]
-        return blocks, c
+        blocks[h1.id] = [embed_pair(a, _IDLE_PLANE) for a in plane_gens(c)]
+        blocks[h2.id] = [embed_pair(_IDLE_PLANE, a) for a in plane_gens(c)]
+        return blocks
     if shape == ((2, 1), (1, 2)):
         s = frac(3)
-        c = s * s
         (pi, _), (eta, _) = summands
-        blocks[pi.id] = [embed_pair(a, _IDENTITY2) for a in plane_gens(c)]
-        blocks[eta.id] = [embed_pair(_IDENTITY2, u.scale(s)) for u in _SL2_GENS]
-        return blocks, c
+        blocks[pi.id] = [embed_pair(a, _IDLE_PLANE) for a in plane_gens(s * s)]
+        blocks[eta.id] = [embed_pair(_IDLE_PLANE, u.scale(s)) for u in _SL2_GENS]
+        return blocks
     if shape == ((1, 2), (1, 2)):
         s1, s2 = frac(3), frac(-3)
-        c = s1 * s1
         (e1, _), (e2, _) = summands
-        blocks[e1.id] = [embed_pair(u.scale(s1), _IDENTITY2) for u in _SL2_GENS]
-        blocks[e2.id] = [embed_pair(_IDENTITY2, u.scale(s2)) for u in _SL2_GENS]
-        return blocks, c
+        blocks[e1.id] = [embed_pair(u.scale(s1), _IDLE_PLANE) for u in _SL2_GENS]
+        blocks[e2.id] = [embed_pair(_IDLE_PLANE, u.scale(s2)) for u in _SL2_GENS]
+        return blocks
     if shape == ((2, 2),):
         c = frac(3)
         h = summands[0][0]
@@ -693,7 +666,7 @@ def _summand_blocks(psi: FormalParameter) -> tuple[dict, Fraction]:
         gens = [kron(a, ExactMatrix.identity(2)) for a in orth_gens]
         gens += [kron(ExactMatrix.identity(2), u) for u in _SL2_GENS]
         blocks[h.id] = gens
-        return blocks, c
+        return blocks
     if shape == ((4, 1),):
         c = frac(3)
         h = summands[0][0]
@@ -703,19 +676,15 @@ def _summand_blocks(psi: FormalParameter) -> tuple[dict, Fraction]:
         gens = [ExactMatrix.diagonal([frac(2), frac(5), c / 5, c / 2]), THETA_J]
         gens += [matrix_exp_nilpotent(n) for n in _GSP4_NILPOTENTS[:3]]
         blocks[h.id] = gens
-        return blocks, c
+        return blocks
     if shape == ((1, 4),):
         s = frac(3)
-        c = s * s
         h = summands[0][0]
         sym_gens = [_sym_cube(u) for u in _SL2_GENS[:2]]
-        b4 = _invariant_form(sym_gens)
-        if not b4.is_antisymmetric():
-            raise ValueError("principal block form must be alternating")
-        t = _symplectic_congruence(THETA_J, b4)
+        t = _antidiagonal_congruence(_invariant_form(sym_gens))
         t_inv = t.inverse()
         blocks[h.id] = [(t * _sym_cube(u) * t_inv).scale(s) for u in _SL2_GENS]
-        return blocks, c
+        return blocks
     raise ValueError(f"oracle does not support shape {shape}")
 
 
@@ -733,41 +702,31 @@ class OracleResult:
 
 
 def component_group_oracle(psi: FormalParameter) -> OracleResult:
-    """Compute the component group from block matrices: the commutant of a
-    generic realization inside the similitude-symplectic constraints, with
-    components enumerated by per-summand sign patterns modulo the center."""
-    blocks, _chi_sample = _summand_blocks(psi)
+    """Compute the component group from block matrices, independently of
+    `component_group_table`: the commutant of a generic realization in GSp4,
+    with components found by `restriction.sign_patterns` on one self-paired
+    piece per summand (its plane of PAIR_PLANES, or the whole space for a
+    single summand), modulo the center."""
+    # restriction imports this module
+    from .restriction import PieceData, sign_patterns
+
+    blocks = _summand_blocks(psi)
     summands = psi.sorted_summands()
     generators = [g for h, _ in summands for g in blocks[h.id]]
+    if any(similitude_factor(g, THETA_J) is None for g in generators):
+        raise ValueError("sample block outside GSp4")
     comm = commutant_basis(generators)
     k = len(summands)
     if len(comm) != k:
         raise ValueError(
             f"degenerate sample blocks: commutant dimension {len(comm)}, expected {k}"
         )
-    # subspace of each summand: the support of its blocks
-    supports = {}
-    for h, _ in summands:
-        sup = set()
-        for g in blocks[h.id]:
-            gi = g - ExactMatrix.identity(4)
-            for i in range(4):
-                if any(gi[i, j] != 0 for j in range(4)) or any(gi[j, i] != 0 for j in range(4)):
-                    sup.add(i)
-        supports[h.id] = sorted(sup) if k > 1 else [0, 1, 2, 3]
-    valid = []
-    for pattern in itertools.product((1, -1), repeat=k):
-        m = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
-        for (h, _), sgn in zip(summands, pattern):
-            for i in supports[h.id]:
-                m[i][i] = frac(sgn)
-        mat = ExactMatrix(m)
-        if similitude_factor(mat, THETA_J) is None:
-            continue
-        if any(mat * g != g * mat for g in generators):
-            continue
-        valid.append(pattern)
-    assert len(valid) == 1 << k
-    group = component_group_table(psi)
+    ident = ExactMatrix.identity(4)
+    coords = PAIR_PLANES if k > 1 else (range(4),)
+    pieces = [
+        PieceData(h.id, tuple(ident.row(i) for i in c), True, None)
+        for (h, _), c in zip(summands, coords)
+    ]
+    group = sign_patterns(pieces, generators, THETA_J).group
     s_support = group.canonical({h.id for h, d in summands if d % 2 == 0})
     return OracleResult(component_group=group, sign_element=s_support, commutant_dim=len(comm))

@@ -139,18 +139,23 @@ class ComponentSignGroup:
         return self.group.canonical(pattern)
 
 
-def component_sign_group(
-    generators: Sequence[ExactMatrix],
-    form: ExactMatrix,
-    *,
-    similitude_group: bool,
-    special: bool,
-    mod_center: bool,
+def _in_group(m: ExactMatrix, form: ExactMatrix) -> bool:
+    """Membership in the group the form names: similitudes of an alternating
+    form, special isometries of a symmetric one."""
+    if form.is_antisymmetric():
+        return similitude_factor(m, form) is not None
+    if form.is_symmetric():
+        return m.transpose() * form * m == form and m.det() == 1
+    raise ValueError("form must be alternating or symmetric")
+
+
+def sign_patterns(
+    pieces: Sequence[PieceData], generators: Sequence[ExactMatrix], form: ExactMatrix
 ) -> ComponentSignGroup:
-    """Sign patterns on self-paired commutant pieces that satisfy the form
-    condition, modulo the centre when requested.  Isotropically paired pieces
-    sit in connected factors and contribute nothing."""
-    pieces = tuple(_classify_pieces(_split_pieces(generators), form))
+    """The sign patterns on the self-paired pieces that commute with the
+    generators and lie in the group of the form, modulo the all-flip pattern
+    when it is one of them."""
+    pieces = tuple(pieces)
     self_labels = [p.label for p in pieces if p.self_paired]
     basis_inverse = ExactMatrix.from_columns([list(v) for p in pieces for v in p.basis]).inverse()
     raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), pieces, basis_inverse)
@@ -159,21 +164,23 @@ def component_sign_group(
         for subset in itertools.combinations(self_labels, r):
             pattern = frozenset(subset)
             m = raw.matrix_for(pattern)
-            if any(m * g != g * m for g in generators):
-                continue
-            if similitude_group:
-                if similitude_factor(m, form) is None:
-                    continue
-            else:
-                if m.transpose() * form * m != form:
-                    continue
-            if special and m.det() != 1:
-                continue
-            valid.append(pattern)
+            if all(m * g == g * m for g in generators) and _in_group(m, form):
+                valid.append(pattern)
+    # isotropic partners have equal dimensions, so the all-flip pattern has
+    # the determinant of -1: it is a component only when -1 is in the group,
+    # and then it agrees with -1 up to the connected factors of the pairs
     center = frozenset(self_labels)
-    relations = [center] if mod_center and center and center in valid else []
+    relations = [center] if center and center in valid else []
     group = TwoGroup(self_labels, relations, elements=valid)
     return ComponentSignGroup(group, pieces, basis_inverse)
+
+
+def component_sign_group(generators: Sequence[ExactMatrix], form: ExactMatrix) -> ComponentSignGroup:
+    """The component group of the generators' centralizer in the group of
+    the form (see `sign_patterns`), read off the commutant pieces.
+    Isotropically paired pieces sit in connected factors and contribute
+    nothing."""
+    return sign_patterns(_classify_pieces(_split_pieces(generators), form), generators, form)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +262,7 @@ class ProjectedParameter:
 def project_parameter(phi: BoundedParameterDescriptor) -> ProjectedParameter:
     """Push the samples through the projection and compute both component
     groups and the embedding of the upstairs group."""
-    upstairs = component_sign_group(
-        [e.g for e in phi.generators],
-        THETA_J,
-        similitude_group=True,
-        special=False,
-        mod_center=True,
-    )
+    upstairs = component_sign_group([e.g for e in phi.generators], THETA_J)
     if upstairs.group.rank != phi.declared_rank:
         raise ValueError(
             f"degenerate generator set: computed rank {upstairs.group.rank},"
@@ -270,13 +271,7 @@ def project_parameter(phi: BoundedParameterDescriptor) -> ProjectedParameter:
     downstairs_gens = [project_to_so5(e) for e in phi.generators]
     if all(g == ExactMatrix.identity(5) for g in downstairs_gens):
         raise ValueError("degenerate generator set: projection is trivial")
-    downstairs = component_sign_group(
-        downstairs_gens,
-        SO5_GRAM,
-        similitude_group=False,
-        special=True,
-        mod_center=False,
-    )
+    downstairs = component_sign_group(downstairs_gens, SO5_GRAM)
     embedded = None
     if upstairs.group.rank == 1:
         (nontrivial,) = [e for e in upstairs.group.elements() if e]
@@ -376,9 +371,7 @@ def restrict_gso4(phi: PairParameterDescriptor) -> tuple[ComponentSignGroup, fro
     for g in gens:
         if g.transpose() * SO4_FORM * g != SO4_FORM or g.det() != 1:
             raise ValueError("pair image must be special orthogonal")
-    downstairs = component_sign_group(
-        gens, SO4_FORM, similitude_group=False, special=True, mod_center=True
-    )
+    downstairs = component_sign_group(gens, SO4_FORM)
     chars = downstairs.group.characters()
     out = frozenset(chars)
     assert len(out) == len(chars), "restriction must be multiplicity free"

@@ -19,6 +19,7 @@ from gspin.exactlin import (
     rank,
     rational_eigensplit,
     rational_roots,
+    restrict_to,
     solve,
     span_basis,
 )
@@ -90,6 +91,26 @@ def test_solve():
     x = solve(a, (5, 10))
     assert a.apply(x) == (frac(5), frac(10))
     assert solve(ExactMatrix([[1, 1], [1, 1]]), (0, 1)) is None
+
+
+def test_restrict_to_invariant_subspace():
+    rng = random.Random(5)
+    for _ in range(20):
+        p = rand_matrix(rng, 4)
+        if p.det() == 0:
+            continue
+        # m preserves the span of the first two columns of p
+        block = ExactMatrix.block_diagonal([rand_matrix(rng, 2), rand_matrix(rng, 2)])
+        block = block + ExactMatrix([[0, 0, 1, 2], [0, 0, 3, 4], [0] * 4, [0] * 4])
+        m = p * block * p.inverse()
+        basis = [p.column(0), p.column(1)]
+        r = restrict_to(m, basis)
+        span = ExactMatrix.from_columns([list(v) for v in basis])
+        assert m * span == span * r
+    with pytest.raises(ValueError, match="not invariant"):
+        restrict_to(ExactMatrix([[1, 1], [0, 1]]), [(0, 1)])
+    with pytest.raises(ValueError, match="not invariant"):
+        restrict_to(ExactMatrix.identity(2), [(1, 0), (2, 0)])
 
 
 def test_poly_divmod_roots():

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from gspin import params
 from gspin.characters import CharacterGroup
-from gspin.dualgroups import GSPIN5, gspin_even_tag
+from gspin.dualgroups import GSPIN5, THETA_J, gspin_even_tag
+from gspin.exactlin import ExactMatrix, similitude_factor
 from gspin.params import (
     ArthurType,
     Classification,
@@ -370,6 +372,38 @@ def test_oracle_matches_table_on_all_six_types():
         assert oracle.component_group.rank == expected_rank
         assert oracle.agrees_with(cls), f"{build.__name__} disagrees"
         assert oracle.commutant_dim == len(psi.summands)
+
+
+def test_oracle_disagrees_with_a_table_without_the_centre(monkeypatch):
+    # the oracle computes its group from matrices, so a table that forgets
+    # the central all-flip relation must be caught on every type
+    g = make_group()
+
+    def no_centre(psi):
+        return TwoGroup([h.id for h, _ in psi.sorted_summands()])
+
+    monkeypatch.setattr(params, "component_group_table", no_centre)
+    for build, _expected_type, _expected_rank in SIX:
+        psi = build(g)
+        assert not component_group_oracle(psi).agrees_with(classify(g, psi)), build.__name__
+
+
+def test_oracle_sample_blocks_are_similitudes():
+    g = make_group()
+    for build, _expected_type, _expected_rank in SIX:
+        blocks = params._summand_blocks(build(g))
+        for gens in blocks.values():
+            for m in gens:
+                assert similitude_factor(m, THETA_J) is not None, build.__name__
+
+
+def test_sym_cube_congruence_is_diagonal():
+    form = params._invariant_form([params._sym_cube(u) for u in params._SL2_GENS[:2]])
+    t = params._antidiagonal_congruence(form)
+    assert t == ExactMatrix.diagonal([1, 1, Fraction(1, 3), 1])
+    assert t.transpose() * THETA_J * t == form
+    with pytest.raises(ValueError):
+        params._antidiagonal_congruence(ExactMatrix.identity(4))
 
 
 # ---------------------------------------------------------------------------
