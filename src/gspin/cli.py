@@ -73,6 +73,8 @@ def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
     records: list[dict] = []
     ok = True
     for req in scn.requests:
+        if not isinstance(req, dict):
+            raise ScenarioError(f"request {req!r} is not an object")
         op = req.get("op")
         if op == "classify":
             fixture = _fixture(scn, req)
@@ -102,7 +104,7 @@ def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
             )
         elif op == "multiplicity":
             fixture = _fixture(scn, req)
-            target = _GROUP_NAMES[req.get("target", "gspin5")]
+            target = _target(req)
             # reject a psi outside the target's discrete set before reading its local data
             require_membership(scn.group, fixture.parameter, target)
             data = local_characters(fixture, component_group_table(fixture.parameter))
@@ -117,7 +119,7 @@ def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
             records.append({"op": op, "parameter": fixture.name, "multiplicity": m})
         elif op == "membership":
             fixture = _fixture(scn, req)
-            target = _GROUP_NAMES[req.get("target", "gspin5")]
+            target = _target(req)
             alpha = AlphaClass(req["alpha"]) if "alpha" in req else None
             rep = psi_disc_membership(scn.group, fixture.parameter, target, alpha)
             lines.append(
@@ -169,6 +171,13 @@ def _fixture(scn, req):
     if name not in scn.parameters:
         raise ScenarioError(f"undeclared parameter {name!r}")
     return scn.parameters[name]
+
+
+def _target(req):
+    name = req.get("target", "gspin5")
+    if not isinstance(name, str) or name not in _GROUP_NAMES:
+        raise ScenarioError(f"unknown target {name!r}")
+    return _GROUP_NAMES[name]
 
 
 def _verify_endoscopy_lines(seed: int) -> tuple[list[str], bool]:

@@ -12,7 +12,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactlin import ExactMatrix, frac, matrix_equation_kernel, similitude_factor, ONE, ZERO
@@ -117,18 +117,22 @@ class ThetaTwist:
     """The twist (g, x) -> (J tg^-1 J^-1, x det g) on GL_n x GL1."""
 
     J: ExactMatrix
+    J_inv: ExactMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "J_inv", self.J.inverse())
 
     def apply(self, e: DualElement) -> DualElement:
         d = e.g.det()
         if d == 0:
             raise ValueError("singular g")
         gt_inv = e.g.inverse().transpose()
-        return DualElement(self.J * gt_inv * self.J.inverse(), e.x * d)
+        return DualElement(self.J * gt_inv * self.J_inv, e.x * d)
 
     def apply_dual(self, e: DualElement) -> DualElement:
         """The dual-side twist (g, x) -> (J tg^-1 J^-1 x, x)."""
         gt_inv = e.g.inverse().transpose()
-        return DualElement((self.J * gt_inv * self.J.inverse()).scale(e.x), e.x)
+        return DualElement((self.J * gt_inv * self.J_inv).scale(e.x), e.x)
 
 
 STANDARD_TWIST = ThetaTwist(THETA_J)
@@ -207,16 +211,16 @@ _BIVECTOR_INDEX = [(i, j) for i, j in itertools.combinations(range(4), 2)]
 
 
 def exterior_square(g: ExactMatrix) -> ExactMatrix:
-    """Matrix of g acting on the 6-dimensional space of bivectors e_i ^ e_j."""
+    """Matrix of g acting on the 6-dimensional space of bivectors e_i ^ e_j:
+    the 2x2 minors of the numerators over the squared denominator."""
     if g.rows != 4 or g.cols != 4:
         raise ValueError("4x4 matrix required")
-    e = g.entries()
-    return ExactMatrix(
-        [
-            [e[i][k] * e[j][l] - e[i][l] * e[j][k] for (k, l) in _BIVECTOR_INDEX]
-            for (i, j) in _BIVECTOR_INDEX
-        ]
+    e = g._num
+    minors = tuple(
+        tuple([e[i][k] * e[j][l] - e[i][l] * e[j][k] for (k, l) in _BIVECTOR_INDEX])
+        for (i, j) in _BIVECTOR_INDEX
     )
+    return ExactMatrix._make(minors, g._den * g._den, 6)
 
 
 # symmetric form on bivectors induced by the symplectic form:
@@ -238,7 +242,7 @@ OMEGA_COMPLEMENT = _omega_complement_basis()
 
 # basis change [omega | complement] on the bivector space
 SPLIT_BASIS = ExactMatrix.from_columns([list(OMEGA)] + [list(v) for v in OMEGA_COMPLEMENT])
-_SPLIT_BASIS_INV = SPLIT_BASIS.inverse()
+SPLIT_BASIS_INV = SPLIT_BASIS.inverse()
 
 
 def _so5_gram() -> ExactMatrix:
@@ -247,6 +251,16 @@ def _so5_gram() -> ExactMatrix:
 
 
 SO5_GRAM = _so5_gram()
+
+
+def _complement_block(split: ExactMatrix, message: str) -> ExactMatrix:
+    """The 5x5 block of a matrix in split coordinates on the complement of
+    the invariant line, which it must fix exactly: row 0 and column 0 are
+    those of the identity."""
+    num, den = split._num, split._den
+    if num[0][0] != den or any(num[0][1:]) or any(r[0] for r in num[1:]):
+        raise ValueError(message)
+    return ExactMatrix._make(tuple(r[1:] for r in num[1:]), den, 5)
 
 
 def project_to_so5(e: DualElement) -> ExactMatrix:
@@ -258,14 +272,19 @@ def project_to_so5(e: DualElement) -> ExactMatrix:
     """
     if not fixed_point_check(e):
         raise ValueError("input is not in the symplectic similitude realization")
-    f = exterior_square(e.g).scale(ONE / e.x)
-    split = _SPLIT_BASIS_INV * f * SPLIT_BASIS
-    # the invariant line must be exactly fixed
-    if split[0, 0] != 1 or any(split[i, 0] != 0 for i in range(1, 6)) or any(
-        split[0, j] != 0 for j in range(1, 6)
-    ):
-        raise ValueError("invariant-line split failed: non-symplectic input")
-    return ExactMatrix([[split[i, j] for j in range(1, 6)] for i in range(1, 6)])
+    split = SPLIT_BASIS_INV * exterior_square(e.g).scale(ONE / e.x) * SPLIT_BASIS
+    return _complement_block(split, "invariant-line split failed: non-symplectic input")
+
+
+# basis [omega | e1^e4 + e2^e3 | tensor part] of the bivector space for
+# embed_so4_block; the tensor coordinates are the ordered bivectors e1^e2,
+# e1^e3, e4^e2 = -(e2^e4), e4^e3 = -(e3^e4)
+_SO4_BLOCK_BASIS = ExactMatrix.from_columns(
+    [list(OMEGA), [0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+     [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1]]
+)
+_SO4_BLOCK_TO_SPLIT = SPLIT_BASIS_INV * _SO4_BLOCK_BASIS
+_SPLIT_TO_SO4_BLOCK = _SO4_BLOCK_BASIS.inverse() * SPLIT_BASIS
 
 
 def embed_so4_block(x4: ExactMatrix) -> ExactMatrix:
@@ -275,20 +294,9 @@ def embed_so4_block(x4: ExactMatrix) -> ExactMatrix:
     Coordinates on the tensor part are the ordered bivectors
     e1^e2, e1^e3, e4^e2, e4^e3, matching Kronecker products a (x) b for a
     acting on span(e1, e4) and b on span(e2, e3)."""
-    omega_prime = (ZERO, ZERO, ONE, ONE, ZERO, ZERO)
-    tensor = [
-        (ONE, ZERO, ZERO, ZERO, ZERO, ZERO),    # e1^e2
-        (ZERO, ONE, ZERO, ZERO, ZERO, ZERO),    # e1^e3
-        (ZERO, ZERO, ZERO, ZERO, -ONE, ZERO),   # e4^e2 = -(e2^e4)
-        (ZERO, ZERO, ZERO, ZERO, ZERO, -ONE),   # e4^e3 = -(e3^e4)
-    ]
-    basis6 = ExactMatrix.from_columns([list(OMEGA), list(omega_prime)] + [list(t) for t in tensor])
     block6 = ExactMatrix.block_diagonal([ExactMatrix.identity(2), x4])
-    full6 = basis6 * block6 * basis6.inverse()
-    split = _SPLIT_BASIS_INV * full6 * SPLIT_BASIS
-    if split[0, 0] != 1:
-        raise ValueError("embedding does not fix the invariant line")
-    return ExactMatrix([[split[i, j] for j in range(1, 6)] for i in range(1, 6)])
+    split = _SO4_BLOCK_TO_SPLIT * block6 * _SPLIT_TO_SO4_BLOCK
+    return _complement_block(split, "embedding does not fix the invariant line")
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +381,10 @@ def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
         g = g * matrix_exp_nilpotent(nil)
         if rng.random() < 0.5:
             g = g * THETA_J
-    out = DualElement(g, similitude_factor(g, THETA_J))
-    assert fixed_point_check(out)
-    return out
+    nu = similitude_factor(g, THETA_J)
+    if nu is None:
+        raise ValueError("sample left the symplectic similitude group")
+    return DualElement(g, nu)
 
 
 def sample_gl2(rng, det_value: Fraction) -> ExactMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .dualgroups import DualElement, SO5_GRAM, THETA_J, embed_pair, project_to_so5
@@ -44,31 +45,41 @@ def SignGroup(labels: Sequence[str], elements: Sequence[frozenset]) -> TwoGroup:
 # commutant pieces
 
 
+def _is_scalar(m: ExactMatrix) -> bool:
+    d = m._num[0][0]
+    return all(x == (d if i == j else 0) for i, r in enumerate(m._num) for j, x in enumerate(r))
+
+
 def _split_pieces(generators: Sequence[ExactMatrix]) -> list[list[tuple]]:
-    """Joint eigenspace decomposition under the commutant algebra."""
+    """Joint eigenspace decomposition under the commutant algebra.
+
+    One pass over the commutant basis splits every piece into the rational
+    generalized eigenspaces of each basis element b in turn.  After b has
+    split a piece, b has one eigenvalue on every smaller piece cut from it
+    later, so a second pass would split nothing; the one thing it would do
+    is check that every final piece is invariant under every b, and that
+    check follows the pass."""
     n = generators[0].rows
     algebra = commutant_basis(generators)
     pieces: list[list[tuple]] = [
         [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
     ]
-    changed = True
-    while changed:
-        changed = False
-        for b in algebra:
-            new_pieces: list[list[tuple]] = []
-            for basis in pieces:
-                restricted = restrict_to(b, basis)
-                parts, irrational = rational_eigensplit(restricted)
-                if irrational:
-                    raise ValueError("degenerate generator set: irrational commutant spectrum")
-                if len(parts) <= 1:
-                    new_pieces.append(basis)
-                    continue
-                changed = True
-                span = ExactMatrix.from_columns([list(v) for v in basis])
-                for _lam, sub in parts:
-                    new_pieces.append([span.apply(v) for v in sub])
-            pieces = new_pieces
+    for b in algebra:
+        new_pieces: list[list[tuple]] = []
+        for basis in pieces:
+            restricted = restrict_to(b, basis) if len(basis) > 1 else None
+            if restricted is None or _is_scalar(restricted):
+                new_pieces.append(basis)
+                continue
+            parts, irrational = rational_eigensplit(restricted)
+            if irrational:
+                raise ValueError("degenerate generator set: irrational commutant spectrum")
+            span = ExactMatrix.from_columns([list(v) for v in basis])
+            new_pieces.extend([span.apply(v) for v in sub] for _lam, sub in parts)
+        pieces = new_pieces
+    for b in algebra:
+        for basis in pieces:
+            restrict_to(b, basis)  # raises unless the piece is b-invariant
     return pieces
 
 
@@ -105,17 +116,14 @@ def _classify_pieces(pieces: list[list[tuple]], form: ExactMatrix) -> list[Piece
 class ComponentSignGroup:
     group: TwoGroup
     pieces: tuple[PieceData, ...]
-    # inverse of the matrix whose columns are the piece bases, in order
+    # the matrix whose columns are the piece bases, in order, and its inverse
+    basis_matrix: ExactMatrix = field(repr=False, compare=False)
     basis_inverse: ExactMatrix = field(repr=False, compare=False)
 
     def matrix_for(self, pattern: frozenset) -> ExactMatrix:
-        flipped = ExactMatrix.from_columns(
-            [
-                [-x for x in v] if p.label in pattern else list(v)
-                for p in self.pieces
-                for v in p.basis
-            ]
-        )
+        signs = [-1 if p.label in pattern else 1 for p in self.pieces for _ in p.basis]
+        b = self.basis_matrix  # negated columns stay canonical over the same denominator
+        flipped = ExactMatrix._raw(tuple(tuple(map(mul, r, signs)) for r in b._num), b._den, b.cols)
         return flipped * self.basis_inverse
 
     def pattern_of(self, m: ExactMatrix) -> frozenset:
@@ -157,8 +165,9 @@ def sign_patterns(
     when it is one of them."""
     pieces = tuple(pieces)
     self_labels = [p.label for p in pieces if p.self_paired]
-    basis_inverse = ExactMatrix.from_columns([list(v) for p in pieces for v in p.basis]).inverse()
-    raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), pieces, basis_inverse)
+    basis_matrix = ExactMatrix.from_columns([list(v) for p in pieces for v in p.basis])
+    bases = (basis_matrix, basis_matrix.inverse())
+    raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), pieces, *bases)
     valid = []
     for r in range(len(self_labels) + 1):
         for subset in itertools.combinations(self_labels, r):
@@ -172,7 +181,7 @@ def sign_patterns(
     center = frozenset(self_labels)
     relations = [center] if center and center in valid else []
     group = TwoGroup(self_labels, relations, elements=valid)
-    return ComponentSignGroup(group, pieces, basis_inverse)
+    return ComponentSignGroup(group, pieces, *bases)
 
 
 def component_sign_group(generators: Sequence[ExactMatrix], form: ExactMatrix) -> ComponentSignGroup:

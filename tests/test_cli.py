@@ -115,6 +115,24 @@ def test_undeclared_id_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", ["multiplicity", "membership"])
+def test_unknown_target_is_input_error(tmp_path, capsys, op):
+    doc = dict(SK_SCENARIO, requests=[{"op": op, "parameter": "psi_sk", "target": "foo"}])
+    code = main(["run", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "input error: unknown target 'foo'\n"
+
+
+def test_request_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    code = main(["run", write_scenario(tmp_path, {"requests": [5]})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "input error: request 5 is not an object\n"
+
+
 @pytest.mark.parametrize("target", ["gspin5", "gspin4", "gl4"])
 @pytest.mark.parametrize("local", [[], [["v1", {"pi1": -1}]]])
 def test_multiplicity_rejects_non_discrete_parameter(tmp_path, capsys, local, target):

@@ -131,6 +131,25 @@ def test_exterior_square_multiplicative():
         assert exterior_square(a * b) == exterior_square(a) * exterior_square(b)
 
 
+def _random_rational_4x4(rng):
+    return ExactMatrix(
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)] for _ in range(4)]
+    )
+
+
+def test_exterior_square_of_rational_matrices():
+    # the 2x2 minors, entry by entry in Fractions, on matrices with denominators
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    rng = random.Random(37)
+    for _ in range(10):
+        a, b = _random_rational_4x4(rng), _random_rational_4x4(rng)
+        minors = [
+            [a[i, k] * a[j, l] - a[i, l] * a[j, k] for (k, l) in pairs] for (i, j) in pairs
+        ]
+        assert exterior_square(a) == ExactMatrix(minors)
+        assert exterior_square(a * b) == exterior_square(a) * exterior_square(b)
+
+
 def test_projection_identity_and_center():
     assert project_to_so5(DualElement(ExactMatrix.identity(4), 1)) == ExactMatrix.identity(5)
     lam = frac(4)

@@ -155,3 +155,18 @@ def test_restriction_diagrams_commute():
     # determinism: same seed, same verdict
     again = restriction_diagrams_commute(seed=0, samples=20)
     assert report == again
+
+
+def test_restriction_diagrams_catch_a_corrupted_so4_embedding(monkeypatch):
+    # flipping the sign of the last tensor coordinate still fixes the
+    # invariant line, but embeds the SO4 block wrongly
+    from gspin import dualgroups
+
+    flip = ExactMatrix.diagonal([1, 1, 1, 1, 1, -1])
+    monkeypatch.setattr(
+        dualgroups, "_SO4_BLOCK_TO_SPLIT", dualgroups._SO4_BLOCK_TO_SPLIT * flip
+    )
+    report = restriction_diagrams_commute(seed=0, samples=5)
+    assert not report.ok
+    assert report.message().startswith("FAIL restriction diagrams on 5 samples: square2@0")
+    assert all(f.startswith("square2@") for f in report.failures)

@@ -1,12 +1,13 @@
 import pytest
 
-from gspin.dualgroups import DualElement
-from gspin.exactlin import ExactMatrix
+from gspin.dualgroups import THETA_J, DualElement, project_to_so5
+from gspin.exactlin import ONE, ExactMatrix, kron
 from gspin.restriction import (
     BoundedParameterDescriptor,
     PacketMember,
     SignGroup,
     SignGroupCharacter,
+    _split_pieces,
     component_sign_group,
     gso4_shape_catalog,
     packet_members,
@@ -139,3 +140,39 @@ def test_gso4_rejects_unequal_determinants():
     )
     with pytest.raises(ValueError):
         restrict_gso4(bad)
+
+
+# piece bases of the commutant split, in order, as the coordinate indices of
+# the unit vectors spanning each piece (every recorded basis vector is a unit
+# vector)
+RECORDED_PIECES = {
+    "irreducible": ([[0, 1, 2, 3]], [[0, 1, 2, 3, 4]]),
+    "two_two_generic": ([[0, 3], [1, 2]], [[0, 1, 3, 4], [2]]),
+    "two_two_dihedral": ([[0, 3], [1, 2]], [[0, 4], [1, 3], [2]]),
+    "principal_series": ([[3], [2], [1], [0]], [[4], [3], [2], [1], [0]]),
+    "gso4_generic": ([[0, 1, 2, 3]],),
+    "gso4_dihedral_pair": ([[0, 3], [1, 2]],),
+}
+
+
+def _unit_pieces(n, pieces):
+    return [[tuple(int(i == k) for i in range(n)) for k in piece] for piece in pieces]
+
+
+@pytest.mark.parametrize("shape", sorted(RECORDED_PIECES))
+def test_split_pieces_match_recorded_bases(shape):
+    if shape.startswith("gso4"):
+        pairs = gso4_shape_catalog()[shape].pairs
+        sides = [[kron(a, b).scale(ONE / a.det()) for a, b in pairs]]
+    else:
+        elements = shape_catalog()[shape].generators
+        sides = [[e.g for e in elements], [project_to_so5(e) for e in elements]]
+    for gens, recorded in zip(sides, RECORDED_PIECES[shape], strict=True):
+        assert _split_pieces(gens) == _unit_pieces(gens[0].rows, recorded)
+
+
+def test_split_pieces_checks_invariance_of_the_final_pieces():
+    # the commutant of the identity is every matrix, and no proper piece is
+    # invariant under all of them
+    with pytest.raises(ValueError, match="not invariant"):
+        component_sign_group([ExactMatrix.identity(4)], THETA_J)
