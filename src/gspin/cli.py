@@ -136,7 +136,7 @@ def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
         elif op == "restriction":
             shape = req.get("shape")
             catalog = shape_catalog()
-            if shape not in catalog:
+            if not isinstance(shape, str) or shape not in catalog:
                 raise ScenarioError(f"unknown restriction shape {shape!r}")
             proj = project_parameter(catalog[shape])
             report = restriction_count_identity(proj)
@@ -168,7 +168,7 @@ def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
 
 def _fixture(scn, req):
     name = req.get("parameter")
-    if name not in scn.parameters:
+    if not isinstance(name, str) or name not in scn.parameters:
         raise ScenarioError(f"undeclared parameter {name!r}")
     return scn.parameters[name]
 

@@ -154,8 +154,13 @@ class ExactMatrix:
     @staticmethod
     def from_columns(columns: Sequence[Sequence]) -> "ExactMatrix":
         cols = [[_rational(x) for x in c] for c in columns]
-        n = len(cols[0])
-        return ExactMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        if not cols or any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("columns must be a nonempty list of equal lengths")
+        # over the least common denominator of reduced entries the numerators
+        # already have no common factor with it
+        den = lcm(*(x.denominator for c in cols for x in c))
+        num = zip(*([x.numerator * (den // x.denominator) for x in c] for c in cols))
+        return ExactMatrix._raw(tuple(num), den, len(cols))
 
     # accessors: entries leave as Fractions -----------------------------
 
@@ -459,7 +464,7 @@ def restrict_to(m: ExactMatrix, basis: Sequence[Sequence]) -> ExactMatrix:
     One elimination of [span | m span]: the basis is independent and its
     span invariant exactly when the pivots are the first k columns, and the
     right-hand block of the first k rows then holds the coordinates."""
-    span = ExactMatrix.from_columns([list(v) for v in basis])
+    span = ExactMatrix.from_columns(basis)
     image = _matmul(m, span)
     k = span.cols
     aug = tuple(
@@ -825,18 +830,22 @@ class QuadraticSpace:
         return bilinear(self.gram, u, v)
 
     def reflection(self, v: Sequence) -> ExactMatrix:
-        """Reflection in the non-isotropic vector v; lies in O(gram), det -1."""
-        q = self.bilinear(v, v)
+        """Reflection in the non-isotropic vector v; lies in O(gram), det -1.
+
+        It is (q I - 2 v t(G v)) / q with q = t(v) G v, and rescaling v does
+        not change it, so it is computed on the numerators of v and of G."""
+        vec, _ = _over_one_denominator(v)
+        if len(vec) != self.dim:
+            raise ValueError("shape mismatch")
+        gv = [sum(map(mul, row, vec)) for row in self.gram._num]
+        q = sum(map(mul, vec, gv))
         if q == 0:
             raise ValueError("cannot reflect in an isotropic vector")
-        n = self.dim
-        cols = []
-        for j in range(n):
-            e = [ZERO] * n
-            e[j] = ONE
-            coef = 2 * self.bilinear(e, v) / q
-            cols.append([e[i] - coef * frac(v[i]) for i in range(n)])
-        return ExactMatrix.from_columns(cols)
+        num = tuple(
+            tuple([q * (i == j) - 2 * a * b for j, b in enumerate(gv)])
+            for i, a in enumerate(vec)
+        )
+        return ExactMatrix._make(num, q, self.dim)
 
     def similitude_factor(self, g: ExactMatrix) -> Fraction | None:
         """nu with t(g) gram g = nu gram, or None if g is not a similitude."""

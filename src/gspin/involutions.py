@@ -7,9 +7,12 @@ away, splits V into the generalized eigenspaces for +-1 and their orthogonal
 complement, and builds a reversing isometry involution piece by piece:
 
 - on a nondegenerate cyclic piece, q(g) v -> q(g^{-1}) v is such an involution;
+  its matrix comes from one restriction of g^{-1} to the piece;
 - unipotent parts are decomposed into orthogonal strings: odd strings are
   cyclic, while even strings pair off isotropically and carry the explicit
-  sign-involution of the string-tensor model with similitude -1 witnesses.
+  sign-involution of the string-tensor model with similitude -1 witnesses;
+  where g is exactly +-1 every string is a line, so the part is one
+  anisotropic line and its orthocomplement, with the identity on both.
 
 Determinant parity is corrected by negating one odd-dimensional piece, the
 same replacement the inductive argument uses.
@@ -31,8 +34,8 @@ from .exactlin import (
     matrix_equation_kernel,
     matrix_log_unipotent,
     pairing_matrix,
+    rank,
     restrict_to,
-    solve,
     span_basis,
     vec_add,
     vec_scale,
@@ -87,15 +90,23 @@ def verify(e: SimilitudeElement, p: InvolutionPair) -> bool:
 # subspace utilities (vectors are ambient tuples)
 
 
+def _in_ambient(inside: Sequence[tuple], coords: Sequence[tuple]) -> list[tuple]:
+    """The vectors with the given coordinates on the vectors of `inside`."""
+    if not coords:
+        return []
+    product = ExactMatrix.from_columns(inside) * ExactMatrix.from_columns(coords)
+    return list(product.transpose().entries())
+
+
+def _standard_basis(n: int) -> list[tuple]:
+    return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
+
+
 def _orthocomplement_in(space: QuadraticSpace, inside: Sequence[tuple], of: Sequence[tuple]) -> list[tuple]:
-    """Vectors of span(inside) orthogonal to every vector of `of`."""
+    """Vectors of span(inside) orthogonal to every vector of the nonempty `of`."""
     if not inside:
         return []
-    coords = kernel(pairing_matrix(space.gram, of, inside)) if of else [
-        tuple(ONE if i == j else ZERO for j in range(len(inside))) for i in range(len(inside))
-    ]
-    span = ExactMatrix.from_columns([list(v) for v in inside])
-    return [span.apply(c) for c in coords]
+    return _in_ambient(inside, kernel(pairing_matrix(space.gram, of, inside)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +152,7 @@ def orthogonal_string_decomposition(
     check = n_mat.transpose() * space.gram + space.gram * n_mat
     if not check.is_zero():
         raise ValueError("operator is not skew-adjoint for the form")
-    basis = [tuple(ONE if i == j else ZERO for j in range(space.dim)) for i in range(space.dim)]
+    basis = _standard_basis(space.dim)
     pieces: list[StringPiece] = []
 
     def moment(u, w, k):
@@ -285,6 +296,17 @@ class _Piece:
 def _unipotent_pieces(space: QuadraticSpace, u: ExactMatrix) -> list[_Piece]:
     """Reversing involutions for a unipotent isometry (restricted to its
     invariant subspace, given in that subspace's own coordinates)."""
+    if u == ExactMatrix.identity(space.dim):
+        # log u = 0: every string is a line and the involution is the
+        # identity; only the line a determinant flip would negate (the first
+        # the string decomposition splits off) needs a piece of its own
+        basis = _standard_basis(space.dim)
+        v = _find_anisotropic_top(basis, space.bilinear)
+        out = [_Piece([v], ExactMatrix.identity(1), flippable=True)]
+        rest = kernel(pairing_matrix(space.gram, [v], basis))
+        if rest:
+            out.append(_Piece(rest, ExactMatrix.identity(len(rest)), flippable=False))
+        return out
     n_mat = matrix_log_unipotent(u)
     pieces = orthogonal_string_decomposition(space, n_mat)
     out = []
@@ -332,27 +354,28 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple])
     while current:
         found = None
         for cand in _cyclic_candidates(current, seed=len(current)):
-            chain = [cand]
-            while True:
-                nxt = g.apply(chain[-1])
-                trial = span_basis(chain + [nxt])
-                if len(trial) == len(chain):
-                    break
-                chain.append(nxt)
+            # the span of current is g-invariant, so the cyclic subspace of
+            # cand has dimension m <= len(current), and cand, ..., g^(m-1) cand
+            # are its first m vectors
+            krylov = [cand]
+            for _ in range(len(current)):
+                krylov.append(g.apply(krylov[-1]))
+            chain = krylov[: rank(ExactMatrix(krylov))]
             if pairing_matrix(space.gram, chain, chain).det() != 0:
                 found = chain
                 break
         if found is None:
             raise FactorizationUnsupportedError("no nondegenerate cyclic piece found")
         m = len(found)
-        images = [found[0]]
+        try:
+            g_inv_res = restrict_to(g_inv, found)
+        except ValueError:
+            raise FactorizationUnsupportedError("cyclic piece is not inverse-stable") from None
+        # column k: the coordinates of g^-k found[0]
+        coords = [(ONE,) + (ZERO,) * (m - 1)]
         for _ in range(m - 1):
-            images.append(g_inv.apply(images[-1]))
-        span = ExactMatrix.from_columns([list(b) for b in found])
-        coords = [solve(span, img) for img in images]
-        if any(c is None for c in coords):
-            raise FactorizationUnsupportedError("cyclic piece is not inverse-stable")
-        x_res = ExactMatrix.from_columns([list(c) for c in coords])
+            coords.append(g_inv_res.apply(coords[-1]))
+        x_res = ExactMatrix.from_columns(coords)
         out.append(_Piece(found, x_res, flippable=m % 2 == 1))
         current = span_basis(_orthocomplement_in(space, current, found))
     return out
@@ -378,26 +401,21 @@ def _reversing_involution(space: QuadraticSpace, g0: ExactMatrix) -> ExactMatrix
     ident = ExactMatrix.identity(dim)
     plus_basis = _stable_kernel(g0 - ident)
     minus_basis = _stable_kernel(g0 + ident)
-    rest = _orthocomplement_in(
-        space,
-        [tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)],
-        list(plus_basis) + list(minus_basis),
-    )
-    rest = span_basis(rest)
+    split = plus_basis + minus_basis
+    # the orthocomplement of the +-1 parts: the kernel of the rows t(v) gram
+    rest = kernel(ExactMatrix(split) * space.gram) if split else _standard_basis(dim)
 
     pieces: list[_Piece] = []
     for sign, part in ((1, plus_basis), (-1, minus_basis)):
         if not part:
             continue
         # restrict to the invariant subspace with its own coordinates
-        span = ExactMatrix.from_columns([list(v) for v in part])
         sub_gram = pairing_matrix(space.gram, part, part)
         sub_space = QuadraticSpace(len(part), sub_gram)
         g_res = restrict_to(g0, part)
         u = g_res if sign == 1 else -g_res
         for p in _unipotent_pieces(sub_space, u):
-            ambient_basis = [span.apply(v) for v in p.basis]
-            pieces.append(_Piece(ambient_basis, p.x_restricted, p.flippable))
+            pieces.append(_Piece(_in_ambient(part, p.basis), p.x_restricted, p.flippable))
     if rest:
         pieces.extend(_cyclic_pieces(space, g0, rest))
 
@@ -414,7 +432,7 @@ def _reversing_involution(space: QuadraticSpace, g0: ExactMatrix) -> ExactMatrix
     columns = []
     blocks = []
     for p in pieces:
-        columns.extend(list(v) for v in p.basis)
+        columns.extend(p.basis)
         blocks.append(p.x_restricted)
     change = ExactMatrix.from_columns(columns)
     x = change * ExactMatrix.block_diagonal(blocks) * change.inverse()

@@ -133,6 +133,26 @@ def test_request_that_is_not_an_object_is_input_error(tmp_path, capsys):
     assert captured.err == "input error: request 5 is not an object\n"
 
 
+@pytest.mark.parametrize("op", ["classify", "membership", "multiplicity"])
+@pytest.mark.parametrize("name", [[], ["psi_sk"], {"psi_sk": 1}])
+def test_parameter_that_is_not_a_string_is_input_error(tmp_path, capsys, op, name):
+    doc = dict(SK_SCENARIO, requests=[{"op": op, "parameter": name}])
+    code = main(["run", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: undeclared parameter {name!r}\n"
+
+
+@pytest.mark.parametrize("shape", [[], ["irreducible"], {"irreducible": 1}])
+def test_restriction_shape_that_is_not_a_string_is_input_error(tmp_path, capsys, shape):
+    code = main(["run", write_scenario(tmp_path, {"requests": [{"op": "restriction", "shape": shape}]})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: unknown restriction shape {shape!r}\n"
+
+
 @pytest.mark.parametrize("target", ["gspin5", "gspin4", "gl4"])
 @pytest.mark.parametrize("local", [[], [["v1", {"pi1": -1}]]])
 def test_multiplicity_rejects_non_discrete_parameter(tmp_path, capsys, local, target):

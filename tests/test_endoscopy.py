@@ -170,3 +170,21 @@ def test_restriction_diagrams_catch_a_corrupted_so4_embedding(monkeypatch):
     assert not report.ok
     assert report.message().startswith("FAIL restriction diagrams on 5 samples: square2@0")
     assert all(f.startswith("square2@") for f in report.failures)
+
+
+def test_restriction_diagrams_catch_a_projection_outside_so5(monkeypatch):
+    # rescaling one complement vector of the split basis still fixes the
+    # invariant line, so the projection returns, but conjugated out of
+    # SO(SO5_GRAM); the basis is replaced wherever it is bound, so a square
+    # one that recomputed the same split product would agree with it
+    from gspin import dualgroups, endoscopy
+
+    basis = dualgroups.SPLIT_BASIS * ExactMatrix.diagonal([1, 2, 1, 1, 1, 1])
+    for module in (dualgroups, endoscopy):
+        monkeypatch.setattr(module, "SPLIT_BASIS", basis, raising=False)
+        monkeypatch.setattr(module, "SPLIT_BASIS_INV", basis.inverse(), raising=False)
+    report = restriction_diagrams_commute(seed=0, samples=5)
+    assert not report.ok
+    assert report.message().startswith("FAIL restriction diagrams on 5 samples: square1@0")
+    assert {f"square1@{i}" for i in range(5)} <= set(report.failures)
+    assert not any(f.startswith("square1-det@") for f in report.failures)

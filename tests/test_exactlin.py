@@ -257,6 +257,59 @@ def test_quadratic_space_reflection():
     assert space.similitude_factor(r) == 1
 
 
+def _reflection_by_columns(space, v):
+    """Column j is e_j - 2 B(e_j, v) / B(v, v) v, entry by entry."""
+    n = space.dim
+    q = space.bilinear(v, v)
+    cols = []
+    for j in range(n):
+        e = [Fraction(int(i == j)) for i in range(n)]
+        coef = 2 * space.bilinear(e, v) / q
+        cols.append([e[i] - coef * frac(v[i]) for i in range(n)])
+    return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_reflection_matches_the_column_formula(dim):
+    rng = random.Random(dim)
+    while True:
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)] for _ in range(dim)]
+        gram = ExactMatrix([[a[i][j] + a[j][i] for j in range(dim)] for i in range(dim)])
+        if gram.det() != 0 and any(gram[i, j] for i in range(dim) for j in range(dim) if i != j):
+            break
+    space = QuadraticSpace(dim, gram)
+    checked = 0
+    while checked < 20:
+        v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim))
+        if space.bilinear(v, v) == 0:
+            continue
+        r = space.reflection(v)
+        assert r == _reflection_by_columns(space, v)
+        assert r * r == ExactMatrix.identity(dim)
+        assert r.transpose() * gram * r == gram
+        assert r.det() == -1
+        checked += 1
+    with pytest.raises(ValueError):
+        space.reflection((0,) * dim)
+
+
+@pytest.mark.parametrize("columns", [[[1], [2, 3]], [[1, 2], [3]], []])
+def test_from_columns_rejects_ragged_or_empty_input(columns):
+    with pytest.raises(ValueError):
+        ExactMatrix.from_columns(columns)
+
+
+def test_from_columns_is_the_transposed_row_constructor():
+    rng = random.Random(3)
+    for shape in ((1, 1), (3, 2), (2, 5), (6, 6)):
+        cols = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(shape[0])]
+                for _ in range(shape[1])]
+        m = ExactMatrix.from_columns(cols)
+        assert (m.rows, m.cols) == shape
+        assert m == ExactMatrix(cols).transpose()
+        assert m == ExactMatrix([[c[i] for c in cols] for i in range(shape[0])])
+
+
 def test_quadratic_space_validation():
     with pytest.raises(ValueError):
         QuadraticSpace(3, ExactMatrix.identity(3))

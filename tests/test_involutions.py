@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -360,3 +361,55 @@ def test_reassembled_pairing_matches_gram():
                             assert got == Fraction(-1) ** i * b.pairing[ai, bi]
                         else:
                             assert got == 0
+
+
+# ---------------------------------------------------------------------------
+# recorded outputs
+
+
+def _pinned_square_nu_elements():
+    """Seeded square-nu elements: lambda times a product of 2 or 4 reflections
+    in dims 4, 6 and 8 on the split and the diagonal Gram, -lambda times the
+    identity, and unipotent elements with and without reflections."""
+    rng = random.Random(4242)
+    for dim in (4, 6, 8):
+        for space in (SPACES[dim][0], SPACES[dim][-1]):
+            for reflections in (2, 4):
+                for _ in range(3):
+                    g = ExactMatrix.identity(dim)
+                    for _ in range(reflections):
+                        g = g * space.reflection(random_vector(rng, space))
+                    lam = frac(rng.choice((-1, 1)) * rng.randint(1, 4)) / rng.randint(1, 3)
+                    yield SimilitudeElement(space, g.scale(lam), lam * lam)
+            lam = -frac(rng.randint(1, 4))
+            yield SimilitudeElement(space, ExactMatrix.identity(dim).scale(lam), lam * lam)
+    space = SPACES[4][0]
+    nil = ExactMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]])
+    u = matrix_exp_nilpotent(nil)
+    yield SimilitudeElement(space, u.scale(3), 9)
+    for _ in range(3):
+        g = u * space.reflection(random_vector(rng, space)) * space.reflection(
+            random_vector(rng, space)
+        )
+        yield SimilitudeElement(space, g, space.similitude_factor(g))
+    space6 = SPACES[6][0]
+    n = [[0] * 6 for _ in range(6)]
+    for i, s in ((0, 1), (1, 1), (3, -1), (4, -1)):
+        n[i][i + 1] = s
+    yield SimilitudeElement(space6, matrix_exp_nilpotent(ExactMatrix(n)), 1)
+
+
+def test_square_nu_factorizations_match_the_recorded_digest():
+    # (x, y) is a function of g alone; the digest was recorded before the
+    # +-1 parts stopped running the string decomposition
+    digest = hashlib.sha256()
+    count = 0
+    for e in _pinned_square_nu_elements():
+        pair = factor(e)
+        for m in (pair.x, pair.y):
+            digest.update(repr(m).encode() + b"\n")
+        count += 1
+    assert count == 47
+    assert digest.hexdigest() == (
+        "4c17352c76ef07b266619c44554ca2994f27a92ffbf3ea36189465acc1950d96"
+    )
