@@ -102,6 +102,8 @@ class CharacterGroup:
     def class_character(self, cls: AlphaClass) -> HeckeCharacterHandle:
         if cls.is_trivial:
             return self.trivial()
+        if cls.token not in self._class_characters:
+            raise ValueError(f"square class {cls.token!r} is not declared")
         return self._class_characters[cls.token]
 
     def class_of_character(self, chi: HeckeCharacterHandle) -> AlphaClass | None:

@@ -19,33 +19,17 @@ import json
 import sys
 
 from . import __version__
-from .characters import AlphaClass
 from .dualgroups import GL4_GL1, GSPIN5, SP4_GL1, gspin_even_tag
 from .exactlin import ExactMatrix, QuadraticSpace
 from . import endoscopy
-from .params import (
-    classify,
-    component_group_table,
-    multiplicity,
-    psi_disc_membership,
-    require_membership,
-)
-from .restriction import (
-    packet_members,
-    project_parameter,
-    restrict_member,
-    restriction_count_identity,
-    shape_catalog,
-)
-from .scenario import ScenarioError, load_scenario, local_characters, parse_matrix, parse_rational
+from .params import classify, component_group_table, multiplicity, psi_disc_membership
+from .params import require_membership
+from .restriction import project_parameter, restriction_count_identity, shape_catalog
+from .scenario import REQUIRED, ScenarioError, load_scenario, local_characters, lookup, read
+from .scenario import parse_json, parse_matrix, parse_rational
 from .selftest import run_selftest
 from .weyl import det_factor, enumerate_levis, enumerate_weyl_elements, is_regular
-from .involutions import (
-    FactorizationUnsupportedError,
-    SimilitudeElement,
-    factor,
-    verify,
-)
+from .involutions import FactorizationUnsupportedError, SimilitudeElement, factor, verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,132 +49,90 @@ def _matrix_json(m: ExactMatrix) -> list[list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# request handlers for `run`
+# request handlers for `run`: each returns its --out record and its lines
+
+
+def _classify(scn, seed, at, name):
+    fixture = lookup(scn.parameters, name, "undeclared parameter")
+    cls = classify(scn.group, fixture.parameter, fixture.root_number_minus)
+    trivial = cls.automorphy_character.is_trivial_on(cls.component_group)
+    rec = {"parameter": fixture.name, "type": cls.arthur_type.label, "letter": cls.arthur_type.letter,
+           "component_rank": cls.component_rank, "epsilon": "1" if trivial else "sgn",
+           "sign_element": sorted(cls.sign_element.support())}
+    line = ("classify[{parameter}]: type={type} letter={letter} component_rank={component_rank}"
+            " epsilon={epsilon} sign_element={sign}").format(**rec, sign=rec["sign_element"] or "1")
+    return rec, [line]
+
+
+def _multiplicity(scn, seed, at, name, target):
+    fixture = lookup(scn.parameters, name, "undeclared parameter")
+    target = lookup(_GROUP_NAMES, target, "unknown target")
+    # reject a psi outside the target's discrete set before reading its local data
+    require_membership(scn.group, fixture.parameter, target)
+    data = local_characters(fixture, component_group_table(fixture.parameter))
+    m = multiplicity(scn.group, fixture.parameter, data, target, fixture.root_number_minus)
+    return {"parameter": fixture.name, "multiplicity": m}, [f"multiplicity[{fixture.name}]: {m}"]
+
+
+def _membership(scn, seed, at, name, target, alpha):
+    fixture = lookup(scn.parameters, name, "undeclared parameter")
+    target = lookup(_GROUP_NAMES, target, "unknown target")
+    if alpha is not None:
+        alpha = lookup(scn.classes, alpha, "undeclared class", f"{at}.alpha")
+    rep = psi_disc_membership(scn.group, fixture.parameter, target, alpha)
+    rec = {"parameter": fixture.name, "member": rep.ok, "reason": rep.reason}
+    return rec, [f"membership[{fixture.name}]: {'yes' if rep.ok else 'no'} ({rep.reason})"]
+
+
+def _restriction(scn, seed, at, shape):
+    phi = lookup(shape_catalog(), shape, "unknown restriction shape")
+    report = restriction_count_identity(project_parameter(phi))
+    parts = {label: sorted(sorted(ch.rep) for ch in part) for label, part in report.constituents}
+    rec = {"shape": shape, "ok": report.ok, "packet_sizes": list(report.packet_sizes),
+           "dual_size": report.dual_size, "constituents": parts}
+    return rec, [report.message()]
+
+
+def _verify_endoscopy(scn, seed, at):
+    ok, lines = _endoscopy_suite(seed)
+    return {"ok": ok}, lines
+
+
+def _selftest(scn, seed, at):
+    ok, lines = run_selftest(seed)
+    return {"ok": ok}, lines
+
+
+# op -> (handler, {request key: default}); REQUIRED marks a key that must be given
+_OPS = {
+    "classify": (_classify, {"parameter": REQUIRED}),
+    "multiplicity": (_multiplicity, {"parameter": REQUIRED, "target": "gspin5"}),
+    "membership": (_membership, {"parameter": REQUIRED, "target": "gspin5", "alpha": None}),
+    "restriction": (_restriction, {"shape": REQUIRED}),
+    "verify-endoscopy": (_verify_endoscopy, {}),
+    "selftest": (_selftest, {}),
+}
 
 
 def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
-    lines: list[str] = []
-    records: list[dict] = []
-    ok = True
-    for req in scn.requests:
+    lines, records = [], []
+    for i, req in enumerate(scn.requests):
         if not isinstance(req, dict):
             raise ScenarioError(f"request {req!r} is not an object")
         op = req.get("op")
-        if op == "classify":
-            fixture = _fixture(scn, req)
-            cls = classify(scn.group, fixture.parameter, fixture.root_number_minus)
-            eps = (
-                "sgn"
-                if not cls.automorphy_character.is_trivial_on(cls.component_group)
-                else "1"
-            )
-            s_elt = sorted(cls.sign_element.support())
-            lines.append(
-                f"classify[{fixture.name}]: type={cls.arthur_type.label}"
-                f" letter={cls.arthur_type.letter}"
-                f" component_rank={cls.component_rank} epsilon={eps}"
-                f" sign_element={s_elt if s_elt else '1'}"
-            )
-            records.append(
-                {
-                    "op": op,
-                    "parameter": fixture.name,
-                    "type": cls.arthur_type.label,
-                    "letter": cls.arthur_type.letter,
-                    "component_rank": cls.component_rank,
-                    "epsilon": eps,
-                    "sign_element": s_elt,
-                }
-            )
-        elif op == "multiplicity":
-            fixture = _fixture(scn, req)
-            target = _target(req)
-            # reject a psi outside the target's discrete set before reading its local data
-            require_membership(scn.group, fixture.parameter, target)
-            data = local_characters(fixture, component_group_table(fixture.parameter))
-            m = multiplicity(
-                scn.group,
-                fixture.parameter,
-                data,
-                target=target,
-                root_number_minus=fixture.root_number_minus,
-            )
-            lines.append(f"multiplicity[{fixture.name}]: {m}")
-            records.append({"op": op, "parameter": fixture.name, "multiplicity": m})
-        elif op == "membership":
-            fixture = _fixture(scn, req)
-            target = _target(req)
-            alpha = AlphaClass(req["alpha"]) if "alpha" in req else None
-            rep = psi_disc_membership(scn.group, fixture.parameter, target, alpha)
-            lines.append(
-                f"membership[{fixture.name}]: {'yes' if rep.ok else 'no'} ({rep.reason})"
-            )
-            records.append(
-                {"op": op, "parameter": fixture.name, "member": rep.ok, "reason": rep.reason}
-            )
-        elif op == "verify-endoscopy":
-            sub_lines, sub_ok = _verify_endoscopy_lines(seed)
-            lines.extend(sub_lines)
-            records.append({"op": op, "ok": sub_ok})
-            ok &= sub_ok
-        elif op == "restriction":
-            shape = req.get("shape")
-            catalog = shape_catalog()
-            if not isinstance(shape, str) or shape not in catalog:
-                raise ScenarioError(f"unknown restriction shape {shape!r}")
-            proj = project_parameter(catalog[shape])
-            report = restriction_count_identity(proj)
-            ok &= report.ok
-            parts = {
-                m.label or "packet": sorted(sorted(ch.rep) for ch in restrict_member(m, proj))
-                for m in packet_members(catalog[shape])
-            }
-            lines.append(report.message())
-            records.append(
-                {
-                    "op": op,
-                    "shape": shape,
-                    "ok": report.ok,
-                    "packet_sizes": list(report.packet_sizes),
-                    "dual_size": report.dual_size,
-                    "constituents": {k: [list(x) for x in v] for k, v in parts.items()},
-                }
-            )
-        elif op == "selftest":
-            sub_ok, sub_lines = run_selftest(seed)
-            lines.extend(sub_lines)
-            records.append({"op": op, "ok": sub_ok})
-            ok &= sub_ok
-        else:
-            raise ScenarioError(f"unknown request op {op!r}")
-    return lines, records, ok
+        handler, keys = lookup(_OPS, op, "unknown request op")
+        at = f"requests[{i}]"
+        _, *values = read(req, at, {"op": (str, REQUIRED), **{k: (object, d) for k, d in keys.items()}})
+        record, out = handler(scn, seed, at, *values)
+        records.append({"op": op, **record})
+        lines.extend(out)
+    return lines, records, all(rec.get("ok", True) for rec in records)
 
 
-def _fixture(scn, req):
-    name = req.get("parameter")
-    if not isinstance(name, str) or name not in scn.parameters:
-        raise ScenarioError(f"undeclared parameter {name!r}")
-    return scn.parameters[name]
-
-
-def _target(req):
-    name = req.get("target", "gspin5")
-    if not isinstance(name, str) or name not in _GROUP_NAMES:
-        raise ScenarioError(f"unknown target {name!r}")
-    return _GROUP_NAMES[name]
-
-
-def _verify_endoscopy_lines(seed: int) -> tuple[list[str], bool]:
-    lines = []
-    ok = True
-    for d in endoscopy.full_catalog():
-        report = endoscopy.verify_centralizer(d, seed=seed)
-        ok &= report.ok
-        lines.append(report.message())
-    diagrams = endoscopy.restriction_diagrams_commute(seed=seed, samples=20)
-    ok &= diagrams.ok
-    lines.append(diagrams.message())
-    return lines, ok
+def _endoscopy_suite(seed: int) -> tuple[bool, list[str]]:
+    reports = [endoscopy.verify_centralizer(d, seed=seed) for d in endoscopy.full_catalog()]
+    reports.append(endoscopy.restriction_diagrams_commute(seed=seed, samples=20))
+    return all(r.ok for r in reports), [r.message() for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +144,7 @@ def cmd_run(args) -> int:
         with open(args.scenario) as fh:
             scn = load_scenario(fh.read())
         lines, records, ok = _run_requests(scn, args.seed)
-    except ScenarioError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except FileNotFoundError as err:
+    except (ScenarioError, OSError, UnicodeDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ValueError as err:
@@ -231,13 +170,12 @@ def cmd_selftest(args) -> int:
 def cmd_factor_involution(args) -> int:
     try:
         with open(args.file) as fh:
-            doc = json.load(fh)
-        gram = parse_matrix(doc["gram"])
-        g = parse_matrix(doc["matrix"])
-        nu = parse_rational(doc["similitude"])
+            doc = parse_json(fh.read())
+        gram, g, nu = read(doc, "", {k: (object, REQUIRED) for k in ("gram", "matrix", "similitude")})
+        gram = parse_matrix(gram, "gram")
         space = QuadraticSpace(gram.rows, gram)
-        element = SimilitudeElement(space, g, nu)
-    except (KeyError, ValueError, json.JSONDecodeError, FileNotFoundError) as err:
+        element = SimilitudeElement(space, parse_matrix(g, "matrix"), parse_rational(nu, "similitude"))
+    except (ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
@@ -246,32 +184,20 @@ def cmd_factor_involution(args) -> int:
         print(f"unsupported: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     good = verify(element, pair)
-    print(json.dumps(
-        {
-            "x": _matrix_json(pair.x),
-            "y": _matrix_json(pair.y),
-            "verified": good,
-        },
-        indent=2,
-        sort_keys=True,
-    ))
+    payload = {"x": _matrix_json(pair.x), "y": _matrix_json(pair.y), "verified": good}
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if good else EXIT_CHECK_FAILED
 
 
 def cmd_verify_endoscopy(args) -> int:
-    lines, ok = _verify_endoscopy_lines(seed=args.seed)
+    ok, lines = _endoscopy_suite(args.seed)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_enumerate_weyl(args) -> int:
-    try:
-        group = _GROUP_NAMES[args.group]
-    except KeyError:
-        print(f"input error: unknown group {args.group!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    for levi in enumerate_levis(group):
+    for levi in enumerate_levis(_GROUP_NAMES[args.group]):  # argparse checked the name
         elements = enumerate_weyl_elements(levi)
         regular = [w for w in elements if is_regular(w)]
         factors = sorted(str(det_factor(w)) for w in regular)

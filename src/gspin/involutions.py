@@ -57,8 +57,8 @@ class SimilitudeElement:
     def __post_init__(self):
         object.__setattr__(self, "nu", frac(self.nu))
         got = self.space.similitude_factor(self.g)
-        if got != self.nu:
-            raise ValueError("matrix is not a similitude with the stated factor")
+        if got != self.nu or got == 0:
+            raise ValueError("matrix is not an invertible similitude with the stated factor")
         n = self.space.dim // 2
         if self.g.det() != self.nu**n:
             raise ValueError("not in the special similitude group: det != nu^n")
@@ -350,7 +350,6 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple])
     with the reversing involution q(g) v -> q(g^-1) v on each piece."""
     out = []
     current = span_basis(subspace)
-    g_inv = g.inverse()
     while current:
         found = None
         for cand in _cyclic_candidates(current, seed=len(current)):
@@ -367,10 +366,8 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple])
         if found is None:
             raise FactorizationUnsupportedError("no nondegenerate cyclic piece found")
         m = len(found)
-        try:
-            g_inv_res = restrict_to(g_inv, found)
-        except ValueError:
-            raise FactorizationUnsupportedError("cyclic piece is not inverse-stable") from None
+        # the piece is g-stable, so g^-1 on it is the inverse of g on it
+        g_inv_res = restrict_to(g, found).inverse()
         # column k: the coordinates of g^-k found[0]
         coords = [(ONE,) + (ZERO,) * (m - 1)]
         for _ in range(m - 1):

@@ -313,6 +313,7 @@ class CountReport:
     ok: bool
     packet_sizes: tuple[int, ...]
     dual_size: int
+    constituents: tuple[tuple[str, frozenset], ...]  # (member label or "packet", its restriction)
 
     def message(self) -> str:
         s = "+".join(str(k) for k in self.packet_sizes) or "0"
@@ -339,6 +340,7 @@ def restriction_count_identity(proj: ProjectedParameter) -> CountReport:
         ok=ok,
         packet_sizes=tuple(len(p) for p in parts),
         dual_size=len(all_chars),
+        constituents=tuple((m.label or "packet", p) for m, p in zip(members, parts)),
     )
 
 
