@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Factoring similitude-orthogonal elements into two involutions.
 
-Every g in GSO(V, q) with a square similitude factor is written as g = x y
-with x an isometry involution of determinant (-1)^n and y a similitude
-squaring to its own factor.  The unipotent machinery exposes the underlying
-string decomposition with its symmetric/alternating multiplicity pairings.
+Every g in GSO(V, q) of dimension 2, 4, 6 or 8, whatever its similitude
+factor, square or not, is written as g = x y with x an isometry involution of
+determinant (-1)^n and y a similitude squaring to its own factor.  This walk
+uses square factors; the unipotent machinery exposes the underlying string
+decomposition with its symmetric/alternating multiplicity pairings.
 """
 
 import random

@@ -22,7 +22,7 @@ from . import __version__
 from .dualgroups import GL4_GL1, GSPIN5, SP4_GL1, gspin_even_tag
 from .exactlin import ExactMatrix, QuadraticSpace
 from . import endoscopy
-from .params import classify, component_group_table, multiplicity, psi_disc_membership
+from .params import classify, component_group_table, membership_report, multiplicity
 from .params import require_membership
 from .restriction import project_parameter, restriction_count_identity, shape_catalog
 from .scenario import REQUIRED, ScenarioError, load_scenario, local_characters, lookup, read
@@ -79,7 +79,7 @@ def _membership(scn, seed, at, name, target, alpha):
     target = lookup(_GROUP_NAMES, target, "unknown target")
     if alpha is not None:
         alpha = lookup(scn.classes, alpha, "undeclared class", f"{at}.alpha")
-    rep = psi_disc_membership(scn.group, fixture.parameter, target, alpha)
+    rep = membership_report(scn.group, fixture.parameter, target, alpha)
     rec = {"parameter": fixture.name, "member": rep.ok, "reason": rep.reason}
     return rec, [f"membership[{fixture.name}]: {'yes' if rep.ok else 'no'} ({rep.reason})"]
 

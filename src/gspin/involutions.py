@@ -1,21 +1,31 @@
 """Factoring similitude-orthogonal elements into two involutions.
 
 Given g in GSO(V, q) over the rationals, produce x, y with g = x y, x an
-isometry involution of determinant (-1)^n (2n = dim V), and y a similitude
-with y^2 = nu(y).  The construction normalizes a square similitude factor
-away, splits V into the generalized eigenspaces for +-1 and their orthogonal
-complement, and builds a reversing isometry involution piece by piece:
+isometry involution of determinant (-1)^n (2n = dim V), and y = x g a
+similitude with y^2 = nu(y), that is x g x = nu g^{-1}.  One construction
+builds such an x for every similitude factor nu in dimensions 2, 4, 6 and 8,
+piece by piece over an orthogonal splitting of V:
 
-- on a nondegenerate cyclic piece, q(g) v -> q(g^{-1}) v is such an involution;
-  its matrix comes from one restriction of g^{-1} to the piece;
-- unipotent parts are decomposed into orthogonal strings: odd strings are
-  cyclic, while even strings pair off isotropically and carry the explicit
-  sign-involution of the string-tensor model with similitude -1 witnesses;
-  where g is exactly +-1 every string is a line, so the part is one
-  anisotropic line and its orthocomplement, with the identity on both.
+- for a square nu, the generalized eigenspaces of g for +-sqrt(nu) are split
+  off and g / sqrt(nu) on them is +-unipotent.  Unipotent parts are
+  decomposed into orthogonal strings: odd strings are cyclic, while even
+  strings pair off isotropically and carry the explicit sign-involution of
+  the string-tensor model with similitude -1 witnesses.  Where g / sqrt(nu)
+  is exactly +-1 every string is a line, so the part is one anisotropic line
+  and its orthocomplement, with the identity on both;
+- the rest (all of V for a non-square nu) splits into nondegenerate cyclic
+  pieces, with the twisted reversal q(g) v -> q(nu g^{-1}) v on each; its
+  matrix comes from one restriction of g to the piece;
+- where no cyclic piece is nondegenerate (the factor t^2 - nu with Jordan
+  blocks), two cyclic spaces Z(v) + Z(w) are glued: w is replaced by p(g) w
+  so that the cross moments mu_m = B(v, g^m w) satisfy mu_m = eps nu^m mu_-m,
+  and x is the twisted reversal on Z(v) and eps times it on Z(w), the
+  counterpart of the even string pairs.
 
 Determinant parity is corrected by negating one odd-dimensional piece, the
-same replacement the inductive argument uses.
+same replacement the inductive argument uses.  An input is refused with
+FactorizationUnsupportedError only in another dimension, where no cyclic piece
+or pair of them is nondegenerate, or where no odd piece can fix the parity.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from .exactlin import (
     frac,
     is_rational_square,
     kernel,
-    matrix_equation_kernel,
     matrix_log_unipotent,
     pairing_matrix,
     rank,
@@ -345,13 +354,69 @@ def _cyclic_candidates(basis: list[tuple], seed: int):
             yield cand
 
 
-def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple]) -> list[_Piece]:
-    """Orthogonal cyclic decomposition of the part without +-1 eigenvalues,
-    with the reversing involution q(g) v -> q(g^-1) v on each piece."""
+def _twisted_piece(g: ExactMatrix, nu: Fraction, chains: list[list[tuple]], signs: Sequence[int]) -> _Piece:
+    """The reversal q(g) v -> sign q(nu g^-1) v on the sum of the cyclic
+    spaces spanned by the chains v, g v, ..., g^(m-1) v."""
+    basis = [u for chain in chains for u in chain]
+    # the sum is g-stable, so nu g^-1 on it is nu times the inverse of g on it
+    twist = restrict_to(g, basis).inverse().scale(nu)
+    columns, start = [], 0
+    for chain, sign in zip(chains, signs):
+        # column k: the coordinates of sign (nu g^-1)^k v
+        col = tuple(frac(sign) if i == start else ZERO for i in range(len(basis)))
+        for _ in chain:
+            columns.append(col)
+            col = twist.apply(col)
+        start += len(chain)
+    return _Piece(basis, ExactMatrix.from_columns(columns), flippable=len(basis) % 2 == 1)
+
+
+def _paired_piece(
+    space: QuadraticSpace, g: ExactMatrix, nu: Fraction, krylovs: list[tuple[list, list]]
+) -> _Piece | None:
+    """A nondegenerate Z(v) + Z(w') for two longest chains, with w' = p(g) w
+    chosen so that the cross moments mu_m = B(v, g^m w') satisfy
+    mu_m = eps nu^m mu_-m; then the twisted reversal on Z(v) and eps times it
+    on Z(w') is an isometry.  None when no pair gives one."""
+    top = max(len(chain) for chain, _ in krylovs)
+    longest = [(chain, krylov) for chain, krylov in krylovs if len(chain) == top]
+    for i, (cv, kv) in enumerate(longest):
+        for cw, kw in longest[i + 1 :]:
+            # independent chains: Z(v) + Z(w) is direct, and the moments
+            # below need g^k w only for k <= 2 top - 2 < len(kw)
+            if rank(ExactMatrix(cv + cw)) < 2 * top:
+                continue
+
+            def moment(k):  # B(v, g^k w), also for negative k
+                if k >= 0:
+                    return space.bilinear(kv[0], kw[k])
+                return nu**k * space.bilinear(kv[-k], kw[0])
+
+            for eps in (1, -1):
+                rows = [[moment(m + j) - eps * nu**m * moment(j - m) for j in range(top)]
+                        for m in range(top)]
+                solutions = kernel(ExactMatrix(rows))
+                for p in _cyclic_candidates(solutions, seed=top) if solutions else ():
+                    chain = [_in_ambient(cw, [p])[0]]
+                    for _ in range(top - 1):
+                        chain.append(g.apply(chain[-1]))
+                    if pairing_matrix(space.gram, cv + chain, cv + chain).det() == 0:
+                        continue
+                    # the reversal is well defined on Z(v) and Z(w') when their
+                    # minimal polynomials are self-dual, as they are for longest
+                    # chains; factor verifies the whole pair
+                    return _twisted_piece(g, nu, [cv, chain], [1, eps])
+    return None
+
+
+def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, nu: Fraction, subspace: list[tuple]) -> list[_Piece]:
+    """Orthogonal decomposition of a g-stable nondegenerate subspace into
+    nondegenerate cyclic pieces, with the reversal q(g) v -> q(nu g^-1) v on
+    each, or into paired pieces where no cyclic piece is nondegenerate."""
     out = []
     current = span_basis(subspace)
     while current:
-        found = None
+        krylovs = []
         for cand in _cyclic_candidates(current, seed=len(current)):
             # the span of current is g-invariant, so the cyclic subspace of
             # cand has dimension m <= len(current), and cand, ..., g^(m-1) cand
@@ -361,28 +426,26 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple])
                 krylov.append(g.apply(krylov[-1]))
             chain = krylov[: rank(ExactMatrix(krylov))]
             if pairing_matrix(space.gram, chain, chain).det() != 0:
-                found = chain
+                piece = _twisted_piece(g, nu, [chain], [1])
                 break
-        if found is None:
-            raise FactorizationUnsupportedError("no nondegenerate cyclic piece found")
-        m = len(found)
-        # the piece is g-stable, so g^-1 on it is the inverse of g on it
-        g_inv_res = restrict_to(g, found).inverse()
-        # column k: the coordinates of g^-k found[0]
-        coords = [(ONE,) + (ZERO,) * (m - 1)]
-        for _ in range(m - 1):
-            coords.append(g_inv_res.apply(coords[-1]))
-        x_res = ExactMatrix.from_columns(coords)
-        out.append(_Piece(found, x_res, flippable=m % 2 == 1))
-        current = span_basis(_orthocomplement_in(space, current, found))
+            krylovs.append((chain, krylov))
+        else:
+            piece = _paired_piece(space, g, nu, krylovs)
+            if piece is None:
+                raise FactorizationUnsupportedError(
+                    f"no nondegenerate cyclic piece or pair in the remaining dimension {len(current)}"
+                )
+        out.append(piece)
+        current = span_basis(_orthocomplement_in(space, current, piece.basis))
     return out
 
 
 def _stable_kernel(m: ExactMatrix) -> list[tuple]:
-    """Kernel of a stabilized power of m (the generalized kernel)."""
+    """Kernel of a stabilized power of m (the generalized kernel); an
+    invertible m has none, so an empty kernel returns at once."""
     power = m
     prev = kernel(power)
-    while len(prev) < m.rows:
+    while prev and len(prev) < m.rows:
         power = power * m
         nxt = kernel(power)
         if len(nxt) == len(prev):
@@ -391,30 +454,29 @@ def _stable_kernel(m: ExactMatrix) -> list[tuple]:
     return prev
 
 
-def _reversing_involution(space: QuadraticSpace, g0: ExactMatrix) -> ExactMatrix:
-    """x with x^2 = 1, x in O(q), x g0 x = g0^{-1}, det x = (-1)^n."""
+def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -> ExactMatrix:
+    """x with x^2 = 1, x in O(q), x g x = nu g^{-1}, det x = (-1)^n."""
     dim = space.dim
     n = dim // 2
     ident = ExactMatrix.identity(dim)
-    plus_basis = _stable_kernel(g0 - ident)
-    minus_basis = _stable_kernel(g0 + ident)
-    split = plus_basis + minus_basis
-    # the orthocomplement of the +-1 parts: the kernel of the rows t(v) gram
-    rest = kernel(ExactMatrix(split) * space.gram) if split else _standard_basis(dim)
-
+    square, root = is_rational_square(nu)
     pieces: list[_Piece] = []
-    for sign, part in ((1, plus_basis), (-1, minus_basis)):
+    split: list[tuple] = []
+    # the generalized eigenspaces for +-sqrt(nu), where g / sqrt(nu) is +-unipotent
+    for r in (root, -root) if square else ():
+        part = _stable_kernel(g - ident.scale(r))
         if not part:
             continue
+        split += part
         # restrict to the invariant subspace with its own coordinates
-        sub_gram = pairing_matrix(space.gram, part, part)
-        sub_space = QuadraticSpace(len(part), sub_gram)
-        g_res = restrict_to(g0, part)
-        u = g_res if sign == 1 else -g_res
+        sub_space = QuadraticSpace(len(part), pairing_matrix(space.gram, part, part))
+        u = restrict_to(g, part).scale(ONE / r)
         for p in _unipotent_pieces(sub_space, u):
             pieces.append(_Piece(_in_ambient(part, p.basis), p.x_restricted, p.flippable))
+    # the orthocomplement of those parts: the kernel of the rows t(v) gram
+    rest = kernel(ExactMatrix(split) * space.gram) if split else _standard_basis(dim)
     if rest:
-        pieces.extend(_cyclic_pieces(space, g0, rest))
+        pieces.extend(_cyclic_pieces(space, g, nu, rest))
 
     # assemble and fix the determinant parity
     det_total = ONE
@@ -442,108 +504,11 @@ def _reversing_involution(space: QuadraticSpace, g0: ExactMatrix) -> ExactMatrix
 
 def factor(e: SimilitudeElement) -> InvolutionPair:
     """Factor g = x y with x an isometry involution of determinant (-1)^n and
-    y a similitude with y^2 = nu(y); exact, verified before returning."""
-    space, g = e.space, e.g
-    dim = space.dim
-    if dim not in (2, 4, 6, 8):
-        raise FactorizationUnsupportedError(f"dimension {dim} not supported")
-    if dim == 2:
-        pair = _factor_dim2(e)
-        if not verify(e, pair):
-            raise AssertionError("dimension-two factorization failed verification")
-        return pair
-    square, root = is_rational_square(e.nu)
-    if not square:
-        pair = _search_reversing_involution(e)
-        if pair is None:
-            raise FactorizationUnsupportedError(
-                "similitude factor is not a rational square and no reversing"
-                " involution was found by the direct search"
-            )
-        if not verify(e, pair):
-            raise AssertionError("searched factorization failed verification")
-        return pair
-    g0 = g.scale(ONE / root)
-    x = _reversing_involution(space, g0)
-    y = (x * g0).scale(root)
-    pair = InvolutionPair(x, y)
+    y = x g a similitude with y^2 = nu(y); exact, verified before returning."""
+    if e.space.dim not in (2, 4, 6, 8):
+        raise FactorizationUnsupportedError(f"dimension {e.space.dim} not supported")
+    x = _reversing_involution(e.space, e.g, e.nu)
+    pair = InvolutionPair(x, x * e.g)
     if not verify(e, pair):
         raise AssertionError("factorization failed verification")
     return pair
-
-
-def _search_reversing_involution(e: SimilitudeElement) -> InvolutionPair | None:
-    """Direct search used when the similitude factor is not a square.
-
-    Any x with x g = nu g^{-1} x, self-adjoint for the form and squaring to
-    one gives y = x g with y^2 = nu; the first two conditions are linear, so
-    candidates are small combinations of a kernel basis, rescaled when their
-    square is a positive square scalar."""
-    space, g, nu = e.space, e.g, e.nu
-    n2 = space.dim
-    gram = space.gram
-    ident = ExactMatrix.identity(n2)
-    basis = matrix_equation_kernel(
-        [
-            [(gram, "X", ident), (-ident, "Xt", gram)],  # gram x = t(x) gram
-            [(ident, "X", g), (-g.inverse().scale(nu), "X", ident)],  # x g = nu g^-1 x
-        ]
-    )
-
-    def candidates():
-        import itertools
-
-        for b in basis:
-            yield b
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                yield basis[i] + basis[j]
-                yield basis[i] - basis[j]
-        if len(basis) <= 6:
-            zero = ExactMatrix.zeros(n2, n2)
-            for coeffs in itertools.product((0, 1, -1), repeat=len(basis)):
-                if sum(c != 0 for c in coeffs) < 3:
-                    continue
-                m = zero
-                for c, b in zip(coeffs, basis):
-                    if c:
-                        m = m + (b if c == 1 else -b)
-                yield m
-
-    wanted_det = Fraction(-1) ** (n2 // 2)
-    for cand in candidates():
-        # most candidates fail already on the first row of their square
-        first_row = cand.transpose().apply(cand.row(0))
-        s = first_row[0]
-        if s == 0 or any(first_row[1:]):
-            continue
-        if cand * cand != ident.scale(s):
-            continue
-        ok, r = is_rational_square(s)
-        if not ok:
-            continue
-        x = cand.scale(ONE / r)
-        if x.det() != wanted_det:
-            continue
-        if x.transpose() * gram * x != gram:
-            continue
-        return InvolutionPair(x, x * g)
-    return None
-
-
-def _factor_dim2(e: SimilitudeElement) -> InvolutionPair:
-    """Any reflection works in rank one: x r is a trace-zero similitude."""
-    space = e.space
-    for cand in (
-        (ONE, ZERO),
-        (ZERO, ONE),
-        (ONE, ONE),
-        (ONE, -ONE),
-        (ONE, frac(2)),
-    ):
-        if space.bilinear(cand, cand) != 0:
-            x = space.reflection(cand)
-            y = x * e.g
-            if y * y == ExactMatrix.identity(2).scale(e.nu):
-                return InvolutionPair(x, y)
-    raise FactorizationUnsupportedError("no usable reflection in dimension two")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +173,29 @@ def test_multiplicity_rejects_non_discrete_parameter(tmp_path, capsys, local, ta
     assert captured.err == "computation error: not a discrete parameter: not discrete: repeated summand\n"
 
 
+DEMO_SCENARIO = Path(__file__).resolve().parents[1] / "demos" / "scenario_saito_kurokawa.json"
+
+
+def test_membership_of_a_parameter_of_the_wrong_size_is_a_no(tmp_path, capsys):
+    # psi_sk has size 4 and sp4 needs 5: membership answers no, and
+    # multiplicity rejects the parameter as not discrete
+    doc = json.loads(DEMO_SCENARIO.read_text())
+    membership = next(r for r in doc["requests"] if r["op"] == "membership")
+    membership["target"] = "sp4"
+    code = main(["run", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "membership[psi_sk]: no (parameter has size 4, target needs 5)\n" in captured.out
+    assert captured.err == ""
+
+    doc["requests"] = [{"op": "multiplicity", "parameter": "psi_sk", "target": "sp4"}]
+    code = main(["run", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "computation error: not a discrete parameter: parameter has size 4, target needs 5\n"
+
+
 def test_parse_error_is_position_annotated(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{ nope }")
@@ -252,6 +276,20 @@ def test_factor_involution_nonsquare_similitude(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["verified"] is True
+
+
+def test_factor_involution_nonsquare_similitude_dim6(tmp_path, capsys):
+    # diag(1, 1, 1, 2, 2, 2) has nu = 2 on the antidiagonal 6-form
+    n = 6
+    anti = [["1" if j == n - 1 - i else "0" for j in range(n)] for i in range(n)]
+    diag = [[("1" if i < 3 else "2") if j == i else "0" for j in range(n)] for i in range(n)]
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps({"gram": anti, "matrix": diag, "similitude": "2"}))
+    code = main(["factor-involution", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["verified"] is True
+    assert captured.err == ""
 
 
 def test_factor_involution_unsupported_dimension(tmp_path, capsys):

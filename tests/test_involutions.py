@@ -132,12 +132,16 @@ def test_nonsquare_similitude_dim4_via_direct_search():
         assert verify(e, factor(e))
 
 
-def test_direct_search_returns_the_recorded_pair():
-    # the search keeps its candidate order, so it accepts the same x; the
-    # expected pairs were recorded with the Fraction-entry implementation
+def test_twisted_reversal_returns_the_recorded_pair():
+    # two nu = 3 elements, factored by the twisted reversal q(g) v -> q(3 g^-1) v
+    # on nondegenerate cyclic pieces; the dim-4 pair is the one the deleted
+    # sign-vector search returned, and the dim-8 g already squares to 3, so
+    # the reversal is the identity on it
     space4 = SPACES[4][0]
     g4 = ExactMatrix([[-2, -1, 0, 0], [-1, -2, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]])
-    pair = factor(SimilitudeElement(space4, g4, 3))
+    e4 = SimilitudeElement(space4, g4, 3)
+    pair = factor(e4)
+    assert verify(e4, pair)
     assert pair.x == ExactMatrix.diagonal([1, -1, -1, 1])
     assert pair.y == ExactMatrix([[-2, -1, 0, 0], [1, 2, 0, 0], [0, 0, 2, -1], [0, 0, 1, -2]])
 
@@ -145,32 +149,11 @@ def test_direct_search_returns_the_recorded_pair():
     a = [[1, 1, 0, 0], [2, -1, 0, 0], [0, 0, -1, 2], [0, 0, 1, 1]]
     d = [[1, 2, 0, 0], [1, -1, 0, 0], [0, 0, -1, 1], [0, 0, 2, 1]]  # J tA J
     g8 = ExactMatrix.block_diagonal([ExactMatrix(a), ExactMatrix(d)])
-    pair = factor(SimilitudeElement(space8, g8, 3))
-    half = Fraction(1, 2)
-    assert pair.x == ExactMatrix(
-        [
-            [0, 0, 0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 2, 0, 0],
-            [0, 0, 0, 0, 0, 0, 2, 0],
-            [0, 0, 0, 0, 0, 0, 0, 1],
-            [1, 0, 0, 0, 0, 0, 0, 0],
-            [0, half, 0, 0, 0, 0, 0, 0],
-            [0, 0, half, 0, 0, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0, 0, 0],
-        ]
-    )
-    assert pair.y == ExactMatrix(
-        [
-            [0, 0, 0, 0, 1, 2, 0, 0],
-            [0, 0, 0, 0, 2, -2, 0, 0],
-            [0, 0, 0, 0, 0, 0, -2, 2],
-            [0, 0, 0, 0, 0, 0, 2, 1],
-            [1, 1, 0, 0, 0, 0, 0, 0],
-            [1, -half, 0, 0, 0, 0, 0, 0],
-            [0, 0, -half, 1, 0, 0, 0, 0],
-            [0, 0, 1, 1, 0, 0, 0, 0],
-        ]
-    )
+    e8 = SimilitudeElement(space8, g8, 3)
+    pair = factor(e8)
+    assert verify(e8, pair)
+    assert pair.x == ExactMatrix.identity(8)
+    assert pair.y == g8
 
 
 def test_unsupported_dimension_reported():
