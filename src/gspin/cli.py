@@ -22,7 +22,7 @@ from . import __version__
 from .dualgroups import GL4_GL1, GSPIN5, SP4_GL1, gspin_even_tag
 from .exactlin import ExactMatrix, QuadraticSpace
 from . import endoscopy
-from .params import classify, component_group_table, membership_report, multiplicity
+from .params import classify, component_group_table, multiplicity, psi_disc_membership
 from .params import require_membership
 from .restriction import project_parameter, restriction_count_identity, shape_catalog
 from .scenario import REQUIRED, ScenarioError, load_scenario, local_characters, lookup, read
@@ -76,10 +76,12 @@ def _multiplicity(scn, seed, at, name, target):
 
 def _membership(scn, seed, at, name, target, alpha):
     fixture = lookup(scn.parameters, name, "undeclared parameter")
-    target = lookup(_GROUP_NAMES, target, "unknown target")
+    tag = lookup(_GROUP_NAMES, target, "unknown target")
     if alpha is not None:
         alpha = lookup(scn.classes, alpha, "undeclared class", f"{at}.alpha")
-    rep = membership_report(scn.group, fixture.parameter, target, alpha)
+        if tag.family != "gspin_even":
+            raise ScenarioError(f"{at}.alpha: target {target!r} reads no square class")
+    rep = psi_disc_membership(scn.group, fixture.parameter, tag, alpha)
     rec = {"parameter": fixture.name, "member": rep.ok, "reason": rep.reason}
     return rec, [f"membership[{fixture.name}]: {'yes' if rep.ok else 'no'} ({rep.reason})"]
 

@@ -425,6 +425,21 @@ def kernel(m: ExactMatrix) -> list[tuple]:
     return basis
 
 
+def generalized_kernel(m: ExactMatrix) -> list[tuple]:
+    """Basis of the generalized kernel of a square m: the kernel of the power
+    of m at which the kernels stop growing, so an invertible m returns after
+    one kernel.  It is the basis ``kernel(m ** m.rows)`` gives, since a kernel
+    basis depends on the subspace alone."""
+    power, prev = m, kernel(m)
+    while prev and len(prev) < m.rows:
+        power = power * m
+        nxt = kernel(power)
+        if len(nxt) == len(prev):
+            break
+        prev = nxt
+    return prev
+
+
 def solve(a: ExactMatrix, b: Sequence) -> tuple | None:
     """One solution of a x = b, or None if inconsistent."""
     bnum, bden = _over_one_denominator(b)
@@ -697,9 +712,7 @@ def rational_eigensplit(g: ExactMatrix) -> tuple[list[tuple[Fraction, list[tuple
     parts = []
     remaining = list(cp)
     for lam in sorted(rational_roots(cp)):
-        shifted = g - ExactMatrix.identity(n).scale(lam)
-        basis = kernel(shifted ** n)
-        parts.append((lam, basis))
+        parts.append((lam, generalized_kernel(g - ExactMatrix.identity(n).scale(lam))))
         while True:
             quot, rem = poly_divmod(remaining, [-lam, ONE])
             if rem:

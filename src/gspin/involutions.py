@@ -3,29 +3,33 @@
 Given g in GSO(V, q) over the rationals, produce x, y with g = x y, x an
 isometry involution of determinant (-1)^n (2n = dim V), and y = x g a
 similitude with y^2 = nu(y), that is x g x = nu g^{-1}.  One construction
-builds such an x for every similitude factor nu in dimensions 2, 4, 6 and 8,
-piece by piece over an orthogonal splitting of V:
+builds such an x for every similitude factor nu in dimensions 2, 4, 6 and 8.
+
+V splits orthogonally into pieces, and a piece is nothing but chains
+v, g v, ..., g^(m-1) v with one sign each: x is the twisted reversal
+g^k v -> sign (nu g^-1)^k v on every chain.  It is assembled once for the
+whole space, as the matrix of the images times the inverse of the matrix of
+the chains.  The pieces:
 
 - for a square nu, the generalized eigenspaces of g for +-sqrt(nu) are split
   off and g / sqrt(nu) on them is +-unipotent.  Unipotent parts are
-  decomposed into orthogonal strings: odd strings are cyclic, while even
-  strings pair off isotropically and carry the explicit sign-involution of
-  the string-tensor model with similitude -1 witnesses.  Where g / sqrt(nu)
-  is exactly +-1 every string is a line, so the part is one anisotropic line
-  and its orthocomplement, with the identity on both;
+  decomposed into orthogonal strings: an odd string is one chain, and an
+  isotropic pair of even strings is two chains with signs 1 and -1.  Where
+  g / sqrt(nu) is exactly +-1, every vector of a basis is a chain of its own,
+  an anisotropic line first;
 - the rest (all of V for a non-square nu) splits into nondegenerate cyclic
-  pieces, with the twisted reversal q(g) v -> q(nu g^{-1}) v on each; its
-  matrix comes from one restriction of g to the piece;
+  pieces, one chain each;
 - where no cyclic piece is nondegenerate (the factor t^2 - nu with Jordan
   blocks), two cyclic spaces Z(v) + Z(w) are glued: w is replaced by p(g) w
   so that the cross moments mu_m = B(v, g^m w) satisfy mu_m = eps nu^m mu_-m,
-  and x is the twisted reversal on Z(v) and eps times it on Z(w), the
-  counterpart of the even string pairs.
+  and the piece is the two chains with signs 1 and eps, the counterpart of
+  the even string pairs.
 
-Determinant parity is corrected by negating one odd-dimensional piece, the
-same replacement the inductive argument uses.  An input is refused with
-FactorizationUnsupportedError only in another dimension, where no cyclic piece
-or pair of them is nondegenerate, or where no odd piece can fix the parity.
+The determinant parity is read off the trace and corrected by negating the
+first odd-dimensional piece, the same replacement the inductive argument
+uses.  An input is refused with FactorizationUnsupportedError only in another
+dimension, where no cyclic piece or pair of them is nondegenerate, or where
+no odd piece can fix the parity.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .exactlin import (
     ExactMatrix,
     QuadraticSpace,
     frac,
+    generalized_kernel,
     is_rational_square,
     kernel,
     matrix_log_unipotent,
@@ -129,26 +134,12 @@ class StringPiece:
     d: int
     generators: tuple[tuple, ...]  # (v,) for odd, (v, w) for a pair
 
-    @property
-    def paired(self) -> bool:
-        return len(self.generators) == 2
 
-
-def _nilpotency_index_on(n_mat: ExactMatrix, basis: Sequence[tuple]) -> int:
-    d = 0
-    current = list(basis)
-    while any(any(c != 0 for c in v) for v in current):
-        current = [n_mat.apply(v) for v in current]
-        d += 1
-        if d > n_mat.rows:
-            raise ValueError("operator is not nilpotent")
-    return d
-
-
-def _string(n_mat: ExactMatrix, v: tuple, d: int) -> list[tuple]:
+def _string(m: ExactMatrix, v: tuple, d: int) -> list[tuple]:
+    """The Krylov chain v, m v, ..., m^(d-1) v."""
     out = [v]
     for _ in range(d - 1):
-        out.append(n_mat.apply(out[-1]))
+        out.append(m.apply(out[-1]))
     return out
 
 
@@ -161,31 +152,30 @@ def orthogonal_string_decomposition(
     check = n_mat.transpose() * space.gram + space.gram * n_mat
     if not check.is_zero():
         raise ValueError("operator is not skew-adjoint for the form")
-    basis = _standard_basis(space.dim)
+    # N^0, N^1, ... up to the first zero power: every moment and shift below
+    # reads one of them
+    powers = [ExactMatrix.identity(space.dim)]
+    while not powers[-1].is_zero():
+        if len(powers) > space.dim:
+            raise ValueError("operator is not nilpotent")
+        powers.append(powers[-1] * n_mat)
     pieces: list[StringPiece] = []
 
-    def moment(u, w, k):
-        vec = w
-        for _ in range(k):
-            vec = n_mat.apply(vec)
-        return space.bilinear(u, vec)
+    def moment(u, w, k):  # B(u, N^k w)
+        return space.bilinear(u, powers[k].apply(w))
 
-    current = basis
+    current = _standard_basis(space.dim)
     while current:
-        d = _nilpotency_index_on(n_mat, current)
-        if d == 0:
-            break
+        # the nilpotency index of N on span(current)
+        span = ExactMatrix.from_columns(current)
+        d = next(k for k, power in enumerate(powers) if (power * span).is_zero())
         top = lambda u, w: moment(u, w, d - 1)
         if d % 2 == 1:
             v = _find_anisotropic_top(current, top)
             # kill the intermediate even moments from the bottom up
             for j in range(1, (d - 1) // 2 + 1):
-                k0 = d - 1 - 2 * j
-                t = -moment(v, v, k0) / (2 * moment(v, v, d - 1))
-                shift = v
-                for _ in range(2 * j):
-                    shift = n_mat.apply(shift)
-                v = vec_add(v, vec_scale(t, shift))
+                t = -moment(v, v, d - 1 - 2 * j) / (2 * top(v, v))
+                v = vec_add(v, vec_scale(t, powers[2 * j].apply(v)))
             piece = StringPiece(d, (v,))
             strings = _string(n_mat, v, d)
         else:
@@ -193,27 +183,13 @@ def orthogonal_string_decomposition(
             w = vec_scale(ONE / top(v, w), w)
             # make the v-string isotropic
             for k in range(d - 2, -1, -2):
-                a = d - 1 - k
-                s = -moment(v, v, k) / 2
-                shift = w
-                for _ in range(a):
-                    shift = n_mat.apply(shift)
-                v = vec_add(v, vec_scale(s, shift))
+                v = vec_add(v, vec_scale(-moment(v, v, k) / 2, powers[d - 1 - k].apply(w)))
             # normalize the cross pairings to the antidiagonal
             for j in range(d - 2, -1, -1):
-                r = -moment(v, w, j)
-                shift = w
-                for _ in range(d - 1 - j):
-                    shift = n_mat.apply(shift)
-                w = vec_add(w, vec_scale(r, shift))
+                w = vec_add(w, vec_scale(-moment(v, w, j), powers[d - 1 - j].apply(w)))
             # make the w-string isotropic (does not disturb the cross pairing)
             for k in range(d - 2, -1, -2):
-                a = d - 1 - k
-                t = moment(w, w, k) / 2
-                shift = v
-                for _ in range(a):
-                    shift = n_mat.apply(shift)
-                w = vec_add(w, vec_scale(t, shift))
+                w = vec_add(w, vec_scale(moment(w, w, k) / 2, powers[d - 1 - k].apply(v)))
             piece = StringPiece(d, (v, w))
             strings = _string(n_mat, v, d) + _string(n_mat, w, d)
         pieces.append(piece)
@@ -223,14 +199,11 @@ def orthogonal_string_decomposition(
 
 
 def _find_anisotropic_top(basis, top):
-    for u in basis:
-        if top(u, u) != 0:
-            return u
-    for i, u in enumerate(basis):
-        for w in basis[i + 1 :]:
-            cand = vec_add(u, w)
-            if top(cand, cand) != 0:
-                return cand
+    # where every basis vector is isotropic for the symmetric top, u + w and
+    # u - w are anisotropic together, and u + w is drawn first
+    for cand in _cyclic_candidates(basis, seed=len(basis)):
+        if top(cand, cand) != 0:
+            return cand
     raise FactorizationUnsupportedError("no anisotropic vector at the top level")
 
 
@@ -266,17 +239,8 @@ def unipotent_sl2_decompose(space: QuadraticSpace, u: ExactMatrix) -> list[Sl2Bl
         by_d.setdefault(p.d, []).append(p)
     out = []
     for d in sorted(by_d):
-        gens: list[tuple] = []
-        for p in by_d[d]:
-            gens.extend(p.generators)
-
-        def top_pair(a, b):
-            vec = b
-            for _ in range(d - 1):
-                vec = n_mat.apply(vec)
-            return space.bilinear(a, vec)
-
-        pairing = ExactMatrix([[top_pair(a, b) for b in gens] for a in gens])
+        gens = [v for p in by_d[d] for v in p.generators]
+        pairing = pairing_matrix(space.gram * n_mat ** (d - 1), gens, gens)  # B(a, N^(d-1) b)
         kind = "symmetric" if d % 2 == 1 else "alternating"
         if kind == "symmetric" and not pairing.is_symmetric():
             raise AssertionError("odd blocks must induce a symmetric pairing")
@@ -295,46 +259,32 @@ def unipotent_sl2_decompose(space: QuadraticSpace, u: ExactMatrix) -> list[Sl2Bl
 # reversing involutions piece by piece
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Piece:
-    basis: list[tuple]          # ambient vectors
-    x_restricted: ExactMatrix   # reversing involution in basis coordinates
-    flippable: bool             # odd dimension: negating flips the determinant
+    """Chains v, g v, ..., g^(m-1) v of ambient vectors, one sign per chain:
+    the reversing involution sends g^k v to sign (nu g^-1)^k v."""
+
+    chains: list[list[tuple]]
+    signs: list[int]
 
 
-def _unipotent_pieces(space: QuadraticSpace, u: ExactMatrix) -> list[_Piece]:
-    """Reversing involutions for a unipotent isometry (restricted to its
-    invariant subspace, given in that subspace's own coordinates)."""
+def _unipotent_pieces(space: QuadraticSpace, g: ExactMatrix, r: Fraction) -> list[_Piece]:
+    """The pieces of a space on which g / r is unipotent, in that space's own
+    coordinates."""
+    u = g.scale(ONE / r)
     if u == ExactMatrix.identity(space.dim):
-        # log u = 0: every string is a line and the involution is the
-        # identity; only the line a determinant flip would negate (the first
-        # the string decomposition splits off) needs a piece of its own
+        # log u = 0: every string is a line and the reversal is the identity;
+        # the line a determinant flip would negate (the first the string
+        # decomposition splits off) comes first
         basis = _standard_basis(space.dim)
         v = _find_anisotropic_top(basis, space.bilinear)
-        out = [_Piece([v], ExactMatrix.identity(1), flippable=True)]
-        rest = kernel(pairing_matrix(space.gram, [v], basis))
-        if rest:
-            out.append(_Piece(rest, ExactMatrix.identity(len(rest)), flippable=False))
-        return out
-    n_mat = matrix_log_unipotent(u)
-    pieces = orthogonal_string_decomposition(space, n_mat)
-    out = []
-    for p in pieces:
-        if not p.paired:
-            # with N = log u, the reversing involution q(u) v -> q(u^-1) v is
-            # the alternating-sign diagonal on the string basis N^i v
-            (v,) = p.generators
-            basis = _string(n_mat, v, p.d)
-            x_res = ExactMatrix.diagonal([Fraction(-1) ** i for i in range(p.d)])
-            out.append(_Piece(basis, x_res, flippable=p.d % 2 == 1))
-        else:
-            v, w = p.generators
-            basis = _string(n_mat, v, p.d) + _string(n_mat, w, p.d)
-            diag = [Fraction(-1) ** i for i in range(p.d)] + [
-                Fraction(-1) ** (i + 1) for i in range(p.d)
-            ]
-            out.append(_Piece(basis, ExactMatrix.diagonal(diag), flippable=False))
-    return out
+        return [_Piece([[w]], [1]) for w in [v, *kernel(pairing_matrix(space.gram, [v], basis))]]
+    # with N = log u, span(v, N v, ...) = span(v, g v, ...) and the reversal
+    # is (-1)^i on N^i v: sign 1 on an odd string, 1 and -1 on an even pair
+    return [
+        _Piece([_string(g, v, p.d) for v in p.generators], [1, -1][: len(p.generators)])
+        for p in orthogonal_string_decomposition(space, matrix_log_unipotent(u))
+    ]
 
 
 def _cyclic_candidates(basis: list[tuple], seed: int):
@@ -352,23 +302,6 @@ def _cyclic_candidates(basis: list[tuple], seed: int):
             cand = vec_add(cand, vec_scale(c, b))
         if any(c != 0 for c in cand):
             yield cand
-
-
-def _twisted_piece(g: ExactMatrix, nu: Fraction, chains: list[list[tuple]], signs: Sequence[int]) -> _Piece:
-    """The reversal q(g) v -> sign q(nu g^-1) v on the sum of the cyclic
-    spaces spanned by the chains v, g v, ..., g^(m-1) v."""
-    basis = [u for chain in chains for u in chain]
-    # the sum is g-stable, so nu g^-1 on it is nu times the inverse of g on it
-    twist = restrict_to(g, basis).inverse().scale(nu)
-    columns, start = [], 0
-    for chain, sign in zip(chains, signs):
-        # column k: the coordinates of sign (nu g^-1)^k v
-        col = tuple(frac(sign) if i == start else ZERO for i in range(len(basis)))
-        for _ in chain:
-            columns.append(col)
-            col = twist.apply(col)
-        start += len(chain)
-    return _Piece(basis, ExactMatrix.from_columns(columns), flippable=len(basis) % 2 == 1)
 
 
 def _paired_piece(
@@ -397,15 +330,13 @@ def _paired_piece(
                         for m in range(top)]
                 solutions = kernel(ExactMatrix(rows))
                 for p in _cyclic_candidates(solutions, seed=top) if solutions else ():
-                    chain = [_in_ambient(cw, [p])[0]]
-                    for _ in range(top - 1):
-                        chain.append(g.apply(chain[-1]))
+                    chain = _string(g, _in_ambient(cw, [p])[0], top)
                     if pairing_matrix(space.gram, cv + chain, cv + chain).det() == 0:
                         continue
                     # the reversal is well defined on Z(v) and Z(w') when their
                     # minimal polynomials are self-dual, as they are for longest
                     # chains; factor verifies the whole pair
-                    return _twisted_piece(g, nu, [cv, chain], [1, eps])
+                    return _Piece([cv, chain], [1, eps])
     return None
 
 
@@ -421,12 +352,10 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, nu: Fraction, subspace
             # the span of current is g-invariant, so the cyclic subspace of
             # cand has dimension m <= len(current), and cand, ..., g^(m-1) cand
             # are its first m vectors
-            krylov = [cand]
-            for _ in range(len(current)):
-                krylov.append(g.apply(krylov[-1]))
+            krylov = _string(g, cand, len(current) + 1)
             chain = krylov[: rank(ExactMatrix(krylov))]
             if pairing_matrix(space.gram, chain, chain).det() != 0:
-                piece = _twisted_piece(g, nu, [chain], [1])
+                piece = _Piece([chain], [1])
                 break
             krylovs.append((chain, krylov))
         else:
@@ -436,65 +365,55 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, nu: Fraction, subspace
                     f"no nondegenerate cyclic piece or pair in the remaining dimension {len(current)}"
                 )
         out.append(piece)
-        current = span_basis(_orthocomplement_in(space, current, piece.basis))
+        vectors = [u for chain in piece.chains for u in chain]
+        current = span_basis(_orthocomplement_in(space, current, vectors))
     return out
-
-
-def _stable_kernel(m: ExactMatrix) -> list[tuple]:
-    """Kernel of a stabilized power of m (the generalized kernel); an
-    invertible m has none, so an empty kernel returns at once."""
-    power = m
-    prev = kernel(power)
-    while prev and len(prev) < m.rows:
-        power = power * m
-        nxt = kernel(power)
-        if len(nxt) == len(prev):
-            return prev
-        prev = nxt
-    return prev
 
 
 def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -> ExactMatrix:
     """x with x^2 = 1, x in O(q), x g x = nu g^{-1}, det x = (-1)^n."""
     dim = space.dim
-    n = dim // 2
     ident = ExactMatrix.identity(dim)
     square, root = is_rational_square(nu)
     pieces: list[_Piece] = []
     split: list[tuple] = []
     # the generalized eigenspaces for +-sqrt(nu), where g / sqrt(nu) is +-unipotent
     for r in (root, -root) if square else ():
-        part = _stable_kernel(g - ident.scale(r))
+        part = generalized_kernel(g - ident.scale(r))
         if not part:
             continue
         split += part
-        # restrict to the invariant subspace with its own coordinates
+        # the pieces in the part's own coordinates, then in the ambient ones
         sub_space = QuadraticSpace(len(part), pairing_matrix(space.gram, part, part))
-        u = restrict_to(g, part).scale(ONE / r)
-        for p in _unipotent_pieces(sub_space, u):
-            pieces.append(_Piece(_in_ambient(part, p.basis), p.x_restricted, p.flippable))
+        sub_pieces = _unipotent_pieces(sub_space, restrict_to(g, part), r)
+        ambient = iter(_in_ambient(part, [u for p in sub_pieces for chain in p.chains for u in chain]))
+        pieces += [_Piece([[next(ambient) for _ in chain] for chain in p.chains], p.signs) for p in sub_pieces]
     # the orthocomplement of those parts: the kernel of the rows t(v) gram
     rest = kernel(ExactMatrix(split) * space.gram) if split else _standard_basis(dim)
     if rest:
-        pieces.extend(_cyclic_pieces(space, g, nu, rest))
+        pieces += _cyclic_pieces(space, g, nu, rest)
 
-    # assemble and fix the determinant parity
-    det_total = ONE
+    # x sends g^k v to sign (nu g^-1)^k v, and nu g^-1 is the adjoint G^-1 tg G
+    adjoint = space.gram.inverse() * g.transpose() * space.gram
+    source: list[tuple] = []
+    image: list[tuple] = []
+    odd = None  # the image columns of the first odd-dimensional piece
     for p in pieces:
-        det_total *= p.x_restricted.det()
-    target = Fraction(-1) ** n
-    if det_total != target:
-        flip = next((p for p in pieces if p.flippable), None)
-        if flip is None:
+        start = len(image)
+        for chain, sign in zip(p.chains, p.signs):
+            source += chain
+            image += _string(adjoint, vec_scale(sign, chain[0]), len(chain))
+        if odd is None and (len(image) - start) % 2:
+            odd = slice(start, len(image))
+    source_inverse = ExactMatrix.from_columns(source).inverse()
+    x = ExactMatrix.from_columns(image) * source_inverse
+    # an involution has det (-1)^((dim - tr x) / 2), which is (-1)^n exactly
+    # when 4 divides tr x; negating an odd-dimensional piece flips it
+    if x.trace() % 4:
+        if odd is None:
             raise FactorizationUnsupportedError("no odd piece available to fix the determinant")
-        flip.x_restricted = -flip.x_restricted
-    columns = []
-    blocks = []
-    for p in pieces:
-        columns.extend(p.basis)
-        blocks.append(p.x_restricted)
-    change = ExactMatrix.from_columns(columns)
-    x = change * ExactMatrix.block_diagonal(blocks) * change.inverse()
+        image[odd] = [vec_scale(-1, u) for u in image[odd]]
+        x = ExactMatrix.from_columns(image) * source_inverse
     return x
 
 

@@ -355,10 +355,10 @@ def psi_disc_membership(
     target: GroupTag,
     alpha_class: AlphaClass | None = None,
 ) -> MembershipReport:
-    """Discreteness, per-summand sign condition, and (even GSpin only) the
-    square-class condition on the product of central characters."""
+    """Size, discreteness, per-summand sign condition, and (even GSpin only)
+    the square-class condition on the product of central characters."""
     if psi.total_dim != target.std_dim:
-        raise ValueError(f"parameter has size {psi.total_dim}, target needs {target.std_dim}")
+        return MembershipReport(False, f"parameter has size {psi.total_dim}, target needs {target.std_dim}")
     if not psi.is_discrete():
         return MembershipReport(False, "not discrete: repeated summand")
     for h, d in psi.summands:
@@ -383,19 +383,9 @@ def psi_disc_membership(
     return MembershipReport(True, "ok")
 
 
-def membership_report(
-    group: CharacterGroup, psi: FormalParameter, target: GroupTag, alpha_class: AlphaClass | None
-) -> MembershipReport:
-    """psi_disc_membership for a psi of any size: one whose size is not the
-    target's is answered `no` with the reason that function raises."""
-    if psi.total_dim != target.std_dim:
-        return MembershipReport(False, f"parameter has size {psi.total_dim}, target needs {target.std_dim}")
-    return psi_disc_membership(group, psi, target, alpha_class)
-
-
 def require_membership(group: CharacterGroup, psi: FormalParameter, target: GroupTag) -> None:
     """Raise ValueError unless psi lies in the discrete set of the target."""
-    report = membership_report(group, psi, target, None)
+    report = psi_disc_membership(group, psi, target)
     if not report.ok:
         raise ValueError(f"not a discrete parameter: {report.reason}")
 

@@ -16,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gspin.exactlin import ExactMatrix, kernel, rank, rref  # noqa: E402
+from gspin.exactlin import ExactMatrix, generalized_kernel, kernel, rank, rref  # noqa: E402
 
 try:
     import sympy
@@ -54,6 +54,19 @@ def square(draw, max_n=8):
             return ExactMatrix.zeros(n, n)
         return draw(matrices(n, k, SMALL)) * draw(matrices(k, n))
     return draw(matrices(n, n))
+
+
+@st.composite
+def nilpotent_plus_diagonal(draw, max_n=8):
+    """P^-1 (D + U) P with U strictly upper triangular and D a diagonal of
+    repeated small eigenvalues, zero among them, so that the generalized
+    kernel is often larger than the kernel."""
+    n = draw(st.integers(1, max_n))
+    diag = draw(st.lists(st.sampled_from([0, 0, 1, -2]), min_size=n, max_size=n))
+    upper = draw(st.lists(SMALL, min_size=n * n, max_size=n * n))
+    m = ExactMatrix([[diag[i] if i == j else upper[i * n + j] * (j > i) for j in range(n)] for i in range(n)])
+    p = draw(matrices(n, n, SMALL).filter(lambda p: p.det() != 0))
+    return p.inverse() * m * p
 
 
 @st.composite
@@ -127,6 +140,14 @@ def test_kernel_and_rank_nullity(a):
         assert all(x == 0 for x in a.apply(v))
     if basis:
         assert rank(ExactMatrix(basis)) == len(basis)
+
+
+@PROPERTY
+@given(st.one_of(square(), nilpotent_plus_diagonal()))
+def test_generalized_kernel_is_the_kernel_of_the_top_power(a):
+    basis = generalized_kernel(a)
+    assert basis == kernel(a ** a.rows)
+    assert (not basis) == (a.det() != 0)
 
 
 @needs_sympy

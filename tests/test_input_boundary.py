@@ -62,6 +62,8 @@ DEFECTS = {
     "alpha-on-classify": (_set(["requests", 0, "alpha"], "1"), "requests[0].alpha: unknown key"),
     "undeclared-alpha-on-membership": (
         _set(["requests", 2, "alpha"], "beta"), "requests[2].alpha: undeclared class 'beta'"),
+    "alpha-on-odd-membership": (
+        _set(["requests", 2, "alpha"], "1"), "requests[2].alpha: target 'gspin5' reads no square class"),
     "string-multiplicity": (
         _set(["parameters", 0, "summands", 0, 1], "x"),
         "parameters[0].summands[0][1]: expected an integer"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gspin.exactlin import ExactMatrix, QuadraticSpace, frac, matrix_exp_nilpotent
+from gspin.exactlin import ExactMatrix, QuadraticSpace, frac, matrix_equation_kernel, matrix_exp_nilpotent
 from gspin.involutions import (
     FactorizationUnsupportedError,
     InvolutionPair,
@@ -123,10 +123,10 @@ def test_dim2_any_similitude():
         assert verify(e, factor(e))
 
 
-def test_nonsquare_similitude_dim4_via_direct_search():
+def test_nonsquare_similitude_dim4_via_twisted_reversal():
     space = SPACES[4][0]
-    # torus similitudes with non-square (even negative) factors are handled
-    # by the direct search for a reversing involution
+    # torus similitudes with non-square (even negative) factors split into
+    # nondegenerate cyclic pieces, with the twisted reversal on each
     for diag, nu in (([1, 1, 2, 2], 2), ([2, 3, 2, 3], 6), ([1, 2, -1, -2], -2)):
         e = SimilitudeElement(space, ExactMatrix.diagonal(diag), nu)
         assert verify(e, factor(e))
@@ -395,4 +395,60 @@ def test_square_nu_factorizations_match_the_recorded_digest():
     assert count == 47
     assert digest.hexdigest() == (
         "4c17352c76ef07b266619c44554ca2994f27a92ffbf3ea36189465acc1950d96"
+    )
+
+
+def _y_exp_n(rng):
+    """A dim-8 y exp(N) on the split Gram, built as in
+    test_involutions_properties: y = A + J tA J with A two trace-zero 2 x 2
+    roots of a non-square nu, and N skew nilpotent commuting with y."""
+    nu = rng.choice((2, -1, 3, -3, 5, 6, -7))
+    roots = []
+    for _ in range(2):
+        a = rng.randint(-3, 3)
+        b = rng.choice([b for b in (1, -1, 2, -2) if (nu - a * a) % b == 0])
+        roots.append(ExactMatrix([[a, b], [(nu - a * a) // b, -a]]))
+    a = ExactMatrix.block_diagonal(roots)
+    j, one = ExactMatrix.antidiagonal([1] * 4), ExactMatrix.identity(4)
+    d = j * a.transpose() * j
+    s1, s2 = matrix_equation_kernel([[(one, "X", d), (-a, "X", one)], [(one, "X", j), (j, "Xt", one)]])
+    c = (0, 0)
+    while c == (0, 0):
+        c = (rng.randint(-2, 2), rng.randint(-2, 2))
+    s = s1.scale(c[0]) + s2.scale(c[1])
+    n_mat = ExactMatrix([[0] * 4 + list(row) for row in s.tolist()] + [[0] * 8] * 4)
+    g = ExactMatrix.block_diagonal([a, d]) * matrix_exp_nilpotent(n_mat)
+    return SimilitudeElement(SPACES[8][0], g, nu)
+
+
+def _pinned_nonsquare_and_paired_elements():
+    """Seeded split tori diag(a, nu / a) with a non-square nu, times 0, 2 or 4
+    reflections, in dims 2, 4, 6 and 8 on the split Gram, and dim-8 y exp(N)
+    elements, whose cyclic spaces are all degenerate: only the paired step
+    factors those."""
+    rng = random.Random(5151)
+    for dim in (2, 4, 6, 8):
+        space = SPACES[dim][0]
+        for _ in range(10):
+            nu = frac(rng.choice((2, -1, 3, -3, Fraction(5, 7))))
+            a = [frac(rng.choice((1, -1, 2, -2, 3, Fraction(1, 2)))) for _ in range(dim // 2)]
+            g = ExactMatrix.diagonal(a + [nu / x for x in reversed(a)])
+            for _ in range(rng.choice((0, 2, 4))):
+                g = g * space.reflection(random_vector(rng, space))
+            yield SimilitudeElement(space, g, nu)
+    for _ in range(10):
+        yield _y_exp_n(rng)
+
+
+def test_nonsquare_and_paired_factorizations_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for e in _pinned_nonsquare_and_paired_elements():
+        pair = factor(e)
+        for m in (pair.x, pair.y):
+            digest.update(repr(m).encode() + b"\n")
+        count += 1
+    assert count == 50
+    assert digest.hexdigest() == (
+        "4118ef462b2c0bb9ba931f71bbe2788bfc7438417129d199e11812a35ac89a22"
     )

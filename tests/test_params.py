@@ -539,5 +539,5 @@ def test_membership_size_mismatch_rejected():
     chi = g.element({"chi0": 1})
     p = gl2_alternative(g, cuspidal_gl2(g, "pi", chi, chi))
     too_small = FormalParameter(chi=chi, summands=((p, 1),))
-    with pytest.raises(ValueError):
-        psi_disc_membership(g, too_small, GSPIN5)
+    rep = psi_disc_membership(g, too_small, GSPIN5)
+    assert (rep.ok, rep.reason) == (False, "parameter has size 2, target needs 4")
