@@ -13,7 +13,6 @@ from gspin.characters import CharacterGroup
 from gspin.params import (
     CuspidalHandle,
     FormalParameter,
-    character_dual,
     character_summand,
     classify,
     component_group_oracle,
@@ -79,7 +78,7 @@ print()
 print("== the multiplicity formula on a flagged Saito-Kurokawa parameter ==")
 sk = fixtures["saito-kurokawa"]
 sgroup = classify(group, sk).component_group
-chars = character_dual(sgroup)
+chars = sgroup.characters()
 for flag in (False, True):
     counts = []
     for k in (1, 2, 3):

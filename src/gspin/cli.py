@@ -25,7 +25,7 @@ from . import endoscopy
 from .params import classify, component_group_table, multiplicity, psi_disc_membership
 from .params import require_membership
 from .restriction import project_parameter, restriction_count_identity, shape_catalog
-from .scenario import REQUIRED, ScenarioError, load_scenario, local_characters, lookup, read
+from .scenario import REQUIRED, ScenarioError, check, load_scenario, local_characters, lookup, read
 from .scenario import parse_json, parse_matrix, parse_rational
 from .selftest import run_selftest
 from .weyl import det_factor, enumerate_levis, enumerate_weyl_elements, is_regular
@@ -53,7 +53,7 @@ def _matrix_json(m: ExactMatrix) -> list[list[str]]:
 
 
 def _classify(scn, seed, at, name):
-    fixture = lookup(scn.parameters, name, "undeclared parameter")
+    fixture = lookup(scn.parameters, name, "undeclared parameter", f"{at}.parameter")
     cls = classify(scn.group, fixture.parameter, fixture.root_number_minus)
     trivial = cls.automorphy_character.is_trivial_on(cls.component_group)
     rec = {"parameter": fixture.name, "type": cls.arthur_type.label, "letter": cls.arthur_type.letter,
@@ -65,8 +65,8 @@ def _classify(scn, seed, at, name):
 
 
 def _multiplicity(scn, seed, at, name, target):
-    fixture = lookup(scn.parameters, name, "undeclared parameter")
-    target = lookup(_GROUP_NAMES, target, "unknown target")
+    fixture = lookup(scn.parameters, name, "undeclared parameter", f"{at}.parameter")
+    target = lookup(_GROUP_NAMES, target, "unknown target", f"{at}.target")
     # reject a psi outside the target's discrete set before reading its local data
     require_membership(scn.group, fixture.parameter, target)
     data = local_characters(fixture, component_group_table(fixture.parameter))
@@ -75,8 +75,8 @@ def _multiplicity(scn, seed, at, name, target):
 
 
 def _membership(scn, seed, at, name, target, alpha):
-    fixture = lookup(scn.parameters, name, "undeclared parameter")
-    tag = lookup(_GROUP_NAMES, target, "unknown target")
+    fixture = lookup(scn.parameters, name, "undeclared parameter", f"{at}.parameter")
+    tag = lookup(_GROUP_NAMES, target, "unknown target", f"{at}.target")
     if alpha is not None:
         alpha = lookup(scn.classes, alpha, "undeclared class", f"{at}.alpha")
         if tag.family != "gspin_even":
@@ -87,7 +87,7 @@ def _membership(scn, seed, at, name, target, alpha):
 
 
 def _restriction(scn, seed, at, shape):
-    phi = lookup(shape_catalog(), shape, "unknown restriction shape")
+    phi = lookup(shape_catalog(), shape, "unknown restriction shape", f"{at}.shape")
     report = restriction_count_identity(project_parameter(phi))
     parts = {label: sorted(sorted(ch.rep) for ch in part) for label, part in report.constituents}
     rec = {"shape": shape, "ok": report.ok, "packet_sizes": list(report.packet_sizes),
@@ -119,11 +119,9 @@ _OPS = {
 def _run_requests(scn, seed: int) -> tuple[list[str], list[dict], bool]:
     lines, records = [], []
     for i, req in enumerate(scn.requests):
-        if not isinstance(req, dict):
-            raise ScenarioError(f"request {req!r} is not an object")
-        op = req.get("op")
-        handler, keys = lookup(_OPS, op, "unknown request op")
         at = f"requests[{i}]"
+        op = check(req, dict, at).get("op")
+        handler, keys = lookup(_OPS, op, "unknown request op", f"{at}.op")
         _, *values = read(req, at, {"op": (str, REQUIRED), **{k: (object, d) for k, d in keys.items()}})
         record, out = handler(scn, seed, at, *values)
         records.append({"op": op, **record})

@@ -245,13 +245,13 @@ class ExactMatrix:
             raise ValueError("power of non-square matrix")
         if k < 0:
             return self.inverse() ** (-k)
-        out = ExactMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return ExactMatrix.identity(self.rows)
+        out = self
+        for bit in bin(k)[3:]:  # the bits below the top one, highest first
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def transpose(self) -> "ExactMatrix":
@@ -757,25 +757,21 @@ def matrix_exp_nilpotent(n: ExactMatrix) -> ExactMatrix:
         if term.is_zero():
             return out
         out = out + term.scale(Fraction(1, _factorial(k)))
-    if not (n ** size).is_zero():
-        raise ValueError("matrix is not nilpotent")
-    return out
+    raise ValueError("matrix is not nilpotent")
 
 
 def matrix_log_unipotent(u: ExactMatrix) -> ExactMatrix:
     """log of a unipotent matrix (finite sum); raises if u - 1 not nilpotent."""
     size = u.rows
     n = u - ExactMatrix.identity(size)
-    if not (n ** size).is_zero():
-        raise ValueError("matrix is not unipotent")
     out = ExactMatrix.zeros(size, size)
     term = ExactMatrix.identity(size)
     for k in range(1, size + 1):
         term = term * n
         if term.is_zero():
-            break
+            return out
         out = out + term.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    raise ValueError("matrix is not unipotent")
 
 
 def _factorial(k: int) -> int:

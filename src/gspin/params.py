@@ -16,15 +16,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .characters import AlphaClass, CharacterGroup, HeckeCharacterHandle
-from .dualgroups import PAIR_PLANES, GroupTag, THETA_J, embed_pair
+from .dualgroups import _GSP4_NILPOTENTS, PAIR_PLANES, GroupTag, THETA_J, embed_pair
 from .exactlin import (
     ExactMatrix,
     commutant_basis,
     frac,
     kron,
     matrix_equation_kernel,
+    matrix_exp_nilpotent,
     similitude_factor,
-    ZERO,
 )
 
 # ---------------------------------------------------------------------------
@@ -172,11 +172,6 @@ class TwoGroupCharacter:
 
     def is_trivial_on(self, group: TwoGroup) -> bool:
         return all(self.evaluate(el) == 1 for el in group.elements())
-
-
-def character_dual(group: TwoGroup) -> list[TwoGroupCharacter]:
-    """All characters of the group (each counted once)."""
-    return group.characters()
 
 
 # ---------------------------------------------------------------------------
@@ -559,133 +554,56 @@ def std_compose(
 # the matrix oracle
 
 
-_SL2_GENS = (
-    ExactMatrix([[1, 1], [0, 1]]),
-    ExactMatrix([[1, 0], [1, 1]]),
-    ExactMatrix([[Fraction(2), 0], [0, Fraction(1, 2)]]),
-)
+def realize(psi: FormalParameter) -> list[ExactMatrix]:
+    """Generators of the image of L_psi x SL2 in GSp4 for THETA_J.
 
-# the idle plane of a two-summand block: similitude factor 9, like the samples
-_IDLE_PLANE = ExactMatrix.identity(2).scale(3)
-
-
-def _sym_cube(g: ExactMatrix) -> ExactMatrix:
-    """Third symmetric power of a 2x2 matrix on the basis x^3, x^2 y, x y^2, y^3."""
-    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    # images of basis monomials under x -> a x + c y, y -> b x + d y
-    def expand(p, q):
-        # coefficients of (a x + c y)^p (b x + d y)^q
-        coeffs = [ZERO] * 4
-        for i in range(p + 1):
-            for j in range(q + 1):
-                coef = (
-                    _binom(p, i) * a**i * c ** (p - i) * _binom(q, j) * b**j * d ** (q - j)
-                )
-                coeffs[3 - (i + j)] += coef
-        return coeffs
-
-    cols = [expand(3 - k, k) for k in range(4)]
-    return ExactMatrix.from_columns(cols)
-
-
-def _binom(n: int, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out = out * (n - i) / (i + 1)
-    return out
-
-
-def _invariant_form(rep_gens: list[ExactMatrix]) -> ExactMatrix:
-    """The (up to scale unique) invariant bilinear form of an irreducible
-    representation, found by exact linear solve."""
-    ident = ExactMatrix.identity(rep_gens[0].rows)
-    basis = matrix_equation_kernel(
-        [[(g.transpose(), "X", g), (-ident, "X", ident)] for g in rep_gens]  # t(g) B g = B
-    )
-    if len(basis) != 1:
-        raise ValueError("invariant form is not unique")
-    return basis[0]
-
-
-def _antidiagonal_congruence(form: ExactMatrix) -> ExactMatrix:
-    """Diagonal t with t(t) THETA_J t = form, for an antidiagonal alternating
-    form: t = diag(1, 1, form[1,2]/J[1,2], form[0,3]/J[0,3])."""
-    t = ExactMatrix.diagonal(
-        [1, 1, form[1, 2] / THETA_J[1, 2], form[0, 3] / THETA_J[0, 3]]
-    )
-    if t.transpose() * THETA_J * t != form:
-        raise ValueError("form is not diagonally congruent to THETA_J")
-    return t
-
-
-def _summand_blocks(psi: FormalParameter) -> dict[str, list[ExactMatrix]]:
-    """Per-summand generator matrices in the fixed symplectic realization.
-
-    Returns {summand id: 4x4 generators}.  With two summands, each acts on
-    its plane of PAIR_PLANES through `embed_pair`, with 3 times the identity
-    on the other plane, so that every generator is a similitude of THETA_J
-    with factor 9.  Distinct handles receive distinct prime samples."""
+    Each handle gets generic samples a (similitude factor 9 for N = 1, 2; the
+    generic GSp4 sample for N = 4), acting as kron(a, I_d) on its summand's
+    block: the whole space for one summand, its plane of PAIR_PLANES for two,
+    with 3 I_2 on the other plane.  The one SL2 is the triple (e, h, f): h is
+    diagonal, of weight d - 1 - 2 (k mod d) on the k-th coordinate of each
+    block; e sums a basis of the weight-2 part of sp(THETA_J) that commutes
+    with the samples; f is the one partner with [e, f] = h.  Returns the
+    samples in summand order, then exp(e) and exp(f)."""
     summands = psi.sorted_summands()
-    shape = tuple((h.N, d) for h, d in summands)
-    primes = iter((2, 5, 7, 11, 13))
+    blocks = PAIR_PLANES if len(summands) > 1 else (range(4),)
+    if len(summands) > 2 or any(h.N * d != len(b) for (h, d), b in zip(summands, blocks)):
+        raise ValueError(f"no realization for shape {tuple((h.N, d) for h, d in summands)}")
+    ident = ExactMatrix.identity(4)
+    idle = ExactMatrix.identity(2).scale(3)
+    scalars = iter((3, -3))
+    samples: list[ExactMatrix] = []
+    weights = [0] * 4
+    for index, ((handle, d), block) in enumerate(zip(summands, blocks)):
+        if handle.N == 1:
+            local = [ExactMatrix([[next(scalars)]])]
+        elif handle.N == 2:
+            local = [ExactMatrix.diagonal([2, Fraction(9, 2)]), ExactMatrix([[0, 1], [handle.sign * 9, 0]])]
+        else:
+            local = [ExactMatrix.diagonal([2, 5, Fraction(3, 5), Fraction(3, 2)]), THETA_J]
+            local += [matrix_exp_nilpotent(n) for n in _GSP4_NILPOTENTS[:3]]
+        for a in local:
+            m = kron(a, ExactMatrix.identity(d))
+            if len(summands) > 1:
+                m = embed_pair(m, idle) if index == 0 else embed_pair(idle, m)
+            samples.append(m)
+        for k, i in enumerate(block):
+            weights[i] = d - 1 - 2 * (k % d)
+    h = ExactMatrix.diagonal(weights)
+    symplectic = [(ident, "X", THETA_J), (THETA_J, "Xt", ident)]
 
-    def plane_gens(det_value: Fraction) -> list[ExactMatrix]:
-        p = frac(next(primes))
-        return [
-            ExactMatrix.diagonal([p, det_value / p]),
-            ExactMatrix([[0, 1], [-det_value, 0]]),
-        ]
+    def weight(w: int) -> list[tuple]:  # [h, X] = w X
+        return [(h - ident.scale(w), "X", ident), (-ident, "X", h)]
 
-    blocks: dict[str, list[ExactMatrix]] = {}
-    if shape == ((2, 1), (2, 1)):
-        c = frac(9)
-        (h1, _), (h2, _) = summands
-        blocks[h1.id] = [embed_pair(a, _IDLE_PLANE) for a in plane_gens(c)]
-        blocks[h2.id] = [embed_pair(_IDLE_PLANE, a) for a in plane_gens(c)]
-        return blocks
-    if shape == ((2, 1), (1, 2)):
-        s = frac(3)
-        (pi, _), (eta, _) = summands
-        blocks[pi.id] = [embed_pair(a, _IDLE_PLANE) for a in plane_gens(s * s)]
-        blocks[eta.id] = [embed_pair(_IDLE_PLANE, u.scale(s)) for u in _SL2_GENS]
-        return blocks
-    if shape == ((1, 2), (1, 2)):
-        s1, s2 = frac(3), frac(-3)
-        (e1, _), (e2, _) = summands
-        blocks[e1.id] = [embed_pair(u.scale(s1), _IDLE_PLANE) for u in _SL2_GENS]
-        blocks[e2.id] = [embed_pair(_IDLE_PLANE, u.scale(s2)) for u in _SL2_GENS]
-        return blocks
-    if shape == ((2, 2),):
-        c = frac(3)
-        h = summands[0][0]
-        p = frac(2)
-        orth_gens = [
-            ExactMatrix.diagonal([p, c / p]),
-            ExactMatrix([[0, 1], [c, 0]]),
-        ]
-        gens = [kron(a, ExactMatrix.identity(2)) for a in orth_gens]
-        gens += [kron(ExactMatrix.identity(2), u) for u in _SL2_GENS]
-        blocks[h.id] = gens
-        return blocks
-    if shape == ((4, 1),):
-        c = frac(3)
-        h = summands[0][0]
-        from .exactlin import matrix_exp_nilpotent
-        from .dualgroups import _GSP4_NILPOTENTS
-
-        gens = [ExactMatrix.diagonal([frac(2), frac(5), c / 5, c / 2]), THETA_J]
-        gens += [matrix_exp_nilpotent(n) for n in _GSP4_NILPOTENTS[:3]]
-        blocks[h.id] = gens
-        return blocks
-    if shape == ((1, 4),):
-        s = frac(3)
-        h = summands[0][0]
-        sym_gens = [_sym_cube(u) for u in _SL2_GENS[:2]]
-        t = _antidiagonal_congruence(_invariant_form(sym_gens))
-        t_inv = t.inverse()
-        blocks[h.id] = [(t * _sym_cube(u) * t_inv).scale(s) for u in _SL2_GENS]
-        return blocks
-    raise ValueError(f"oracle does not support shape {shape}")
+    commuting = [[(ident, "X", a), (-a, "X", ident)] for a in samples]
+    e = sum(matrix_equation_kernel([symplectic, weight(2), *commuting]), ExactMatrix.zeros(4, 4))
+    solutions = matrix_equation_kernel(
+        [[(e, "X", ident), (-ident, "X", e)], weight(-2), symplectic], scalar=h
+    )
+    if len(solutions) != 1 or solutions[0][1] == 0:
+        raise ValueError("no sl2 triple through e")
+    f, t = solutions[0]
+    return samples + [matrix_exp_nilpotent(e), matrix_exp_nilpotent(f.scale(1 / t))]
 
 
 @dataclass(frozen=True)
@@ -702,24 +620,23 @@ class OracleResult:
 
 
 def component_group_oracle(psi: FormalParameter) -> OracleResult:
-    """Compute the component group from block matrices, independently of
-    `component_group_table`: the commutant of a generic realization in GSp4,
+    """Compute the component group from matrices, independently of
+    `component_group_table`: the commutant of `realize(psi)` in GSp4,
     with components found by `restriction.sign_patterns` on one self-paired
     piece per summand (its plane of PAIR_PLANES, or the whole space for a
     single summand), modulo the center."""
     # restriction imports this module
     from .restriction import PieceData, sign_patterns
 
-    blocks = _summand_blocks(psi)
     summands = psi.sorted_summands()
-    generators = [g for h, _ in summands for g in blocks[h.id]]
+    generators = realize(psi)
     if any(similitude_factor(g, THETA_J) is None for g in generators):
-        raise ValueError("sample block outside GSp4")
+        raise ValueError("realization outside GSp4")
     comm = commutant_basis(generators)
     k = len(summands)
     if len(comm) != k:
         raise ValueError(
-            f"degenerate sample blocks: commutant dimension {len(comm)}, expected {k}"
+            f"degenerate realization: commutant dimension {len(comm)}, expected {k}"
         )
     ident = ExactMatrix.identity(4)
     coords = PAIR_PLANES if k > 1 else (range(4),)

@@ -16,7 +16,7 @@ from operator import mul
 from typing import Sequence
 
 from .dualgroups import DualElement, SO5_GRAM, THETA_J, embed_pair, project_to_so5
-from .params import TwoGroup, TwoGroupCharacter
+from .params import TwoGroup
 from .exactlin import (
     ExactMatrix,
     commutant_basis,
@@ -29,17 +29,6 @@ from .exactlin import (
     ONE,
     ZERO,
 )
-
-# ---------------------------------------------------------------------------
-# sign groups: the component groups are params.TwoGroup
-
-SignGroupCharacter = TwoGroupCharacter
-
-
-def SignGroup(labels: Sequence[str], elements: Sequence[frozenset]) -> TwoGroup:
-    """The subgroup of sign patterns on named pieces listed by `elements`."""
-    return TwoGroup(labels, elements=elements)
-
 
 # ---------------------------------------------------------------------------
 # commutant pieces

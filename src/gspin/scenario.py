@@ -90,10 +90,10 @@ def entries(node, path: str, *kinds: type) -> list:
     return [check(x, kind, _at(path, i)) for i, (x, kind) in enumerate(zip(node, kinds))]
 
 
-def lookup(table: dict, name, what: str, path: str = ""):
+def lookup(table: dict, name, what: str, path: str):
     """table[name], or ScenarioError '<path>: <what> <name>'."""
     if not isinstance(name, str) or name not in table:
-        raise ScenarioError(f"{path}: {what} {name!r}" if path else f"{what} {name!r}")
+        raise ScenarioError(f"{path}: {what} {name!r}")
     return table[name]
 
 
@@ -236,10 +236,10 @@ def build_scenario(doc: dict) -> Scenario:
 
 def local_characters(fixture: ParameterFixture, sgroup) -> list[tuple[str, TwoGroupCharacter]]:
     out = []
-    for place, values in fixture.local_data:
+    for k, (place, values) in enumerate(fixture.local_data):
         try:
             ch = TwoGroupCharacter.make(sgroup, values)
         except (KeyError, ValueError) as err:
-            raise ScenarioError(f"local character at {place!r}: {err}")
+            raise ScenarioError(f"{_at('local_data', fixture.name)}[{k}]: {err}") from None
         out.append((place, ch))
     return out

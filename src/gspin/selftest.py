@@ -25,7 +25,6 @@ from .exactlin import ExactMatrix, QuadraticSpace, frac, kernel, rank
 from . import endoscopy
 from .params import (
     FormalParameter,
-    character_dual,
     character_summand,
     classify,
     component_group_oracle,
@@ -220,7 +219,7 @@ def check_multiplicity_counting(seed: int, corrupt: bool) -> CheckResult:
     g, fixtures = _six_type_fixtures()
     sk = fixtures[3][1]
     sgroup = classify(g, sk).component_group
-    chars = character_dual(sgroup)
+    chars = sgroup.characters()
     for k in (1, 2, 3):
         for flag in (False, True):
             members = 0

@@ -23,7 +23,6 @@ from gspin.params import (
     ArthurType,
     CuspidalHandle,
     FormalParameter,
-    character_dual,
     character_summand,
     classify,
     component_group_oracle,
@@ -159,7 +158,7 @@ def test_criterion_3_multiplicity_formula():
     g, fixtures = six_fixtures()
     sk = fixtures["d"]
     sgroup = classify(g, sk).component_group
-    chars = character_dual(sgroup)
+    chars = sgroup.characters()
     automorphic_sets = {}
     for flag in (False, True):
         for k in (1, 2, 3):

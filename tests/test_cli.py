@@ -95,7 +95,7 @@ def test_local_data_with_unknown_label_is_input_error(tmp_path, capsys, v2, unkn
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"input error: local character at 'v2': unknown label {unknown!r}\n"
+    assert captured.err == f"input error: local_data.psi[1]: unknown label {unknown!r}\n"
 
 
 def test_empty_request_list(tmp_path, capsys):
@@ -123,7 +123,7 @@ def test_unknown_target_is_input_error(tmp_path, capsys, op):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "input error: unknown target 'foo'\n"
+    assert captured.err == "input error: requests[0].target: unknown target 'foo'\n"
 
 
 def test_request_that_is_not_an_object_is_input_error(tmp_path, capsys):
@@ -131,7 +131,7 @@ def test_request_that_is_not_an_object_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "input error: request 5 is not an object\n"
+    assert captured.err == "input error: requests[0]: expected an object\n"
 
 
 @pytest.mark.parametrize("op", ["classify", "membership", "multiplicity"])
@@ -142,7 +142,7 @@ def test_parameter_that_is_not_a_string_is_input_error(tmp_path, capsys, op, nam
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"input error: undeclared parameter {name!r}\n"
+    assert captured.err == f"input error: requests[0].parameter: undeclared parameter {name!r}\n"
 
 
 @pytest.mark.parametrize("shape", [[], ["irreducible"], {"irreducible": 1}])
@@ -151,7 +151,7 @@ def test_restriction_shape_that_is_not_a_string_is_input_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"input error: unknown restriction shape {shape!r}\n"
+    assert captured.err == f"input error: requests[0].shape: unknown restriction shape {shape!r}\n"
 
 
 @pytest.mark.parametrize("target", ["gspin5", "gspin4", "gl4"])

@@ -5,8 +5,8 @@ import pytest
 
 from gspin import params
 from gspin.characters import CharacterGroup
-from gspin.dualgroups import GSPIN5, THETA_J, gspin_even_tag
-from gspin.exactlin import ExactMatrix, similitude_factor
+from gspin.dualgroups import GSPIN5, SO5_GRAM, THETA_J, DualElement, embed_pair, gspin_even_tag, project_to_so5
+from gspin.exactlin import ExactMatrix, matrix_exp_nilpotent, matrix_log_unipotent, similitude_factor
 from gspin.params import (
     ArthurType,
     Classification,
@@ -16,7 +16,6 @@ from gspin.params import (
     TwoGroup,
     TwoGroupCharacter,
     boxtimes,
-    character_dual,
     character_summand,
     check_selfdual,
     classify,
@@ -27,8 +26,10 @@ from gspin.params import (
     multiplicity,
     multiplicity_prefactor,
     psi_disc_membership,
+    realize,
     std_compose,
 )
+from gspin.restriction import component_sign_group
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +151,12 @@ def test_character_respects_relations():
     sgn = TwoGroupCharacter.make(tg, {"a": -1, "b": -1})
     assert sgn.evaluate({"a"}) == -1
     assert (sgn * sgn).is_trivial_on(tg)
-    assert len(character_dual(tg)) == 2
+    assert len(tg.characters()) == 2
 
 
 def test_character_is_multiplicative():
     tg = TwoGroup(("a", "b", "c"), [frozenset({"a", "b", "c"})])
-    for ch in character_dual(tg):
+    for ch in tg.characters():
         for x in tg.elements():
             for y in tg.elements():
                 xy = tg.canonical(set(x) ^ set(y))
@@ -391,19 +392,47 @@ def test_oracle_disagrees_with_a_table_without_the_centre(monkeypatch):
 def test_oracle_sample_blocks_are_similitudes():
     g = make_group()
     for build, _expected_type, _expected_rank in SIX:
-        blocks = params._summand_blocks(build(g))
-        for gens in blocks.values():
-            for m in gens:
-                assert similitude_factor(m, THETA_J) is not None, build.__name__
+        for m in realize(build(g)):
+            assert similitude_factor(m, THETA_J) is not None, build.__name__
 
 
-def test_sym_cube_congruence_is_diagonal():
-    form = params._invariant_form([params._sym_cube(u) for u in params._SL2_GENS[:2]])
-    t = params._antidiagonal_congruence(form)
-    assert t == ExactMatrix.diagonal([1, 1, Fraction(1, 3), 1])
-    assert t.transpose() * THETA_J * t == form
-    with pytest.raises(ValueError):
-        params._antidiagonal_congruence(ExactMatrix.identity(4))
+def test_realization_has_one_sl2_triple():
+    # exp(e) and exp(f) close the generators; h carries the weights
+    # d - 1 - 2k of every summand block, and (e, h, f) is an sl2 triple
+    g = make_group()
+    weights = {
+        soudry_parameter: [1, -1, 1, -1],
+        saito_kurokawa_parameter: [0, 1, -1, 0],
+        howe_ps_parameter: [1, 1, -1, -1],
+        one_dimensional_parameter: [3, 1, -1, -3],
+    }
+    for build, w in weights.items():
+        e, f = (matrix_log_unipotent(u) for u in realize(build(g))[-2:])
+        h = ExactMatrix.diagonal(w)
+        assert h * e - e * h == e.scale(2), build.__name__
+        assert h * f - f * h == f.scale(-2), build.__name__
+        assert e * f - f * e == h, build.__name__
+
+
+def _projected_rank(generators):
+    down = [project_to_so5(DualElement(m, similitude_factor(m, THETA_J))) for m in generators]
+    return component_sign_group(down, SO5_GRAM).group.rank
+
+
+def test_realization_projects_to_the_sp4_component_groups():
+    g = make_group()
+    ranks = [_projected_rank(realize(build(g))) for build, _t, _r in SIX]
+    assert ranks == [0, 1, 1, 1, 2, 0]
+
+
+def test_howe_ps_with_one_sl2_per_plane_loses_a_component():
+    # eta1[2] + eta2[2] with SL2 x SL2 in place of the diagonal SL2:
+    # the cross term becomes one irreducible 4-dimensional piece downstairs
+    samples = realize(howe_ps_parameter(make_group()))[:-2]
+    zero = ExactMatrix.zeros(2, 2)
+    e_and_f = [ExactMatrix([[0, 1], [0, 0]]), ExactMatrix([[0, 0], [1, 0]])]
+    per_plane = [embed_pair(n, zero) for n in e_and_f] + [embed_pair(zero, n) for n in e_and_f]
+    assert _projected_rank(samples + [matrix_exp_nilpotent(n) for n in per_plane]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +479,7 @@ def test_multiplicity_counting_identity():
     g = make_group()
     psi = saito_kurokawa_parameter(g)
     sg = classify(g, psi).component_group
-    chars = character_dual(sg)
+    chars = sg.characters()
     for k in (1, 2, 3):
         for flag in (False, True):
             members = 0

@@ -2,11 +2,10 @@ import pytest
 
 from gspin.dualgroups import THETA_J, DualElement, project_to_so5
 from gspin.exactlin import ONE, ExactMatrix, kron
+from gspin.params import TwoGroup
 from gspin.restriction import (
     BoundedParameterDescriptor,
     PacketMember,
-    SignGroup,
-    SignGroupCharacter,
     _split_pieces,
     component_sign_group,
     gso4_shape_catalog,
@@ -20,16 +19,16 @@ from gspin.restriction import (
 
 
 def test_sign_group_basics():
-    g = SignGroup(("a", "b"), [frozenset(), frozenset({"a", "b"})])
+    g = TwoGroup(("a", "b"), elements=[frozenset(), frozenset({"a", "b"})])
     assert g.order == 2 and g.rank == 1
     chars = g.characters()
     assert len(chars) == 2
     nontrivial = [c for c in chars if c.evaluate(frozenset({"a", "b"})) == -1]
     assert len(nontrivial) == 1
     with pytest.raises(ValueError):
-        SignGroup(("a",), [frozenset({"a"})])  # missing identity
+        TwoGroup(("a",), elements=[frozenset({"a"})])  # missing identity
     with pytest.raises(ValueError):
-        SignGroup(("a", "b"), [frozenset(), frozenset({"a"}), frozenset({"b"})])  # not closed
+        TwoGroup(("a", "b"), elements=[frozenset(), frozenset({"a"}), frozenset({"b"})])  # not closed
 
 
 def test_shape_ranks_upstairs():
