@@ -274,6 +274,10 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(any(r) for r in self._num)
 
+    def is_scalar(self) -> bool:
+        d = self._num[0][0]
+        return all(x == (d if i == j else 0) for i, r in enumerate(self._num) for j, x in enumerate(r))
+
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")

@@ -9,27 +9,32 @@ V splits orthogonally into pieces, and a piece is nothing but chains
 v, g v, ..., g^(m-1) v with one sign each: x is the twisted reversal
 g^k v -> sign (nu g^-1)^k v on every chain.  It is assembled once for the
 whole space, as the matrix of the images times the inverse of the matrix of
-the chains.  The pieces:
+the chains.  The pieces, after Wonenburger's strings and Milnor's split by
+the characteristic polynomial:
 
-- for a square nu, the generalized eigenspaces of g for +-sqrt(nu) are split
-  off and g / sqrt(nu) on them is +-unipotent.  Unipotent parts are
-  decomposed into orthogonal strings: an odd string is one chain, and an
-  isotropic pair of even strings is two chains with signs 1 and -1.  Where
-  g / sqrt(nu) is exactly +-1, every vector of a basis is a chain of its own,
-  an anisotropic line first;
-- the rest (all of V for a non-square nu) splits into nondegenerate cyclic
-  pieces, one chain each;
-- where no cyclic piece is nondegenerate (the factor t^2 - nu with Jordan
-  blocks), two cyclic spaces Z(v) + Z(w) are glued: w is replaced by p(g) w
-  so that the cross moments mu_m = B(v, g^m w) satisfy mu_m = eps nu^m mu_-m,
-  and the piece is the two chains with signs 1 and eps, the counterpart of
-  the even string pairs.
+- on the generalized kernel W1 of g^2 - nu, cut into the generalized
+  eigenspaces for +-sqrt(nu) when nu is a square, Newton's step
+  s <- (s + nu s^-1) / 2 from g gives the s in Q[g] with s^2 = nu and s^-1 g
+  unipotent.  N = log(s^-1 g) is decomposed into orthogonal strings with
+  scalars in Q[s], for the Q[s]-valued form h with rational part B / 2: an
+  odd string is one chain of d [Q[s]:Q] vectors, and an isotropic pair of
+  even strings is two such chains with signs 1 and -1.  The top of each
+  string is found among a basis and its pairwise sums by polarization.
+  Where s^-1 g = 1, every vector of a basis is a chain of its own, an
+  anisotropic line first;
+- on the rest, where g^2 - nu is invertible, a nondegenerate cyclic piece
+  exists (a = g + nu g^-1 is self-adjoint, and Z_g(v) is nondegenerate
+  exactly when Z_a(v) is), and the rest splits into such pieces, one chain
+  each.
 
 The determinant parity is read off the trace and corrected by negating the
 first odd-dimensional piece, the same replacement the inductive argument
-uses.  An input is refused with FactorizationUnsupportedError only in another
-dimension, where no cyclic piece or pair of them is nondegenerate, or where
-no odd piece can fix the parity.
+uses.  Only a square nu can need it: a cyclic piece of dimension m has
+det x = (-1)^(m/2), and for a non-square nu x commutes with s on W1, so
+det x = +1 there, while det g = nu^n makes 4 divide dim W1.  An input is
+refused with FactorizationUnsupportedError only in another dimension, where
+the candidates miss every nondegenerate cyclic piece, or where no odd piece
+can fix the parity.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ from .exactlin import (
     ONE,
     ZERO,
 )
+
+
+_HALF = Fraction(1, 2)
 
 
 class FactorizationUnsupportedError(ValueError):
@@ -149,6 +157,17 @@ def orthogonal_string_decomposition(
     """Split the space into orthogonal strings for a nilpotent skew-adjoint
     operator, with cleaned pairings: an odd string is nondegenerate with
     antidiagonal Gram; even strings come in isotropic dual pairs."""
+    return _strings_over(space, n_mat, ExactMatrix.identity(space.dim))
+
+
+def _strings_over(space: QuadraticSpace, n_mat: ExactMatrix, s: ExactMatrix) -> list[StringPiece]:
+    """The string decomposition with scalars in Q[s], for a self-adjoint s
+    with s^2 = nu that commutes with n_mat.  A scalar a + b s is that matrix,
+    and the pairing is h(u, w) = (B(u, w) + B(u, s w) s / nu) / 2: it is
+    Q[s]-bilinear and symmetric, N is skew for it, and B(u, w) is twice the
+    rational part of h(u, w), so h-orthogonal strings are B-orthogonal.  A
+    string through v spans Q[s] v + Q[s] N v + ...  For s = +-sqrt(nu), h is
+    B."""
     check = n_mat.transpose() * space.gram + space.gram * n_mat
     if not check.is_zero():
         raise ValueError("operator is not skew-adjoint for the form")
@@ -159,10 +178,13 @@ def orthogonal_string_decomposition(
         if len(powers) > space.dim:
             raise ValueError("operator is not nilpotent")
         powers.append(powers[-1] * n_mat)
+    scalars = [powers[0]] if s.is_scalar() else [powers[0], s]  # a basis of Q[s] over Q
+    half, s_half = powers[0].scale(_HALF), s.scale(ONE / (2 * (s * s)[0, 0]))
     pieces: list[StringPiece] = []
 
-    def moment(u, w, k):  # B(u, N^k w)
-        return space.bilinear(u, powers[k].apply(w))
+    def moment(u, w, k):  # h(u, N^k w)
+        w = powers[k].apply(w)
+        return half.scale(space.bilinear(u, w)) + s_half.scale(space.bilinear(u, s.apply(w)))
 
     current = _standard_basis(space.dim)
     while current:
@@ -170,47 +192,47 @@ def orthogonal_string_decomposition(
         span = ExactMatrix.from_columns(current)
         d = next(k for k, power in enumerate(powers) if (power * span).is_zero())
         top = lambda u, w: moment(u, w, d - 1)
+        pairs = lambda u, w: not top(u, w).is_zero()
         if d % 2 == 1:
-            v = _find_anisotropic_top(current, top)
+            v = _find_anisotropic_top(current, pairs)
             # kill the intermediate even moments from the bottom up
             for j in range(1, (d - 1) // 2 + 1):
-                t = -moment(v, v, d - 1 - 2 * j) / (2 * top(v, v))
-                v = vec_add(v, vec_scale(t, powers[2 * j].apply(v)))
-            piece = StringPiece(d, (v,))
-            strings = _string(n_mat, v, d)
+                t = (moment(v, v, d - 1 - 2 * j) * top(v, v).inverse()).scale(-_HALF)
+                v = vec_add(v, t.apply(powers[2 * j].apply(v)))
+            generators = (v,)
         else:
-            v, w = _find_dual_top(current, top)
-            w = vec_scale(ONE / top(v, w), w)
+            v, w = _find_dual_top(current, pairs)
+            w = top(v, w).inverse().apply(w)
             # make the v-string isotropic
             for k in range(d - 2, -1, -2):
-                v = vec_add(v, vec_scale(-moment(v, v, k) / 2, powers[d - 1 - k].apply(w)))
+                v = vec_add(v, moment(v, v, k).scale(-_HALF).apply(powers[d - 1 - k].apply(w)))
             # normalize the cross pairings to the antidiagonal
             for j in range(d - 2, -1, -1):
-                w = vec_add(w, vec_scale(-moment(v, w, j), powers[d - 1 - j].apply(w)))
+                w = vec_add(w, (-moment(v, w, j)).apply(powers[d - 1 - j].apply(w)))
             # make the w-string isotropic (does not disturb the cross pairing)
             for k in range(d - 2, -1, -2):
-                w = vec_add(w, vec_scale(moment(w, w, k) / 2, powers[d - 1 - k].apply(v)))
-            piece = StringPiece(d, (v, w))
-            strings = _string(n_mat, v, d) + _string(n_mat, w, d)
-        pieces.append(piece)
-        current = _orthocomplement_in(space, current, strings)
-        current = span_basis(current)
+                w = vec_add(w, moment(w, w, k).scale(_HALF).apply(powers[d - 1 - k].apply(v)))
+            generators = (v, w)
+        pieces.append(StringPiece(d, generators))
+        strings = [b.apply(u) for v in generators for u in _string(n_mat, v, d) for b in scalars]
+        current = span_basis(_orthocomplement_in(space, current, strings))
     return pieces
 
 
-def _find_anisotropic_top(basis, top):
-    # where every basis vector is isotropic for the symmetric top, u + w and
-    # u - w are anisotropic together, and u + w is drawn first
+def _find_anisotropic_top(basis, pairs):
+    # pairs(u, w) says whether a nonzero symmetric form pairs u and w; where
+    # every basis vector is isotropic, some u + w is anisotropic by
+    # polarization, and u + w is drawn before u - w
     for cand in _cyclic_candidates(basis, seed=len(basis)):
-        if top(cand, cand) != 0:
+        if pairs(cand, cand):
             return cand
     raise FactorizationUnsupportedError("no anisotropic vector at the top level")
 
 
-def _find_dual_top(basis, top):
+def _find_dual_top(basis, pairs):
     for i, u in enumerate(basis):
         for w in basis[i + 1 :]:
-            if top(u, w) != 0:
+            if pairs(u, w):
                 return u, w
     raise FactorizationUnsupportedError("no dual pair at the top level")
 
@@ -268,10 +290,10 @@ class _Piece:
     signs: list[int]
 
 
-def _unipotent_pieces(space: QuadraticSpace, g: ExactMatrix, r: Fraction) -> list[_Piece]:
-    """The pieces of a space on which g / r is unipotent, in that space's own
-    coordinates."""
-    u = g.scale(ONE / r)
+def _string_pieces(space: QuadraticSpace, g: ExactMatrix, s: ExactMatrix) -> list[_Piece]:
+    """The pieces of a space on which a self-adjoint s with s^2 = nu commutes
+    with g and s^-1 g is unipotent, in that space's own coordinates."""
+    u = s.inverse() * g
     if u == ExactMatrix.identity(space.dim):
         # log u = 0: every string is a line and the reversal is the identity;
         # the line a determinant flip would negate (the first the string
@@ -279,11 +301,13 @@ def _unipotent_pieces(space: QuadraticSpace, g: ExactMatrix, r: Fraction) -> lis
         basis = _standard_basis(space.dim)
         v = _find_anisotropic_top(basis, space.bilinear)
         return [_Piece([[w]], [1]) for w in [v, *kernel(pairing_matrix(space.gram, [v], basis))]]
-    # with N = log u, span(v, N v, ...) = span(v, g v, ...) and the reversal
-    # is (-1)^i on N^i v: sign 1 on an odd string, 1 and -1 on an even pair
+    # s and N = log u are polynomials in g, so a string through v is the
+    # g-chain of v, and g = s exp(N) makes the reversal the Q[s]-linear map
+    # (-1)^i on N^i v: sign 1 on an odd string, 1 and -1 on an even pair
+    degree = 1 if s.is_scalar() else 2
     return [
-        _Piece([_string(g, v, p.d) for v in p.generators], [1, -1][: len(p.generators)])
-        for p in orthogonal_string_decomposition(space, matrix_log_unipotent(u))
+        _Piece([_string(g, v, p.d * degree) for v in p.generators], [1, -1][: len(p.generators)])
+        for p in _strings_over(space, matrix_log_unipotent(u), s)
     ]
 
 
@@ -304,50 +328,13 @@ def _cyclic_candidates(basis: list[tuple], seed: int):
             yield cand
 
 
-def _paired_piece(
-    space: QuadraticSpace, g: ExactMatrix, nu: Fraction, krylovs: list[tuple[list, list]]
-) -> _Piece | None:
-    """A nondegenerate Z(v) + Z(w') for two longest chains, with w' = p(g) w
-    chosen so that the cross moments mu_m = B(v, g^m w') satisfy
-    mu_m = eps nu^m mu_-m; then the twisted reversal on Z(v) and eps times it
-    on Z(w') is an isometry.  None when no pair gives one."""
-    top = max(len(chain) for chain, _ in krylovs)
-    longest = [(chain, krylov) for chain, krylov in krylovs if len(chain) == top]
-    for i, (cv, kv) in enumerate(longest):
-        for cw, kw in longest[i + 1 :]:
-            # independent chains: Z(v) + Z(w) is direct, and the moments
-            # below need g^k w only for k <= 2 top - 2 < len(kw)
-            if rank(ExactMatrix(cv + cw)) < 2 * top:
-                continue
-
-            def moment(k):  # B(v, g^k w), also for negative k
-                if k >= 0:
-                    return space.bilinear(kv[0], kw[k])
-                return nu**k * space.bilinear(kv[-k], kw[0])
-
-            for eps in (1, -1):
-                rows = [[moment(m + j) - eps * nu**m * moment(j - m) for j in range(top)]
-                        for m in range(top)]
-                solutions = kernel(ExactMatrix(rows))
-                for p in _cyclic_candidates(solutions, seed=top) if solutions else ():
-                    chain = _string(g, _in_ambient(cw, [p])[0], top)
-                    if pairing_matrix(space.gram, cv + chain, cv + chain).det() == 0:
-                        continue
-                    # the reversal is well defined on Z(v) and Z(w') when their
-                    # minimal polynomials are self-dual, as they are for longest
-                    # chains; factor verifies the whole pair
-                    return _Piece([cv, chain], [1, eps])
-    return None
-
-
-def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, nu: Fraction, subspace: list[tuple]) -> list[_Piece]:
-    """Orthogonal decomposition of a g-stable nondegenerate subspace into
-    nondegenerate cyclic pieces, with the reversal q(g) v -> q(nu g^-1) v on
-    each, or into paired pieces where no cyclic piece is nondegenerate."""
+def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple]) -> list[_Piece]:
+    """Orthogonal decomposition of a g-stable nondegenerate subspace on which
+    g^2 - nu is invertible into nondegenerate cyclic pieces, with the reversal
+    q(g) v -> q(nu g^-1) v on each."""
     out = []
     current = span_basis(subspace)
     while current:
-        krylovs = []
         for cand in _cyclic_candidates(current, seed=len(current)):
             # the span of current is g-invariant, so the cyclic subspace of
             # cand has dimension m <= len(current), and cand, ..., g^(m-1) cand
@@ -355,18 +342,13 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, nu: Fraction, subspace
             krylov = _string(g, cand, len(current) + 1)
             chain = krylov[: rank(ExactMatrix(krylov))]
             if pairing_matrix(space.gram, chain, chain).det() != 0:
-                piece = _Piece([chain], [1])
                 break
-            krylovs.append((chain, krylov))
         else:
-            piece = _paired_piece(space, g, nu, krylovs)
-            if piece is None:
-                raise FactorizationUnsupportedError(
-                    f"no nondegenerate cyclic piece or pair in the remaining dimension {len(current)}"
-                )
-        out.append(piece)
-        vectors = [u for chain in piece.chains for u in chain]
-        current = span_basis(_orthocomplement_in(space, current, vectors))
+            raise FactorizationUnsupportedError(
+                f"no nondegenerate cyclic piece in the remaining dimension {len(current)}"
+            )
+        out.append(_Piece([chain], [1]))
+        current = span_basis(_orthocomplement_in(space, current, chain))
     return out
 
 
@@ -375,23 +357,32 @@ def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -
     dim = space.dim
     ident = ExactMatrix.identity(dim)
     square, root = is_rational_square(nu)
+    # the generalized kernel of g^2 - nu, split into the generalized
+    # eigenspaces for +-sqrt(nu) when nu is a square
+    if square:
+        parts = [generalized_kernel(g - ident.scale(r)) for r in (root, -root)]
+    else:
+        parts = [generalized_kernel(g * g - ident.scale(nu))]
     pieces: list[_Piece] = []
     split: list[tuple] = []
-    # the generalized eigenspaces for +-sqrt(nu), where g / sqrt(nu) is +-unipotent
-    for r in (root, -root) if square else ():
-        part = generalized_kernel(g - ident.scale(r))
+    for part in parts:
         if not part:
             continue
         split += part
         # the pieces in the part's own coordinates, then in the ambient ones
         sub_space = QuadraticSpace(len(part), pairing_matrix(space.gram, part, part))
-        sub_pieces = _unipotent_pieces(sub_space, restrict_to(g, part), r)
+        sub_g = s = restrict_to(g, part)
+        # Newton's step converges to the s in Q[g] with s^2 = nu and s^-1 g
+        # unipotent, and is self-adjoint from the first step on
+        while s * s != ExactMatrix.identity(len(part)).scale(nu):
+            s = (s + s.inverse().scale(nu)).scale(_HALF)
+        sub_pieces = _string_pieces(sub_space, sub_g, s)
         ambient = iter(_in_ambient(part, [u for p in sub_pieces for chain in p.chains for u in chain]))
         pieces += [_Piece([[next(ambient) for _ in chain] for chain in p.chains], p.signs) for p in sub_pieces]
     # the orthocomplement of those parts: the kernel of the rows t(v) gram
     rest = kernel(ExactMatrix(split) * space.gram) if split else _standard_basis(dim)
     if rest:
-        pieces += _cyclic_pieces(space, g, nu, rest)
+        pieces += _cyclic_pieces(space, g, rest)
 
     # x sends g^k v to sign (nu g^-1)^k v, and nu g^-1 is the adjoint G^-1 tg G
     adjoint = space.gram.inverse() * g.transpose() * space.gram

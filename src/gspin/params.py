@@ -578,6 +578,8 @@ def realize(psi: FormalParameter) -> list[ExactMatrix]:
         if handle.N == 1:
             local = [ExactMatrix([[next(scalars)]])]
         elif handle.N == 2:
+            if handle.sign is None:
+                raise ValueError(f"{handle.id}: unresolved duality type")
             local = [ExactMatrix.diagonal([2, Fraction(9, 2)]), ExactMatrix([[0, 1], [handle.sign * 9, 0]])]
         else:
             local = [ExactMatrix.diagonal([2, 5, Fraction(3, 5), Fraction(3, 2)]), THETA_J]

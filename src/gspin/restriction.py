@@ -34,11 +34,6 @@ from .exactlin import (
 # commutant pieces
 
 
-def _is_scalar(m: ExactMatrix) -> bool:
-    d = m._num[0][0]
-    return all(x == (d if i == j else 0) for i, r in enumerate(m._num) for j, x in enumerate(r))
-
-
 def _split_pieces(generators: Sequence[ExactMatrix]) -> list[list[tuple]]:
     """Joint eigenspace decomposition under the commutant algebra.
 
@@ -57,7 +52,7 @@ def _split_pieces(generators: Sequence[ExactMatrix]) -> list[list[tuple]]:
         new_pieces: list[list[tuple]] = []
         for basis in pieces:
             restricted = restrict_to(b, basis) if len(basis) > 1 else None
-            if restricted is None or _is_scalar(restricted):
+            if restricted is None or restricted.is_scalar():
                 new_pieces.append(basis)
                 continue
             parts, irrational = rational_eigensplit(restricted)

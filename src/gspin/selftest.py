@@ -285,7 +285,7 @@ def check_involutions(seed: int, corrupt: bool) -> CheckResult:
             if corrupt and count == 3:
                 pair = InvolutionPair(pair.x, -pair.y)  # wrong on purpose: x y = -g
             if not verify(e, pair):
-                return CheckResult("involutions.factor", False, f"dim {space.dim}")
+                return CheckResult("involutions.factor", False, f"seed {seed} trial {count} dim {space.dim}")
             count += 1
     return CheckResult("involutions.factor", True, f"{count} seeded factorizations verified")
 

@@ -244,7 +244,8 @@ def test_selftest_fault_injection(capsys):
 def test_selftest_involutions_fault_injection():
     ok, lines = run_selftest(0, corrupt="involutions")
     assert ok is False
-    assert any(line.startswith("FAIL involutions.factor") for line in lines)
+    # the seed and the trial replay the failing element
+    assert "FAIL involutions.factor: seed 0 trial 3 dim 4" in lines
     assert lines[-1] == "selftest FAIL"
 
 

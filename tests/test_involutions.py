@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gspin import involutions
 from gspin.exactlin import ExactMatrix, QuadraticSpace, frac, matrix_equation_kernel, matrix_exp_nilpotent
 from gspin.involutions import (
     FactorizationUnsupportedError,
@@ -133,10 +134,10 @@ def test_nonsquare_similitude_dim4_via_twisted_reversal():
 
 
 def test_twisted_reversal_returns_the_recorded_pair():
-    # two nu = 3 elements, factored by the twisted reversal q(g) v -> q(3 g^-1) v
-    # on nondegenerate cyclic pieces; the dim-4 pair is the one the deleted
+    # two nu = 3 elements, factored by the twisted reversal q(g) v -> q(3 g^-1) v;
+    # the dim-4 pair, from nondegenerate cyclic pieces, is the one the deleted
     # sign-vector search returned, and the dim-8 g already squares to 3, so
-    # the reversal is the identity on it
+    # s = g, log(s^-1 g) = 0 and the reversal is the identity on it
     space4 = SPACES[4][0]
     g4 = ExactMatrix([[-2, -1, 0, 0], [-1, -2, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]])
     e4 = SimilitudeElement(space4, g4, 3)
@@ -423,9 +424,9 @@ def _y_exp_n(rng):
 
 def _pinned_nonsquare_and_paired_elements():
     """Seeded split tori diag(a, nu / a) with a non-square nu, times 0, 2 or 4
-    reflections, in dims 2, 4, 6 and 8 on the split Gram, and dim-8 y exp(N)
-    elements, whose cyclic spaces are all degenerate: only the paired step
-    factors those."""
+    reflections, in dims 2, 4, 6 and 8 on the split Gram, and last ten dim-8
+    y exp(N) elements, whose cyclic spaces are all degenerate: g^2 - nu is
+    nilpotent on the whole space, and the strings over Q[s] factor those."""
     rng = random.Random(5151)
     for dim in (2, 4, 6, 8):
         space = SPACES[dim][0]
@@ -452,3 +453,15 @@ def test_nonsquare_and_paired_factorizations_match_the_recorded_digest():
     assert digest.hexdigest() == (
         "4118ef462b2c0bb9ba931f71bbe2788bfc7438417129d199e11812a35ac89a22"
     )
+
+
+def test_y_exp_n_elements_factor_without_cyclic_pieces(monkeypatch):
+    # every vector of genker(g^2 - nu) goes to the strings over Q[s], and for
+    # y exp(N) that is the whole space
+    def no_cyclic_pieces(*args):
+        raise AssertionError("cyclic pieces asked for")
+
+    monkeypatch.setattr(involutions, "_cyclic_pieces", no_cyclic_pieces)
+    elements = list(_pinned_nonsquare_and_paired_elements())[-10:]
+    for e in elements:
+        assert verify(e, factor(e))

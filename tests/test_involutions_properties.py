@@ -10,8 +10,14 @@ The families reach every step of the one construction:
 - dimension two, split and anisotropic planes;
 - the dim-8 elements y exp(N), y = A + J tA J with A two 2 x 2 roots of a
   non-square nu and N a nonzero skew nilpotent commuting with y: every Krylov
-  space of y exp(N) is at most 4-dimensional and degenerate, so only the
-  paired step can factor them.
+  space of y exp(N) is at most 4-dimensional and degenerate, and g^2 - nu is
+  nilpotent on the whole space, so the string decomposition over Q[s]
+  factors them alone;
+- W x Q(sqrt(nu)) in dim 8, with g = (1 x sqrt(nu)) exp(N0 x 1) and the form
+  J4 x Tr, N0 in so(J4) of Jordan type (3, 1), (2, 2) or 0, half of them
+  moved: odd strings cleaned over Q[s], even string pairs, and s^-1 g = 1;
+- a dim-4 block y with y^2 = nu plus a split torus with the same non-square
+  nu, half of them moved: strings over Q[s] beside cyclic pieces.
 
 Examples are derandomized, so every run checks the same elements, and
 failing examples are reported unshrunk.
@@ -28,6 +34,7 @@ from gspin.exactlin import (  # noqa: E402
     ExactMatrix,
     QuadraticSpace,
     frac,
+    kron,
     matrix_equation_kernel,
     matrix_exp_nilpotent,
     pairing_matrix,
@@ -67,8 +74,9 @@ def split_torus(draw, dims=(2, 4, 6, 8)):
 
 
 @st.composite
-def moved_split_torus(draw):
-    e = draw(split_torus())
+def moved(draw, elements):
+    """An element of the strategy moved to the Gram P^T G P as P^-1 g P."""
+    e = draw(elements)
     dim = e.space.dim
     entries = st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), min_size=dim, max_size=dim)
     p = draw(entries.map(ExactMatrix).filter(lambda m: m.det() != 0))
@@ -109,6 +117,40 @@ def y_exp_n(draw):
     return SimilitudeElement(split(8), g, nu)
 
 
+# nilpotents of so(J4) of Jordan type (3, 1), (2, 2) and 0
+SO4_NILPOTENTS = [
+    ExactMatrix([[0, 1, 1, 0], [0, 0, 0, -1], [0, 0, 0, -1], [0, 0, 0, 0]]),
+    ExactMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]]),
+    ExactMatrix.zeros(4, 4),
+]
+
+
+@st.composite
+def tensor_with_quadratic_field(draw):
+    """(1 x sqrt(nu)) exp(N0 x 1) on W x Q(sqrt(nu)), W the split 4-space and
+    Q(sqrt(nu)) on the basis 1, sqrt(nu) with its trace form diag(2, 2 nu)."""
+    nu = draw(NON_SQUARE)
+    n0 = draw(st.sampled_from(SO4_NILPOTENTS)).scale(draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])))
+    root = ExactMatrix([[0, nu], [1, 0]])
+    space = QuadraticSpace(8, kron(split(4).gram, ExactMatrix.diagonal([2, 2 * nu])))
+    return SimilitudeElement(space, kron(matrix_exp_nilpotent(n0), root), nu)
+
+
+@st.composite
+def root_block_with_torus(draw):
+    """y = A + J tA J in dim 4, A a 2 x 2 root of a non-square nu, so that
+    y^2 = nu, plus diag(a, nu / a) or diag(a, b, nu / b, nu / a), each on its
+    antidiagonal Gram."""
+    nu = draw(NON_SQUARE)
+    a = draw(trace_zero_root(nu))
+    j = ExactMatrix.antidiagonal([1, 1])
+    t = [frac(x) for x in draw(st.lists(TORUS_ENTRIES, min_size=1, max_size=2))]
+    torus = ExactMatrix.diagonal(t + [nu / x for x in reversed(t)])
+    gram = ExactMatrix.block_diagonal([split(4).gram, split(torus.rows).gram])
+    g = ExactMatrix.block_diagonal([a, j * a.transpose() * j, torus])
+    return SimilitudeElement(QuadraticSpace(gram.rows, gram), g, nu)
+
+
 def assert_factors(e: SimilitudeElement) -> None:
     pair = factor(e)
     assert verify(e, pair)
@@ -122,7 +164,7 @@ def test_split_torus_with_and_without_reflections(e):
 
 
 @settings(PROPERTY, max_examples=40)
-@given(moved_split_torus())
+@given(moved(split_torus()))
 def test_split_torus_on_another_gram(e):
     assert_factors(e)
 
@@ -135,9 +177,10 @@ def test_dimension_two(e):
 
 @settings(PROPERTY, max_examples=25)
 @given(y_exp_n())
-def test_y_exp_n_needs_the_paired_step(e):
+def test_y_exp_n_without_a_nondegenerate_cyclic_piece(e):
     # the Krylov spaces of the basis vectors and of their sum are degenerate
-    # and at most 4-dimensional, so no single cyclic piece is found there
+    # and at most 4-dimensional: no cyclic piece would do, and the strings
+    # over Q[s] factor the element
     for v in [tuple(frac(int(i == k)) for k in range(8)) for i in range(8)] + [(frac(1),) * 8]:
         krylov = [v]
         for _ in range(8):
@@ -145,4 +188,16 @@ def test_y_exp_n_needs_the_paired_step(e):
         chain = krylov[: rank(ExactMatrix(krylov))]
         assert len(chain) <= 4
         assert pairing_matrix(e.space.gram, chain, chain).det() == 0
+    assert_factors(e)
+
+
+@settings(PROPERTY, max_examples=45)
+@given(st.one_of(tensor_with_quadratic_field(), moved(tensor_with_quadratic_field())))
+def test_tensor_with_a_quadratic_field(e):
+    assert_factors(e)
+
+
+@settings(PROPERTY)
+@given(st.one_of(root_block_with_torus(), moved(root_block_with_torus())))
+def test_root_block_beside_a_torus(e):
     assert_factors(e)

@@ -375,6 +375,16 @@ def test_oracle_matches_table_on_all_six_types():
         assert oracle.commutant_dim == len(psi.summands)
 
 
+def test_oracle_refuses_a_gl2_handle_of_unresolved_duality_type():
+    # a Yoshida-shaped psi whose handles never went through gl2_alternative
+    g = make_group()
+    chi = g.element({"chi0": 1})
+    handles = [cuspidal_gl2(g, name, chi, chi) for name in ("pi1", "pi2")]
+    psi = FormalParameter(chi=chi, summands=tuple((h, 1) for h in handles))
+    with pytest.raises(ValueError, match="pi1: unresolved duality type"):
+        component_group_oracle(psi)
+
+
 def test_oracle_disagrees_with_a_table_without_the_centre(monkeypatch):
     # the oracle computes its group from matrices, so a table that forgets
     # the central all-flip relation must be caught on every type

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module-level private name of the package is read somewhere in it.
 
 A name kept on purpose, for instance one that another module binds through
 this one, carries `# noqa: F401` on the line that imports it."""
@@ -53,3 +54,58 @@ def test_an_unused_import_is_found(tmp_path):
         "    return os.getpid()\n"
     )
     assert _unused_imports(module) == ["module.py:2: sys"]
+
+
+def _reads(tree: ast.AST) -> list[str]:
+    """Names read in the tree: loaded names, attributes, imported names."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out += [alias.name for alias in node.names]
+    return out
+
+
+def _dead_private_names(paths: list[Path]) -> list[str]:
+    """Module-level `def _x`, `class _X` and `_X = ...` that no module reads
+    outside the definition itself."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reads = [name for tree in trees.values() for name in _reads(tree)]
+    dead = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names, inside = [node.name], _reads(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                inside = _reads(node.value) if node.value else []
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    if reads.count(name) == inside.count(name):
+                        dead.append(f"{path.name}:{node.lineno}: {name}")
+    return dead
+
+
+def test_every_private_name_is_read():
+    assert _dead_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_dead_private_name_is_found(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text(
+        "_LIMIT = 3\n"
+        "_SPARE = 4\n"
+        "def _helper(n):\n"
+        "    return _helper(n - 1) if n else _LIMIT\n"
+        "class _Unused:\n"
+        "    pass\n"
+    )
+    b.write_text("from a import _helper\nprint(_helper(2))\n")
+    assert _dead_private_names([a]) == ["a.py:2: _SPARE", "a.py:3: _helper", "a.py:5: _Unused"]
+    assert _dead_private_names([a, b]) == ["a.py:2: _SPARE", "a.py:5: _Unused"]
