@@ -25,7 +25,7 @@ from . import endoscopy
 from .params import classify, component_group_table, multiplicity, psi_disc_membership
 from .params import require_membership
 from .restriction import project_parameter, restriction_count_identity, shape_catalog
-from .scenario import REQUIRED, ScenarioError, check, load_scenario, local_characters, lookup, read
+from .scenario import REQUIRED, ScenarioError, blame, check, load_scenario, local_characters, lookup, read
 from .scenario import parse_json, parse_matrix, parse_rational
 from .selftest import run_selftest
 from .weyl import det_factor, enumerate_levis, enumerate_weyl_elements, is_regular
@@ -173,8 +173,14 @@ def cmd_factor_involution(args) -> int:
             doc = parse_json(fh.read())
         gram, g, nu = read(doc, "", {k: (object, REQUIRED) for k in ("gram", "matrix", "similitude")})
         gram = parse_matrix(gram, "gram")
-        space = QuadraticSpace(gram.rows, gram)
-        element = SimilitudeElement(space, parse_matrix(g, "matrix"), parse_rational(nu, "similitude"))
+        with blame("gram"):
+            space = QuadraticSpace(gram.rows, gram)
+        g = parse_matrix(g, "matrix")
+        if (g.rows, g.cols) != (space.dim, space.dim):
+            raise ScenarioError(f"matrix: expected {space.dim} x {space.dim} entries, the size of gram")
+        nu = parse_rational(nu, "similitude")
+        with blame("matrix"):
+            element = SimilitudeElement(space, g, nu)
     except (ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR

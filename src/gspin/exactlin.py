@@ -835,9 +835,9 @@ class QuadraticSpace:
         if self.dim % 2 != 0:
             raise ValueError("dimension must be even")
         if self.gram.rows != self.dim or not self.gram.is_symmetric():
-            raise ValueError("gram must be symmetric of the stated dimension")
+            raise ValueError("the form must be symmetric of the stated dimension")
         if self.gram.det() == 0:
-            raise ValueError("gram must be invertible")
+            raise ValueError("the form must be invertible")
 
     def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
         return bilinear(self.gram, u, v)

@@ -22,45 +22,37 @@ the characteristic polynomial:
   string is found among a basis and its pairwise sums by polarization.
   Where s^-1 g = 1, every vector of a basis is a chain of its own, an
   anisotropic line first;
-- on the rest, where g^2 - nu is invertible, a nondegenerate cyclic piece
-  exists (a = g + nu g^-1 is self-adjoint, and Z_g(v) is nondegenerate
-  exactly when Z_a(v) is), and the rest splits into such pieces, one chain
-  each.
+- on the rest, where g^2 - nu is invertible, cyclic pieces, one chain each:
+  the first of a basis, its pairwise sums and differences whose cyclic
+  space Z(v) is nondegenerate.  Where none is, the primary parts of the
+  self-adjoint a = g + nu g^-1 split the rest first, without trial.  They
+  are mutually orthogonal, Z_a(v) is the sum of its components in them, and
+  Z_g(v) is nondegenerate exactly when Z_a(v) is.  On a p^k-primary part W
+  the symmetric form B(x, p(a)^(k-1) y) is not zero, so by polarization
+  some candidate v has a nondegenerate Z_a(v_W); the radical R of its Z(v)
+  then misses W, and the generalized kernel of chi(a), chi the
+  characteristic polynomial of a on R, is a proper sum of primary parts.
 
 The determinant parity is read off the trace and corrected by negating the
 first odd-dimensional piece, the same replacement the inductive argument
 uses.  Only a square nu can need it: a cyclic piece of dimension m has
 det x = (-1)^(m/2), and for a non-square nu x commutes with s on W1, so
-det x = +1 there, while det g = nu^n makes 4 divide dim W1.  An input is
-refused with FactorizationUnsupportedError only in another dimension, where
-the candidates miss every nondegenerate cyclic piece, or where no odd piece
-can fix the parity.
+det x = +1 there, while det g = nu^n makes 4 divide dim W1.  For a square
+nu an even string pair of dimension m has det x = (-1)^(m/2) too, so a
+wrong parity leaves an odd piece to negate.  FactorizationUnsupportedError
+refuses only another dimension; its other raises are guards that the
+arguments above show cannot fire.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import (
-    ExactMatrix,
-    QuadraticSpace,
-    frac,
-    generalized_kernel,
-    is_rational_square,
-    kernel,
-    matrix_log_unipotent,
-    pairing_matrix,
-    rank,
-    restrict_to,
-    span_basis,
-    vec_add,
-    vec_scale,
-    ONE,
-    ZERO,
-)
+from .exactlin import ExactMatrix, QuadraticSpace, frac, generalized_kernel, is_rational_square, kernel
+from .exactlin import matrix_log_unipotent, pairing_matrix, poly_eval_matrix, rank, restrict_to, span_basis
+from .exactlin import vec_add, vec_scale, ONE, ZERO
 
 
 _HALF = Fraction(1, 2)
@@ -80,7 +72,7 @@ class SimilitudeElement:
         object.__setattr__(self, "nu", frac(self.nu))
         got = self.space.similitude_factor(self.g)
         if got != self.nu or got == 0:
-            raise ValueError("matrix is not an invertible similitude with the stated factor")
+            raise ValueError("not an invertible similitude with the stated factor")
         n = self.space.dim // 2
         if self.g.det() != self.nu**n:
             raise ValueError("not in the special similitude group: det != nu^n")
@@ -126,8 +118,6 @@ def _standard_basis(n: int) -> list[tuple]:
 
 def _orthocomplement_in(space: QuadraticSpace, inside: Sequence[tuple], of: Sequence[tuple]) -> list[tuple]:
     """Vectors of span(inside) orthogonal to every vector of the nonempty `of`."""
-    if not inside:
-        return []
     return _in_ambient(inside, kernel(pairing_matrix(space.gram, of, inside)))
 
 
@@ -223,7 +213,7 @@ def _find_anisotropic_top(basis, pairs):
     # pairs(u, w) says whether a nonzero symmetric form pairs u and w; where
     # every basis vector is isotropic, some u + w is anisotropic by
     # polarization, and u + w is drawn before u - w
-    for cand in _cyclic_candidates(basis, seed=len(basis)):
+    for cand in _cyclic_candidates(basis):
         if pairs(cand, cand):
             return cand
     raise FactorizationUnsupportedError("no anisotropic vector at the top level")
@@ -311,42 +301,43 @@ def _string_pieces(space: QuadraticSpace, g: ExactMatrix, s: ExactMatrix) -> lis
     ]
 
 
-def _cyclic_candidates(basis: list[tuple], seed: int):
-    for v in basis:
-        yield v
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            yield vec_add(basis[i], basis[j])
-            yield vec_add(basis[i], vec_scale(-1, basis[j]))
-    rng = random.Random(seed)
-    for _ in range(24):
-        coeffs = [frac(rng.randint(-3, 3)) for _ in basis]
-        cand = tuple(ZERO for _ in basis[0])
-        for c, b in zip(coeffs, basis):
-            cand = vec_add(cand, vec_scale(c, b))
-        if any(c != 0 for c in cand):
-            yield cand
+def _cyclic_candidates(basis: list[tuple]):
+    """The basis, then the sums and differences of its pairs."""
+    yield from basis
+    for i, u in enumerate(basis):
+        for w in basis[i + 1 :]:
+            yield vec_add(u, w)
+            yield vec_add(u, vec_scale(-1, w))
 
 
 def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple]) -> list[_Piece]:
     """Orthogonal decomposition of a g-stable nondegenerate subspace on which
     g^2 - nu is invertible into nondegenerate cyclic pieces, with the reversal
-    q(g) v -> q(nu g^-1) v on each."""
+    q(g) v -> q(nu g^-1) v on each; where no candidate's cyclic space is
+    nondegenerate, by the primary parts of a = g + nu g^-1 first."""
     out = []
     current = span_basis(subspace)
     while current:
-        for cand in _cyclic_candidates(current, seed=len(current)):
+        degenerate = []
+        for cand in _cyclic_candidates(current):
             # the span of current is g-invariant, so the cyclic subspace of
             # cand has dimension m <= len(current), and cand, ..., g^(m-1) cand
             # are its first m vectors
             krylov = _string(g, cand, len(current) + 1)
             chain = krylov[: rank(ExactMatrix(krylov))]
-            if pairing_matrix(space.gram, chain, chain).det() != 0:
+            gram = pairing_matrix(space.gram, chain, chain)
+            if gram.det() != 0:
                 break
+            degenerate.append((chain, gram))
         else:
-            raise FactorizationUnsupportedError(
-                f"no nondegenerate cyclic piece in the remaining dimension {len(current)}"
-            )
+            a = g + space.gram.inverse() * g.transpose() * space.gram
+            for chain, gram in degenerate:
+                chi = restrict_to(a, _in_ambient(chain, kernel(gram))).charpoly()
+                part = _in_ambient(current, generalized_kernel(poly_eval_matrix(chi, restrict_to(a, current))))
+                if len(part) < len(current):
+                    rest = _orthocomplement_in(space, current, part)
+                    return out + _cyclic_pieces(space, g, part) + _cyclic_pieces(space, g, rest)
+            raise FactorizationUnsupportedError(f"no cyclic piece and no primary split in dimension {len(current)}")
         out.append(_Piece([chain], [1]))
         current = span_basis(_orthocomplement_in(space, current, chain))
     return out

@@ -104,7 +104,7 @@ def _fresh(table: dict, name: str, path: str) -> str:
 
 
 @contextmanager
-def _blame(path: str):
+def blame(path: str):
     """Report a ValueError of the declaration at path as bad input there."""
     try:
         yield
@@ -127,7 +127,7 @@ def parse_rational(value, path: str) -> Fraction:
 def parse_matrix(rows, path: str) -> ExactMatrix:
     """A matrix given as a list of rows of rationals."""
     rows = [check(row, list, _at(path, i)) for i, row in enumerate(check(rows, list, path))]
-    with _blame(path):
+    with blame(path):
         return ExactMatrix([[parse_rational(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
                             for i, row in enumerate(rows)])
 
@@ -171,7 +171,7 @@ def build_scenario(doc: dict) -> Scenario:
         free, torsion = read(node, at, {"free": (dict, {}), "torsion": (list, [])})
         free = {g: check(e, int, _at(f"{at}.free", g)) for g, e in free.items()}
         torsion = [check(g, str, _at(f"{at}.torsion", k)) for k, g in enumerate(torsion)]
-        with _blame(at):
+        with blame(at):
             characters[_fresh(characters, name, at)] = group.element(free, torsion)
 
     classes = {"1": group.declare_class("1")}
@@ -179,7 +179,7 @@ def build_scenario(doc: dict) -> Scenario:
         at = f"classes[{i}]"
         token, char = read(node, at, {"token": (str, REQUIRED), "character": (str, REQUIRED)})
         character = lookup(characters, char, "undeclared character", f"{at}.character")
-        with _blame(at):
+        with blame(at):
             classes[_fresh(classes, token, f"{at}.token")] = group.declare_class(token, character)
 
     cuspidals: dict[str, CuspidalHandle] = {}
@@ -199,7 +199,7 @@ def build_scenario(doc: dict) -> Scenario:
             sign=sign,
             tensor_origin=tuple(entries(origin, f"{at}.tensor_origin", str, str)) if origin is not None else None,
         )
-        with _blame(at):
+        with blame(at):
             check_selfdual(group, handle)
             if sign is None and n == 1:
                 handle = replace(handle, sign=+1, tensor_origin=None)
@@ -221,7 +221,7 @@ def build_scenario(doc: dict) -> Scenario:
             ref, d = entries(pair, f"{at}.summands[{k}]", str, int)
             summands.append((lookup(cuspidals, ref, "undeclared cuspidal", f"{at}.summands[{k}]"), d))
         chi = lookup(characters, chi, "undeclared character", f"{at}.chi")
-        with _blame(at):
+        with blame(at):
             param = FormalParameter(chi=chi, summands=tuple(summands))
         parameters[_fresh(parameters, name, f"{at}.name")] = ParameterFixture(name, param, minus)
     for pname, places in local_docs.items():

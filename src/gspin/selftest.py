@@ -261,6 +261,19 @@ def check_restriction_counting(seed: int, corrupt: bool) -> CheckResult:
     return CheckResult("restriction.count", True, "partitions of the dual on every catalog shape")
 
 
+def _lagrangian_root(rng: random.Random, dim: int) -> ExactMatrix:
+    """y = (A, J tA J) on the antidiagonal form, A a block sum of 2 x 2
+    roots of one non-square nu: a similitude with factor nu and y^2 = nu."""
+    nu = rng.choice((2, -1, 3, -3, 5, 6, -7))
+    roots = []
+    for _ in range(dim // 4):
+        a, b = rng.randint(-3, 3), rng.choice((1, -1))
+        roots.append(ExactMatrix([[a, b], [(nu - a * a) * b, -a]]))
+    a = ExactMatrix.block_diagonal(roots)
+    j = ExactMatrix.antidiagonal([1] * (dim // 2))
+    return ExactMatrix.block_diagonal([a, j * a.transpose() * j])
+
+
 def check_involutions(seed: int, corrupt: bool) -> CheckResult:
     rng = random.Random(seed)
     spaces = [
@@ -270,7 +283,7 @@ def check_involutions(seed: int, corrupt: bool) -> CheckResult:
     ]
     count = 0
     for space in spaces:
-        for _ in range(8):
+        for trial in range(8):
             g = ExactMatrix.identity(space.dim)
             for _ in range(2 * rng.randint(1, 2)):
                 while True:
@@ -278,8 +291,10 @@ def check_involutions(seed: int, corrupt: bool) -> CheckResult:
                     if space.bilinear(v, v) != 0:
                         break
                 g = g * space.reflection(v)
-            lam = frac(rng.randint(1, 4))
-            g = g.scale(lam)
+            if trial == 7 and space.dim != 6:
+                g = g * _lagrangian_root(rng, space.dim)  # a non-square nu
+            else:
+                g = g.scale(frac(rng.randint(1, 4)))
             e = SimilitudeElement(space, g, space.similitude_factor(g))
             pair = factor(e)
             if corrupt and count == 3:

@@ -127,9 +127,20 @@ FACTOR_DOC = {"gram": [["0", "1"], ["1", "0"]], "matrix": [["2", "0"], ["0", "1"
         (dict(FACTOR_DOC, matrix=[2, 1]), "matrix[0]: expected a list"),
         (dict(FACTOR_DOC, gram="1"), "gram: expected a list"),
         (dict(FACTOR_DOC, gram=[["0", "1"], ["1"]]), "gram: ragged rows"),
+        (dict(FACTOR_DOC, gram=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "gram: dimension must be even"),
+        (dict(FACTOR_DOC, gram=[[0, 1], [2, 0]]), "gram: the form must be symmetric of the stated dimension"),
+        (dict(FACTOR_DOC, gram=[[1, 1], [1, 1]]), "gram: the form must be invertible"),
+        (dict(FACTOR_DOC, matrix=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+         "matrix: expected 2 x 2 entries, the size of gram"),
+        (dict(FACTOR_DOC, matrix=[[1, 0, 0], [0, 1, 0]]), "matrix: expected 2 x 2 entries, the size of gram"),
+        (dict(FACTOR_DOC, similitude=3), "matrix: not an invertible similitude with the stated factor"),
+        (dict(FACTOR_DOC, matrix=[[0, 1], [1, 0]], similitude=1),
+         "matrix: not in the special similitude group: det != nu^n"),
     ],
     ids=["list-document", "unknown-key", "no-similitude", "float", "bool", "decimal-string",
-         "zero-denominator", "list-entry", "row-not-a-list", "gram-not-a-list", "ragged"],
+         "zero-denominator", "list-entry", "row-not-a-list", "gram-not-a-list", "ragged",
+         "odd-gram", "asymmetric-gram", "singular-gram", "matrix-of-another-size", "non-square-matrix",
+         "wrong-similitude-factor", "determinant-minus-one"],
 )
 def test_factor_involution_defect_is_input_error(tmp_path, capsys, doc, message):
     code, out, err = _run(tmp_path, capsys, doc, "factor-involution")
@@ -140,7 +151,7 @@ def test_factor_involution_refuses_similitude_factor_zero(tmp_path, capsys):
     doc = {"gram": [[0, 1], [1, 0]], "matrix": [[0, 0], [0, 0]], "similitude": 0}
     code, out, err = _run(tmp_path, capsys, doc, "factor-involution")
     assert (code, out) == (2, "")
-    assert err == "input error: matrix is not an invertible similitude with the stated factor\n"
+    assert err == "input error: matrix: not an invertible similitude with the stated factor\n"
 
 
 def test_even_target_needs_its_square_class(tmp_path, capsys):

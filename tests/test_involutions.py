@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 
 from gspin import involutions
-from gspin.exactlin import ExactMatrix, QuadraticSpace, frac, matrix_equation_kernel, matrix_exp_nilpotent
+from gspin.exactlin import (
+    ExactMatrix,
+    QuadraticSpace,
+    frac,
+    is_rational_square,
+    matrix_equation_kernel,
+    matrix_exp_nilpotent,
+    pairing_matrix,
+    rank,
+)
 from gspin.involutions import (
     FactorizationUnsupportedError,
     InvolutionPair,
@@ -15,6 +24,7 @@ from gspin.involutions import (
     unipotent_sl2_decompose,
     verify,
 )
+from gspin.selftest import run_selftest
 
 
 SPACES = {
@@ -465,3 +475,62 @@ def test_y_exp_n_elements_factor_without_cyclic_pieces(monkeypatch):
     elements = list(_pinned_nonsquare_and_paired_elements())[-10:]
     for e in elements:
         assert verify(e, factor(e))
+
+
+# ---------------------------------------------------------------------------
+# a space with no nondegenerate cyclic piece among the candidates
+
+
+def _two_hyperbolic_spaces():
+    """W1 + W2 in dim 8, each hyperbolic with basis e1, e2, f1, f2, g = 2 on
+    the e and 1/2 on the f of W1, 3 and 1/3 on W2 (nu = 1), on the basis
+    u_j = x_j + y_j with x = (e1, f1, e2, f2, e1, f1, e2, f2) in W1 and
+    y = (e1', e2', f1', f2', 2 e1', 2 e2', 2 f1', 2 f2') in W2."""
+    h = ExactMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    g = ExactMatrix.diagonal([2, 2, Fraction(1, 2), Fraction(1, 2), 3, 3, Fraction(1, 3), Fraction(1, 3)])
+    x = [0, 2, 1, 3, 0, 2, 1, 3]  # coordinates e1 e2 f1 f2 | e1' e2' f1' f2'
+    y = [(4, 1), (5, 1), (6, 1), (7, 1), (4, 2), (5, 2), (6, 2), (7, 2)]
+    u = ExactMatrix.from_columns(
+        [[int(k == i) + c * int(k == j) for k in range(8)] for i, (j, c) in zip(x, y)]
+    )
+    gram = ExactMatrix.block_diagonal([h, h])
+    return SimilitudeElement(QuadraticSpace(8, u.transpose() * gram * u), u.inverse() * g * u, 1)
+
+
+def test_primary_split_where_every_candidate_is_degenerate(monkeypatch):
+    e = _two_hyperbolic_spaces()
+    # g^2 - 1 is invertible, so the cyclic pieces must fill the whole space,
+    # and the cyclic space of every basis vector, pairwise sum and pairwise
+    # difference is degenerate
+    basis = [tuple(frac(int(i == k)) for k in range(8)) for i in range(8)]
+    candidates = basis + [
+        tuple(a + sign * b for a, b in zip(basis[i], basis[j]))
+        for i in range(8) for j in range(i + 1, 8) for sign in (1, -1)
+    ]
+    for v in candidates:
+        krylov = [v]
+        for _ in range(8):
+            krylov.append(e.g.apply(krylov[-1]))
+        chain = krylov[: rank(ExactMatrix(krylov))]
+        assert pairing_matrix(e.space.gram, chain, chain).det() == 0
+
+    # the primary parts of g + g^-1 split the space with no random draw
+    def no_draw(*args):
+        raise AssertionError("random draw in factor")
+
+    monkeypatch.setattr(random, "Random", no_draw)
+    assert verify(e, factor(e))
+
+
+def test_selftest_factors_nonsquare_similitude_factors(monkeypatch):
+    nus = []
+    reversing_involution = involutions._reversing_involution
+
+    def recording(space, g, nu):
+        nus.append(nu)
+        return reversing_involution(space, g, nu)
+
+    monkeypatch.setattr(involutions, "_reversing_involution", recording)
+    ok, _ = run_selftest(0)
+    assert ok
+    assert sum(not is_rational_square(nu)[0] for nu in nus) >= 2

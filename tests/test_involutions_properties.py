@@ -17,7 +17,12 @@ The families reach every step of the one construction:
   J4 x Tr, N0 in so(J4) of Jordan type (3, 1), (2, 2) or 0, half of them
   moved: odd strings cleaned over Q[s], even string pairs, and s^-1 g = 1;
 - a dim-4 block y with y^2 = nu plus a split torus with the same non-square
-  nu, half of them moved: strings over Q[s] beside cyclic pieces.
+  nu, half of them moved: strings over Q[s] beside cyclic pieces;
+- W1 + W2 in dim 6 or 8, W1 two hyperbolic planes with g = lambda_k and
+  nu / lambda_k, W2 hyperbolic with g = mu and nu / mu, on a scaled basis
+  x + y that pairs each plane of W1 with an isotropic half of W2: two or
+  three primary parts of g + nu g^-1, and the cyclic space of every basis
+  vector, pairwise sum and difference degenerate, so the primary split runs.
 
 Examples are derandomized, so every run checks the same elements, and
 failing examples are reported unshrunk.
@@ -151,6 +156,51 @@ def root_block_with_torus(draw):
     return SimilitudeElement(QuadraticSpace(gram.rows, gram), g, nu)
 
 
+def hyperbolic(k: int) -> ExactMatrix:
+    """The Gram of e_1, ..., e_k, f_1, ..., f_k with B(e_i, f_j) = [i = j]."""
+    return ExactMatrix([[int(abs(i - j) == k) for j in range(2 * k)] for i in range(2 * k)])
+
+
+@st.composite
+def planes_beside_a_hyperbolic_space(draw):
+    """W1 + W2, W1 = planes (e_k, f_k) for k = 1, 2 with g = lambda_k on e_k
+    and nu / lambda_k on f_k, W2 of dim 2 or 4 with g = mu on its e' and
+    nu / mu on its f', a(mu) apart from a(lambda_k) for a(t) = t + nu / t.
+    The basis is s x + t y, x running through e_k, f_k, e_k, ... and y
+    through the e' for k = 1 and the f' for k = 2, with |t| distinct within
+    each k: the cyclic space of every candidate has a nonzero isotropic
+    component in W1 or in W2."""
+    nu = frac(draw(NUS))
+    entries = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3), 5]).map(frac)
+    lam1, lam2, mu = draw(st.tuples(entries, entries, entries).filter(
+        lambda ts: all(t * t != nu for t in ts)
+        and ts[2] + nu / ts[2] not in (ts[0] + nu / ts[0], ts[1] + nu / ts[1])
+    ))
+    half = draw(st.sampled_from((1, 2)))  # dim W2 / 2
+    dim = 4 + 2 * half
+    scales = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2)])
+    columns = []
+    for k, w2 in ((0, 0), (1, half)):  # e_k at k, f_k at 2 + k; W2 starts at 4
+        sizes = draw(st.permutations([1, 2, 3, Fraction(1, 2)]))
+        for i in range(2 + half):
+            s, t = draw(scales), sizes[i] * draw(st.sampled_from((1, -1)))
+            x, y = (k if i % 2 == 0 else 2 + k), 4 + w2 + i % half
+            columns.append([s * int(r == x) + t * int(r == y) for r in range(dim)])
+    u = ExactMatrix.from_columns(columns)
+    hypothesis.assume(u.det() != 0)
+    g = ExactMatrix.diagonal([lam1, lam2, nu / lam1, nu / lam2] + [mu] * half + [nu / mu] * half)
+    gram = ExactMatrix.block_diagonal([hyperbolic(2), hyperbolic(half)])
+    return SimilitudeElement(QuadraticSpace(dim, u.transpose() * gram * u), u.inverse() * g * u, nu)
+
+
+def cyclic_chain(e: SimilitudeElement, v: tuple) -> list[tuple]:
+    """v, g v, ..., up to the dimension of the cyclic space of v."""
+    krylov = [v]
+    for _ in range(e.space.dim):
+        krylov.append(e.g.apply(krylov[-1]))
+    return krylov[: rank(ExactMatrix(krylov))]
+
+
 def assert_factors(e: SimilitudeElement) -> None:
     pair = factor(e)
     assert verify(e, pair)
@@ -182,10 +232,7 @@ def test_y_exp_n_without_a_nondegenerate_cyclic_piece(e):
     # and at most 4-dimensional: no cyclic piece would do, and the strings
     # over Q[s] factor the element
     for v in [tuple(frac(int(i == k)) for k in range(8)) for i in range(8)] + [(frac(1),) * 8]:
-        krylov = [v]
-        for _ in range(8):
-            krylov.append(e.g.apply(krylov[-1]))
-        chain = krylov[: rank(ExactMatrix(krylov))]
+        chain = cyclic_chain(e, v)
         assert len(chain) <= 4
         assert pairing_matrix(e.space.gram, chain, chain).det() == 0
     assert_factors(e)
@@ -200,4 +247,19 @@ def test_tensor_with_a_quadratic_field(e):
 @settings(PROPERTY)
 @given(st.one_of(root_block_with_torus(), moved(root_block_with_torus())))
 def test_root_block_beside_a_torus(e):
+    assert_factors(e)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(planes_beside_a_hyperbolic_space())
+def test_planes_beside_a_hyperbolic_space_split_by_primary_parts(e):
+    dim = e.space.dim
+    basis = [tuple(frac(int(i == k)) for k in range(dim)) for i in range(dim)]
+    candidates = basis + [
+        tuple(a + sign * b for a, b in zip(basis[i], basis[j]))
+        for i in range(dim) for j in range(i + 1, dim) for sign in (1, -1)
+    ]
+    for v in candidates:
+        chain = cyclic_chain(e, v)
+        assert pairing_matrix(e.space.gram, chain, chain).det() == 0
     assert_factors(e)
