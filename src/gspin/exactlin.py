@@ -834,6 +834,8 @@ class QuadraticSpace:
     def __post_init__(self):
         if self.dim % 2 != 0:
             raise ValueError("dimension must be even")
+        if self.dim == 0:
+            raise ValueError("dimension must be positive")
         if self.gram.rows != self.dim or not self.gram.is_symmetric():
             raise ValueError("the form must be symmetric of the stated dimension")
         if self.gram.det() == 0:

@@ -9,6 +9,7 @@ block-matrix component-group oracle all live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -569,24 +570,32 @@ def realize(psi: FormalParameter) -> list[ExactMatrix]:
     blocks = PAIR_PLANES if len(summands) > 1 else (range(4),)
     if len(summands) > 2 or any(h.N * d != len(b) for (h, d), b in zip(summands, blocks)):
         raise ValueError(f"no realization for shape {tuple((h.N, d) for h, d in summands)}")
+    for h, _d in summands:
+        if h.N == 2 and h.sign is None:
+            raise ValueError(f"{h.id}: unresolved duality type")
+    return list(_realization(tuple((h.N, d, h.sign) for h, d in summands)))
+
+
+@functools.cache
+def _realization(shape: tuple[tuple[int, int, int | None], ...]) -> tuple[ExactMatrix, ...]:
+    """`realize` on a checked shape of (N, d, sign) triples, built once per shape."""
+    blocks = PAIR_PLANES if len(shape) > 1 else (range(4),)
     ident = ExactMatrix.identity(4)
     idle = ExactMatrix.identity(2).scale(3)
     scalars = iter((3, -3))
     samples: list[ExactMatrix] = []
     weights = [0] * 4
-    for index, ((handle, d), block) in enumerate(zip(summands, blocks)):
-        if handle.N == 1:
+    for index, ((N, d, sign), block) in enumerate(zip(shape, blocks)):
+        if N == 1:
             local = [ExactMatrix([[next(scalars)]])]
-        elif handle.N == 2:
-            if handle.sign is None:
-                raise ValueError(f"{handle.id}: unresolved duality type")
-            local = [ExactMatrix.diagonal([2, Fraction(9, 2)]), ExactMatrix([[0, 1], [handle.sign * 9, 0]])]
+        elif N == 2:
+            local = [ExactMatrix.diagonal([2, Fraction(9, 2)]), ExactMatrix([[0, 1], [sign * 9, 0]])]
         else:
             local = [ExactMatrix.diagonal([2, 5, Fraction(3, 5), Fraction(3, 2)]), THETA_J]
             local += [matrix_exp_nilpotent(n) for n in _GSP4_NILPOTENTS[:3]]
         for a in local:
             m = kron(a, ExactMatrix.identity(d))
-            if len(summands) > 1:
+            if len(shape) > 1:
                 m = embed_pair(m, idle) if index == 0 else embed_pair(idle, m)
             samples.append(m)
         for k, i in enumerate(block):
@@ -605,7 +614,7 @@ def realize(psi: FormalParameter) -> list[ExactMatrix]:
     if len(solutions) != 1 or solutions[0][1] == 0:
         raise ValueError("no sl2 triple through e")
     f, t = solutions[0]
-    return samples + [matrix_exp_nilpotent(e), matrix_exp_nilpotent(f.scale(1 / t))]
+    return (*samples, matrix_exp_nilpotent(e), matrix_exp_nilpotent(f.scale(1 / t)))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ patterns on self-paired pieces, modulo the centre and the connected part."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .dualgroups import DualElement, SO5_GRAM, THETA_J, embed_pair, project_to_so5
 from .params import TwoGroup
@@ -199,8 +201,9 @@ def packet_members(phi: BoundedParameterDescriptor) -> list[PacketMember]:
     return [PacketMember(phi, "+"), PacketMember(phi, "-")]
 
 
-def shape_catalog() -> dict[str, BoundedParameterDescriptor]:
-    """Representative generator samples for the supported bounded shapes."""
+@functools.cache
+def shape_catalog() -> Mapping[str, BoundedParameterDescriptor]:
+    """Representative generator samples of the bounded shapes, built once, read-only."""
     from .dualgroups import _GSP4_NILPOTENTS
     from .exactlin import matrix_exp_nilpotent
 
@@ -230,14 +233,14 @@ def shape_catalog() -> dict[str, BoundedParameterDescriptor]:
         DualElement(ExactMatrix.diagonal([7, 2, Fraction(3, 2), Fraction(3, 7)]), 3),
     ]
 
-    return {
+    return MappingProxyType({
         "irreducible": BoundedParameterDescriptor("irreducible", tuple(irr_gens), 0),
         "two_two_generic": BoundedParameterDescriptor("two_two_generic", tuple(two_two), 1),
         "two_two_dihedral": BoundedParameterDescriptor(
             "two_two_dihedral", tuple(two_two_dihedral), 1
         ),
         "principal_series": BoundedParameterDescriptor("principal_series", tuple(principal), 0),
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +255,10 @@ class ProjectedParameter:
     embedded_s: frozenset | None         # image of the nontrivial element
 
 
+@functools.cache
 def project_parameter(phi: BoundedParameterDescriptor) -> ProjectedParameter:
     """Push the samples through the projection and compute both component
-    groups and the embedding of the upstairs group."""
+    groups and the embedding of the upstairs group, once per descriptor value."""
     upstairs = component_sign_group([e.g for e in phi.generators], THETA_J)
     if upstairs.group.rank != phi.declared_rank:
         raise ValueError(

@@ -13,7 +13,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any
+from typing import Any, Mapping
 
 from .characters import AlphaClass, CharacterGroup
 from .exactlin import ExactMatrix
@@ -90,7 +90,7 @@ def entries(node, path: str, *kinds: type) -> list:
     return [check(x, kind, _at(path, i)) for i, (x, kind) in enumerate(zip(node, kinds))]
 
 
-def lookup(table: dict, name, what: str, path: str):
+def lookup(table: Mapping, name, what: str, path: str):
     """table[name], or ScenarioError '<path>: <what> <name>'."""
     if not isinstance(name, str) or name not in table:
         raise ScenarioError(f"{path}: {what} {name!r}")

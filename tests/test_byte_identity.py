@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from gspin.cli import main
+from gspin.params import _realization
+from gspin.restriction import project_parameter
 from gspin.selftest import run_selftest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +57,26 @@ def test_demo_scenario_report_bytes(tmp_path, capsys):
     assert code == 0
     assert _sha256(capsys.readouterr().out) == DEMO_STDOUT_SHA256
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == DEMO_OUT_SHA256
+
+
+ALL_SHAPES_TWICE = {"requests": [
+    {"op": "restriction", "shape": s}
+    for s in ("irreducible", "two_two_generic", "two_two_dihedral", "principal_series") * 2
+]}
+
+
+@pytest.mark.parametrize("scenario", ["demo", "all-shapes-twice"])
+def test_cold_and_warm_caches_print_the_same_bytes(tmp_path, capsys, scenario):
+    path = ROOT / "demos" / "scenario_saito_kurokawa.json"
+    if scenario != "demo":
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(ALL_SHAPES_TWICE))
+    project_parameter.cache_clear()
+    _realization.cache_clear()
+    runs = []
+    for warmth in ("cold", "warm"):
+        out_path = tmp_path / f"{warmth}.json"
+        assert main(["run", str(path), "--seed", "0", "--out", str(out_path)]) == 0
+        runs.append((capsys.readouterr().out, out_path.read_bytes()))
+    assert project_parameter.cache_info().currsize > 0
+    assert runs[0] == runs[1]

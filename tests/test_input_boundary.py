@@ -130,6 +130,7 @@ FACTOR_DOC = {"gram": [["0", "1"], ["1", "0"]], "matrix": [["2", "0"], ["0", "1"
         (dict(FACTOR_DOC, gram=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "gram: dimension must be even"),
         (dict(FACTOR_DOC, gram=[[0, 1], [2, 0]]), "gram: the form must be symmetric of the stated dimension"),
         (dict(FACTOR_DOC, gram=[[1, 1], [1, 1]]), "gram: the form must be invertible"),
+        (dict(FACTOR_DOC, gram=[], matrix=[], similitude="1"), "gram: dimension must be positive"),
         (dict(FACTOR_DOC, matrix=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
          "matrix: expected 2 x 2 entries, the size of gram"),
         (dict(FACTOR_DOC, matrix=[[1, 0, 0], [0, 1, 0]]), "matrix: expected 2 x 2 entries, the size of gram"),
@@ -139,8 +140,8 @@ FACTOR_DOC = {"gram": [["0", "1"], ["1", "0"]], "matrix": [["2", "0"], ["0", "1"
     ],
     ids=["list-document", "unknown-key", "no-similitude", "float", "bool", "decimal-string",
          "zero-denominator", "list-entry", "row-not-a-list", "gram-not-a-list", "ragged",
-         "odd-gram", "asymmetric-gram", "singular-gram", "matrix-of-another-size", "non-square-matrix",
-         "wrong-similitude-factor", "determinant-minus-one"],
+         "odd-gram", "asymmetric-gram", "singular-gram", "empty-gram", "matrix-of-another-size",
+         "non-square-matrix", "wrong-similitude-factor", "determinant-minus-one"],
 )
 def test_factor_involution_defect_is_input_error(tmp_path, capsys, doc, message):
     code, out, err = _run(tmp_path, capsys, doc, "factor-involution")

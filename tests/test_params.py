@@ -385,6 +385,30 @@ def test_oracle_refuses_a_gl2_handle_of_unresolved_duality_type():
         component_group_oracle(psi)
 
 
+def test_oracle_builds_each_realization_once(monkeypatch):
+    # the realization depends only on the shape and the handle signs, so a
+    # second oracle call on the same psi solves no sl2 kernel
+    calls = []
+    real = params.matrix_equation_kernel
+    monkeypatch.setattr(params, "matrix_equation_kernel", lambda *a, **k: calls.append(1) or real(*a, **k))
+    g = make_group()
+    psi = saito_kurokawa_parameter(g)
+    first = component_group_oracle(psi)
+    assert len(calls) == 2  # e, then f
+    second = component_group_oracle(psi)
+    assert len(calls) == 2
+    assert (second.sign_element, second.commutant_dim) == (first.sign_element, first.commutant_dim)
+    assert second.component_group.elements() == first.component_group.elements()
+    realize(psi).clear()  # each call returns a fresh list
+    assert realize(psi) == realize(psi) != []
+    # the handle checks run before the shared realization is looked up
+    component_group_oracle(yoshida_parameter(g))
+    chi = g.element({"chi0": 1})
+    unresolved = [cuspidal_gl2(g, name, chi, chi) for name in ("pi1", "pi2")]
+    with pytest.raises(ValueError, match="pi1: unresolved duality type"):
+        realize(FormalParameter(chi=chi, summands=tuple((h, 1) for h in unresolved)))
+
+
 def test_oracle_disagrees_with_a_table_without_the_centre(monkeypatch):
     # the oracle computes its group from matrices, so a table that forgets
     # the central all-flip relation must be caught on every type

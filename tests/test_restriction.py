@@ -1,5 +1,9 @@
+import json
+
 import pytest
 
+from gspin import restriction
+from gspin.cli import main
 from gspin.dualgroups import THETA_J, DualElement, project_to_so5
 from gspin.exactlin import ONE, ExactMatrix, kron
 from gspin.params import TwoGroup
@@ -175,3 +179,43 @@ def test_split_pieces_checks_invariance_of_the_final_pieces():
     # invariant under all of them
     with pytest.raises(ValueError, match="not invariant"):
         component_sign_group([ExactMatrix.identity(4)], THETA_J)
+
+
+def _fields(proj):
+    """Everything a projection answers, as plain values."""
+    return [
+        proj.parent,
+        *(
+            (side.group.basis_labels, side.group.relations, side.group.elements(), side.pieces)
+            for side in (proj.s_group, proj.s_group_prime)
+        ),
+        proj.embedded_s,
+    ]
+
+
+@pytest.mark.parametrize("shape", sorted(shape_catalog()))
+def test_memoized_projection_equals_a_fresh_one(shape):
+    phi = shape_catalog()[shape]
+    cached = project_parameter(phi)
+    assert project_parameter(phi) is cached
+    assert _fields(cached) == _fields(project_parameter.__wrapped__(phi))
+
+
+def test_each_shape_is_projected_once_across_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = restriction.component_sign_group
+    monkeypatch.setattr(restriction, "component_sign_group", lambda *a: calls.append(1) or real(*a))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"requests": [{"op": "restriction", "shape": "two_two_dihedral"}]}))
+    project_parameter.cache_clear()
+    for _ in range(2):
+        assert main(["run", str(scenario)]) == 0
+    assert capsys.readouterr().out.count("pass restriction count[two_two_dihedral]") == 2
+    assert len(calls) == 2  # upstairs and downstairs, on the first run only
+
+
+def test_shape_catalog_is_read_only():
+    cat = shape_catalog()
+    assert shape_catalog() is cat
+    with pytest.raises(TypeError):
+        cat["irreducible"] = cat["principal_series"]
