@@ -2,15 +2,18 @@
 
 Each datum stores the printed matrix ingredients: the semisimple element s,
 the Frobenius image for non-split members, and the stabilisation constant
-where one is on record.  verify_centralizer recomputes, by exact linear
-algebra, the dimension of the (twisted) centralizer Lie algebra and checks
-that the Frobenius images are involutions normalizing the embedded subgroup.
+where one is on record.  Each datum solves, by exact linear algebra, the basis
+of its (twisted) centralizer Lie algebra once, when it is built; the six data
+are built once per process.  verify_centralizer compares the dimension of
+that basis with the printed one and checks that the Frobenius images are
+involutions normalizing the embedded subgroup.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,7 +33,7 @@ from .dualgroups import (
 )
 # kernel is no longer called here but stays bound: perfbench/test_perfbench.py
 # checks that the tracer wraps it at this binding site too
-from .exactlin import ExactMatrix, frac, in_span, kernel, kron, matrix_equation_kernel, ONE  # noqa: F401
+from .exactlin import ExactMatrix, frac, kernel, kron, matrix_equation_kernel, span_basis, ONE  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # printed matrices
@@ -68,112 +71,59 @@ FROBENIUS_H2 = ExactMatrix(
 
 @dataclass(frozen=True)
 class EndoscopicDatum:
-    """An elliptic endoscopic datum given by its matrix ingredients."""
+    """An elliptic endoscopic datum given by its matrix ingredients, with
+    the basis of its (twisted) centralizer Lie algebra solved once."""
 
     name: str
     base: str  # 'twisted_gl4', 'gspin5', 'gspin4'
     h_description: str
     s: DualElement
-    twisted: bool
     expected_centralizer_dim: int
     alpha: AlphaClass = TRIVIAL_CLASS
     frobenius_image: ExactMatrix | None = None
     stabilisation_constant: Fraction | None = None
+    lie_basis: tuple[tuple[ExactMatrix, Fraction], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lie_basis", tuple(_lie_basis(self)))
+
+    @property
+    def twisted(self) -> bool:
+        return self.base == "twisted_gl4"
+
+
+@functools.cache
+def full_catalog() -> tuple[EndoscopicDatum, ...]:
+    """The data of all three ambients with the one nontrivial square class
+    'alpha' declared, built once, read-only: what verify-endoscopy and the
+    selftest verify."""
+    alpha, tw, trivial = AlphaClass("alpha"), "twisted_gl4", TRIVIAL_CLASS
+    rows = (
+        # name, ambient, H, s, centralizer dimension, square class, Frobenius image, constant
+        ("gspin5", tw, "GSpin5", ExactMatrix.identity(4), 11, trivial, None, ONE),
+        ("gspin4^1", tw, "GSpin4^1", S_GSO4, 7, trivial, None, None),
+        ("gspin4^alpha", tw, "GSpin4^alpha", S_GSO4, 7, alpha, FROBENIUS_GSO4, None),
+        ("rank1^alpha", tw, "(GSpin2^alpha x GSpin3)/GL1", S_RANK1, 5, alpha, FROBENIUS_RANK1, None),
+        ("h1", "gspin5", "(GL2 x GL2)/GL1", S_H1, 7, trivial, None, Fraction(1, 4)),
+        ("h2^alpha", "gspin4", "(GSpin2^alpha x GSpin2^alpha)/GL1", S_H2, 3, alpha, FROBENIUS_H2, None),
+    )
+    return tuple(EndoscopicDatum(n, b, h, DualElement(s, ONE), *rest) for n, b, h, s, *rest in rows)
 
 
 def catalog(ambient: str, classes: Sequence[AlphaClass] = ()) -> list[EndoscopicDatum]:
     """The elliptic endoscopic data attached to the ambient space.
 
     ambient is 'twisted_gl4' (the twisted GL4 x GL1 space), 'gspin5', or
-    'gspin4'; square classes beyond the trivial one must be declared by the
-    caller."""
-    nontrivial = [c for c in classes if not c.is_trivial]
-    if ambient == "twisted_gl4":
-        out = [
-            EndoscopicDatum(
-                name="gspin5",
-                base=ambient,
-                h_description="GSpin5",
-                s=DualElement(ExactMatrix.identity(4), ONE),
-                twisted=True,
-                expected_centralizer_dim=11,
-                stabilisation_constant=Fraction(1),
-            ),
-            EndoscopicDatum(
-                name="gspin4^1",
-                base=ambient,
-                h_description="GSpin4^1",
-                s=DualElement(S_GSO4, ONE),
-                twisted=True,
-                expected_centralizer_dim=7,
-            ),
-        ]
-        for cls in nontrivial:
-            out.append(
-                EndoscopicDatum(
-                    name=f"gspin4^{cls.token}",
-                    base=ambient,
-                    h_description=f"GSpin4^{cls.token}",
-                    s=DualElement(S_GSO4, ONE),
-                    twisted=True,
-                    expected_centralizer_dim=7,
-                    alpha=cls,
-                    frobenius_image=FROBENIUS_GSO4,
-                )
-            )
-            out.append(
-                EndoscopicDatum(
-                    name=f"rank1^{cls.token}",
-                    base=ambient,
-                    h_description=f"(GSpin2^{cls.token} x GSpin3)/GL1",
-                    s=DualElement(S_RANK1, ONE),
-                    twisted=True,
-                    expected_centralizer_dim=5,
-                    alpha=cls,
-                    frobenius_image=FROBENIUS_RANK1,
-                )
-            )
-        return out
-    if ambient == "gspin5":
-        return [
-            EndoscopicDatum(
-                name="h1",
-                base=ambient,
-                h_description="(GL2 x GL2)/GL1",
-                s=DualElement(S_H1, ONE),
-                twisted=False,
-                expected_centralizer_dim=7,
-                stabilisation_constant=Fraction(1, 4),
-            )
-        ]
-    if ambient == "gspin4":
-        out = []
-        for cls in nontrivial:
-            out.append(
-                EndoscopicDatum(
-                    name=f"h2^{cls.token}",
-                    base=ambient,
-                    h_description=f"(GSpin2^{cls.token} x GSpin2^{cls.token})/GL1",
-                    s=DualElement(S_H2, ONE),
-                    twisted=False,
-                    expected_centralizer_dim=3,
-                    alpha=cls,
-                    frobenius_image=FROBENIUS_H2,
-                )
-            )
-        return out
-    raise ValueError(f"unsupported ambient {ambient!r}")
-
-
-def full_catalog() -> list[EndoscopicDatum]:
-    """The data of all three ambients with the one nontrivial square class
-    'alpha' declared: what verify-endoscopy and the selftest verify."""
-    alpha = AlphaClass("alpha")
-    return [
-        d
-        for ambient, classes in (("twisted_gl4", [alpha]), ("gspin5", []), ("gspin4", [alpha]))
-        for d in catalog(ambient, classes)
-    ]
+    'gspin4'.  The data of the square class 'alpha', the only nontrivial one
+    with data, are included when the caller declares it; a declared class
+    without data is refused."""
+    data = full_catalog()
+    if ambient not in {d.base for d in data}:
+        raise ValueError(f"unsupported ambient {ambient!r}")
+    unknown = sorted(c.token for c in set(classes) - {d.alpha for d in data})
+    if unknown:
+        raise ValueError(f"no endoscopic data for the square class {unknown[0]!r}")
+    return [d for d in data if d.base == ambient and (d.alpha.is_trivial or d.alpha in classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +155,12 @@ def ordinary_centralizer_basis(
 def _lie_basis(d: EndoscopicDatum) -> list[tuple[ExactMatrix, Fraction]]:
     if d.twisted:
         return twisted_centralizer_basis(d.s.g)
-    if d.base == "gspin5":
-        return ordinary_centralizer_basis(d.s.g, THETA_J)
-    return ordinary_centralizer_basis(d.s.g, GSO4_GRAM)
+    return ordinary_centralizer_basis(d.s.g, THETA_J if d.base == "gspin5" else GSO4_GRAM)
 
 
 def theta_s_fixed(s: ExactMatrix, e: DualElement) -> bool:
     """Is (g, x) fixed by Ad(s) composed with the dual twist?"""
-    gt_inv = e.g.inverse().transpose()
-    h = (s * THETA_J * gt_inv * STANDARD_TWIST.J_inv * s.inverse()).scale(e.x)
-    return h == e.g
+    return s * STANDARD_TWIST.apply_dual(e).g * s.inverse() == e.g
 
 
 def _xi_samples(d: EndoscopicDatum, rng: random.Random) -> list[DualElement]:
@@ -274,24 +220,24 @@ class CentralizerReport:
 
 
 def verify_centralizer(d: EndoscopicDatum, seed: int = 0) -> CentralizerReport:
-    """Recompute the centralizer dimension and the normalization properties of
-    the printed Frobenius image; check that embedded sample elements commute
-    with the (twisted) action."""
-    basis = _lie_basis(d)
+    """Compare the dimension of the datum's centralizer basis with the
+    printed one, check the normalization properties of the printed Frobenius
+    image, and check that embedded sample elements commute with the
+    (twisted) action."""
+    basis = d.lie_basis
     dim = len(basis)
 
     frob_ok = True
     if d.frobenius_image is not None:
-        c = d.frobenius_image
-        frob_ok = c * c == ExactMatrix.identity(4)
-        span = [tuple(x[i, j] for i in range(4) for j in range(4)) + (t,) for x, t in basis]
-        cinv = c.inverse()
-        for x, t in basis:
-            conj = c * x * cinv
-            vec = tuple(conj[i, j] for i in range(4) for j in range(4)) + (t,)
-            if not in_span(vec, span):
-                frob_ok = False
-                break
+        # the basis is independent, so the conjugates lie in its span
+        # exactly when they leave its rank alone
+        c, cinv = d.frobenius_image, d.frobenius_image.inverse()
+        vectors = [
+            tuple(y[i, j] for i in range(4) for j in range(4)) + (t,)
+            for x, t in basis
+            for y in (x, c * x * cinv)
+        ]
+        frob_ok = c * c == ExactMatrix.identity(4) and len(span_basis(vectors)) == dim
 
     rng = random.Random(seed)
     samples_ok = True

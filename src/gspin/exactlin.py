@@ -470,13 +470,6 @@ def span_basis(vectors: Sequence[Sequence]) -> list[tuple]:
     return [red.row(i) for i in range(len(pivots))]
 
 
-def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
-    if not basis:
-        return all(frac(x) == 0 for x in v)
-    m = ExactMatrix.from_columns(list(basis))
-    return solve(m, v) is not None
-
-
 def restrict_to(m: ExactMatrix, basis: Sequence[Sequence]) -> ExactMatrix:
     """Matrix of m on the span of basis, in the basis coordinates.
 

@@ -190,8 +190,6 @@ class CuspidalHandle:
     sign: int | None = None  # +1 orthogonal, -1 symplectic
     dihedral_from: AlphaClass | None = None
     tensor_origin: tuple[str, str] | None = None
-    asai_origin: AlphaClass | None = None
-    root_number_minus: bool = False  # the epsilon(1/2, pi x eta^-1) flag
 
 
 def check_selfdual(group: CharacterGroup, handle: CuspidalHandle) -> None:
@@ -281,7 +279,7 @@ def gl4_alternative(group: CharacterGroup, pi: CuspidalHandle) -> GL4Alternative
         cls = group.class_of_character(ratio)
         if cls is None:
             raise ValueError(f"no declared square class for {ratio.id}")
-        return GL4Alternative("asai", replace(pi, sign=+1, asai_origin=cls), cls)
+        return GL4Alternative("asai", replace(pi, sign=+1), cls)
     return GL4Alternative("symplectic", replace(pi, sign=-1))
 
 

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .dualgroups import DualElement, SO5_GRAM, THETA_J, embed_pair, project_to_so5
-from .params import TwoGroup
+from .params import TwoGroup, _realization
 from .exactlin import (
     ExactMatrix,
     commutant_basis,
@@ -204,24 +204,13 @@ def packet_members(phi: BoundedParameterDescriptor) -> list[PacketMember]:
 @functools.cache
 def shape_catalog() -> Mapping[str, BoundedParameterDescriptor]:
     """Representative generator samples of the bounded shapes, built once, read-only."""
-    from .dualgroups import _GSP4_NILPOTENTS
-    from .exactlin import matrix_exp_nilpotent
+
+    def realized(shape: tuple[tuple[int, int, int], ...]) -> tuple[DualElement, ...]:
+        """The realization of a parameter shape (see `params.realize`) as dual elements."""
+        return tuple(DualElement(m, similitude_factor(m, THETA_J)) for m in _realization(shape))
 
     c = frac(6)
-    irr_gens = [
-        DualElement(ExactMatrix.diagonal([2, 5, Fraction(3, 5), Fraction(3, 2)]), 3),
-        DualElement(THETA_J, 1),
-    ] + [DualElement(matrix_exp_nilpotent(n), 1) for n in _GSP4_NILPOTENTS]
-
     diag_a, diag_b = ExactMatrix.diagonal([2, 3]), ExactMatrix.diagonal([5, Fraction(6, 5)])
-    flip = ExactMatrix([[0, 1], [-6, 0]])
-    # the two 2-dim blocks vary independently across sample points
-    two_two = [
-        DualElement(embed_pair(diag_a, diag_b), c),
-        DualElement(embed_pair(flip, ExactMatrix.diagonal([7, Fraction(6, 7)])), c),
-        DualElement(embed_pair(ExactMatrix.diagonal([11, Fraction(6, 11)]), flip), c),
-    ]
-
     dihedral_flip = ExactMatrix([[0, 1], [6, 0]])  # determinant -6 on both blocks
     two_two_dihedral = [
         DualElement(embed_pair(diag_a, diag_b), c),
@@ -234,8 +223,8 @@ def shape_catalog() -> Mapping[str, BoundedParameterDescriptor]:
     ]
 
     return MappingProxyType({
-        "irreducible": BoundedParameterDescriptor("irreducible", tuple(irr_gens), 0),
-        "two_two_generic": BoundedParameterDescriptor("two_two_generic", tuple(two_two), 1),
+        "irreducible": BoundedParameterDescriptor("irreducible", realized(((4, 1, -1),)), 0),
+        "two_two_generic": BoundedParameterDescriptor("two_two_generic", realized(((2, 1, -1), (2, 1, -1))), 1),
         "two_two_dihedral": BoundedParameterDescriptor(
             "two_two_dihedral", tuple(two_two_dihedral), 1
         ),

@@ -1,10 +1,11 @@
-"""Every test starts and ends with empty projection and realization caches,
-so a test that patches what `project_parameter` or `realize` reads (the split
-basis of the SO5 projection, say) neither reads a stale answer nor leaves one
-behind."""
+"""Every test starts and ends with empty projection, realization and
+endoscopic catalog caches, so a test that patches what `project_parameter`,
+`realize` or a datum's centralizer basis reads (the split basis of the SO5
+projection, say) neither reads a stale answer nor leaves one behind."""
 
 import pytest
 
+from gspin.endoscopy import full_catalog
 from gspin.params import _realization
 from gspin.restriction import project_parameter
 
@@ -13,6 +14,8 @@ from gspin.restriction import project_parameter
 def _fresh_caches():
     project_parameter.cache_clear()
     _realization.cache_clear()
+    full_catalog.cache_clear()
     yield
     project_parameter.cache_clear()
     _realization.cache_clear()
+    full_catalog.cache_clear()

@@ -6,11 +6,13 @@ import pytest
 from gspin.characters import AlphaClass, CharacterGroup, TRIVIAL_CLASS
 from gspin.dualgroups import DualElement, sample_gsp4, sample_gso4
 from gspin.exactlin import ExactMatrix, frac
+from gspin import cli, endoscopy
 from gspin.endoscopy import (
     FROBENIUS_GSO4,
     FROBENIUS_H2,
     FROBENIUS_RANK1,
     catalog,
+    full_catalog,
     ordinary_centralizer_basis,
     recover_alpha,
     restriction_diagrams_commute,
@@ -58,6 +60,32 @@ def test_catalog_rejects_unknown_ambient():
         catalog("nonsense")
 
 
+def test_catalog_refuses_a_square_class_without_data():
+    with pytest.raises(ValueError):
+        catalog("gspin4", [AlphaClass("beta")])
+
+
+def test_catalog_filters_the_one_read_only_tuple():
+    data = full_catalog()
+    assert full_catalog() is data
+    assert [d.name for d in data] == ["gspin5", "gspin4^1", "gspin4^alpha", "rank1^alpha", "h1", "h2^alpha"]
+    filtered = [
+        d for ambient, classes in (("twisted_gl4", [ALPHA]), ("gspin5", []), ("gspin4", [ALPHA]))
+        for d in catalog(ambient, classes)
+    ]
+    assert all(a is b for a, b in zip(filtered, data, strict=True))
+
+
+def test_two_endoscopy_suites_solve_each_centralizer_once(monkeypatch):
+    calls = []
+    real = endoscopy.matrix_equation_kernel
+    monkeypatch.setattr(endoscopy, "matrix_equation_kernel", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for _ in range(2):
+        ok, lines = cli._endoscopy_suite(0)
+        assert ok, lines
+    assert len(calls) == 6
+
+
 def test_twisted_centralizer_dimensions():
     assert len(twisted_centralizer_basis(ExactMatrix.identity(4))) == 11
     assert len(twisted_centralizer_basis(ExactMatrix.diagonal([-1, -1, 1, 1]))) == 7
@@ -83,6 +111,22 @@ def test_every_catalog_entry_passes_verification():
         for d in catalog(ambient, classes):
             report = verify_centralizer(d, seed=7)
             assert report.ok, report.message()
+
+
+@pytest.mark.parametrize(
+    "name, image",
+    [
+        ("rank1^alpha", FROBENIUS_H2),  # an involution that does not normalize
+        ("gspin4^alpha", ExactMatrix.diagonal([1, 1, 1, 2])),  # not an involution
+    ],
+)
+def test_verification_catches_a_wrong_frobenius_image(name, image):
+    from dataclasses import replace
+
+    (d,) = [d for d in full_catalog() if d.name == name]
+    report = verify_centralizer(replace(d, frobenius_image=image))
+    assert not report.ok and not report.frobenius_ok and report.samples_ok
+    assert "frobenius BAD" in report.message()
 
 
 def test_frobenius_images_are_involutions():
