@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .exactlin import ExactMatrix, frac, matrix_equation_kernel, similitude_factor, ONE, ZERO
 
@@ -363,6 +365,9 @@ def _gsp4_nilpotent_basis() -> list[ExactMatrix]:
 
 
 _GSP4_NILPOTENTS = _gsp4_nilpotent_basis()
+# their numerators, row-major, over one common denominator
+_NILPOTENT_DEN = lcm(*(b._den for b in _GSP4_NILPOTENTS))
+_NILPOTENT_NUMS = [[x * (_NILPOTENT_DEN // b._den) for r in b._num for x in r] for b in _GSP4_NILPOTENTS]
 
 
 def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
@@ -374,10 +379,9 @@ def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
     b = frac(rng.randint(1, 5))
     g = ExactMatrix.diagonal([a, b, x / b, x / a])
     for _ in range(rng.randint(1, 3)):
-        coeffs = [frac(rng.randint(-2, 2)) for _ in _GSP4_NILPOTENTS]
-        nil = ExactMatrix.zeros(4, 4)
-        for c, base in zip(coeffs, _GSP4_NILPOTENTS):
-            nil = nil + base.scale(c)
+        coeffs = [rng.randint(-2, 2) for _ in _GSP4_NILPOTENTS]
+        flat = [sum(map(mul, coeffs, entry)) for entry in zip(*_NILPOTENT_NUMS)]
+        nil = ExactMatrix._make(tuple(tuple(flat[4 * i : 4 * i + 4]) for i in range(4)), _NILPOTENT_DEN, 4)
         g = g * matrix_exp_nilpotent(nil)
         if rng.random() < 0.5:
             g = g * THETA_J

@@ -14,7 +14,8 @@ identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
 22 (1968).  ``Fraction`` is the API edge: entries, rows, traces,
 determinants and the vectors returned by ``apply``, ``kernel`` and ``solve``
 are Fractions, and constructors accept ints, strings like '3/4' and
-Fractions.
+Fractions.  A column frame keeps a set of vectors as the columns of one
+matrix instead: ``kernel_columns``, ``krylov``, ``columns`` and ``hstack``.
 """
 
 from __future__ import annotations
@@ -162,6 +163,14 @@ class ExactMatrix:
         num = zip(*([x.numerator * (den // x.denominator) for x in c] for c in cols))
         return ExactMatrix._raw(tuple(num), den, len(cols))
 
+    @staticmethod
+    def hstack(blocks: Sequence["ExactMatrix"]) -> "ExactMatrix":
+        """The columns of equally tall blocks, side by side."""
+        den = lcm(*(b._den for b in blocks))
+        # each block is canonical, so no prime of den divides every numerator
+        rows = zip(*(tuple(tuple([x * (den // b._den) for x in r]) for r in b._num) for b in blocks))
+        return ExactMatrix._raw(tuple(sum(r, ()) for r in rows), den, sum(b.cols for b in blocks))
+
     # accessors: entries leave as Fractions -----------------------------
 
     def __getitem__(self, ij) -> Fraction:
@@ -175,6 +184,10 @@ class ExactMatrix:
     def column(self, j: int) -> tuple:
         d = self._den
         return tuple(Fraction(r[j], d) for r in self._num)
+
+    def columns(self, start: int, stop: int) -> "ExactMatrix":
+        """The columns start, ..., stop - 1, as a matrix."""
+        return ExactMatrix._make(tuple(r[start:stop] for r in self._num), self._den, stop - start)
 
     def entries(self) -> tuple:
         d = self._den
@@ -413,20 +426,38 @@ def rank(m: ExactMatrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel(m: ExactMatrix) -> list[tuple]:
-    """Basis of the right kernel {v : m v = 0}, as tuples of Fractions."""
+def kernel_columns(m: ExactMatrix) -> ExactMatrix:
+    """Basis of the right kernel {v : m v = 0} as the columns of a matrix (none
+    when m is injective): for each free column f of rref(m), 1 at f and
+    -rref(m)[r, f] at the r-th pivot.  It depends on the kernel alone."""
     red, pivots = rref(m)
     num, den = red._num, red._den
-    nc = m.cols
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * nc
-        v[f] = ONE
+    free = [c for c in range(m.cols) if c not in pivots]
+    rows = [[0] * len(free) for _ in range(m.cols)]
+    for j, f in enumerate(free):
+        rows[f][j] = den
         for r, p in enumerate(pivots):
-            v[p] = Fraction(-num[r][f], den)
-        basis.append(tuple(v))
-    return basis
+            rows[p][j] = -num[r][f]
+    return ExactMatrix._make(tuple(map(tuple, rows)), den, len(free))
+
+
+def kernel(m: ExactMatrix) -> list[tuple]:
+    """The basis of ``kernel_columns``, as tuples of Fractions."""
+    return list(kernel_columns(m).transpose().entries())
+
+
+def krylov(m: ExactMatrix, starts: ExactMatrix, length: int) -> ExactMatrix:
+    """The chains v, m v, ..., m^(length-1) v of the columns v of starts, one
+    after the other, on numerators: m^k v has the denominator
+    den(v) den(m)^k, and one normalisation lifts every column to the last."""
+    lift = [m._den ** (length - 1 - k) for k in range(length)]
+    columns = []
+    for col in zip(*starts._num):
+        for k, f in enumerate(lift):
+            if k:
+                col = [sum(map(mul, row, col)) for row in m._num]
+            columns.append([x * f for x in col])
+    return ExactMatrix._make(tuple(zip(*columns)), starts._den * m._den ** (length - 1), len(columns))
 
 
 def generalized_kernel(m: ExactMatrix) -> list[tuple]:
@@ -470,13 +501,14 @@ def span_basis(vectors: Sequence[Sequence]) -> list[tuple]:
     return [red.row(i) for i in range(len(pivots))]
 
 
-def restrict_to(m: ExactMatrix, basis: Sequence[Sequence]) -> ExactMatrix:
-    """Matrix of m on the span of basis, in the basis coordinates.
+def restrict_to(m: ExactMatrix, basis: Sequence[Sequence] | ExactMatrix) -> ExactMatrix:
+    """Matrix of m on the span of basis (vectors, or the columns of a
+    matrix), in the basis coordinates.
 
     One elimination of [span | m span]: the basis is independent and its
     span invariant exactly when the pivots are the first k columns, and the
     right-hand block of the first k rows then holds the coordinates."""
-    span = ExactMatrix.from_columns(basis)
+    span = basis if isinstance(basis, ExactMatrix) else ExactMatrix.from_columns(basis)
     image = _matmul(m, span)
     k = span.cols
     aug = tuple(
@@ -487,15 +519,6 @@ def restrict_to(m: ExactMatrix, basis: Sequence[Sequence]) -> ExactMatrix:
     if pivots != list(range(k)):
         raise ValueError("subspace is not invariant")
     return ExactMatrix._make(tuple(r[k:] for r in red._num[:k]), red._den, k)
-
-
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(frac(a) + frac(b) for a, b in zip(u, v))
-
-
-def vec_scale(s, v: Sequence) -> tuple:
-    s = frac(s)
-    return tuple(s * frac(a) for a in v)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,23 @@ V splits orthogonally into pieces, and a piece is nothing but chains
 v, g v, ..., g^(m-1) v with one sign each: x is the twisted reversal
 g^k v -> sign (nu g^-1)^k v on every chain.  It is assembled once for the
 whole space, as the matrix of the images times the inverse of the matrix of
-the chains.  The pieces, after Wonenburger's strings and Milnor's split by
-the characteristic polynomial:
+the chains; every set of vectors on the way is one ExactMatrix whose columns
+are those vectors.  The pieces, after Wonenburger's strings and Milnor's
+split by the characteristic polynomial:
 
 - on the generalized kernel W1 of g^2 - nu, cut into the generalized
-  eigenspaces for +-sqrt(nu) when nu is a square, Newton's step
-  s <- (s + nu s^-1) / 2 from g gives the s in Q[g] with s^2 = nu and s^-1 g
-  unipotent.  N = log(s^-1 g) is decomposed into orthogonal strings with
-  scalars in Q[s], for the Q[s]-valued form h with rational part B / 2: an
-  odd string is one chain of d [Q[s]:Q] vectors, and an isotropic pair of
-  even strings is two such chains with signs 1 and -1.  The top of each
-  string is found among a basis and its pairwise sums by polarization.
-  Where s^-1 g = 1, every vector of a basis is a chain of its own, an
-  anisotropic line first;
+  eigenspaces for +-sqrt(nu) when nu is a square: the generalized kernels of
+  m = g - r (r^2 = nu), or of m = g^2 - nu.  The adjoint of m is -r g^-1 m,
+  or -nu g^-2 m, so im m = (ker m)^perp, and the generalized kernel is
+  K = ker m exactly when B is nondegenerate on K.  Then g^2 = nu on K, and
+  every vector of a basis is a chain of its own, an anisotropic line first.
+  Otherwise the s in Q[g] with s^2 = nu and s^-1 g unipotent is r, or for a
+  non-square nu the limit of Newton's step s <- (s + nu s^-1) / 2 from g.
+  N = log(s^-1 g) is decomposed into orthogonal strings with scalars in
+  Q[s], for the Q[s]-valued form h with rational part B / 2: an odd string
+  is one chain of d [Q[s]:Q] vectors, and an isotropic pair of even strings
+  is two such chains with signs 1 and -1.  The top of each string is found
+  among a basis and its pairwise sums by polarization;
 - on the rest, where g^2 - nu is invertible, cyclic pieces, one chain each:
   the first of a basis, its pairwise sums and differences whose cyclic
   space Z(v) is nondegenerate.  Where none is, the primary parts of the
@@ -48,11 +52,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate, combinations
 
 from .exactlin import ExactMatrix, QuadraticSpace, frac, generalized_kernel, is_rational_square, kernel
-from .exactlin import matrix_log_unipotent, pairing_matrix, poly_eval_matrix, rank, restrict_to, span_basis
-from .exactlin import vec_add, vec_scale, ONE, ZERO
+from .exactlin import kernel_columns, krylov, matrix_log_unipotent, pairing_matrix, poly_eval_matrix
+from .exactlin import rank, restrict_to, rref, ONE
 
 
 _HALF = Fraction(1, 2)
@@ -85,40 +89,40 @@ class InvolutionPair:
 
 
 def verify(e: SimilitudeElement, p: InvolutionPair) -> bool:
-    """All four defining equations, exactly."""
-    space, n = e.space, e.space.dim // 2
-    ident = ExactMatrix.identity(space.dim)
+    """All four defining equations, exactly, from four products: given
+    x^2 = 1, t(x) G x = G is G x = t(G x), and det x = (-1)^n is 4 | tr x
+    (the -1-eigenspace has dimension (dim - tr x) / 2); given those and
+    x y = g, y = x g has g's factor nu, so y^2 = nu(y) is y^2 = nu."""
+    ident = ExactMatrix.identity(e.space.dim)
     if p.x * p.x != ident:
         return False
-    if p.x.transpose() * space.gram * p.x != space.gram:
+    if not (e.space.gram * p.x).is_symmetric() or p.x.trace() % 4:
         return False
-    if p.x.det() != Fraction(-1) ** n:
-        return False
-    nu_y = space.similitude_factor(p.y)
-    if nu_y is None or p.y * p.y != ident.scale(nu_y):
-        return False
-    return p.x * p.y == e.g
+    return p.x * p.y == e.g and p.y * p.y == ident.scale(e.nu)
 
 
 # ---------------------------------------------------------------------------
-# subspace utilities (vectors are ambient tuples)
+# column frames
 
 
-def _in_ambient(inside: Sequence[tuple], coords: Sequence[tuple]) -> list[tuple]:
-    """The vectors with the given coordinates on the vectors of `inside`."""
-    if not coords:
-        return []
-    product = ExactMatrix.from_columns(inside) * ExactMatrix.from_columns(coords)
-    return list(product.transpose().entries())
+def _pair(form: ExactMatrix, us: ExactMatrix, vs: ExactMatrix) -> ExactMatrix:
+    """The pairings t(u) form v of the columns of us and of vs."""
+    return us.transpose() * form * vs
 
 
-def _standard_basis(n: int) -> list[tuple]:
-    return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
+def _span(frame: ExactMatrix) -> ExactMatrix:
+    """The reduced basis of the column span (the rows of rref(t frame))."""
+    red, pivots = rref(frame.transpose())
+    return red.transpose().columns(0, len(pivots))
 
 
-def _orthocomplement_in(space: QuadraticSpace, inside: Sequence[tuple], of: Sequence[tuple]) -> list[tuple]:
-    """Vectors of span(inside) orthogonal to every vector of the nonempty `of`."""
-    return _in_ambient(inside, kernel(pairing_matrix(space.gram, of, inside)))
+def _cyclic_candidates(basis: ExactMatrix):
+    """The basis columns, then the sums and differences of their pairs."""
+    columns = [basis.columns(j, j + 1) for j in range(basis.cols)]
+    yield from columns
+    for u, w in combinations(columns, 2):
+        yield u + w
+        yield u - w
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +135,6 @@ class StringPiece:
 
     d: int
     generators: tuple[tuple, ...]  # (v,) for odd, (v, w) for a pair
-
-
-def _string(m: ExactMatrix, v: tuple, d: int) -> list[tuple]:
-    """The Krylov chain v, m v, ..., m^(d-1) v."""
-    out = [v]
-    for _ in range(d - 1):
-        out.append(m.apply(out[-1]))
-    return out
 
 
 def orthogonal_string_decomposition(
@@ -158,7 +154,8 @@ def _strings_over(space: QuadraticSpace, n_mat: ExactMatrix, s: ExactMatrix) -> 
     rational part of h(u, w), so h-orthogonal strings are B-orthogonal.  A
     string through v spans Q[s] v + Q[s] N v + ...  For s = +-sqrt(nu), h is
     B."""
-    check = n_mat.transpose() * space.gram + space.gram * n_mat
+    gram = space.gram
+    check = n_mat.transpose() * gram + gram * n_mat
     if not check.is_zero():
         raise ValueError("operator is not skew-adjoint for the form")
     # N^0, N^1, ... up to the first zero power: every moment and shift below
@@ -172,15 +169,14 @@ def _strings_over(space: QuadraticSpace, n_mat: ExactMatrix, s: ExactMatrix) -> 
     half, s_half = powers[0].scale(_HALF), s.scale(ONE / (2 * (s * s)[0, 0]))
     pieces: list[StringPiece] = []
 
-    def moment(u, w, k):  # h(u, N^k w)
-        w = powers[k].apply(w)
-        return half.scale(space.bilinear(u, w)) + s_half.scale(space.bilinear(u, s.apply(w)))
+    def moment(u, w, k):  # h(u, N^k w) for columns u and w
+        w = powers[k] * w
+        return half.scale(_pair(gram, u, w)[0, 0]) + s_half.scale(_pair(gram, u, s * w)[0, 0])
 
-    current = _standard_basis(space.dim)
-    while current:
+    current = powers[0]
+    while True:
         # the nilpotency index of N on span(current)
-        span = ExactMatrix.from_columns(current)
-        d = next(k for k, power in enumerate(powers) if (power * span).is_zero())
+        d = next(k for k, power in enumerate(powers) if (power * current).is_zero())
         top = lambda u, w: moment(u, w, d - 1)
         pairs = lambda u, w: not top(u, w).is_zero()
         if d % 2 == 1:
@@ -188,42 +184,44 @@ def _strings_over(space: QuadraticSpace, n_mat: ExactMatrix, s: ExactMatrix) -> 
             # kill the intermediate even moments from the bottom up
             for j in range(1, (d - 1) // 2 + 1):
                 t = (moment(v, v, d - 1 - 2 * j) * top(v, v).inverse()).scale(-_HALF)
-                v = vec_add(v, t.apply(powers[2 * j].apply(v)))
+                v = v + t * (powers[2 * j] * v)
             generators = (v,)
         else:
             v, w = _find_dual_top(current, pairs)
-            w = top(v, w).inverse().apply(w)
+            w = top(v, w).inverse() * w
             # make the v-string isotropic
             for k in range(d - 2, -1, -2):
-                v = vec_add(v, moment(v, v, k).scale(-_HALF).apply(powers[d - 1 - k].apply(w)))
+                v = v + moment(v, v, k).scale(-_HALF) * (powers[d - 1 - k] * w)
             # normalize the cross pairings to the antidiagonal
             for j in range(d - 2, -1, -1):
-                w = vec_add(w, (-moment(v, w, j)).apply(powers[d - 1 - j].apply(w)))
+                w = w - moment(v, w, j) * (powers[d - 1 - j] * w)
             # make the w-string isotropic (does not disturb the cross pairing)
             for k in range(d - 2, -1, -2):
-                w = vec_add(w, moment(w, w, k).scale(_HALF).apply(powers[d - 1 - k].apply(v)))
+                w = w + moment(w, w, k).scale(_HALF) * (powers[d - 1 - k] * v)
             generators = (v, w)
-        pieces.append(StringPiece(d, generators))
-        strings = [b.apply(u) for v in generators for u in _string(n_mat, v, d) for b in scalars]
-        current = span_basis(_orthocomplement_in(space, current, strings))
-    return pieces
+        pieces.append(StringPiece(d, tuple(u.column(0) for u in generators)))
+        strings = ExactMatrix.hstack([b * krylov(n_mat, u, d) for u in generators for b in scalars])
+        # the strings are independent over Q[s] (a field), since their top
+        # pairing is invertible; as many as dim span(current) fill it
+        if strings.cols == current.cols:
+            return pieces
+        current = _span(current * kernel_columns(_pair(gram, strings, current)))
 
 
-def _find_anisotropic_top(basis, pairs):
-    # pairs(u, w) says whether a nonzero symmetric form pairs u and w; where
-    # every basis vector is isotropic, some u + w is anisotropic by
-    # polarization, and u + w is drawn before u - w
+def _find_anisotropic_top(basis: ExactMatrix, pairs):
+    # pairs(u, w) says whether a nonzero symmetric form pairs the columns u
+    # and w; where every basis vector is isotropic, some u + w is anisotropic
+    # by polarization, and u + w is drawn before u - w
     for cand in _cyclic_candidates(basis):
         if pairs(cand, cand):
             return cand
     raise FactorizationUnsupportedError("no anisotropic vector at the top level")
 
 
-def _find_dual_top(basis, pairs):
-    for i, u in enumerate(basis):
-        for w in basis[i + 1 :]:
-            if pairs(u, w):
-                return u, w
+def _find_dual_top(basis: ExactMatrix, pairs):
+    for u, w in combinations([basis.columns(j, j + 1) for j in range(basis.cols)], 2):
+        if pairs(u, w):
+            return u, w
     raise FactorizationUnsupportedError("no dual pair at the top level")
 
 
@@ -272,130 +270,143 @@ def unipotent_sl2_decompose(space: QuadraticSpace, u: ExactMatrix) -> list[Sl2Bl
 
 
 @dataclass(frozen=True)
-class _Piece:
-    """Chains v, g v, ..., g^(m-1) v of ambient vectors, one sign per chain:
-    the reversing involution sends g^k v to sign (nu g^-1)^k v."""
+class _Chains:
+    """Chains v, g v, ..., g^(length-1) v side by side, and sign v for each:
+    the reversal sends g^k v to sign (nu g^-1)^k v.  One piece (a chain, or
+    the two of an even string pair), or the lines of a part, one piece each."""
 
-    chains: list[list[tuple]]
-    signs: list[int]
-
-
-def _string_pieces(space: QuadraticSpace, g: ExactMatrix, s: ExactMatrix) -> list[_Piece]:
-    """The pieces of a space on which a self-adjoint s with s^2 = nu commutes
-    with g and s^-1 g is unipotent, in that space's own coordinates."""
-    u = s.inverse() * g
-    if u == ExactMatrix.identity(space.dim):
-        # log u = 0: every string is a line and the reversal is the identity;
-        # the line a determinant flip would negate (the first the string
-        # decomposition splits off) comes first
-        basis = _standard_basis(space.dim)
-        v = _find_anisotropic_top(basis, space.bilinear)
-        return [_Piece([[w]], [1]) for w in [v, *kernel(pairing_matrix(space.gram, [v], basis))]]
-    # s and N = log u are polynomials in g, so a string through v is the
-    # g-chain of v, and g = s exp(N) makes the reversal the Q[s]-linear map
-    # (-1)^i on N^i v: sign 1 on an odd string, 1 and -1 on an even pair
-    degree = 1 if s.is_scalar() else 2
-    return [
-        _Piece([_string(g, v, p.d * degree) for v in p.generators], [1, -1][: len(p.generators)])
-        for p in _strings_over(space, matrix_log_unipotent(u), s)
-    ]
+    vectors: ExactMatrix
+    signed_starts: ExactMatrix
+    length: int
 
 
-def _cyclic_candidates(basis: list[tuple]):
-    """The basis, then the sums and differences of its pairs."""
-    yield from basis
-    for i, u in enumerate(basis):
-        for w in basis[i + 1 :]:
-            yield vec_add(u, w)
-            yield vec_add(u, vec_scale(-1, w))
+def _lines(part_gram: ExactMatrix, part: ExactMatrix) -> _Chains:
+    """The chains of a part on which g^2 = nu, with the nondegenerate Gram
+    part_gram: the reversal is the identity there and every vector of a basis
+    is a chain of its own.  The line a determinant flip would negate, an
+    anisotropic one, comes first, then a basis of its orthocomplement."""
+    v = _find_anisotropic_top(ExactMatrix.identity(part.cols), lambda u, w: _pair(part_gram, u, w)[0, 0] != 0)
+    lines = part * ExactMatrix.hstack([v, kernel_columns(v.transpose() * part_gram)])
+    return _Chains(lines, lines, 1)
 
 
-def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: list[tuple]) -> list[_Piece]:
-    """Orthogonal decomposition of a g-stable nondegenerate subspace on which
-    g^2 - nu is invertible into nondegenerate cyclic pieces, with the reversal
-    q(g) v -> q(nu g^-1) v on each; where no candidate's cyclic space is
-    nondegenerate, by the primary parts of a = g + nu g^-1 first."""
+def _string_pieces(space: QuadraticSpace, g: ExactMatrix, part: ExactMatrix, root, nu) -> list[_Chains]:
+    """The chains of a g-stable nondegenerate part on which g - root (or
+    g^2 - nu, for root None) is nilpotent: the strings of N = log(s^-1 g)
+    over Q[s].  s and N are polynomials in g, so a string through v is the
+    g-chain of v, and g = s exp(N) makes the reversal the Q[s]-linear map
+    (-1)^i on N^i v: sign 1 on an odd string, 1 and -1 on an even pair."""
+    sub_space = QuadraticSpace(part.cols, _pair(space.gram, part, part))
+    sub_g = restrict_to(g, part)
+    ident = ExactMatrix.identity(part.cols)
+    if root is not None:
+        # the s in Q[g] with s^2 = nu and s^-1 g unipotent: s = root (1 + X),
+        # X nilpotent, and (1 + X)^2 = 1 leaves X = 0
+        s, u, degree = ident.scale(root), sub_g.scale(1 / root), 1
+    else:
+        # Newton's step converges to that s, and is self-adjoint from the
+        # first step on
+        s = sub_g
+        while s * s != ident.scale(nu):
+            s = (s + s.inverse().scale(nu)).scale(_HALF)
+        u, degree = s.inverse() * sub_g, 2
     out = []
-    current = span_basis(subspace)
-    while current:
+    for p in _strings_over(sub_space, matrix_log_unipotent(u), s):
+        starts = part * ExactMatrix.from_columns(p.generators)
+        signed = starts * ExactMatrix.diagonal([1, -1][: starts.cols])
+        out.append(_Chains(krylov(g, starts, p.d * degree), signed, p.d * degree))
+    return out
+
+
+def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: ExactMatrix) -> list[_Chains]:
+    """Orthogonal decomposition of a g-stable nondegenerate subspace (the
+    column span of subspace) on which g^2 - nu is invertible into
+    nondegenerate cyclic pieces, with the reversal q(g) v -> q(nu g^-1) v on
+    each; where no candidate's cyclic space is nondegenerate, by the primary
+    parts of a = g + nu g^-1 first."""
+    gram = space.gram
+    out = []
+    current = _span(subspace)
+    while True:
         degenerate = []
         for cand in _cyclic_candidates(current):
             # the span of current is g-invariant, so the cyclic subspace of
-            # cand has dimension m <= len(current), and cand, ..., g^(m-1) cand
-            # are its first m vectors
-            krylov = _string(g, cand, len(current) + 1)
-            chain = krylov[: rank(ExactMatrix(krylov))]
-            gram = pairing_matrix(space.gram, chain, chain)
-            if gram.det() != 0:
+            # cand has dimension m <= current.cols, and cand, ..., g^(m-1) cand
+            # are its first m vectors; a nondegenerate Gram of all current.cols
+            # of them shows m = current.cols, and the rank of the Krylov block
+            # (its pivot columns come first) is m
+            chain = krylov(g, cand, current.cols)
+            chain_gram = _pair(gram, chain, chain)
+            if chain_gram.det() != 0:
                 break
-            degenerate.append((chain, gram))
+            chain = chain.columns(0, rank(chain))
+            chain_gram = _pair(gram, chain, chain)
+            if chain.cols < current.cols and chain_gram.det() != 0:
+                break
+            degenerate.append((chain, chain_gram))
         else:
-            a = g + space.gram.inverse() * g.transpose() * space.gram
-            for chain, gram in degenerate:
-                chi = restrict_to(a, _in_ambient(chain, kernel(gram))).charpoly()
-                part = _in_ambient(current, generalized_kernel(poly_eval_matrix(chi, restrict_to(a, current))))
-                if len(part) < len(current):
-                    rest = _orthocomplement_in(space, current, part)
+            # the primary split keeps Fraction tuples and converts at its edge
+            a = g + gram.inverse() * g.transpose() * gram
+            for chain, chain_gram in degenerate:
+                radical = chain * ExactMatrix.from_columns(kernel(chain_gram))
+                chi = restrict_to(a, radical).charpoly()
+                part = generalized_kernel(poly_eval_matrix(chi, restrict_to(a, current)))
+                if len(part) < current.cols:
+                    part = current * ExactMatrix.from_columns(part)
+                    rest = current * kernel_columns(_pair(gram, part, current))
                     return out + _cyclic_pieces(space, g, part) + _cyclic_pieces(space, g, rest)
-            raise FactorizationUnsupportedError(f"no cyclic piece and no primary split in dimension {len(current)}")
-        out.append(_Piece([chain], [1]))
-        current = span_basis(_orthocomplement_in(space, current, chain))
-    return out
+            raise FactorizationUnsupportedError(f"no cyclic piece and no primary split in dimension {current.cols}")
+        out.append(_Chains(chain, chain.columns(0, 1), chain.cols))
+        # a chain as long as dim span(current) spans it: no orthocomplement
+        if chain.cols == current.cols:
+            return out
+        current = _span(current * kernel_columns(_pair(gram, chain, current)))
 
 
 def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -> ExactMatrix:
     """x with x^2 = 1, x in O(q), x g x = nu g^{-1}, det x = (-1)^n."""
-    dim = space.dim
-    ident = ExactMatrix.identity(dim)
+    gram = space.gram
+    ident = ExactMatrix.identity(space.dim)
     square, root = is_rational_square(nu)
-    # the generalized kernel of g^2 - nu, split into the generalized
-    # eigenspaces for +-sqrt(nu) when nu is a square
-    if square:
-        parts = [generalized_kernel(g - ident.scale(r)) for r in (root, -root)]
-    else:
-        parts = [generalized_kernel(g * g - ident.scale(nu))]
-    pieces: list[_Piece] = []
-    split: list[tuple] = []
-    for part in parts:
-        if not part:
+    # the generalized kernel of g^2 - nu, or for a square nu its halves: the
+    # generalized kernels of m = g - r for r = +-sqrt(nu), or of m = g^2 - nu
+    pieces: list[_Chains] = []
+    parts: list[ExactMatrix] = []
+    for r in (root, -root) if square else (None,):
+        m = g - ident.scale(r) if square else g * g - ident.scale(nu)
+        kernel_m = kernel_columns(m)
+        if not kernel_m.cols:
             continue
-        split += part
-        # the pieces in the part's own coordinates, then in the ambient ones
-        sub_space = QuadraticSpace(len(part), pairing_matrix(space.gram, part, part))
-        sub_g = s = restrict_to(g, part)
-        # Newton's step converges to the s in Q[g] with s^2 = nu and s^-1 g
-        # unipotent, and is self-adjoint from the first step on
-        while s * s != ExactMatrix.identity(len(part)).scale(nu):
-            s = (s + s.inverse().scale(nu)).scale(_HALF)
-        sub_pieces = _string_pieces(sub_space, sub_g, s)
-        ambient = iter(_in_ambient(part, [u for p in sub_pieces for chain in p.chains for u in chain]))
-        pieces += [_Piece([[next(ambient) for _ in chain] for chain in p.chains], p.signs) for p in sub_pieces]
-    # the orthocomplement of those parts: the kernel of the rows t(v) gram
-    rest = kernel(ExactMatrix(split) * space.gram) if split else _standard_basis(dim)
-    if rest:
+        # the adjoint of m is -r g^-1 m (or -nu g^-2 m), so im m = (ker m)^perp,
+        # and ker m^2 = ker m exactly when ker m meets (ker m)^perp in 0
+        kernel_gram = _pair(gram, kernel_m, kernel_m)
+        if kernel_gram.det() != 0:
+            parts.append(kernel_m)
+            pieces.append(_lines(kernel_gram, kernel_m))
+        else:
+            parts.append(ExactMatrix.from_columns(generalized_kernel(m)))
+            pieces += _string_pieces(space, g, parts[-1], r, nu)
+    # the orthocomplement of those parts: the kernel of t(parts) gram
+    rest = kernel_columns(ExactMatrix.hstack(parts).transpose() * gram) if parts else ident
+    if rest.cols:
         pieces += _cyclic_pieces(space, g, rest)
 
     # x sends g^k v to sign (nu g^-1)^k v, and nu g^-1 is the adjoint G^-1 tg G
-    adjoint = space.gram.inverse() * g.transpose() * space.gram
-    source: list[tuple] = []
-    image: list[tuple] = []
-    odd = None  # the image columns of the first odd-dimensional piece
-    for p in pieces:
-        start = len(image)
-        for chain, sign in zip(p.chains, p.signs):
-            source += chain
-            image += _string(adjoint, vec_scale(sign, chain[0]), len(chain))
-        if odd is None and (len(image) - start) % 2:
-            odd = slice(start, len(image))
-    source_inverse = ExactMatrix.from_columns(source).inverse()
-    x = ExactMatrix.from_columns(image) * source_inverse
+    adjoint = gram.inverse() * g.transpose() * gram
+    source_inverse = ExactMatrix.hstack([p.vectors for p in pieces]).inverse()
+    image = ExactMatrix.hstack([krylov(adjoint, p.signed_starts, p.length) for p in pieces])
+    x = image * source_inverse
     # an involution has det (-1)^((dim - tr x) / 2), which is (-1)^n exactly
-    # when 4 divides tr x; negating an odd-dimensional piece flips it
+    # when 4 divides tr x; negating the image columns M[:, odd] of the first
+    # odd-dimensional piece, a single chain, flips it, and takes
+    # 2 M[:, odd] (S^-1)[odd, :] off x = M S^-1
     if x.trace() % 4:
+        offsets = accumulate((p.vectors.cols for p in pieces), initial=0)
+        odd = next(((a, a + p.length) for a, p in zip(offsets, pieces) if p.length % 2), None)
         if odd is None:
             raise FactorizationUnsupportedError("no odd piece available to fix the determinant")
-        image[odd] = [vec_scale(-1, u) for u in image[odd]]
-        x = ExactMatrix.from_columns(image) * source_inverse
+        rows = source_inverse.transpose().columns(*odd).transpose()
+        x = x - (image.columns(*odd) * rows).scale(2)
     return x
 
 

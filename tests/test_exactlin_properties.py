@@ -16,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gspin.exactlin import ExactMatrix, generalized_kernel, kernel, rank, rref  # noqa: E402
+from gspin.exactlin import ExactMatrix, generalized_kernel, kernel, kernel_columns, krylov, rank, rref  # noqa: E402
 
 try:
     import sympy
@@ -84,6 +84,10 @@ def rectangular(draw):
     return draw(matrices(r, c))
 
 
+def rectangular_with_rows(rows):
+    return st.integers(1, 3).flatmap(lambda cols: matrices(rows, cols))
+
+
 def to_sympy(m: ExactMatrix):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries()])
 
@@ -148,6 +152,49 @@ def test_generalized_kernel_is_the_kernel_of_the_top_power(a):
     basis = generalized_kernel(a)
     assert basis == kernel(a ** a.rows)
     assert (not basis) == (a.det() != 0)
+
+
+@PROPERTY
+@given(st.one_of(square(), rectangular()))
+def test_kernel_columns_are_the_basis_read_off_rref(a):
+    # one column per free column f of rref(a): 1 at f, 0 at the other free
+    # columns and -rref(a)[r, f] at the r-th pivot
+    red, pivots = rref(a)
+    expected = []
+    for f in (c for c in range(a.cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(a.cols)]
+        for r, p in enumerate(pivots):
+            v[p] = -red[r, f]
+        expected.append(tuple(v))
+    frame = kernel_columns(a)
+    assert (frame.rows, frame.cols) == (a.cols, len(expected))
+    assert [frame.column(j) for j in range(frame.cols)] == expected == kernel(a)
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(matrices(n, n), rectangular_with_rows(n), st.integers(1, n + 1))))
+def test_krylov_is_the_chain_of_each_start(args):
+    m, starts, length = args
+    expected = []
+    for j in range(starts.cols):
+        v = starts.column(j)
+        for _ in range(length):  # v, m v, ..., m^(length-1) v
+            expected.append(v)
+            v = m.apply(v)
+    block = krylov(m, starts, length)
+    assert (block.rows, block.cols) == (m.rows, starts.cols * length)
+    assert [block.column(j) for j in range(block.cols)] == expected
+
+
+@PROPERTY
+@given(rectangular(), st.data())
+def test_column_slices_concatenate_back(a, data):
+    cut = data.draw(st.integers(0, a.cols))
+    left, right = a.columns(0, cut), a.columns(cut, a.cols)
+    assert [left.column(j) for j in range(cut)] == [a.column(j) for j in range(cut)]
+    assert [right.column(j) for j in range(a.cols - cut)] == [a.column(j) for j in range(cut, a.cols)]
+    # equal storage: the concatenation is canonical
+    assert ExactMatrix.hstack([left, right]) == a
 
 
 @needs_sympy

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from gspin import involutions
+from gspin import exactlin, involutions
 from gspin.exactlin import (
     ExactMatrix,
     QuadraticSpace,
     frac,
+    generalized_kernel,
     is_rational_square,
+    kernel,
     matrix_equation_kernel,
     matrix_exp_nilpotent,
     pairing_matrix,
@@ -183,6 +185,60 @@ def test_verify_rejects_bad_pairs():
     # x not form-orthogonal
     x = ExactMatrix.diagonal([1, 1, 1, -1])
     assert not verify(e, InvolutionPair(x, x))
+
+
+def _broken_equations(e, p):
+    """The defining equations of verify that the pair breaks, each checked
+    as written: x^2 = 1, t(x) G x = G, det x = (-1)^n, x y = g and
+    y^2 = nu(y) for a similitude y."""
+    space, ident = e.space, ExactMatrix.identity(e.space.dim)
+    nu_y = space.similitude_factor(p.y)
+    holds = {
+        "involution": p.x * p.x == ident,
+        "isometry": p.x.transpose() * space.gram * p.x == space.gram,
+        "determinant": p.x.det() == (-1) ** (space.dim // 2),
+        "product": p.x * p.y == e.g,
+        "square": nu_y is not None and p.y * p.y == ident.scale(nu_y),
+    }
+    return [name for name, ok in holds.items() if not ok]
+
+
+def test_verify_rejects_a_pair_that_breaks_one_equation():
+    space = SPACES[4][0]
+    one = SimilitudeElement(space, ExactMatrix.identity(4), 1)
+    reflection = space.reflection((1, 0, 0, 1))
+    g = reflection * space.reflection((1, 1, 0, 1))
+    assert g * g != ExactMatrix.identity(4)
+    rotation = SimilitudeElement(space, g, 1)
+    cases = [
+        (one, InvolutionPair(reflection, reflection), "determinant"),
+        (one, InvolutionPair(ExactMatrix.identity(4), -ExactMatrix.identity(4)), "product"),
+        (rotation, InvolutionPair(ExactMatrix.identity(4), g), "square"),
+    ]
+    for e, pair, broken in cases:
+        assert _broken_equations(e, pair) == [broken]
+        assert not verify(e, pair)
+    assert _broken_equations(one, InvolutionPair(ExactMatrix.identity(4), ExactMatrix.identity(4))) == []
+
+
+def test_factor_of_three_times_two_reflections_takes_nine_eliminations(monkeypatch):
+    # g = 3 r_a r_b in dim 8: ker(g - 3) is the 6-dim orthocomplement of the
+    # plane of a and b, nondegenerate, so it is the generalized kernel and
+    # its vectors are lines.  Eliminations: ker(g - 3), the determinant of
+    # its Gram, ker(g + 3), the orthocomplement of the first line, the
+    # orthocomplement of ker(g - 3), its reduced basis, the Gram determinant
+    # of the one cyclic chain, G^-1 and the inverse of the chain matrix
+    space = SPACES[8][0]
+    g = (space.reflection((1, 0, 2, 0, 0, 1, 0, 1)) * space.reflection((0, 1, 1, 0, 3, 0, 1, 1))).scale(3)
+    e = SimilitudeElement(space, g, 9)
+    calls = []
+    real = exactlin._eliminate
+    monkeypatch.setattr(exactlin, "_eliminate", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    pair = factor(e)
+    assert len(calls) == 9
+    monkeypatch.undo()
+    assert verify(e, pair)
+    assert len(kernel(g - ExactMatrix.identity(8).scale(3))) == 6
 
 
 def test_unipotent_inputs():
@@ -391,6 +447,23 @@ def _pinned_square_nu_elements():
     for i, s in ((0, 1), (1, 1), (3, -1), (4, -1)):
         n[i][i + 1] = s
     yield SimilitudeElement(space6, matrix_exp_nilpotent(ExactMatrix(n)), 1)
+
+
+def test_generalized_kernel_is_the_kernel_where_the_form_is_nondegenerate_on_it():
+    # the adjoint of m = g - r (r^2 = nu) or m = g^2 - nu is an invertible
+    # multiple of m, so im m = (ker m)^perp and ker m^2 = ker m exactly when
+    # ker m meets (ker m)^perp in 0; both cases occur among the pinned elements
+    seen = set()
+    for e in [*_pinned_square_nu_elements(), *_pinned_nonsquare_and_paired_elements()]:
+        square, root = is_rational_square(e.nu)
+        one = ExactMatrix.identity(e.space.dim)
+        for m in [e.g - one.scale(r) for r in (root, -root)] if square else [e.g * e.g - one.scale(e.nu)]:
+            k = kernel(m)
+            if k:
+                nondegenerate = pairing_matrix(e.space.gram, k, k).det() != 0
+                assert (len(generalized_kernel(m)) == len(k)) == nondegenerate
+                seen.add(nondegenerate)
+    assert seen == {True, False}
 
 
 def test_square_nu_factorizations_match_the_recorded_digest():

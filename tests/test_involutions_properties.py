@@ -22,7 +22,10 @@ The families reach every step of the one construction:
   nu / lambda_k, W2 hyperbolic with g = mu and nu / mu, on a scaled basis
   x + y that pairs each plane of W1 with an isotropic half of W2: two or
   three primary parts of g + nu g^-1, and the cyclic space of every basis
-  vector, pairwise sum and difference degenerate, so the primary split runs.
+  vector, pairwise sum and difference degenerate, so the primary split runs;
+- lambda exp(N) r_a r_b in dim 4, N of Jordan type (3, 1) or (2, 2): the
+  generalized kernel of g -+ lambda is larger than its kernel, and the form
+  is degenerate on that kernel, as the lemma test at the end checks.
 
 Examples are derandomized, so every run checks the same elements, and
 failing examples are reported unshrunk.
@@ -39,6 +42,9 @@ from gspin.exactlin import (  # noqa: E402
     ExactMatrix,
     QuadraticSpace,
     frac,
+    generalized_kernel,
+    is_rational_square,
+    kernel,
     kron,
     matrix_equation_kernel,
     matrix_exp_nilpotent,
@@ -193,6 +199,19 @@ def planes_beside_a_hyperbolic_space(draw):
     return SimilitudeElement(QuadraticSpace(dim, u.transpose() * gram * u), u.inverse() * g * u, nu)
 
 
+@st.composite
+def unipotent_times_reflections(draw):
+    """lambda exp(N) r_a r_b on the split 4-space, N of Jordan type (3, 1) or
+    (2, 2), with 0 or 2 reflections: g^2 - lambda^2 is nilpotent but not
+    zero on a generalized eigenspace."""
+    space = split(4)
+    g = matrix_exp_nilpotent(draw(st.sampled_from(SO4_NILPOTENTS[:2])).scale(draw(st.sampled_from([1, -1, 2]))))
+    for _ in range(draw(st.sampled_from((0, 2)))):
+        g = g * space.reflection(draw(anisotropic(space)))
+    g = g.scale(draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)])))
+    return SimilitudeElement(space, g, space.similitude_factor(g))
+
+
 def cyclic_chain(e: SimilitudeElement, v: tuple) -> list[tuple]:
     """v, g v, ..., up to the dimension of the cyclic space of v."""
     krylov = [v]
@@ -263,3 +282,26 @@ def test_planes_beside_a_hyperbolic_space_split_by_primary_parts(e):
         chain = cyclic_chain(e, v)
         assert pairing_matrix(e.space.gram, chain, chain).det() == 0
     assert_factors(e)
+
+
+@settings(PROPERTY)
+@given(st.one_of(unipotent_times_reflections(), moved(unipotent_times_reflections())))
+def test_unipotent_times_reflections(e):
+    assert_factors(e)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(st.one_of(
+    split_torus(), moved(split_torus()), y_exp_n(), tensor_with_quadratic_field(), root_block_with_torus(),
+    planes_beside_a_hyperbolic_space(), unipotent_times_reflections(), moved(unipotent_times_reflections()),
+))
+def test_generalized_kernel_is_the_kernel_exactly_where_the_form_is_nondegenerate_on_it(e):
+    # the adjoint of m = g -+ sqrt(nu) or m = g^2 - nu is an invertible
+    # multiple of m, so im m = (ker m)^perp
+    square, root = is_rational_square(e.nu)
+    one = ExactMatrix.identity(e.space.dim)
+    for m in [e.g - one.scale(r) for r in (root, -root)] if square else [e.g * e.g - one.scale(e.nu)]:
+        k = kernel(m)
+        if k:
+            nondegenerate = pairing_matrix(e.space.gram, k, k).det() != 0
+            assert (len(generalized_kernel(m)) == len(k)) == nondegenerate
