@@ -7,6 +7,10 @@ cuts out GO4 (dual side of GSpin4^alpha) and the rank-one group attached to
 GSpin2^alpha x GSpin3.  The projection onto SO5 (dual of Sp4) is realized on
 the second exterior power, with the invariant symplectic-form line split off
 exactly.
+
+The seeded samplers and the two maps into SO5 run on integer numerators (see
+``exactlin.int_product``) and normalise each matrix they return once; every
+sample is still checked exactly before it is returned.
 """
 
 from __future__ import annotations
@@ -17,7 +21,17 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .exactlin import ExactMatrix, frac, matrix_equation_kernel, similitude_factor, ONE, ZERO
+from .exactlin import (
+    ExactMatrix,
+    QuadraticSpace,
+    frac,
+    int_product,
+    kernel,
+    matrix_equation_kernel,
+    similitude_factor,
+    ONE,
+    ZERO,
+)
 
 # ---------------------------------------------------------------------------
 # group tags
@@ -170,11 +184,13 @@ PAIR_PLANES = ((0, 3), (1, 2))
 
 def embed_pair(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """(a, b) acting on the planes span(e1, e4) and span(e2, e3)."""
-    m = [[ZERO] * 4 for _ in range(4)]
+    den = lcm(a._den, b._den)
+    m = [[0] * 4 for _ in range(4)]
     for (i0, i1), blk in zip(PAIR_PLANES, (a, b)):
-        m[i0][i0], m[i0][i1] = blk[0, 0], blk[0, 1]
-        m[i1][i0], m[i1][i1] = blk[1, 0], blk[1, 1]
-    return ExactMatrix(m)
+        f = den // blk._den
+        (p, q), (r, s) = blk._num
+        m[i0][i0], m[i0][i1], m[i1][i0], m[i1][i1] = p * f, q * f, r * f, s * f
+    return ExactMatrix._make(tuple(map(tuple, m)), den, 4)
 
 
 def fixed_point_check(e: DualElement) -> bool:
@@ -212,17 +228,20 @@ def std_rep(tag: GroupTag, e: DualElement) -> tuple[ExactMatrix, Fraction]:
 _BIVECTOR_INDEX = [(i, j) for i, j in itertools.combinations(range(4), 2)]
 
 
+def _minors(e: tuple, f: int = 1) -> tuple:
+    """f times the 2x2 minors of the 4x4 integer rows e, indexed by bivectors."""
+    return tuple(
+        tuple([f * (e[i][k] * e[j][l] - e[i][l] * e[j][k]) for (k, l) in _BIVECTOR_INDEX])
+        for (i, j) in _BIVECTOR_INDEX
+    )
+
+
 def exterior_square(g: ExactMatrix) -> ExactMatrix:
     """Matrix of g acting on the 6-dimensional space of bivectors e_i ^ e_j:
     the 2x2 minors of the numerators over the squared denominator."""
     if g.rows != 4 or g.cols != 4:
         raise ValueError("4x4 matrix required")
-    e = g._num
-    minors = tuple(
-        tuple([e[i][k] * e[j][l] - e[i][l] * e[j][k] for (k, l) in _BIVECTOR_INDEX])
-        for (i, j) in _BIVECTOR_INDEX
-    )
-    return ExactMatrix._make(minors, g._den * g._den, 6)
+    return ExactMatrix._make(_minors(g._num), g._den * g._den, 6)
 
 
 # symmetric form on bivectors induced by the symplectic form:
@@ -235,8 +254,6 @@ OMEGA = (ZERO, ZERO, ONE, -ONE, ZERO, ZERO)
 
 def _omega_complement_basis() -> list[tuple]:
     functional = ExactMatrix([[sum(frac(OMEGA[k]) * BIVECTOR_FORM[k, c] for k in range(6)) for c in range(6)]])
-    from .exactlin import kernel
-
     return kernel(functional)
 
 
@@ -255,11 +272,17 @@ def _so5_gram() -> ExactMatrix:
 SO5_GRAM = _so5_gram()
 
 
-def _complement_block(split: ExactMatrix, message: str) -> ExactMatrix:
-    """The 5x5 block of a matrix in split coordinates on the complement of
-    the invariant line, which it must fix exactly: row 0 and column 0 are
-    those of the identity."""
-    num, den = split._num, split._den
+def _split_product(left: ExactMatrix, num: tuple, den: int, right: ExactMatrix) -> tuple[tuple, int]:
+    """left (num / den) right as integer rows over an unnormalised denominator."""
+    rows = int_product(int_product(left._num, tuple(zip(*num))), tuple(zip(*right._num)))
+    return rows, left._den * den * right._den
+
+
+def _complement_block(num: tuple, den: int, message: str) -> ExactMatrix:
+    """The 5x5 block of the 6x6 matrix num / den (split coordinates, den
+    nonzero, not necessarily normalised) on the complement of the invariant
+    line, which it must fix exactly: row 0 and column 0 are those of the
+    identity."""
     if num[0][0] != den or any(num[0][1:]) or any(r[0] for r in num[1:]):
         raise ValueError(message)
     return ExactMatrix._make(tuple(r[1:] for r in num[1:]), den, 5)
@@ -270,12 +293,16 @@ def project_to_so5(e: DualElement) -> ExactMatrix:
     exterior square divided by the similitude factor.
 
     Requires (g, x) in the symplectic similitude realization; the result is
-    special orthogonal for SO5_GRAM.
+    special orthogonal for SO5_GRAM.  With x = p / q the split matrix is
+    SPLIT_BASIS_INV (q minors(num g)) SPLIT_BASIS / (p den(g)^2), on numerators.
     """
     if not fixed_point_check(e):
         raise ValueError("input is not in the symplectic similitude realization")
-    split = SPLIT_BASIS_INV * exterior_square(e.g).scale(ONE / e.x) * SPLIT_BASIS
-    return _complement_block(split, "invariant-line split failed: non-symplectic input")
+    g, x = e.g, e.x
+    num, den = _split_product(
+        SPLIT_BASIS_INV, _minors(g._num, x.denominator), x.numerator * g._den * g._den, SPLIT_BASIS
+    )
+    return _complement_block(num, den, "invariant-line split failed: non-symplectic input")
 
 
 # basis [omega | e1^e4 + e2^e3 | tensor part] of the bivector space for
@@ -296,9 +323,12 @@ def embed_so4_block(x4: ExactMatrix) -> ExactMatrix:
     Coordinates on the tensor part are the ordered bivectors
     e1^e2, e1^e3, e4^e2, e4^e3, matching Kronecker products a (x) b for a
     acting on span(e1, e4) and b on span(e2, e3)."""
-    block6 = ExactMatrix.block_diagonal([ExactMatrix.identity(2), x4])
-    split = _SO4_BLOCK_TO_SPLIT * block6 * _SPLIT_TO_SO4_BLOCK
-    return _complement_block(split, "embedding does not fix the invariant line")
+    if x4.rows != 4 or x4.cols != 4:
+        raise ValueError("4x4 matrix required")
+    d = x4._den
+    block6 = ((d, 0, 0, 0, 0, 0), (0, d, 0, 0, 0, 0), *((0, 0, *r) for r in x4._num))
+    num, den = _split_product(_SO4_BLOCK_TO_SPLIT, block6, d, _SPLIT_TO_SO4_BLOCK)
+    return _complement_block(num, den, "embedding does not fix the invariant line")
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +400,40 @@ _NILPOTENT_DEN = lcm(*(b._den for b in _GSP4_NILPOTENTS))
 _NILPOTENT_NUMS = [[x * (_NILPOTENT_DEN // b._den) for r in b._num for x in r] for b in _GSP4_NILPOTENTS]
 
 
-def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
-    """Seeded exact sample of GSp4 with the requested similitude factor."""
-    from .exactlin import matrix_exp_nilpotent
+def _exp_strictly_upper(n1: tuple, d: int) -> tuple:
+    """The numerators of exp(n1 / d) over 6 d^3 for a strictly upper
+    triangular 4x4 integer n1: n1^4 = 0, so exp(n1 / d) is
+    (6 d^3 + 6 d^2 n1 + 3 d n1^2 + n1^3) / (6 d^3)."""
+    cols = tuple(zip(*n1))
+    n2 = int_product(n1, cols)
+    n3 = int_product(n2, cols)
+    return tuple(
+        tuple([6 * d**3 * (i == j) + 6 * d * d * n1[i][j] + 3 * d * n2[i][j] + n3[i][j] for j in range(4)])
+        for i in range(4)
+    )
 
+
+def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
+    """Seeded exact sample of GSp4 with the requested similitude factor:
+    diag(a, b, x/b, x/a) times one to three factors exp(N), each optionally
+    followed by THETA_J, multiplied on numerators and normalised once."""
     x = frac(similitude) if similitude is not None else ONE
-    a = frac(rng.randint(1, 5))
-    b = frac(rng.randint(1, 5))
-    g = ExactMatrix.diagonal([a, b, x / b, x / a])
+    p, q = x.numerator, x.denominator
+    a = rng.randint(1, 5)
+    b = rng.randint(1, 5)
+    # diag(a, b, x/b, x/a) over q a b
+    den = q * a * b
+    num = ExactMatrix.diagonal([a * den, b * den, p * a, p * b])._num
     for _ in range(rng.randint(1, 3)):
         coeffs = [rng.randint(-2, 2) for _ in _GSP4_NILPOTENTS]
         flat = [sum(map(mul, coeffs, entry)) for entry in zip(*_NILPOTENT_NUMS)]
-        nil = ExactMatrix._make(tuple(tuple(flat[4 * i : 4 * i + 4]) for i in range(4)), _NILPOTENT_DEN, 4)
-        g = g * matrix_exp_nilpotent(nil)
+        nil = tuple(tuple(flat[4 * i : 4 * i + 4]) for i in range(4))
+        num = int_product(num, tuple(zip(*_exp_strictly_upper(nil, _NILPOTENT_DEN))))
+        den *= 6 * _NILPOTENT_DEN**3
         if rng.random() < 0.5:
-            g = g * THETA_J
+            num = int_product(num, tuple(zip(*THETA_J._num)))
+            den *= THETA_J._den
+    g = ExactMatrix._make(num, den, 4)
     nu = similitude_factor(g, THETA_J)
     if nu is None:
         raise ValueError("sample left the symplectic similitude group")
@@ -394,30 +443,36 @@ def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
 def sample_gl2(rng, det_value: Fraction) -> ExactMatrix:
     """Seeded 2x2 rational matrix with the prescribed determinant."""
     det_value = frac(det_value)
+    p, q = det_value.numerator, det_value.denominator
     while True:
-        a, b, c = (frac(rng.randint(-3, 3)) for _ in range(3))
+        a, b, c = (rng.randint(-3, 3) for _ in range(3))
         if a != 0:
-            d = (det_value + b * c) / a
-            return ExactMatrix([[a, b], [c, d]])
+            # d = (det_value + b c) / a; every entry over q a
+            return ExactMatrix._make(((q * a * a, q * a * b), (q * a * c, p + q * b * c)), q * a, 2)
+
+
+_GSO4_SPACE = QuadraticSpace(4, GSO4_GRAM)
 
 
 def sample_gso4(rng) -> DualElement:
     """Seeded exact sample of GSO4 (similitude nu, det = nu^2) for the fixed
-    Gram, paired with its similitude coordinate."""
-    from .exactlin import QuadraticSpace
-
-    space = QuadraticSpace(4, GSO4_GRAM)
-    g = ExactMatrix.identity(4)
+    Gram, paired with its similitude coordinate: an even number of
+    reflections times diag(a, b, nu/b, nu/a), multiplied on numerators and
+    normalised once."""
+    num, den = ExactMatrix.identity(4)._num, 1
     for _ in range(2 * rng.randint(1, 2)):
         while True:
-            v = tuple(frac(rng.randint(-3, 3)) for _ in range(4))
-            if space.bilinear(v, v) != 0:
+            v = [rng.randint(-3, 3) for _ in range(4)]
+            if _GSO4_SPACE.bilinear(v, v) != 0:
                 break
-        g = g * space.reflection(v)
-    nu = frac(rng.randint(1, 4))
-    a = frac(rng.randint(1, 4))
-    b = frac(rng.randint(1, 4))
-    g = g * ExactMatrix.diagonal([a, b, nu / b, nu / a])
+        reflection = _GSO4_SPACE.reflection(v)
+        num = int_product(num, tuple(zip(*reflection._num)))
+        den *= reflection._den
+    nu, a, b = (rng.randint(1, 4) for _ in range(3))
+    # times diag(a, b, nu/b, nu/a) = diag(a a b, b a b, nu a, nu b) / (a b)
+    column_scale = (a * a * b, b * a * b, nu * a, nu * b)
+    num = tuple(tuple([x * f for x, f in zip(r, column_scale)]) for r in num)
+    g = ExactMatrix._make(num, den * a * b, 4)
     x = similitude_factor(g, GSO4_GRAM)
     assert x is not None and g.det() == x * x
     return DualElement(g, x)

@@ -22,7 +22,6 @@ from .dualgroups import (
     DualElement,
     GSO4_GRAM,
     SO5_GRAM,
-    STANDARD_TWIST,
     THETA_J,
     embed_pair,
     embed_so4_block,
@@ -33,7 +32,16 @@ from .dualgroups import (
 )
 # kernel is no longer called here but stays bound: perfbench/test_perfbench.py
 # checks that the tracer wraps it at this binding site too
-from .exactlin import ExactMatrix, frac, kernel, kron, matrix_equation_kernel, span_basis, ONE  # noqa: F401
+from .exactlin import (
+    ExactMatrix,
+    frac,
+    kernel,  # noqa: F401
+    kron,
+    matrix_equation_kernel,
+    similitude_factor,
+    span_basis,
+    ONE,
+)
 
 # ---------------------------------------------------------------------------
 # printed matrices
@@ -159,8 +167,15 @@ def _lie_basis(d: EndoscopicDatum) -> list[tuple[ExactMatrix, Fraction]]:
 
 
 def theta_s_fixed(s: ExactMatrix, e: DualElement) -> bool:
-    """Is (g, x) fixed by Ad(s) composed with the dual twist?"""
-    return s * STANDARD_TWIST.apply_dual(e).g * s.inverse() == e.g
+    """Is (g, x) fixed by Ad(s) composed with the dual twist?
+
+    With A = s J the twisted image of g is x A tg^-1 A^-1, so the fixed
+    points are the g with x A tg^-1 A^-1 = g, that is g A tg = x A.  That is
+    the equation of a similitude tg with factor x for the form A, and it
+    needs no inverse: as x != 0 and A is invertible, det(g)^2 = x^4 makes
+    every solution g invertible, and for invertible g the two equations are
+    equivalent."""
+    return similitude_factor(e.g.transpose(), s * THETA_J) == e.x
 
 
 def _xi_samples(d: EndoscopicDatum, rng: random.Random) -> list[DualElement]:
@@ -172,17 +187,21 @@ def _xi_samples(d: EndoscopicDatum, rng: random.Random) -> list[DualElement]:
         out = []
         for _ in range(4):
             m = sample_gl2(rng, frac(rng.randint(1, 5)))
-            det_m = m.det()
-            x1 = frac(rng.randint(1, 5))
-            g = ExactMatrix(
-                [
-                    [x1, 0, 0, 0],
-                    [0, m[0, 0], m[0, 1], 0],
-                    [0, m[1, 0], m[1, 1], 0],
-                    [0, 0, 0, det_m / x1],
-                ]
+            x1 = rng.randint(1, 5)
+            # diag(x1, m, det m / x1) over dm^2 x1, with dm = den(m)
+            ((p, q), (r, t)), dm = m._num, m._den
+            det_num = p * t - q * r
+            g = ExactMatrix._make(
+                (
+                    (x1 * x1 * dm * dm, 0, 0, 0),
+                    (0, p * dm * x1, q * dm * x1, 0),
+                    (0, r * dm * x1, t * dm * x1, 0),
+                    (0, 0, 0, det_num),
+                ),
+                dm * dm * x1,
+                4,
             )
-            out.append(DualElement(g, det_m))
+            out.append(DualElement(g, Fraction(det_num, dm * dm)))
         return out
     if d.base == "gspin5":
         out = []
@@ -196,8 +215,8 @@ def _xi_samples(d: EndoscopicDatum, rng: random.Random) -> list[DualElement]:
     # gspin4: the diagonal torus ad = bc
     out = []
     for _ in range(4):
-        a, b, c = (frac(rng.randint(1, 5)) for _ in range(3))
-        out.append(DualElement(ExactMatrix.diagonal([a, b, c, b * c / a]), b * c))
+        a, b, c = (rng.randint(1, 5) for _ in range(3))
+        out.append(DualElement(ExactMatrix.diagonal([a, b, c, Fraction(b * c, a)]), b * c))
     return out
 
 
@@ -230,10 +249,11 @@ def verify_centralizer(d: EndoscopicDatum, seed: int = 0) -> CentralizerReport:
     frob_ok = True
     if d.frobenius_image is not None:
         # the basis is independent, so the conjugates lie in its span
-        # exactly when they leave its rank alone
+        # exactly when they leave its rank alone; each vector (y, t) is read
+        # off numerators as den(y) den(t) (y, t), which leaves the span alone
         c, cinv = d.frobenius_image, d.frobenius_image.inverse()
         vectors = [
-            tuple(y[i, j] for i in range(4) for j in range(4)) + (t,)
+            [v * t.denominator for r in y._num for v in r] + [t.numerator * y._den]
             for x, t in basis
             for y in (x, c * x * cinv)
         ]
@@ -305,7 +325,7 @@ def restriction_diagrams_commute(seed: int = 0, samples: int = 20) -> DiagramRep
     for i in range(samples):
         e = sample_gsp4(rng, frac(rng.randint(1, 4)))
         p5 = project_to_so5(e)
-        if p5.transpose() * SO5_GRAM * p5 != SO5_GRAM:
+        if similitude_factor(p5, SO5_GRAM) != 1:
             failures.append(f"square1@{i}")
         if p5.det() != 1:
             failures.append(f"square1-det@{i}")

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -118,7 +119,10 @@ class ExactMatrix:
     # construction -----------------------------------------------------
 
     @staticmethod
+    @cache
     def identity(n: int) -> "ExactMatrix":
+        """The n x n identity, one shared instance per n (matrices are
+        immutable)."""
         return ExactMatrix._raw(
             tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n
         )
@@ -129,9 +133,13 @@ class ExactMatrix:
 
     @staticmethod
     def diagonal(values: Iterable) -> "ExactMatrix":
-        vals = [frac(v) for v in values]
-        n = len(vals)
-        return ExactMatrix([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        # over the least common denominator of reduced entries the numerators
+        # already have no common factor with it
+        nums, den = _over_one_denominator(values)
+        n = len(nums)
+        return ExactMatrix._raw(
+            tuple(tuple([nums[i] if i == j else 0 for j in range(n)]) for i in range(n)), den, n
+        )
 
     @staticmethod
     def antidiagonal(values: Iterable) -> "ExactMatrix":
@@ -342,12 +350,16 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
+def int_product(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> tuple:
+    """The integer matrix with entry (i, j) rows[i] . columns[j]: the
+    numerators of a b from the numerator rows of a and columns of b."""
+    return tuple(tuple([sum(map(mul, r, c)) for c in columns]) for r in rows)
+
+
 def _matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    b_cols = list(zip(*b._num))
-    num = tuple(tuple([sum(map(mul, row, col)) for col in b_cols]) for row in a._num)
-    return ExactMatrix._make(num, a._den * b._den, b.cols)
+    return ExactMatrix._make(int_product(a._num, tuple(zip(*b._num))), a._den * b._den, b.cols)
 
 
 def _eliminate(a: list[list[int]], ncols: int, jordan: bool) -> tuple[list[int], int, int]:
@@ -451,12 +463,11 @@ def krylov(m: ExactMatrix, starts: ExactMatrix, length: int) -> ExactMatrix:
     after the other, on numerators: m^k v has the denominator
     den(v) den(m)^k, and one normalisation lifts every column to the last."""
     lift = [m._den ** (length - 1 - k) for k in range(length)]
-    columns = []
-    for col in zip(*starts._num):
-        for k, f in enumerate(lift):
-            if k:
-                col = [sum(map(mul, row, col)) for row in m._num]
-            columns.append([x * f for x in col])
+    # the columns of m^k starts: the rows of t(m^k starts) = t(starts) t(m)^k
+    powers = [tuple(zip(*starts._num))]
+    for _ in range(length - 1):
+        powers.append(int_product(powers[-1], m._num))
+    columns = [[x * f for x in powers[k][j]] for j in range(starts.cols) for k, f in enumerate(lift)]
     return ExactMatrix._make(tuple(zip(*columns)), starts._den * m._den ** (length - 1), len(columns))
 
 
@@ -757,9 +768,7 @@ def is_rational_square(x: Fraction) -> tuple[bool, Fraction | None]:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    import math
-
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r if r * r == n else None
 
 
@@ -822,22 +831,27 @@ def pairing_matrix(form: ExactMatrix, us: Sequence[Sequence], vs: Sequence[Seque
 
 
 def similitude_factor(g: ExactMatrix, form: ExactMatrix) -> Fraction | None:
-    """nu with t(g) form g = nu form, or None if g is not a similitude."""
-    lhs = g.transpose() * form * g
-    # the first nonzero entry of the form fixes nu; then num(lhs) f0 must
-    # equal num(form) l0 entrywise, with f0 and l0 the numerators there
+    """nu != 0 with t(g) form g = nu form, or None if g is not a similitude
+    (a singular g with t(g) form g = 0 included)."""
+    if form.rows != form.cols or g.rows != form.rows:
+        raise ValueError("shape mismatch")
+    # lhs = t(num g) num(form) num(g): t(g) form g is lhs / (den(g)^2 den(form))
+    g_cols = tuple(zip(*g._num))
+    lhs = int_product(int_product(g_cols, tuple(zip(*form._num))), g_cols)
+    # the first nonzero entry of the form fixes nu = l0 / (f0 den(g)^2); then
+    # lhs f0 must equal num(form) l0 entrywise, with f0 and l0 the entries there
     first = next(((i, j) for i, r in enumerate(form._num) for j, x in enumerate(r) if x), None)
     if first is None:
         return None
     i, j = first
-    f0, l0 = form._num[i][j], lhs._num[i][j]
-    if any(
+    f0, l0 = form._num[i][j], lhs[i][j]
+    if not l0 or any(
         x * f0 != y * l0
-        for r_lhs, r_form in zip(lhs._num, form._num)
+        for r_lhs, r_form in zip(lhs, form._num)
         for x, y in zip(r_lhs, r_form)
     ):
         return None
-    return Fraction(l0 * form._den, f0 * lhs._den)
+    return Fraction(l0, f0 * g._den * g._den)
 
 
 @dataclass(frozen=True)

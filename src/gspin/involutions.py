@@ -75,7 +75,7 @@ class SimilitudeElement:
     def __post_init__(self):
         object.__setattr__(self, "nu", frac(self.nu))
         got = self.space.similitude_factor(self.g)
-        if got != self.nu or got == 0:
+        if got != self.nu:  # got is None for a factor of 0
             raise ValueError("not an invertible similitude with the stated factor")
         n = self.space.dim // 2
         if self.g.det() != self.nu**n:
@@ -391,10 +391,14 @@ def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -
     if rest.cols:
         pieces += _cyclic_pieces(space, g, rest)
 
-    # x sends g^k v to sign (nu g^-1)^k v, and nu g^-1 is the adjoint G^-1 tg G
-    adjoint = gram.inverse() * g.transpose() * gram
+    # x sends g^k v to sign (nu g^-1)^k v, and nu g^-1 is the adjoint G^-1 tg G;
+    # a piece of chains of length one is sent to its signed starts
+    if any(p.length > 1 for p in pieces):
+        adjoint = gram.inverse() * g.transpose() * gram
     source_inverse = ExactMatrix.hstack([p.vectors for p in pieces]).inverse()
-    image = ExactMatrix.hstack([krylov(adjoint, p.signed_starts, p.length) for p in pieces])
+    image = ExactMatrix.hstack(
+        [krylov(adjoint, p.signed_starts, p.length) if p.length > 1 else p.signed_starts for p in pieces]
+    )
     x = image * source_inverse
     # an involution has det (-1)^((dim - tr x) / 2), which is (-1)^n exactly
     # when 4 divides tr x; negating the image columns M[:, odd] of the first

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .characters import AlphaClass, CharacterGroup, HeckeCharacterHandle
-from .dualgroups import _GSP4_NILPOTENTS, PAIR_PLANES, GroupTag, THETA_J, embed_pair
+from .dualgroups import _GSP4_NILPOTENTS, GSPIN5, PAIR_PLANES, GroupTag, THETA_J, embed_pair
 from .exactlin import (
     ExactMatrix,
     commutant_basis,
@@ -445,8 +445,6 @@ def classify(
 ) -> Classification:
     """Type, component group, automorphy character and sign element of a
     discrete parameter for the rank-two odd similitude spin group."""
-    from .dualgroups import GSPIN5
-
     require_membership(group, psi, GSPIN5)
     summands = psi.sorted_summands()
     shape = tuple((h.N, d) for h, d in summands)
@@ -502,8 +500,6 @@ def multiplicity(
 
     Only finitely many places contribute; unlisted places are trivial.  A psi
     outside the discrete set of the target raises ValueError."""
-    from .dualgroups import GSPIN5
-
     target = target or GSPIN5
     require_membership(group, psi, target)
     if target.family == "gspin_odd":

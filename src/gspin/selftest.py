@@ -7,15 +7,18 @@ comparison across runs."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
 from .characters import CharacterGroup
 from .dualgroups import (
     DualElement,
+    GL4_GL1,
     GSPIN5,
+    SP4_GL1,
     apply_theta,
+    gspin_even_tag,
     pinning_fixed_by_theta,
     project_to_so5,
     sample_gsp4,
@@ -24,6 +27,7 @@ from .dualgroups import (
 from .exactlin import ExactMatrix, QuadraticSpace, frac, kernel, rank
 from . import endoscopy
 from .params import (
+    CuspidalHandle,
     FormalParameter,
     character_summand,
     classify,
@@ -39,7 +43,6 @@ from .restriction import (
     restriction_count_identity,
     shape_catalog,
 )
-from .dualgroups import GL4_GL1
 from .weyl import (
     action_determinant,
     det_factor,
@@ -72,8 +75,6 @@ def _six_type_fixtures():
     chi = g.element({"chi0": 1})
     eta = g.element({"eta0": 1})
     chi_sq = g.pow(eta, 2)
-
-    from .params import CuspidalHandle
 
     def cusp(name, omega, against):
         return gl2_alternative(
@@ -171,8 +172,6 @@ def check_endoscopy_catalog(seed: int, corrupt: bool) -> CheckResult:
     reports = []
     for d in data:
         if corrupt and d.name == "h1":
-            from dataclasses import replace
-
             d = replace(d, s=DualElement(ExactMatrix.diagonal([1, 1, -1, 1]), 1))
         reports.append(endoscopy.verify_centralizer(d, seed=seed))
     bad = [r for r in reports if not r.ok]
@@ -234,8 +233,6 @@ def check_multiplicity_counting(seed: int, corrupt: bool) -> CheckResult:
 
 
 def check_weyl_equivalence(seed: int, corrupt: bool) -> CheckResult:
-    from .dualgroups import SP4_GL1, gspin_even_tag
-
     total = 0
     for group in (GL4_GL1, GSPIN5, gspin_even_tag("1"), SP4_GL1):
         for levi in enumerate_levis(group):

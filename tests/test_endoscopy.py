@@ -86,6 +86,32 @@ def test_two_endoscopy_suites_solve_each_centralizer_once(monkeypatch):
     assert len(calls) == 6
 
 
+def test_a_warm_endoscopy_suite_inverts_only_the_frobenius_images_and_takes_no_exponential(monkeypatch):
+    import gspin
+    from gspin import exactlin
+
+    cli._endoscopy_suite(0)
+    calls = {"inverse": 0, "exp": 0}
+    real_inverse, real_exp = ExactMatrix.inverse, exactlin.matrix_exp_nilpotent
+
+    def inverse(m):
+        calls["inverse"] += 1
+        return real_inverse(m)
+
+    def exp(n):
+        calls["exp"] += 1
+        return real_exp(n)
+
+    monkeypatch.setattr(ExactMatrix, "inverse", inverse)
+    for module in vars(gspin).values():
+        if getattr(module, "matrix_exp_nilpotent", None) is real_exp:
+            monkeypatch.setattr(module, "matrix_exp_nilpotent", exp)
+    ok, lines = cli._endoscopy_suite(1)
+    assert ok, lines
+    frobenius = [d for d in full_catalog() if d.frobenius_image is not None]
+    assert calls == {"inverse": len(frobenius), "exp": 0} and len(frobenius) == 3
+
+
 def test_twisted_centralizer_dimensions():
     assert len(twisted_centralizer_basis(ExactMatrix.identity(4))) == 11
     assert len(twisted_centralizer_basis(ExactMatrix.diagonal([-1, -1, 1, 1]))) == 7

@@ -1,0 +1,69 @@
+"""Property test: the twisted fixed-point test of the endoscopy samples,
+`theta_s_fixed`, agrees with applying Ad(s) after the dual twist and
+comparing, on fixed samples and on perturbed ones that are not fixed.
+
+Examples are derandomized, so every run checks the same samples.
+"""
+
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from gspin.dualgroups import STANDARD_TWIST, DualElement  # noqa: E402
+from gspin.endoscopy import S_GSO4, S_H1, S_RANK1, _xi_samples, full_catalog, theta_s_fixed  # noqa: E402
+from gspin.exactlin import ExactMatrix  # noqa: E402
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+S_ELEMENTS = (ExactMatrix.identity(4), S_GSO4, S_RANK1, S_H1, ExactMatrix.diagonal([2, 1, -1, 3]))
+SHEAR = ExactMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def _fixed_by_the_twist(s: ExactMatrix, e: DualElement) -> bool:
+    return s * STANDARD_TWIST.apply_dual(e).g * s.inverse() == e.g
+
+
+@st.composite
+def twisted_samples(draw):
+    """A sample of one twisted datum, as drawn by verify_centralizer, with
+    its datum's s; then possibly sheared, its GL1 coordinate doubled, or
+    paired with another s."""
+    data = [d for d in full_catalog() if d.twisted]
+    d = draw(st.sampled_from(data))
+    e = draw(st.sampled_from(_xi_samples(d, random.Random(draw(st.integers(0, 10**6))))))
+    move = draw(st.sampled_from(["none", "shear", "double", "other s"]))
+    s = d.s.g
+    if move == "shear":
+        e = DualElement(e.g * SHEAR, e.x)
+    elif move == "double":
+        e = DualElement(e.g, 2 * e.x)
+    elif move == "other s":
+        s = draw(st.sampled_from(S_ELEMENTS))
+    return s, e, move
+
+
+@settings(PROPERTY)
+@given(twisted_samples())
+def test_theta_s_fixed_agrees_with_the_twist(sample):
+    s, e, move = sample
+    fixed = theta_s_fixed(s, e)
+    assert fixed == _fixed_by_the_twist(s, e)
+    if move == "none":
+        assert fixed
+    if move in ("shear", "double"):
+        assert not fixed
+
+
+def test_theta_s_fixed_agrees_with_the_twist_on_every_datum_and_s():
+    seen = set()
+    for seed in range(3):
+        for d in full_catalog():
+            for e in _xi_samples(d, random.Random(seed)):
+                for s in S_ELEMENTS:
+                    for f in (e, DualElement(e.g * SHEAR, e.x), DualElement(e.g, 2 * e.x)):
+                        fixed = theta_s_fixed(s, f)
+                        assert fixed == _fixed_by_the_twist(s, f)
+                        seen.add(fixed)
+    assert seen == {True, False}

@@ -10,6 +10,7 @@ from gspin.params import TwoGroup
 from gspin.restriction import (
     BoundedParameterDescriptor,
     PacketMember,
+    _in_group,
     _split_pieces,
     component_sign_group,
     gso4_shape_catalog,
@@ -219,3 +220,10 @@ def test_shape_catalog_is_read_only():
     assert shape_catalog() is cat
     with pytest.raises(TypeError):
         cat["irreducible"] = cat["principal_series"]
+
+
+def test_in_group_refuses_a_singular_matrix_the_form_sends_to_zero():
+    rank_one = ExactMatrix([[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert not _in_group(rank_one, THETA_J)
+    assert not _in_group(ExactMatrix.zeros(4, 4), THETA_J)
+    assert _in_group(ExactMatrix.diagonal([1, 2, 3, 6]), THETA_J)

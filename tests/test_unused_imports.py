@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name of the package is read somewhere in it.
+"""Every name a module of the package imports is used in that module, every
+module-level private name of the package is read somewhere in it, and no
+function imports from a module its file already imports from at module level.
 
 A name kept on purpose, for instance one that another module binds through
 this one, carries `# noqa: F401` on the line that imports it."""
@@ -109,3 +110,47 @@ def test_a_dead_private_name_is_found(tmp_path):
     b.write_text("from a import _helper\nprint(_helper(2))\n")
     assert _dead_private_names([a]) == ["a.py:2: _SPARE", "a.py:3: _helper", "a.py:5: _Unused"]
     assert _dead_private_names([a, b]) == ["a.py:2: _SPARE", "a.py:5: _Unused"]
+
+
+def _sources(node: ast.Import | ast.ImportFrom) -> list[tuple[int, str | None]]:
+    """(relative level, module) of each module an import reads from."""
+    if isinstance(node, ast.ImportFrom):
+        return [(node.level, node.module)]
+    return [(0, alias.name) for alias in node.names]
+
+
+def _function_imports_of_module_imports(path: Path) -> list[str]:
+    """Imports inside a function from a module that the file's module-level
+    imports already read from: they belong with those."""
+    tree = ast.parse(path.read_text())
+    top = {src for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)) for src in _sources(node)}
+    found = {
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and top.intersection(_sources(node))
+    }
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_repeats_a_module_level_import_source(path):
+    assert _function_imports_of_module_imports(path) == []
+
+
+def test_a_function_import_of_a_module_level_source_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from math import gcd\n"
+        "from .pkg import a\n"
+        "def f():\n"
+        "    import math\n"
+        "    from .pkg import b\n"
+        "    from .other import c  # another module: breaks a cycle, say\n"
+        "    import itertools\n"
+        "    def g():\n"
+        "        from math import lcm\n"
+        "    return gcd, math, a, b, c, itertools, g\n"
+    )
+    assert _function_imports_of_module_imports(module) == ["module.py:4", "module.py:5", "module.py:9"]
