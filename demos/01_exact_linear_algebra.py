@@ -16,7 +16,8 @@ from gspin.exactlin import (
 print("== kernels ==")
 m = ExactMatrix([[1, 1], [2, 2]])
 print("matrix:", m)
-print("kernel basis:", kernel(m), "(the line through (1, -1))")
+k = kernel(m)
+print("kernel basis:", [k.column(j) for j in range(k.cols)], "(the line through (1, -1))")
 
 print()
 print("== commutants ==")
@@ -32,8 +33,8 @@ print("== rational spectral splits ==")
 g = ExactMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
 parts, irrational = rational_eigensplit(g)
 for lam, basis in parts:
-    print(f"eigenvalue {lam}: generalized eigenspace of dimension {len(basis)}")
-print(f"irrational part: dimension {len(irrational)} (a rotation block, x^2 + 1)")
+    print(f"eigenvalue {lam}: generalized eigenspace of dimension {basis.cols}")
+print(f"irrational part: dimension {irrational.cols} (a rotation block, x^2 + 1)")
 
 print()
 print("== quadratic spaces ==")

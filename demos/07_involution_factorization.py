@@ -52,7 +52,7 @@ nil = ExactMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]])
 u = matrix_exp_nilpotent(nil)
 for block in unipotent_sl2_decompose(space, u):
     print(
-        f"string length {block.d}, multiplicity {len(block.multiplicity_basis)},"
+        f"string length {block.d}, multiplicity {block.multiplicity_basis.cols},"
         f" induced pairing {block.pairing_type}"
     )
 e = SimilitudeElement(space, u, 1)

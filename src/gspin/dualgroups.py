@@ -198,10 +198,6 @@ def fixed_point_check(e: DualElement) -> bool:
     return similitude_factor(e.g, THETA_J) == e.x
 
 
-def gsp4_similitude(g: ExactMatrix) -> Fraction | None:
-    return similitude_factor(g, THETA_J)
-
-
 def std_rep(tag: GroupTag, e: DualElement) -> tuple[ExactMatrix, Fraction]:
     """Standard representation paired with the similitude/GL1 coordinate."""
     if tag.family in ("gspin_odd", "gspin_even"):
@@ -248,19 +244,12 @@ def exterior_square(g: ExactMatrix) -> ExactMatrix:
 # B(u^v, w^z) = J(u,w)J(v,z) - J(u,z)J(v,w)
 BIVECTOR_FORM = exterior_square(THETA_J)
 
-# invariant line: the bivector of the inverse symplectic form (e1^e4 - e2^e3)
-OMEGA = (ZERO, ZERO, ONE, -ONE, ZERO, ZERO)
+# invariant line: the bivector of the inverse symplectic form (e1^e4 - e2^e3),
+# as a one-column frame
+OMEGA = ExactMatrix.from_columns([[0, 0, 1, -1, 0, 0]])
 
-
-def _omega_complement_basis() -> list[tuple]:
-    functional = ExactMatrix([[sum(frac(OMEGA[k]) * BIVECTOR_FORM[k, c] for k in range(6)) for c in range(6)]])
-    return kernel(functional)
-
-
-OMEGA_COMPLEMENT = _omega_complement_basis()
-
-# basis change [omega | complement] on the bivector space
-SPLIT_BASIS = ExactMatrix.from_columns([list(OMEGA)] + [list(v) for v in OMEGA_COMPLEMENT])
+# basis change [omega | its orthocomplement] on the bivector space
+SPLIT_BASIS = ExactMatrix.hstack([OMEGA, kernel(OMEGA.transpose() * BIVECTOR_FORM)])
 SPLIT_BASIS_INV = SPLIT_BASIS.inverse()
 
 
@@ -308,10 +297,12 @@ def project_to_so5(e: DualElement) -> ExactMatrix:
 # basis [omega | e1^e4 + e2^e3 | tensor part] of the bivector space for
 # embed_so4_block; the tensor coordinates are the ordered bivectors e1^e2,
 # e1^e3, e4^e2 = -(e2^e4), e4^e3 = -(e3^e4)
-_SO4_BLOCK_BASIS = ExactMatrix.from_columns(
-    [list(OMEGA), [0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
-     [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1]]
-)
+_SO4_BLOCK_BASIS = ExactMatrix.hstack([
+    OMEGA,
+    ExactMatrix.from_columns(
+        [[0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1]]
+    ),
+])
 _SO4_BLOCK_TO_SPLIT = SPLIT_BASIS_INV * _SO4_BLOCK_BASIS
 _SPLIT_TO_SO4_BLOCK = _SO4_BLOCK_BASIS.inverse() * SPLIT_BASIS
 

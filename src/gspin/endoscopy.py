@@ -38,8 +38,8 @@ from .exactlin import (
     kernel,  # noqa: F401
     kron,
     matrix_equation_kernel,
+    rank,
     similitude_factor,
-    span_basis,
     ONE,
 )
 
@@ -249,15 +249,16 @@ def verify_centralizer(d: EndoscopicDatum, seed: int = 0) -> CentralizerReport:
     frob_ok = True
     if d.frobenius_image is not None:
         # the basis is independent, so the conjugates lie in its span
-        # exactly when they leave its rank alone; each vector (y, t) is read
-        # off numerators as den(y) den(t) (y, t), which leaves the span alone
+        # exactly when they leave its rank alone; each vector (y, t) is one
+        # row, read off numerators as den(y) den(t) (y, t), which leaves the
+        # span alone
         c, cinv = d.frobenius_image, d.frobenius_image.inverse()
-        vectors = [
+        rows = [
             [v * t.denominator for r in y._num for v in r] + [t.numerator * y._den]
             for x, t in basis
             for y in (x, c * x * cinv)
         ]
-        frob_ok = c * c == ExactMatrix.identity(4) and len(span_basis(vectors)) == dim
+        frob_ok = c * c == ExactMatrix.identity(4) and rank(ExactMatrix(rows)) == dim
 
     rng = random.Random(seed)
     samples_ok = True

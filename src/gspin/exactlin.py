@@ -11,11 +11,15 @@ denominator, and all arithmetic runs on Python integers: products and sums
 normalise once per result, and ``det``, ``inverse`` and ``rref`` use
 fraction-free elimination in the style of E. H. Bareiss, *Sylvester's
 identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
-22 (1968).  ``Fraction`` is the API edge: entries, rows, traces,
-determinants and the vectors returned by ``apply``, ``kernel`` and ``solve``
-are Fractions, and constructors accept ints, strings like '3/4' and
-Fractions.  A column frame keeps a set of vectors as the columns of one
-matrix instead: ``kernel_columns``, ``krylov``, ``columns`` and ``hstack``.
+22 (1968).
+
+A set of vectors is always a column frame: one matrix whose columns are the
+vectors.  ``kernel``, ``generalized_kernel``, ``rational_eigensplit``,
+``span_basis`` and ``krylov`` return frames, and ``restrict_to`` and
+``pairing_matrix`` take them.  ``Fraction`` is the edge where a value leaves
+the module: entries, rows, columns, traces, determinants and the results of
+``apply``, ``solve`` and ``bilinear`` are Fractions, and constructors accept
+ints, strings like '3/4' and Fractions.
 """
 
 from __future__ import annotations
@@ -438,9 +442,9 @@ def rank(m: ExactMatrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel_columns(m: ExactMatrix) -> ExactMatrix:
-    """Basis of the right kernel {v : m v = 0} as the columns of a matrix (none
-    when m is injective): for each free column f of rref(m), 1 at f and
+def kernel(m: ExactMatrix) -> ExactMatrix:
+    """Basis of the right kernel {v : m v = 0} as a frame (no columns when m
+    is injective): for each free column f of rref(m), 1 at f and
     -rref(m)[r, f] at the r-th pivot.  It depends on the kernel alone."""
     red, pivots = rref(m)
     num, den = red._num, red._den
@@ -451,11 +455,6 @@ def kernel_columns(m: ExactMatrix) -> ExactMatrix:
         for r, p in enumerate(pivots):
             rows[p][j] = -num[r][f]
     return ExactMatrix._make(tuple(map(tuple, rows)), den, len(free))
-
-
-def kernel(m: ExactMatrix) -> list[tuple]:
-    """The basis of ``kernel_columns``, as tuples of Fractions."""
-    return list(kernel_columns(m).transpose().entries())
 
 
 def krylov(m: ExactMatrix, starts: ExactMatrix, length: int) -> ExactMatrix:
@@ -471,16 +470,16 @@ def krylov(m: ExactMatrix, starts: ExactMatrix, length: int) -> ExactMatrix:
     return ExactMatrix._make(tuple(zip(*columns)), starts._den * m._den ** (length - 1), len(columns))
 
 
-def generalized_kernel(m: ExactMatrix) -> list[tuple]:
-    """Basis of the generalized kernel of a square m: the kernel of the power
-    of m at which the kernels stop growing, so an invertible m returns after
-    one kernel.  It is the basis ``kernel(m ** m.rows)`` gives, since a kernel
-    basis depends on the subspace alone."""
+def generalized_kernel(m: ExactMatrix) -> ExactMatrix:
+    """Basis frame of the generalized kernel of a square m: the kernel of the
+    power of m at which the kernels stop growing, so an invertible m returns
+    after one kernel.  It is the frame ``kernel(m ** m.rows)`` gives, since a
+    kernel basis depends on the subspace alone."""
     power, prev = m, kernel(m)
-    while prev and len(prev) < m.rows:
+    while 0 < prev.cols < m.rows:
         power = power * m
         nxt = kernel(power)
-        if len(nxt) == len(prev):
+        if nxt.cols == prev.cols:
             break
         prev = nxt
     return prev
@@ -489,6 +488,8 @@ def generalized_kernel(m: ExactMatrix) -> list[tuple]:
 def solve(a: ExactMatrix, b: Sequence) -> tuple | None:
     """One solution of a x = b, or None if inconsistent."""
     bnum, bden = _over_one_denominator(b)
+    if len(bnum) != a.rows:
+        raise ValueError("shape mismatch")
     # a x = b  <=>  (bden num(a)) x = den(a) bnum
     aug = tuple(tuple([x * bden for x in r] + [bnum[i] * a._den]) for i, r in enumerate(a._num))
     red, pivots = rref(ExactMatrix._make(aug, 1, a.cols + 1))
@@ -501,25 +502,20 @@ def solve(a: ExactMatrix, b: Sequence) -> tuple | None:
     return tuple(x)
 
 
-def span_basis(vectors: Sequence[Sequence]) -> list[tuple]:
-    """Reduced basis of the span of the given vectors."""
-    # rescaling a vector leaves the span alone, so each row is cleared of
-    # its own denominators
-    rows = tuple(tuple(num) for num, _ in map(_over_one_denominator, vectors) if any(num))
-    if not rows:
-        return []
-    red, pivots = rref(ExactMatrix._make(rows, 1, len(rows[0])))
-    return [red.row(i) for i in range(len(pivots))]
+def span_basis(frame: ExactMatrix) -> ExactMatrix:
+    """The reduced basis of the column span of a frame: the nonzero rows of
+    rref(t frame), as columns."""
+    red, pivots = rref(frame.transpose())
+    return red.transpose().columns(0, len(pivots))
 
 
-def restrict_to(m: ExactMatrix, basis: Sequence[Sequence] | ExactMatrix) -> ExactMatrix:
-    """Matrix of m on the span of basis (vectors, or the columns of a
-    matrix), in the basis coordinates.
+def restrict_to(m: ExactMatrix, span: ExactMatrix) -> ExactMatrix:
+    """Matrix of m on the column span of the frame span, in the coordinates
+    of its columns.
 
-    One elimination of [span | m span]: the basis is independent and its
-    span invariant exactly when the pivots are the first k columns, and the
-    right-hand block of the first k rows then holds the coordinates."""
-    span = basis if isinstance(basis, ExactMatrix) else ExactMatrix.from_columns(basis)
+    One elimination of [span | m span]: the columns are independent and
+    their span invariant exactly when the pivots are the first k columns,
+    and the right-hand block of the first k rows then holds the coordinates."""
     image = _matmul(m, span)
     k = span.cols
     aug = tuple(
@@ -597,13 +593,13 @@ def matrix_equation_kernel(
         check_size(c)
         rows.append([x for c_row in c._num for x in c_row] + [0] * (width - n * n))
     basis = kernel(ExactMatrix._make(tuple(map(tuple, rows)), 1, width))
-
-    def unflatten(v):
-        return ExactMatrix([v[i * n : i * n + n] for i in range(n)])
-
-    if scalar is None:
-        return [unflatten(v) for v in basis]
-    return [(unflatten(v), v[n * n]) for v in basis]
+    # each solution is read off one integer column of the kernel frame
+    den = basis._den
+    solutions = []
+    for v in zip(*basis._num):
+        x = ExactMatrix._make(tuple(v[i * n : i * n + n] for i in range(n)), den, n)
+        solutions.append(x if scalar is None else (x, Fraction(v[n * n], den)))
+    return solutions
 
 
 def commutant_basis(
@@ -730,11 +726,12 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_eigensplit(g: ExactMatrix) -> tuple[list[tuple[Fraction, list[tuple]]], list[tuple]]:
+def rational_eigensplit(g: ExactMatrix) -> tuple[list[tuple[Fraction, ExactMatrix]], ExactMatrix]:
     """Primary decomposition restricted to rational eigenvalues.
 
-    Returns ([(eigenvalue, generalized eigenspace basis), ...], irrational part
-    basis).  The subspaces are g-invariant and direct-sum to the full space.
+    Returns ([(eigenvalue, generalized eigenspace frame), ...], irrational
+    part frame, with no columns when every eigenvalue is rational).  The
+    subspaces are g-invariant and direct-sum to the full space.
     """
     if not g.is_square():
         raise ValueError("square matrix required")
@@ -749,7 +746,7 @@ def rational_eigensplit(g: ExactMatrix) -> tuple[list[tuple[Fraction, list[tuple
             if rem:
                 break
             remaining = quot
-    irrational = kernel(poly_eval_matrix(remaining, g)) if len(remaining) > 1 else []
+    irrational = kernel(poly_eval_matrix(remaining, g)) if len(remaining) > 1 else ExactMatrix.zeros(n, 0)
     return parts, irrational
 
 
@@ -818,16 +815,16 @@ def bilinear(form: ExactMatrix, u: Sequence, v: Sequence) -> Fraction:
     """The pairing tu form v."""
     un, ud = _over_one_denominator(u)
     vn, vd = _over_one_denominator(v)
+    if len(un) != form.rows or len(vn) != form.cols:
+        raise ValueError("shape mismatch")
     total = sum(x * sum(map(mul, row, vn)) for x, row in zip(un, form._num) if x)
     return Fraction(total, form._den * ud * vd)
 
 
-def pairing_matrix(form: ExactMatrix, us: Sequence[Sequence], vs: Sequence[Sequence]) -> ExactMatrix:
-    """The matrix of pairings tu form v, one row per u and one column per v:
-    the product tU form V of the matrices with columns us and vs."""
-    if not us or not vs:
-        return ExactMatrix([[] for _ in us])
-    return _matmul(_matmul(ExactMatrix(us), form), ExactMatrix.from_columns(vs))
+def pairing_matrix(form: ExactMatrix, us: ExactMatrix, vs: ExactMatrix) -> ExactMatrix:
+    """The pairings t(u) form v of the columns u of us and v of vs, one row
+    per u and one column per v: the product t(us) form vs."""
+    return us.transpose() * form * vs
 
 
 def similitude_factor(g: ExactMatrix, form: ExactMatrix) -> Fraction | None:

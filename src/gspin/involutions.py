@@ -55,8 +55,8 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 from .exactlin import ExactMatrix, QuadraticSpace, frac, generalized_kernel, is_rational_square, kernel
-from .exactlin import kernel_columns, krylov, matrix_log_unipotent, pairing_matrix, poly_eval_matrix
-from .exactlin import rank, restrict_to, rref, ONE
+from .exactlin import krylov, matrix_log_unipotent, pairing_matrix, poly_eval_matrix, rank, restrict_to
+from .exactlin import span_basis, ONE
 
 
 _HALF = Fraction(1, 2)
@@ -102,18 +102,7 @@ def verify(e: SimilitudeElement, p: InvolutionPair) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# column frames
-
-
-def _pair(form: ExactMatrix, us: ExactMatrix, vs: ExactMatrix) -> ExactMatrix:
-    """The pairings t(u) form v of the columns of us and of vs."""
-    return us.transpose() * form * vs
-
-
-def _span(frame: ExactMatrix) -> ExactMatrix:
-    """The reduced basis of the column span (the rows of rref(t frame))."""
-    red, pivots = rref(frame.transpose())
-    return red.transpose().columns(0, len(pivots))
+# candidate vectors
 
 
 def _cyclic_candidates(basis: ExactMatrix):
@@ -134,7 +123,7 @@ class StringPiece:
     """A single orthogonal string (odd length) or an isotropic string pair."""
 
     d: int
-    generators: tuple[tuple, ...]  # (v,) for odd, (v, w) for a pair
+    generators: ExactMatrix  # the frame [v] for odd, [v w] for a pair
 
 
 def orthogonal_string_decomposition(
@@ -171,7 +160,7 @@ def _strings_over(space: QuadraticSpace, n_mat: ExactMatrix, s: ExactMatrix) -> 
 
     def moment(u, w, k):  # h(u, N^k w) for columns u and w
         w = powers[k] * w
-        return half.scale(_pair(gram, u, w)[0, 0]) + s_half.scale(_pair(gram, u, s * w)[0, 0])
+        return half.scale(pairing_matrix(gram, u, w)[0, 0]) + s_half.scale(pairing_matrix(gram, u, s * w)[0, 0])
 
     current = powers[0]
     while True:
@@ -185,7 +174,7 @@ def _strings_over(space: QuadraticSpace, n_mat: ExactMatrix, s: ExactMatrix) -> 
             for j in range(1, (d - 1) // 2 + 1):
                 t = (moment(v, v, d - 1 - 2 * j) * top(v, v).inverse()).scale(-_HALF)
                 v = v + t * (powers[2 * j] * v)
-            generators = (v,)
+            generators = v
         else:
             v, w = _find_dual_top(current, pairs)
             w = top(v, w).inverse() * w
@@ -198,14 +187,14 @@ def _strings_over(space: QuadraticSpace, n_mat: ExactMatrix, s: ExactMatrix) -> 
             # make the w-string isotropic (does not disturb the cross pairing)
             for k in range(d - 2, -1, -2):
                 w = w + moment(w, w, k).scale(_HALF) * (powers[d - 1 - k] * v)
-            generators = (v, w)
-        pieces.append(StringPiece(d, tuple(u.column(0) for u in generators)))
-        strings = ExactMatrix.hstack([b * krylov(n_mat, u, d) for u in generators for b in scalars])
+            generators = ExactMatrix.hstack([v, w])
+        pieces.append(StringPiece(d, generators))
+        strings = ExactMatrix.hstack([b * krylov(n_mat, generators, d) for b in scalars])
         # the strings are independent over Q[s] (a field), since their top
         # pairing is invertible; as many as dim span(current) fill it
         if strings.cols == current.cols:
             return pieces
-        current = _span(current * kernel_columns(_pair(gram, strings, current)))
+        current = span_basis(current * kernel(pairing_matrix(gram, strings, current)))
 
 
 def _find_anisotropic_top(basis: ExactMatrix, pairs):
@@ -232,7 +221,7 @@ def _find_dual_top(basis: ExactMatrix, pairs):
 @dataclass(frozen=True)
 class Sl2Block:
     d: int
-    multiplicity_basis: tuple[tuple, ...]
+    multiplicity_basis: ExactMatrix  # a frame: the string generators of length d
     pairing: ExactMatrix
     pairing_type: str  # 'symmetric' for odd d, 'alternating' for even d
 
@@ -249,7 +238,7 @@ def unipotent_sl2_decompose(space: QuadraticSpace, u: ExactMatrix) -> list[Sl2Bl
         by_d.setdefault(p.d, []).append(p)
     out = []
     for d in sorted(by_d):
-        gens = [v for p in by_d[d] for v in p.generators]
+        gens = ExactMatrix.hstack([p.generators for p in by_d[d]])
         pairing = pairing_matrix(space.gram * n_mat ** (d - 1), gens, gens)  # B(a, N^(d-1) b)
         kind = "symmetric" if d % 2 == 1 else "alternating"
         if kind == "symmetric" and not pairing.is_symmetric():
@@ -258,8 +247,8 @@ def unipotent_sl2_decompose(space: QuadraticSpace, u: ExactMatrix) -> list[Sl2Bl
             raise AssertionError("even blocks must induce an alternating pairing")
         if pairing.det() == 0:
             raise AssertionError("induced pairing must be nondegenerate")
-        out.append(Sl2Block(d, tuple(gens), pairing, kind))
-    total = sum(b.d * len(b.multiplicity_basis) for b in out)
+        out.append(Sl2Block(d, gens, pairing, kind))
+    total = sum(b.d * b.multiplicity_basis.cols for b in out)
     if total != space.dim:
         raise AssertionError("string dimensions do not fill the space")
     return out
@@ -285,8 +274,8 @@ def _lines(part_gram: ExactMatrix, part: ExactMatrix) -> _Chains:
     part_gram: the reversal is the identity there and every vector of a basis
     is a chain of its own.  The line a determinant flip would negate, an
     anisotropic one, comes first, then a basis of its orthocomplement."""
-    v = _find_anisotropic_top(ExactMatrix.identity(part.cols), lambda u, w: _pair(part_gram, u, w)[0, 0] != 0)
-    lines = part * ExactMatrix.hstack([v, kernel_columns(v.transpose() * part_gram)])
+    v = _find_anisotropic_top(ExactMatrix.identity(part.cols), lambda u, w: pairing_matrix(part_gram, u, w)[0, 0] != 0)
+    lines = part * ExactMatrix.hstack([v, kernel(v.transpose() * part_gram)])
     return _Chains(lines, lines, 1)
 
 
@@ -296,7 +285,7 @@ def _string_pieces(space: QuadraticSpace, g: ExactMatrix, part: ExactMatrix, roo
     over Q[s].  s and N are polynomials in g, so a string through v is the
     g-chain of v, and g = s exp(N) makes the reversal the Q[s]-linear map
     (-1)^i on N^i v: sign 1 on an odd string, 1 and -1 on an even pair."""
-    sub_space = QuadraticSpace(part.cols, _pair(space.gram, part, part))
+    sub_space = QuadraticSpace(part.cols, pairing_matrix(space.gram, part, part))
     sub_g = restrict_to(g, part)
     ident = ExactMatrix.identity(part.cols)
     if root is not None:
@@ -312,7 +301,7 @@ def _string_pieces(space: QuadraticSpace, g: ExactMatrix, part: ExactMatrix, roo
         u, degree = s.inverse() * sub_g, 2
     out = []
     for p in _strings_over(sub_space, matrix_log_unipotent(u), s):
-        starts = part * ExactMatrix.from_columns(p.generators)
+        starts = part * p.generators
         signed = starts * ExactMatrix.diagonal([1, -1][: starts.cols])
         out.append(_Chains(krylov(g, starts, p.d * degree), signed, p.d * degree))
     return out
@@ -326,7 +315,7 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: ExactMatrix)
     parts of a = g + nu g^-1 first."""
     gram = space.gram
     out = []
-    current = _span(subspace)
+    current = span_basis(subspace)
     while True:
         degenerate = []
         for cand in _cyclic_candidates(current):
@@ -336,31 +325,30 @@ def _cyclic_pieces(space: QuadraticSpace, g: ExactMatrix, subspace: ExactMatrix)
             # of them shows m = current.cols, and the rank of the Krylov block
             # (its pivot columns come first) is m
             chain = krylov(g, cand, current.cols)
-            chain_gram = _pair(gram, chain, chain)
+            chain_gram = pairing_matrix(gram, chain, chain)
             if chain_gram.det() != 0:
                 break
             chain = chain.columns(0, rank(chain))
-            chain_gram = _pair(gram, chain, chain)
+            chain_gram = pairing_matrix(gram, chain, chain)
             if chain.cols < current.cols and chain_gram.det() != 0:
                 break
             degenerate.append((chain, chain_gram))
         else:
-            # the primary split keeps Fraction tuples and converts at its edge
             a = g + gram.inverse() * g.transpose() * gram
             for chain, chain_gram in degenerate:
-                radical = chain * ExactMatrix.from_columns(kernel(chain_gram))
+                radical = chain * kernel(chain_gram)
                 chi = restrict_to(a, radical).charpoly()
                 part = generalized_kernel(poly_eval_matrix(chi, restrict_to(a, current)))
-                if len(part) < current.cols:
-                    part = current * ExactMatrix.from_columns(part)
-                    rest = current * kernel_columns(_pair(gram, part, current))
+                if part.cols < current.cols:
+                    part = current * part
+                    rest = current * kernel(pairing_matrix(gram, part, current))
                     return out + _cyclic_pieces(space, g, part) + _cyclic_pieces(space, g, rest)
             raise FactorizationUnsupportedError(f"no cyclic piece and no primary split in dimension {current.cols}")
         out.append(_Chains(chain, chain.columns(0, 1), chain.cols))
         # a chain as long as dim span(current) spans it: no orthocomplement
         if chain.cols == current.cols:
             return out
-        current = _span(current * kernel_columns(_pair(gram, chain, current)))
+        current = span_basis(current * kernel(pairing_matrix(gram, chain, current)))
 
 
 def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -> ExactMatrix:
@@ -374,20 +362,20 @@ def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -
     parts: list[ExactMatrix] = []
     for r in (root, -root) if square else (None,):
         m = g - ident.scale(r) if square else g * g - ident.scale(nu)
-        kernel_m = kernel_columns(m)
+        kernel_m = kernel(m)
         if not kernel_m.cols:
             continue
         # the adjoint of m is -r g^-1 m (or -nu g^-2 m), so im m = (ker m)^perp,
         # and ker m^2 = ker m exactly when ker m meets (ker m)^perp in 0
-        kernel_gram = _pair(gram, kernel_m, kernel_m)
+        kernel_gram = pairing_matrix(gram, kernel_m, kernel_m)
         if kernel_gram.det() != 0:
             parts.append(kernel_m)
             pieces.append(_lines(kernel_gram, kernel_m))
         else:
-            parts.append(ExactMatrix.from_columns(generalized_kernel(m)))
+            parts.append(generalized_kernel(m))
             pieces += _string_pieces(space, g, parts[-1], r, nu)
     # the orthocomplement of those parts: the kernel of t(parts) gram
-    rest = kernel_columns(ExactMatrix.hstack(parts).transpose() * gram) if parts else ident
+    rest = kernel(ExactMatrix.hstack(parts).transpose() * gram) if parts else ident
     if rest.cols:
         pieces += _cyclic_pieces(space, g, rest)
 

@@ -643,10 +643,10 @@ def component_group_oracle(psi: FormalParameter) -> OracleResult:
         raise ValueError(
             f"degenerate realization: commutant dimension {len(comm)}, expected {k}"
         )
-    ident = ExactMatrix.identity(4)
     coords = PAIR_PLANES if k > 1 else (range(4),)
+    # piece c is the frame of the unit vectors e_j, j in c
     pieces = [
-        PieceData(h.id, tuple(ident.row(i) for i in c), True, None)
+        PieceData(h.id, ExactMatrix([[int(i == j) for j in c] for i in range(4)]), True, None)
         for (h, _), c in zip(summands, coords)
     ]
     group = sign_patterns(pieces, generators, THETA_J).group

@@ -3,9 +3,10 @@
 Bounded parameters are carried as finite exact generator samples plus a shape
 tag; component groups on both sides of the projection are recomputed from the
 commutant algebra: the underlying space is split into joint eigenspace pieces,
-each piece is classified by the restricted pairing (self-paired versus
-isotropically paired), and component representatives are the admissible sign
-patterns on self-paired pieces, modulo the centre and the connected part."""
+one column frame each, each piece is classified by the restricted pairing
+(self-paired versus isotropically paired), and component representatives are
+the admissible sign patterns on self-paired pieces, modulo the centre and the
+connected part."""
 
 from __future__ import annotations
 
@@ -29,15 +30,15 @@ from .exactlin import (
     restrict_to,
     similitude_factor,
     ONE,
-    ZERO,
 )
 
 # ---------------------------------------------------------------------------
 # commutant pieces
 
 
-def _split_pieces(generators: Sequence[ExactMatrix]) -> list[list[tuple]]:
-    """Joint eigenspace decomposition under the commutant algebra.
+def _split_pieces(generators: Sequence[ExactMatrix]) -> list[ExactMatrix]:
+    """Joint eigenspace decomposition under the commutant algebra, one frame
+    per piece.
 
     One pass over the commutant basis splits every piece into the rational
     generalized eigenspaces of each basis element b in turn.  After b has
@@ -45,45 +46,41 @@ def _split_pieces(generators: Sequence[ExactMatrix]) -> list[list[tuple]]:
     later, so a second pass would split nothing; the one thing it would do
     is check that every final piece is invariant under every b, and that
     check follows the pass."""
-    n = generators[0].rows
     algebra = commutant_basis(generators)
-    pieces: list[list[tuple]] = [
-        [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
-    ]
+    pieces = [ExactMatrix.identity(generators[0].rows)]
     for b in algebra:
-        new_pieces: list[list[tuple]] = []
-        for basis in pieces:
-            restricted = restrict_to(b, basis) if len(basis) > 1 else None
+        new_pieces = []
+        for span in pieces:
+            restricted = restrict_to(b, span) if span.cols > 1 else None
             if restricted is None or restricted.is_scalar():
-                new_pieces.append(basis)
+                new_pieces.append(span)
                 continue
             parts, irrational = rational_eigensplit(restricted)
-            if irrational:
+            if irrational.cols:
                 raise ValueError("degenerate generator set: irrational commutant spectrum")
-            span = ExactMatrix.from_columns([list(v) for v in basis])
-            new_pieces.extend([span.apply(v) for v in sub] for _lam, sub in parts)
+            new_pieces.extend(span * sub for _lam, sub in parts)
         pieces = new_pieces
     for b in algebra:
-        for basis in pieces:
-            restrict_to(b, basis)  # raises unless the piece is b-invariant
+        for span in pieces:
+            restrict_to(b, span)  # raises unless the piece is b-invariant
     return pieces
 
 
 @dataclass(frozen=True)
 class PieceData:
     label: str
-    basis: tuple[tuple, ...]
+    basis: ExactMatrix  # a frame: the piece's basis vectors are its columns
     self_paired: bool
     partner: str | None
 
 
-def _classify_pieces(pieces: list[list[tuple]], form: ExactMatrix) -> list[PieceData]:
+def _classify_pieces(pieces: list[ExactMatrix], form: ExactMatrix) -> list[PieceData]:
     named = [(f"p{i}", basis) for i, basis in enumerate(pieces)]
     out = []
     for label, basis in named:
         self_block = pairing_matrix(form, basis, basis)
         if self_block.det() != 0:
-            out.append(PieceData(label, tuple(basis), True, None))
+            out.append(PieceData(label, basis, True, None))
             continue
         if not self_block.is_zero():
             raise ValueError("degenerate generator set: piece with degenerate pairing")
@@ -94,7 +91,7 @@ def _classify_pieces(pieces: list[list[tuple]], form: ExactMatrix) -> list[Piece
         ]
         if len(partners) != 1:
             raise ValueError("degenerate generator set: ambiguous isotropic pairing")
-        out.append(PieceData(label, tuple(basis), False, partners[0]))
+        out.append(PieceData(label, basis, False, partners[0]))
     return out
 
 
@@ -107,7 +104,7 @@ class ComponentSignGroup:
     basis_inverse: ExactMatrix = field(repr=False, compare=False)
 
     def matrix_for(self, pattern: frozenset) -> ExactMatrix:
-        signs = [-1 if p.label in pattern else 1 for p in self.pieces for _ in p.basis]
+        signs = [-1 if p.label in pattern else 1 for p in self.pieces for _ in range(p.basis.cols)]
         b = self.basis_matrix  # negated columns stay canonical over the same denominator
         flipped = ExactMatrix._raw(tuple(tuple(map(mul, r, signs)) for r in b._num), b._den, b.cols)
         return flipped * self.basis_inverse
@@ -116,20 +113,11 @@ class ComponentSignGroup:
         """Express a matrix acting by +-1 on every piece as a sign pattern."""
         pattern = set()
         for p in self.pieces:
-            v = p.basis[0]
-            image = m.apply(v)
-            if image == tuple(frac(x) for x in v):
-                sgn = 1
-            elif image == tuple(-frac(x) for x in v):
-                sgn = -1
-            else:
-                raise ValueError("matrix does not act by a sign on a piece")
-            for w in p.basis[1:]:
-                expected = tuple(frac(sgn) * frac(x) for x in w)
-                if m.apply(w) != expected:
-                    raise ValueError("matrix does not act by a sign on a piece")
-            if sgn == -1:
+            image = m * p.basis
+            if image == -p.basis:
                 pattern.add(p.label)
+            elif image != p.basis:
+                raise ValueError("matrix does not act by a sign on a piece")
         return self.group.canonical(pattern)
 
 
@@ -151,7 +139,7 @@ def sign_patterns(
     when it is one of them."""
     pieces = tuple(pieces)
     self_labels = [p.label for p in pieces if p.self_paired]
-    basis_matrix = ExactMatrix.from_columns([list(v) for p in pieces for v in p.basis])
+    basis_matrix = ExactMatrix.hstack([p.basis for p in pieces])
     bases = (basis_matrix, basis_matrix.inverse())
     raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), pieces, *bases)
     valid = []
@@ -356,11 +344,7 @@ def restrict_gso4(phi: PairParameterDescriptor) -> tuple[ComponentSignGroup, fro
         if a.det() != b.det():
             raise ValueError("pair members must have equal determinants")
         gens.append(kron(a, b).scale(ONE / a.det()))
-    for g in gens:
-        if g.transpose() * SO4_FORM * g != SO4_FORM or g.det() != 1:
-            raise ValueError("pair image must be special orthogonal")
+    if not all(_in_group(g, SO4_FORM) for g in gens):
+        raise ValueError("pair image must be special orthogonal")
     downstairs = component_sign_group(gens, SO4_FORM)
-    chars = downstairs.group.characters()
-    out = frozenset(chars)
-    assert len(out) == len(chars), "restriction must be multiplicity free"
-    return downstairs, out
+    return downstairs, frozenset(downstairs.group.characters())

@@ -20,7 +20,6 @@ from gspin.dualgroups import (
     embed_so4_block,
     exterior_square,
     fixed_point_check,
-    gsp4_similitude,
     gspin_even_tag,
     pinning_fixed_by_theta,
     project_to_so5,
@@ -175,7 +174,7 @@ def test_projection_fixes_omega():
     for _ in range(10):
         e = sample_gsp4(rng, frac(rng.randint(1, 3)))
         f = exterior_square(e.g).scale(1 / e.x)
-        assert f.apply(OMEGA) == OMEGA
+        assert f * OMEGA == OMEGA
 
 
 def test_projection_kernel_is_center():
@@ -254,8 +253,10 @@ def test_gso4_samples():
 def test_gsp4_similitude_helper():
     rng = random.Random(61)
     e = sample_gsp4(rng, frac(6))
-    assert gsp4_similitude(e.g) == 6
-    assert gsp4_similitude(ExactMatrix.diagonal([1, 2, 3, 4])) is None
+    assert similitude_factor(e.g, THETA_J) == 6
+    assert similitude_factor(ExactMatrix.diagonal([1, 2, 3, 4]), THETA_J) is None
+    rank_one = ExactMatrix([[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert similitude_factor(rank_one, THETA_J) is None
 
 
 def test_similitude_factor_is_none_when_the_factor_is_zero():
@@ -263,7 +264,6 @@ def test_similitude_factor_is_none_when_the_factor_is_zero():
     rank_one = ExactMatrix([[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert rank_one.transpose() * THETA_J * rank_one == ExactMatrix.zeros(4, 4)
     assert similitude_factor(rank_one, THETA_J) is None
-    assert gsp4_similitude(rank_one) is None
     assert not fixed_point_check(DualElement(rank_one, 1))
     assert similitude_factor(ExactMatrix.zeros(4, 4), ExactMatrix.identity(4)) is None
     # a nonzero factor is still returned, also for forms and matrices with denominators

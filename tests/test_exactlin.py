@@ -6,6 +6,7 @@ import pytest
 from gspin.exactlin import (
     ExactMatrix,
     QuadraticSpace,
+    bilinear,
     commutant_basis,
     commutant_dimension,
     frac,
@@ -30,17 +31,17 @@ def rand_matrix(rng, n, lo=-4, hi=4):
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel(ExactMatrix.zeros(2, 2))) == 2
+    assert kernel(ExactMatrix.zeros(2, 2)).cols == 2
 
 
 def test_kernel_identity_empty():
-    assert kernel(ExactMatrix.identity(3)) == []
+    assert kernel(ExactMatrix.identity(3)) == ExactMatrix.zeros(3, 0)
 
 
 def test_kernel_rank_one():
     basis = kernel(ExactMatrix([[1, 1], [2, 2]]))
-    assert len(basis) == 1
-    v = basis[0]
+    assert basis.cols == 1
+    v = basis.column(0)
     # spanned by (1, -1)
     assert v[0] == -v[1] != 0
 
@@ -51,9 +52,8 @@ def test_rank_plus_nullity():
         n = rng.randint(1, 6)
         m = rand_matrix(rng, n)
         base = kernel(m)
-        assert rank(m) + len(base) == n
-        for v in base:
-            assert all(x == 0 for x in m.apply(v))
+        assert rank(m) + base.cols == n
+        assert (m * base).is_zero()
 
 
 def test_inverse_and_det():
@@ -93,6 +93,24 @@ def test_solve():
     assert solve(ExactMatrix([[1, 1], [1, 1]]), (0, 1)) is None
 
 
+def test_solve_rejects_a_right_hand_side_longer_than_the_rows():
+    # it returned (1, 2), dropping the third equation
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve(ExactMatrix.identity(2), [1, 2, 3])
+
+
+def test_solve_rejects_a_right_hand_side_shorter_than_the_rows():
+    # it raised IndexError
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve(ExactMatrix.identity(3), [1, 2])
+
+
+def test_bilinear_rejects_vectors_of_the_wrong_length():
+    # zip truncated the longer vectors and the pairing read 3
+    with pytest.raises(ValueError, match="shape mismatch"):
+        bilinear(ExactMatrix.identity(2), [1, 2, 3], [1, 1, 1])
+
+
 def test_restrict_to_invariant_subspace():
     rng = random.Random(5)
     for _ in range(20):
@@ -103,14 +121,13 @@ def test_restrict_to_invariant_subspace():
         block = ExactMatrix.block_diagonal([rand_matrix(rng, 2), rand_matrix(rng, 2)])
         block = block + ExactMatrix([[0, 0, 1, 2], [0, 0, 3, 4], [0] * 4, [0] * 4])
         m = p * block * p.inverse()
-        basis = [p.column(0), p.column(1)]
-        r = restrict_to(m, basis)
-        span = ExactMatrix.from_columns([list(v) for v in basis])
+        span = p.columns(0, 2)
+        r = restrict_to(m, span)
         assert m * span == span * r
     with pytest.raises(ValueError, match="not invariant"):
-        restrict_to(ExactMatrix([[1, 1], [0, 1]]), [(0, 1)])
+        restrict_to(ExactMatrix([[1, 1], [0, 1]]), ExactMatrix([[0], [1]]))
     with pytest.raises(ValueError, match="not invariant"):
-        restrict_to(ExactMatrix.identity(2), [(1, 0), (2, 0)])
+        restrict_to(ExactMatrix.identity(2), ExactMatrix([[1, 2], [0, 0]]))
 
 
 def test_poly_divmod_roots():
@@ -158,7 +175,8 @@ def test_matrix_equation_single_term_matches_kron():
     # vec(a X b) = (a kron tb) vec(X) for row-major vec
     a = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, -1]])  # rank 2
     b = ExactMatrix([[2, 1, 0], [0, 1, 0], [1, 0, 3]])
-    expected = [ExactMatrix([v[0:3], v[3:6], v[6:9]]) for v in kernel(kron(a, b.transpose()))]
+    k = kernel(kron(a, b.transpose()))
+    expected = [ExactMatrix([v[0:3], v[3:6], v[6:9]]) for v in (k.column(j) for j in range(k.cols))]
     got = matrix_equation_kernel([[(a, "X", b)]])
     assert len(got) == 3
     assert got == expected
@@ -205,20 +223,20 @@ def test_commutant_basis_commutes():
 
 def test_eigensplit_diagonal():
     parts, irr = rational_eigensplit(ExactMatrix.diagonal([1, 1, 2, 2]))
-    assert [(lam, len(b)) for lam, b in parts] == [(1, 2), (2, 2)]
-    assert irr == []
+    assert [(lam, b.cols) for lam, b in parts] == [(1, 2), (2, 2)]
+    assert irr == ExactMatrix.zeros(4, 0)
 
 
 def test_eigensplit_rotation():
     parts, irr = rational_eigensplit(ExactMatrix([[0, -1], [1, 0]]))
     assert parts == []
-    assert len(irr) == 2
+    assert irr.cols == 2
 
 
 def test_eigensplit_jordan_block():
     parts, irr = rational_eigensplit(ExactMatrix([[1, 1], [0, 1]]))
-    assert [(lam, len(b)) for lam, b in parts] == [(1, 2)]
-    assert irr == []
+    assert [(lam, b.cols) for lam, b in parts] == [(1, 2)]
+    assert irr == ExactMatrix.zeros(2, 0)
 
 
 def test_eigensplit_invariance_and_direct_sum():
@@ -227,11 +245,10 @@ def test_eigensplit_invariance_and_direct_sum():
         n = rng.randint(2, 5)
         g = rand_matrix(rng, n, -2, 2)
         parts, irr = rational_eigensplit(g)
-        vectors = [v for _, b in parts for v in b] + list(irr)
-        assert len(span_basis(vectors)) == n
+        vectors = ExactMatrix.hstack([b for _, b in parts] + [irr])
+        assert span_basis(vectors).cols == n
         for _, b in parts:
-            for v in b:
-                assert len(span_basis(list(b) + [g.apply(v)])) == len(b)
+            assert span_basis(ExactMatrix.hstack([b, g * b])).cols == b.cols
 
 
 def test_square_detection():

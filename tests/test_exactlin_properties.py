@@ -16,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gspin.exactlin import ExactMatrix, generalized_kernel, kernel, kernel_columns, krylov, rank, rref  # noqa: E402
+from gspin.exactlin import ExactMatrix, generalized_kernel, kernel, krylov, rank, rref, span_basis  # noqa: E402
 
 try:
     import sympy
@@ -139,11 +139,10 @@ def test_inverse_or_singular(a):
 @given(st.one_of(square(), rectangular()))
 def test_kernel_and_rank_nullity(a):
     basis = kernel(a)
-    assert rank(a) + len(basis) == a.cols
-    for v in basis:
-        assert all(x == 0 for x in a.apply(v))
-    if basis:
-        assert rank(ExactMatrix(basis)) == len(basis)
+    assert rank(a) + basis.cols == a.cols
+    assert (a * basis).is_zero()
+    if basis.cols:
+        assert rank(basis) == basis.cols
 
 
 @PROPERTY
@@ -151,12 +150,12 @@ def test_kernel_and_rank_nullity(a):
 def test_generalized_kernel_is_the_kernel_of_the_top_power(a):
     basis = generalized_kernel(a)
     assert basis == kernel(a ** a.rows)
-    assert (not basis) == (a.det() != 0)
+    assert (basis.cols == 0) == (a.det() != 0)
 
 
 @PROPERTY
 @given(st.one_of(square(), rectangular()))
-def test_kernel_columns_are_the_basis_read_off_rref(a):
+def test_kernel_is_the_basis_read_off_rref(a):
     # one column per free column f of rref(a): 1 at f, 0 at the other free
     # columns and -rref(a)[r, f] at the r-th pivot
     red, pivots = rref(a)
@@ -166,9 +165,21 @@ def test_kernel_columns_are_the_basis_read_off_rref(a):
         for r, p in enumerate(pivots):
             v[p] = -red[r, f]
         expected.append(tuple(v))
-    frame = kernel_columns(a)
+    frame = kernel(a)
     assert (frame.rows, frame.cols) == (a.cols, len(expected))
-    assert [frame.column(j) for j in range(frame.cols)] == expected == kernel(a)
+    assert [frame.column(j) for j in range(frame.cols)] == expected
+
+
+@PROPERTY
+@given(st.one_of(square(), rectangular()))
+def test_span_basis_is_the_reduced_basis_of_the_column_span(f):
+    # its columns are the nonzero rows of rref(t f), as many as rank f, and
+    # they span the column space of f
+    basis = span_basis(f)
+    red, _ = rref(f.transpose())
+    nonzero = [red.row(i) for i in range(red.rows) if any(red.row(i))]
+    assert [basis.column(j) for j in range(basis.cols)] == nonzero
+    assert basis.cols == rank(basis) == rank(f) == rank(ExactMatrix.hstack([f, basis]))
 
 
 @PROPERTY

@@ -10,6 +10,7 @@ from gspin.params import TwoGroup
 from gspin.restriction import (
     BoundedParameterDescriptor,
     PacketMember,
+    _classify_pieces,
     _in_group,
     _split_pieces,
     component_sign_group,
@@ -160,7 +161,7 @@ RECORDED_PIECES = {
 
 
 def _unit_pieces(n, pieces):
-    return [[tuple(int(i == k) for i in range(n)) for k in piece] for piece in pieces]
+    return [ExactMatrix([[int(i == k) for k in piece] for i in range(n)]) for piece in pieces]
 
 
 @pytest.mark.parametrize("shape", sorted(RECORDED_PIECES))
@@ -180,6 +181,33 @@ def test_split_pieces_checks_invariance_of_the_final_pieces():
     # invariant under all of them
     with pytest.raises(ValueError, match="not invariant"):
         component_sign_group([ExactMatrix.identity(4)], THETA_J)
+
+
+def test_split_pieces_refuses_an_irrational_commutant_spectrum():
+    # the rotation's commutant is Q[i]: the rotation itself has no rational eigenvalue
+    with pytest.raises(ValueError, match="irrational commutant spectrum"):
+        _split_pieces([ExactMatrix([[0, -1], [1, 0]])])
+
+
+def test_classify_pieces_pairs_two_isotropic_lines():
+    # the eigenlines of diag(2, 3) are isotropic for the alternating form and
+    # pair with each other
+    pieces = _classify_pieces(_split_pieces([ExactMatrix.diagonal([2, 3])]), ExactMatrix([[0, 1], [-1, 0]]))
+    assert [(p.basis.cols, p.self_paired, p.partner) for p in pieces] == [(1, False, "p1"), (1, False, "p0")]
+    assert {p.basis for p in pieces} == {ExactMatrix([[1], [0]]), ExactMatrix([[0], [1]])}
+
+
+def test_pattern_of_reads_signs_and_refuses_anything_else():
+    down = project_parameter(shape_catalog()["two_two_generic"]).s_group_prime
+    assert down.pattern_of(ExactMatrix.identity(5)) == frozenset()
+    assert down.pattern_of(down.matrix_for(frozenset({"p0"}))) == frozenset({"p0"})
+    with pytest.raises(ValueError, match="does not act by a sign"):
+        down.pattern_of(ExactMatrix.identity(5).scale(2))
+    # +1 on the first basis vector of p0 and -1 on its second is no sign either
+    assert down.pieces[0].basis.cols > 1
+    mixed = down.basis_matrix * ExactMatrix.diagonal([1, -1, 1, 1, 1]) * down.basis_inverse
+    with pytest.raises(ValueError, match="does not act by a sign"):
+        down.pattern_of(mixed)
 
 
 def _fields(proj):
