@@ -110,7 +110,7 @@ class ExactMatrix:
         m._num = num
         m._den = den
         m.rows = len(num)
-        m.cols = cols if num else 0
+        m.cols = cols
         return m
 
     @classmethod
@@ -213,6 +213,7 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
+            and self.cols == other.cols
             and self._den == other._den
             and self._num == other._num
         )
@@ -280,9 +281,8 @@ class ExactMatrix:
         return out
 
     def transpose(self) -> "ExactMatrix":
-        if not self.rows:
-            return self
-        return ExactMatrix._raw(tuple(zip(*self._num)), self._den, self.rows)
+        num = tuple(zip(*self._num)) if self.rows else ((),) * self.cols
+        return ExactMatrix._raw(num, self._den, self.rows)
 
     def trace(self) -> Fraction:
         return Fraction(sum(self._num[i][i] for i in range(self.rows)), self._den)
@@ -363,7 +363,8 @@ def int_product(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]])
 def _matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    return ExactMatrix._make(int_product(a._num, tuple(zip(*b._num))), a._den * b._den, b.cols)
+    columns = tuple(zip(*b._num)) if b.rows else ((),) * b.cols  # t(b), without a matrix object
+    return ExactMatrix._make(int_product(a._num, columns), a._den * b._den, b.cols)
 
 
 def _eliminate(a: list[list[int]], ncols: int, jordan: bool) -> tuple[list[int], int, int]:
@@ -467,7 +468,8 @@ def krylov(m: ExactMatrix, starts: ExactMatrix, length: int) -> ExactMatrix:
     for _ in range(length - 1):
         powers.append(int_product(powers[-1], m._num))
     columns = [[x * f for x in powers[k][j]] for j in range(starts.cols) for k, f in enumerate(lift)]
-    return ExactMatrix._make(tuple(zip(*columns)), starts._den * m._den ** (length - 1), len(columns))
+    num = tuple(zip(*columns)) if columns else ((),) * starts.rows
+    return ExactMatrix._make(num, starts._den * m._den ** (length - 1), len(columns))
 
 
 def generalized_kernel(m: ExactMatrix) -> ExactMatrix:

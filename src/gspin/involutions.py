@@ -7,11 +7,14 @@ builds such an x for every similitude factor nu in dimensions 2, 4, 6 and 8.
 
 V splits orthogonally into pieces, and a piece is nothing but chains
 v, g v, ..., g^(m-1) v with one sign each: x is the twisted reversal
-g^k v -> sign (nu g^-1)^k v on every chain.  It is assembled once for the
-whole space, as the matrix of the images times the inverse of the matrix of
-the chains; every set of vectors on the way is one ExactMatrix whose columns
-are those vectors.  The pieces, after Wonenburger's strings and Milnor's
-split by the characteristic polynomial:
+g^k v -> sign (nu g^-1)^k v on every chain.  With S the chains and M their
+images x = M S^-1, but S is never inverted: the pieces are mutually
+orthogonal and nondegenerate, so the rows of S^-1 for a piece P are
+Gram_P^-1 t(S_P) G, and the S_P Gram_P^-1 t(S_P) G add up to 1.  So x is 1
+plus (M_P - S_P) Gram_P^-1 t(S_P) G for each piece P that x moves.  Every
+set of vectors on the way is one ExactMatrix whose columns are those
+vectors.  The pieces, after Wonenburger's strings and Milnor's split by the
+characteristic polynomial:
 
 - on the generalized kernel W1 of g^2 - nu, cut into the generalized
   eigenspaces for +-sqrt(nu) when nu is a square: the generalized kernels of
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .exactlin import ExactMatrix, QuadraticSpace, frac, generalized_kernel, is_rational_square, kernel
 from .exactlin import krylov, matrix_log_unipotent, pairing_matrix, poly_eval_matrix, rank, restrict_to
@@ -262,21 +265,13 @@ def unipotent_sl2_decompose(space: QuadraticSpace, u: ExactMatrix) -> list[Sl2Bl
 class _Chains:
     """Chains v, g v, ..., g^(length-1) v side by side, and sign v for each:
     the reversal sends g^k v to sign (nu g^-1)^k v.  One piece (a chain, or
-    the two of an even string pair), or the lines of a part, one piece each."""
+    the two of an even string pair), or for length one a part of lines:
+    there the reversal is the identity, and each vector of an orthogonal
+    basis is a chain of its own."""
 
     vectors: ExactMatrix
     signed_starts: ExactMatrix
     length: int
-
-
-def _lines(part_gram: ExactMatrix, part: ExactMatrix) -> _Chains:
-    """The chains of a part on which g^2 = nu, with the nondegenerate Gram
-    part_gram: the reversal is the identity there and every vector of a basis
-    is a chain of its own.  The line a determinant flip would negate, an
-    anisotropic one, comes first, then a basis of its orthocomplement."""
-    v = _find_anisotropic_top(ExactMatrix.identity(part.cols), lambda u, w: pairing_matrix(part_gram, u, w)[0, 0] != 0)
-    lines = part * ExactMatrix.hstack([v, kernel(v.transpose() * part_gram)])
-    return _Chains(lines, lines, 1)
 
 
 def _string_pieces(space: QuadraticSpace, g: ExactMatrix, part: ExactMatrix, root, nu) -> list[_Chains]:
@@ -370,7 +365,7 @@ def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -
         kernel_gram = pairing_matrix(gram, kernel_m, kernel_m)
         if kernel_gram.det() != 0:
             parts.append(kernel_m)
-            pieces.append(_lines(kernel_gram, kernel_m))
+            pieces.append(_Chains(kernel_m, kernel_m, 1))
         else:
             parts.append(generalized_kernel(m))
             pieces += _string_pieces(space, g, parts[-1], r, nu)
@@ -379,26 +374,39 @@ def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -
     if rest.cols:
         pieces += _cyclic_pieces(space, g, rest)
 
-    # x sends g^k v to sign (nu g^-1)^k v, and nu g^-1 is the adjoint G^-1 tg G;
-    # a piece of chains of length one is sent to its signed starts
-    if any(p.length > 1 for p in pieces):
-        adjoint = gram.inverse() * g.transpose() * gram
-    source_inverse = ExactMatrix.hstack([p.vectors for p in pieces]).inverse()
-    image = ExactMatrix.hstack(
-        [krylov(adjoint, p.signed_starts, p.length) if p.length > 1 else p.signed_starts for p in pieces]
-    )
-    x = image * source_inverse
+    g_t = g.transpose()
+
+    def reversal(p: _Chains) -> tuple[ExactMatrix, ExactMatrix]:
+        # the coordinates c of the images M = S c of the chains S of a piece,
+        # and the rows R = Gram^-1 t(S) G of S^-1 for it: M lies in the piece,
+        # so c = R M, and G M is the chain of tg on G sign v, since the
+        # adjoint nu g^-1 of g is G^-1 tg G
+        transposed = p.vectors.transpose()
+        rows = transposed * gram
+        gram_inverse = (rows * p.vectors).inverse()
+        return gram_inverse * (transposed * krylov(g_t, gram * p.signed_starts, p.length)), gram_inverse * rows
+
+    # x = 1 plus S (c - 1) R for each piece; on chains of length one M = S
+    x = ident
+    for p in pieces:
+        if p.length > 1:
+            coordinates, rows = reversal(p)
+            x = x + p.vectors * (coordinates - ExactMatrix.identity(coordinates.rows)) * rows
     # an involution has det (-1)^((dim - tr x) / 2), which is (-1)^n exactly
-    # when 4 divides tr x; negating the image columns M[:, odd] of the first
-    # odd-dimensional piece, a single chain, flips it, and takes
-    # 2 M[:, odd] (S^-1)[odd, :] off x = M S^-1
+    # when 4 divides tr x; negating the images M_Q of the first odd-dimensional
+    # piece Q, a single chain, flips it, and takes 2 S_Q c_Q R_Q off x.  On a
+    # part of lines Q is its first anisotropic line v, with c_Q = 1
     if x.trace() % 4:
-        offsets = accumulate((p.vectors.cols for p in pieces), initial=0)
-        odd = next(((a, a + p.length) for a, p in zip(offsets, pieces) if p.length % 2), None)
-        if odd is None:
+        q = next((p for p in pieces if p.length % 2), None)
+        if q is None:
             raise FactorizationUnsupportedError("no odd piece available to fix the determinant")
-        rows = source_inverse.transpose().columns(*odd).transpose()
-        x = x - (image.columns(*odd) * rows).scale(2)
+        if q.length == 1:
+            v = _find_anisotropic_top(q.vectors, lambda u, w: pairing_matrix(gram, u, w)[0, 0] != 0)
+            rows = v.transpose() * gram
+            x = x - v * rows.scale(2 / (rows * v)[0, 0])
+        else:
+            coordinates, rows = reversal(q)
+            x = x - q.vectors * coordinates.scale(2) * rows
     return x
 
 

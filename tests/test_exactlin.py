@@ -13,9 +13,11 @@ from gspin.exactlin import (
     is_rational_square,
     kernel,
     kron,
+    krylov,
     matrix_equation_kernel,
     matrix_exp_nilpotent,
     matrix_log_unipotent,
+    pairing_matrix,
     poly_divmod,
     rank,
     rational_eigensplit,
@@ -36,6 +38,31 @@ def test_kernel_zero_matrix():
 
 def test_kernel_identity_empty():
     assert kernel(ExactMatrix.identity(3)) == ExactMatrix.zeros(3, 0)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_empty_frames_transpose_both_ways(n):
+    for shape in ((n, 0), (0, n)):
+        m = ExactMatrix.zeros(*shape)
+        assert (m.transpose().rows, m.transpose().cols) == shape[::-1]
+        assert m.transpose().transpose() == m
+    assert ExactMatrix.zeros(0, n) != ExactMatrix.zeros(0, n + 1)
+
+
+def test_span_basis_of_an_empty_frame_keeps_its_height():
+    basis = span_basis(ExactMatrix.zeros(3, 0))
+    assert (basis.rows, basis.cols) == (3, 0)
+
+
+def test_pairing_matrix_of_an_empty_frame_has_no_rows():
+    ident = ExactMatrix.identity(3)
+    assert pairing_matrix(ident, ExactMatrix.zeros(3, 0), ident) == ExactMatrix.zeros(0, 3)
+
+
+def test_products_and_chains_through_empty_frames():
+    empty = ExactMatrix.zeros(3, 0)
+    assert empty * empty.transpose() == ExactMatrix.zeros(3, 3)
+    assert krylov(ExactMatrix.identity(3), empty, 2) == empty
 
 
 def test_kernel_rank_one():

@@ -221,24 +221,43 @@ def test_verify_rejects_a_pair_that_breaks_one_equation():
     assert _broken_equations(one, InvolutionPair(ExactMatrix.identity(4), ExactMatrix.identity(4))) == []
 
 
-def test_factor_of_three_times_two_reflections_takes_nine_eliminations(monkeypatch):
+def _three_times_two_reflections() -> SimilitudeElement:
+    space = SPACES[8][0]
+    g = (space.reflection((1, 0, 2, 0, 0, 1, 0, 1)) * space.reflection((0, 1, 1, 0, 3, 0, 1, 1))).scale(3)
+    return SimilitudeElement(space, g, 9)
+
+
+def test_factor_of_three_times_two_reflections_takes_seven_eliminations(monkeypatch):
     # g = 3 r_a r_b in dim 8: ker(g - 3) is the 6-dim orthocomplement of the
     # plane of a and b, nondegenerate, so it is the generalized kernel and
     # its vectors are lines.  Eliminations: ker(g - 3), the determinant of
-    # its Gram, ker(g + 3), the orthocomplement of the first line, the
-    # orthocomplement of ker(g - 3), its reduced basis, the Gram determinant
-    # of the one cyclic chain, G^-1 and the inverse of the chain matrix
-    space = SPACES[8][0]
-    g = (space.reflection((1, 0, 2, 0, 0, 1, 0, 1)) * space.reflection((0, 1, 1, 0, 3, 0, 1, 1))).scale(3)
-    e = SimilitudeElement(space, g, 9)
+    # its Gram, ker(g + 3), the orthocomplement of ker(g - 3), its reduced
+    # basis, the Gram determinant of the one cyclic chain, and the inverse of
+    # that chain's 2 x 2 Gram; the determinant flip negates a line of
+    # ker(g - 3), and divides by one pairing
+    e = _three_times_two_reflections()
     calls = []
     real = exactlin._eliminate
     monkeypatch.setattr(exactlin, "_eliminate", lambda *args, **kw: calls.append(1) or real(*args, **kw))
     pair = factor(e)
-    assert len(calls) == 9
+    assert len(calls) == 7
     monkeypatch.undo()
     assert verify(e, pair)
-    assert kernel(g - ExactMatrix.identity(8).scale(3)).cols == 6
+    assert kernel(e.g - ExactMatrix.identity(8).scale(3)).cols == 6
+
+
+def test_factor_of_three_times_two_reflections_inverts_no_chain_matrix(monkeypatch):
+    # x is 1 plus one term per piece of chains longer than one vector, each
+    # with the inverse of that piece's Gram: neither G nor any n x n matrix
+    # of chains is inverted
+    e = _three_times_two_reflections()
+    inverted = []
+    real = ExactMatrix.inverse
+    monkeypatch.setattr(ExactMatrix, "inverse", lambda m: inverted.append(m.rows) or real(m))
+    pair = factor(e)
+    monkeypatch.undo()
+    assert verify(e, pair)
+    assert inverted == [2]
 
 
 def test_unipotent_inputs():

@@ -25,7 +25,10 @@ The families reach every step of the one construction:
   vector, pairwise sum and difference degenerate, so the primary split runs;
 - lambda exp(N) r_a r_b in dim 4, N of Jordan type (3, 1) or (2, 2): the
   generalized kernel of g -+ lambda is larger than its kernel, and the form
-  is degenerate on that kernel, as the lemma test at the end checks.
+  is degenerate on that kernel, as the lemma test at the end checks;
+- lambda times 2 or 4 reflections in dim 4, 6 or 8, on the split Gram and
+  on a diagonal one, where x - 1 has small rank: on a nondegenerate
+  ker(g - lambda), x is 1 but for one line.
 
 Examples are derandomized, so every run checks the same elements, and
 failing examples are reported unshrunk.
@@ -162,6 +165,27 @@ def root_block_with_torus(draw):
     return SimilitudeElement(QuadraticSpace(gram.rows, gram), g, nu)
 
 
+# two Grams in each dimension: the split one and a diagonal one
+GRAMS = {
+    dim: [split(dim).gram, ExactMatrix.diagonal(diagonal)]
+    for dim, diagonal in ((4, [1, 2, -3, 5]), (6, [1, 1, 2, -1, 3, 1]), (8, [1, 1, 1, 2, -2, 3, -3, 5]))
+}
+
+
+@st.composite
+def scaled_reflections(draw):
+    """(lambda, lambda r_1 ... r_k) with k = 2 or 4 reflections in dim 4, 6
+    or 8, on either Gram of the dimension: g = +-lambda on all of the space
+    but the span of the k reflection vectors."""
+    dim = draw(st.sampled_from((4, 6, 8)))
+    space = QuadraticSpace(dim, draw(st.sampled_from(GRAMS[dim])))
+    g = ExactMatrix.identity(dim)
+    for _ in range(draw(st.sampled_from((2, 4)))):
+        g = g * space.reflection(draw(anisotropic(space)))
+    lam = frac(draw(TORUS_ENTRIES))
+    return lam, SimilitudeElement(space, g.scale(lam), lam * lam)
+
+
 def hyperbolic(k: int) -> ExactMatrix:
     """The Gram of e_1, ..., e_k, f_1, ..., f_k with B(e_i, f_j) = [i = j]."""
     return ExactMatrix([[int(abs(i - j) == k) for j in range(2 * k)] for i in range(2 * k)])
@@ -267,6 +291,23 @@ def test_tensor_with_a_quadratic_field(e):
 @given(st.one_of(root_block_with_torus(), moved(root_block_with_torus())))
 def test_root_block_beside_a_torus(e):
     assert_factors(e)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(scaled_reflections())
+def test_scaled_reflections_move_little_of_the_space(drawn):
+    lam, e = drawn
+    x = factor(e).x
+    one = ExactMatrix.identity(e.space.dim)
+    fixed, negated = kernel(e.g - one.scale(lam)), kernel(e.g + one.scale(lam))
+    # on each piece x - 1 has rank at most the piece's dimension less its meet
+    # with ker(g - lambda) + ker(g + lambda), and the determinant flip adds one
+    assert rank(x - one) <= e.space.dim - fixed.cols - negated.cols + 1
+    # a nondegenerate ker(g - lambda) is a part of lines, where x is 1 but for
+    # the line the flip negates; a degenerate one can hold the top of an even
+    # string pair, which x negates
+    if pairing_matrix(e.space.gram, fixed, fixed).det() != 0:
+        assert rank((x - one) * fixed) <= 1
 
 
 @settings(PROPERTY, max_examples=30)
