@@ -10,7 +10,11 @@ exactly.
 
 The seeded samplers and the two maps into SO5 run on integer numerators (see
 ``exactlin.int_product``) and normalise each matrix they return once; every
-sample is still checked exactly before it is returned.
+sample is still checked exactly before it is returned.  Constant factors
+(the split bases, the SO4-block bases, THETA_J, the diagonal of a sample and
+each reflection) are applied through their nonzero entries
+(``exactlin.sparse_product``) or as rank-one updates, never as dense
+products.
 """
 
 from __future__ import annotations
@@ -18,17 +22,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 
 from .exactlin import (
     ExactMatrix,
-    QuadraticSpace,
     frac,
     int_product,
     kernel,
     matrix_equation_kernel,
     similitude_factor,
+    sparse_product,
     ONE,
     ZERO,
 )
@@ -261,9 +266,29 @@ def _so5_gram() -> ExactMatrix:
 SO5_GRAM = _so5_gram()
 
 
+@cache
+def _nonzeros(m: ExactMatrix) -> tuple[tuple, tuple]:
+    """The nonzero numerators of the rows and of the columns of m, as
+    (index, numerator) pairs for ``sparse_product``.  Keyed by the value of
+    m, so a rebound constant gets its own pairs."""
+
+    def pairs(rows):
+        return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
+
+    return pairs(m._num), pairs(zip(*m._num))
+
+
+def _times_constant(num: tuple, m: ExactMatrix) -> tuple:
+    """The integer rows num times the numerators of m: t(num m) is
+    t(m) t(num), and the rows of t(m) are the columns of m."""
+    return tuple(zip(*sparse_product(_nonzeros(m)[1], tuple(zip(*num)))))
+
+
 def _split_product(left: ExactMatrix, num: tuple, den: int, right: ExactMatrix) -> tuple[tuple, int]:
-    """left (num / den) right as integer rows over an unnormalised denominator."""
-    rows = int_product(int_product(left._num, tuple(zip(*num))), tuple(zip(*right._num)))
+    """left (num / den) right as integer rows over an unnormalised
+    denominator; both constant factors are applied through their nonzero
+    entries."""
+    rows = sparse_product(_nonzeros(left)[0], _times_constant(num, right))
     return rows, left._den * den * right._den
 
 
@@ -394,35 +419,40 @@ _NILPOTENT_NUMS = [[x * (_NILPOTENT_DEN // b._den) for r in b._num for x in r] f
 def _exp_strictly_upper(n1: tuple, d: int) -> tuple:
     """The numerators of exp(n1 / d) over 6 d^3 for a strictly upper
     triangular 4x4 integer n1: n1^4 = 0, so exp(n1 / d) is
-    (6 d^3 + 6 d^2 n1 + 3 d n1^2 + n1^3) / (6 d^3)."""
-    cols = tuple(zip(*n1))
-    n2 = int_product(n1, cols)
-    n3 = int_product(n2, cols)
-    return tuple(
-        tuple([6 * d**3 * (i == j) + 6 * d * d * n1[i][j] + 3 * d * n2[i][j] + n3[i][j] for j in range(4)])
-        for i in range(4)
+    (6 d^3 + 6 d^2 n1 + 3 d n1^2 + n1^3) / (6 d^3), where n1^2 is nonzero
+    only at (0, 2), (0, 3) and (1, 3), and n1^3 only at (0, 3)."""
+    (_, a, b, c), (_, _, e, f), (_, _, _, h), _ = n1
+    one, s1, s2 = 6 * d**3, 6 * d * d, 3 * d
+    return (
+        (one, s1 * a, s1 * b + s2 * a * e, s1 * c + s2 * (a * f + b * h) + a * e * h),
+        (0, one, s1 * e, s1 * f + s2 * e * h),
+        (0, 0, one, s1 * h),
+        (0, 0, 0, one),
     )
 
 
 def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
     """Seeded exact sample of GSp4 with the requested similitude factor:
     diag(a, b, x/b, x/a) times one to three factors exp(N), each optionally
-    followed by THETA_J, multiplied on numerators and normalised once."""
+    followed by THETA_J, multiplied on numerators and normalised once.  The
+    diagonal scales the rows of the first exp(N), and THETA_J permutes
+    columns with signs."""
     x = frac(similitude) if similitude is not None else ONE
     p, q = x.numerator, x.denominator
     a = rng.randint(1, 5)
     b = rng.randint(1, 5)
     # diag(a, b, x/b, x/a) over q a b
     den = q * a * b
-    num = ExactMatrix.diagonal([a * den, b * den, p * a, p * b])._num
-    for _ in range(rng.randint(1, 3)):
+    diagonal = (((0, a * den),), ((1, b * den),), ((2, p * a),), ((3, p * b),))
+    for k in range(rng.randint(1, 3)):
         coeffs = [rng.randint(-2, 2) for _ in _GSP4_NILPOTENTS]
         flat = [sum(map(mul, coeffs, entry)) for entry in zip(*_NILPOTENT_NUMS)]
         nil = tuple(tuple(flat[4 * i : 4 * i + 4]) for i in range(4))
-        num = int_product(num, tuple(zip(*_exp_strictly_upper(nil, _NILPOTENT_DEN))))
+        exp = _exp_strictly_upper(nil, _NILPOTENT_DEN)
+        num = sparse_product(diagonal, exp) if k == 0 else int_product(num, tuple(zip(*exp)))
         den *= 6 * _NILPOTENT_DEN**3
         if rng.random() < 0.5:
-            num = int_product(num, tuple(zip(*THETA_J._num)))
+            num = _times_constant(num, THETA_J)
             den *= THETA_J._den
     g = ExactMatrix._make(num, den, 4)
     nu = similitude_factor(g, THETA_J)
@@ -442,9 +472,6 @@ def sample_gl2(rng, det_value: Fraction) -> ExactMatrix:
             return ExactMatrix._make(((q * a * a, q * a * b), (q * a * c, p + q * b * c)), q * a, 2)
 
 
-_GSO4_SPACE = QuadraticSpace(4, GSO4_GRAM)
-
-
 def sample_gso4(rng) -> DualElement:
     """Seeded exact sample of GSO4 (similitude nu, det = nu^2) for the fixed
     Gram, paired with its similitude coordinate: an even number of
@@ -454,16 +481,21 @@ def sample_gso4(rng) -> DualElement:
     for _ in range(2 * rng.randint(1, 2)):
         while True:
             v = [rng.randint(-3, 3) for _ in range(4)]
-            if _GSO4_SPACE.bilinear(v, v) != 0:
+            gv = [sum(map(mul, r, v)) for r in GSO4_GRAM._num]
+            q = sum(map(mul, v, gv))
+            if q:
                 break
-        reflection = _GSO4_SPACE.reflection(v)
-        num = int_product(num, tuple(zip(*reflection._num)))
-        den *= reflection._den
+        # times the reflection (q - 2 v t(G v)) / q in the non-isotropic v,
+        # a rank-one update of the numerators
+        nv = [sum(map(mul, r, v)) for r in num]
+        num = tuple(tuple([q * x - 2 * s * y for x, y in zip(r, gv)]) for r, s in zip(num, nv))
+        den *= q
     nu, a, b = (rng.randint(1, 4) for _ in range(3))
     # times diag(a, b, nu/b, nu/a) = diag(a a b, b a b, nu a, nu b) / (a b)
     column_scale = (a * a * b, b * a * b, nu * a, nu * b)
     num = tuple(tuple([x * f for x, f in zip(r, column_scale)]) for r in num)
     g = ExactMatrix._make(num, den * a * b, 4)
     x = similitude_factor(g, GSO4_GRAM)
-    assert x is not None and g.det() == x * x
+    if x is None or g.det() != x * x:
+        raise ValueError("sample left the special similitude group GSO4")
     return DualElement(g, x)

@@ -300,6 +300,12 @@ class ExactMatrix:
         return not any(any(r) for r in self._num)
 
     def is_scalar(self) -> bool:
+        """Is the matrix c times the identity? A 0x0 matrix is, and a
+        non-square one never is."""
+        if not self.is_square():
+            return False
+        if not self.rows:
+            return True
         d = self._num[0][0]
         return all(x == (d if i == j else 0) for i, r in enumerate(self._num) for j, x in enumerate(r))
 
@@ -358,6 +364,27 @@ def int_product(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]])
     """The integer matrix with entry (i, j) rows[i] . columns[j]: the
     numerators of a b from the numerator rows of a and columns of b."""
     return tuple(tuple([sum(map(mul, r, c)) for c in columns]) for r in rows)
+
+
+def sparse_product(pairs: Sequence[Sequence[tuple[int, int]]], rows: Sequence[tuple]) -> tuple:
+    """The integer matrix s rows for the matrix s whose row i has the nonzero
+    entries pairs[i], as (column, coefficient) pairs: row i of the result
+    is the combination of the integer row tuples rows[k] with the
+    coefficients c of those pairs, so a constant factor with one or two
+    nonzeros per row costs a pass over a row or two, not a product."""
+    out = []
+    for p in pairs:
+        if len(p) == 1:
+            ((k, c),) = p
+            out.append(rows[k] if c == 1 else tuple([c * x for x in rows[k]]))
+        elif len(p) == 2:
+            (k, c), (l, e) = p
+            out.append(tuple([c * x + e * y for x, y in zip(rows[k], rows[l])]))
+        elif p:
+            out.append(tuple(map(sum, zip(*[[c * x for x in rows[k]] for k, c in p]))))
+        else:
+            out.append((0,) * len(rows[0]))
+    return tuple(out)
 
 
 def _matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -836,7 +863,13 @@ def similitude_factor(g: ExactMatrix, form: ExactMatrix) -> Fraction | None:
         raise ValueError("shape mismatch")
     # lhs = t(num g) num(form) num(g): t(g) form g is lhs / (den(g)^2 den(form))
     g_cols = tuple(zip(*g._num))
-    lhs = int_product(int_product(g_cols, tuple(zip(*form._num))), g_cols)
+    if all(r.count(0) == len(r) - 1 for r in form._num):
+        # one nonzero c per row of the form, at column r.index(c): form g
+        # takes rows of g times c, and t(g) (form g) is one product
+        pairs = tuple(((r.index(c), c),) for r, c in zip(form._num, map(sum, form._num)))
+        lhs = int_product(g_cols, tuple(zip(*sparse_product(pairs, g._num))))
+    else:
+        lhs = int_product(int_product(g_cols, tuple(zip(*form._num))), g_cols)
     # the first nonzero entry of the form fixes nu = l0 / (f0 den(g)^2); then
     # lhs f0 must equal num(form) l0 entrywise, with f0 and l0 the entries there
     first = next(((i, j) for i, r in enumerate(form._num) for j, x in enumerate(r) if x), None)

@@ -250,6 +250,17 @@ def test_gso4_samples():
         assert nu == e.x and e.g.det() == nu * nu
 
 
+def test_gso4_sampler_raises_when_a_sample_leaves_gso4(monkeypatch):
+    from gspin import dualgroups
+
+    real = dualgroups.similitude_factor
+    # no factor at all, and a factor whose square is not the determinant
+    for fake in (lambda g, form: None, lambda g, form: 2 * real(g, form)):
+        monkeypatch.setattr(dualgroups, "similitude_factor", fake)
+        with pytest.raises(ValueError, match="GSO4"):
+            sample_gso4(random.Random(59))
+
+
 def test_gsp4_similitude_helper():
     rng = random.Random(61)
     e = sample_gsp4(rng, frac(6))

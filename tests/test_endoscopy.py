@@ -112,6 +112,28 @@ def test_a_warm_endoscopy_suite_inverts_only_the_frobenius_images_and_takes_no_e
     assert calls == {"inverse": len(frobenius), "exp": 0} and len(frobenius) == 3
 
 
+def test_a_warm_endoscopy_suite_makes_at_most_288_integer_products(monkeypatch):
+    # 576 while the constant factors of the samplers and projections were
+    # dense products, and each similitude factor took two
+    import gspin
+    from gspin import exactlin
+
+    cli._endoscopy_suite(0)
+    calls = []
+    real = exactlin.int_product
+
+    def int_product(rows, columns):
+        calls.append(1)
+        return real(rows, columns)
+
+    for module in vars(gspin).values():
+        if getattr(module, "int_product", None) is real:
+            monkeypatch.setattr(module, "int_product", int_product)
+    ok, lines = cli._endoscopy_suite(1)
+    assert ok, lines
+    assert 0 < len(calls) <= 288
+
+
 def test_twisted_centralizer_dimensions():
     assert len(twisted_centralizer_basis(ExactMatrix.identity(4))) == 11
     assert len(twisted_centralizer_basis(ExactMatrix.diagonal([-1, -1, 1, 1]))) == 7

@@ -23,6 +23,7 @@ from gspin.exactlin import (
     rational_eigensplit,
     rational_roots,
     restrict_to,
+    similitude_factor,
     solve,
     span_basis,
 )
@@ -63,6 +64,19 @@ def test_products_and_chains_through_empty_frames():
     empty = ExactMatrix.zeros(3, 0)
     assert empty * empty.transpose() == ExactMatrix.zeros(3, 3)
     assert krylov(ExactMatrix.identity(3), empty, 2) == empty
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+def test_is_scalar_of_an_empty_matrix(shape):
+    assert ExactMatrix.zeros(*shape).is_scalar() == (shape == (0, 0))
+
+
+def test_is_scalar_holds_only_for_square_multiples_of_the_identity():
+    assert ExactMatrix.identity(3).scale(Fraction(2, 3)).is_scalar()
+    assert ExactMatrix.zeros(2, 2).is_scalar()
+    assert not ExactMatrix.diagonal([1, 2]).is_scalar()
+    assert not ExactMatrix([[1, 0, 0], [0, 1, 0]]).is_scalar()
+    assert not ExactMatrix([[1, 0], [0, 1], [0, 0]]).is_scalar()
 
 
 def test_kernel_rank_one():
@@ -312,6 +326,22 @@ def test_exp_and_log_refuse_what_is_not_nilpotent_or_unipotent():
         matrix_log_unipotent(m)
     with pytest.raises(ValueError, match="not nilpotent"):
         matrix_exp_nilpotent(m - ExactMatrix.identity(3))
+
+
+def test_similitude_factor_of_a_form_with_one_nonzero_per_row_takes_one_product(monkeypatch):
+    from gspin import exactlin
+
+    calls = []
+    real = exactlin.int_product
+    monkeypatch.setattr(exactlin, "int_product", lambda a, b: calls.append(1) or real(a, b))
+    g = ExactMatrix([[1, 2, 0], [0, 1, 3], [Fraction(1, 2), 0, 1]])
+    monomial = ExactMatrix([[0, 0, Fraction(2, 3)], [-1, 0, 0], [0, 4, 0]])
+    dense = ExactMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    for form, products in ((monomial, 1), (dense, 2), (ExactMatrix.identity(3), 1)):
+        calls.clear()
+        assert similitude_factor(g.scale(3), form) is None
+        assert similitude_factor(ExactMatrix.identity(3).scale(3), form) == 9
+        assert len(calls) == 2 * products
 
 
 def test_quadratic_space_reflection():

@@ -16,7 +16,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gspin.exactlin import ExactMatrix, generalized_kernel, kernel, krylov, rank, rref, span_basis  # noqa: E402
+from gspin.exactlin import (  # noqa: E402
+    ExactMatrix,
+    generalized_kernel,
+    int_product,
+    kernel,
+    krylov,
+    rank,
+    rref,
+    similitude_factor,
+    span_basis,
+    sparse_product,
+)
 
 try:
     import sympy
@@ -223,3 +234,66 @@ def test_against_sympy(a):
         x = sympy.Symbol("x")
         coeffs = [from_sympy(c) for c in reversed(s.charpoly(x).all_coeffs())]
         assert a.charpoly() == coeffs
+
+
+INTEGERS = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-BIG, BIG))
+NONZERO = st.one_of(st.integers(-5, 5), st.integers(-BIG, BIG)).filter(bool)
+
+
+@st.composite
+def sparse_and_dense(draw):
+    """An r x k integer matrix with at most three nonzeros per row, and k
+    integer rows of width c."""
+    r, k, c = (draw(st.integers(1, 6)) for _ in range(3))
+    s = [[0] * k for _ in range(r)]
+    for row in s:
+        for j in draw(st.lists(st.integers(0, k - 1), max_size=3, unique=True)):
+            row[j] = draw(NONZERO)
+    rows = draw(st.lists(st.tuples(*[INTEGERS] * c), min_size=k, max_size=k))
+    return s, rows
+
+
+@PROPERTY
+@given(sparse_and_dense())
+def test_sparse_product_is_the_dense_product(args):
+    s, rows = args
+    pairs = [[(j, x) for j, x in enumerate(r) if x] for r in s]
+    out = sparse_product(pairs, rows)
+    assert out == int_product(s, tuple(zip(*rows)))
+    assert all(type(r) is tuple for r in out)
+
+
+def _reference_similitude_factor(g: ExactMatrix, form: ExactMatrix):
+    lhs = g.transpose() * form * g
+    i, j = next((i, j) for i in range(form.rows) for j in range(form.cols) if form[i, j])
+    nu = lhs[i, j] / form[i, j]
+    return nu if nu and lhs == form.scale(nu) else None
+
+
+@st.composite
+def monomial_forms_and_matrices(draw):
+    """A signed permutation times a nonzero rational diagonal, and a matrix
+    g that is a scaled isometry of it (c F^-1 tF), generic, singular or
+    zero."""
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(n)))
+    diag = [draw(ENTRIES.filter(bool)) for _ in range(n)]
+    form = ExactMatrix([[diag[j] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+    kind = draw(st.sampled_from(["isometry", "generic", "singular", "zero"]))
+    if kind == "isometry":
+        g = form.inverse() * form.transpose() * draw(ENTRIES.filter(bool))
+    elif kind == "generic":
+        g = draw(matrices(n, n))
+    elif kind == "singular" and n > 1:
+        k = draw(st.integers(1, n - 1))
+        g = draw(matrices(n, k, SMALL)) * draw(matrices(k, n))
+    else:
+        g = ExactMatrix.zeros(n, n)
+    return form, g
+
+
+@PROPERTY
+@given(monomial_forms_and_matrices())
+def test_similitude_factor_of_a_monomial_form_is_the_dense_one(args):
+    form, g = args
+    assert similitude_factor(g, form) == _reference_similitude_factor(g, form)
