@@ -8,7 +8,7 @@ commutants, rational spectral splits, and quadratic-space reflections.
 from gspin.exactlin import (
     ExactMatrix,
     QuadraticSpace,
-    commutant_dimension,
+    commutant_basis,
     kernel,
     rational_eigensplit,
 )
@@ -21,10 +21,10 @@ print("kernel basis:", [k.column(j) for j in range(k.cols)], "(the line through 
 
 print()
 print("== commutants ==")
-print("commutant of the 4x4 identity:", commutant_dimension([ExactMatrix.identity(4)]))
+print("commutant of the 4x4 identity:", len(commutant_basis([ExactMatrix.identity(4)])))
 print(
     "commutant of diag(1,2,3,4):",
-    commutant_dimension([ExactMatrix.diagonal([1, 2, 3, 4])]),
+    len(commutant_basis([ExactMatrix.diagonal([1, 2, 3, 4])])),
     "(the diagonal torus)",
 )
 

@@ -4,14 +4,14 @@
 Every g in GSO(V, q) of dimension 2, 4, 6 or 8, whatever its similitude
 factor, square or not, is written as g = x y with x an isometry involution of
 determinant (-1)^n and y a similitude squaring to its own factor.  This walk
-uses square factors; the unipotent machinery exposes the underlying string
-decomposition with its symmetric/alternating multiplicity pairings.
+uses square factors; the logarithm of a unipotent isometry shows the
+underlying string decomposition with its symmetric/alternating pairings.
 """
 
 import random
 
-from gspin.exactlin import ExactMatrix, QuadraticSpace, frac, matrix_exp_nilpotent
-from gspin.involutions import SimilitudeElement, factor, unipotent_sl2_decompose, verify
+from gspin.exactlin import ExactMatrix, QuadraticSpace, frac, matrix_exp_nilpotent, matrix_log_unipotent
+from gspin.involutions import SimilitudeElement, factor, orthogonal_string_decomposition, verify
 
 space = QuadraticSpace(4, ExactMatrix.antidiagonal([1, 1, 1, 1]))
 
@@ -50,10 +50,10 @@ print()
 print("== string decomposition of a unipotent isometry ==")
 nil = ExactMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]])
 u = matrix_exp_nilpotent(nil)
-for block in unipotent_sl2_decompose(space, u):
+for p in orthogonal_string_decomposition(space, matrix_log_unipotent(u)):
     print(
-        f"string length {block.d}, multiplicity {block.multiplicity_basis.cols},"
-        f" induced pairing {block.pairing_type}"
+        f"string length {p.d}, multiplicity {p.generators.cols},"
+        f" induced pairing {'symmetric' if p.d % 2 else 'alternating'}"
     )
 e = SimilitudeElement(space, u, 1)
 print("the unipotent factors too:", verify(e, factor(e)))

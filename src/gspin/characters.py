@@ -26,17 +26,6 @@ class AlphaClass:
     def is_trivial(self) -> bool:
         return self.token == "1"
 
-    def __mul__(self, other: "AlphaClass") -> "AlphaClass":
-        if self.is_trivial:
-            return other
-        if other.is_trivial:
-            return self
-        if self.token == other.token:
-            return AlphaClass("1")
-        raise ValueError(
-            f"product of distinct nontrivial classes {self.token}*{other.token} is undeclared"
-        )
-
 
 TRIVIAL_CLASS = AlphaClass("1")
 
@@ -115,9 +104,6 @@ class CharacterGroup:
                 return self._classes[token]
         return None
 
-    def classes(self) -> list[AlphaClass]:
-        return list(self._classes.values())
-
     # elements -------------------------------------------------------------
 
     def element(self, free: Mapping[str, int] | None = None, torsion: Iterable[str] = ()) -> HeckeCharacterHandle:
@@ -160,11 +146,6 @@ class CharacterGroup:
 
     def ratio(self, a: HeckeCharacterHandle, b: HeckeCharacterHandle) -> HeckeCharacterHandle:
         return self.mul(a, self.inv(b))
-
-    def sqrt(self, a: HeckeCharacterHandle) -> HeckeCharacterHandle:
-        if not a.square_root_exists:
-            raise ValueError(f"{a.id} is not a square")
-        return self.element({g: e // 2 for g, e in a.free})
 
     def equal(self, a: HeckeCharacterHandle, b: HeckeCharacterHandle) -> bool:
         return a.free == b.free and a.torsion == b.torsion

@@ -178,11 +178,6 @@ GSO4_GRAM = ExactMatrix(
     ]
 )
 
-# Antidiagonal symmetric form used for odd special orthogonal groups.
-def antidiag_ones(n: int) -> ExactMatrix:
-    return ExactMatrix.antidiagonal([1] * n)
-
-
 # coordinates of the two symplectic planes span(e1, e4) and span(e2, e3)
 PAIR_PLANES = ((0, 3), (1, 2))
 
@@ -201,26 +196,6 @@ def embed_pair(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def fixed_point_check(e: DualElement) -> bool:
     """True iff (g, x) is fixed by the dual twist, i.e. t(g) J g = x J."""
     return similitude_factor(e.g, THETA_J) == e.x
-
-
-def std_rep(tag: GroupTag, e: DualElement) -> tuple[ExactMatrix, Fraction]:
-    """Standard representation paired with the similitude/GL1 coordinate."""
-    if tag.family in ("gspin_odd", "gspin_even"):
-        form = THETA_J if tag.family == "gspin_odd" and tag.n == 2 else None
-        if tag.family == "gspin_even" and tag.n == 2:
-            form = GSO4_GRAM
-        if form is not None:
-            mu = similitude_factor(e.g, form)
-            if mu is None:
-                raise ValueError("element does not satisfy the tag invariant")
-            return e.g, mu
-        raise ValueError(f"unsupported rank for {tag.describe()}")
-    if tag.family == "sp_gl1":
-        n = tag.std_dim
-        if similitude_factor(e.g, antidiag_ones(n)) != 1:
-            raise ValueError("element does not satisfy the tag invariant")
-        return e.g, e.x
-    return e.g, e.x
 
 
 # ---------------------------------------------------------------------------

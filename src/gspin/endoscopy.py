@@ -3,10 +3,11 @@
 Each datum stores the printed matrix ingredients: the semisimple element s,
 the Frobenius image for non-split members, and the stabilisation constant
 where one is on record.  Each datum solves, by exact linear algebra, the basis
-of its (twisted) centralizer Lie algebra once, when it is built; the six data
-are built once per process.  verify_centralizer compares the dimension of
-that basis with the printed one and checks that the Frobenius images are
-involutions normalizing the embedded subgroup.
+of its (twisted) centralizer Lie algebra once, when it is built, and checks
+there, once, that its Frobenius image is an involution normalizing the
+embedded subgroup; the six data are built once per process.
+verify_centralizer compares the dimension of that basis with the printed one
+and reports the Frobenius check.
 """
 
 from __future__ import annotations
@@ -91,9 +92,11 @@ class EndoscopicDatum:
     frobenius_image: ExactMatrix | None = None
     stabilisation_constant: Fraction | None = None
     lie_basis: tuple[tuple[ExactMatrix, Fraction], ...] = field(init=False, compare=False, repr=False)
+    frobenius_ok: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lie_basis", tuple(_lie_basis(self)))
+        object.__setattr__(self, "frobenius_ok", _frobenius_ok(self))
 
     @property
     def twisted(self) -> bool:
@@ -164,6 +167,23 @@ def _lie_basis(d: EndoscopicDatum) -> list[tuple[ExactMatrix, Fraction]]:
     if d.twisted:
         return twisted_centralizer_basis(d.s.g)
     return ordinary_centralizer_basis(d.s.g, THETA_J if d.base == "gspin5" else GSO4_GRAM)
+
+
+def _frobenius_ok(d: EndoscopicDatum) -> bool:
+    """Is the printed Frobenius image, if any, an involution normalizing the
+    centralizer Lie algebra?"""
+    if d.frobenius_image is None:
+        return True
+    # the basis is independent, so the conjugates lie in its span exactly
+    # when they leave its rank alone; each vector (y, t) is one row, read off
+    # numerators as den(y) den(t) (y, t), which leaves the span alone
+    c, cinv = d.frobenius_image, d.frobenius_image.inverse()
+    rows = [
+        [v * t.denominator for r in y._num for v in r] + [t.numerator * y._den]
+        for x, t in d.lie_basis
+        for y in (x, c * x * cinv)
+    ]
+    return c * c == ExactMatrix.identity(4) and rank(ExactMatrix(rows)) == len(d.lie_basis)
 
 
 def theta_s_fixed(s: ExactMatrix, e: DualElement) -> bool:
@@ -240,26 +260,9 @@ class CentralizerReport:
 
 def verify_centralizer(d: EndoscopicDatum, seed: int = 0) -> CentralizerReport:
     """Compare the dimension of the datum's centralizer basis with the
-    printed one, check the normalization properties of the printed Frobenius
-    image, and check that embedded sample elements commute with the
-    (twisted) action."""
-    basis = d.lie_basis
-    dim = len(basis)
-
-    frob_ok = True
-    if d.frobenius_image is not None:
-        # the basis is independent, so the conjugates lie in its span
-        # exactly when they leave its rank alone; each vector (y, t) is one
-        # row, read off numerators as den(y) den(t) (y, t), which leaves the
-        # span alone
-        c, cinv = d.frobenius_image, d.frobenius_image.inverse()
-        rows = [
-            [v * t.denominator for r in y._num for v in r] + [t.numerator * y._den]
-            for x, t in basis
-            for y in (x, c * x * cinv)
-        ]
-        frob_ok = c * c == ExactMatrix.identity(4) and rank(ExactMatrix(rows)) == dim
-
+    printed one, read the Frobenius check made when the datum was built, and
+    check that embedded sample elements commute with the (twisted) action."""
+    dim = len(d.lie_basis)
     rng = random.Random(seed)
     samples_ok = True
     for e in _xi_samples(d, rng):
@@ -270,29 +273,15 @@ def verify_centralizer(d: EndoscopicDatum, seed: int = 0) -> CentralizerReport:
             if d.s.g * e.g != e.g * d.s.g:
                 samples_ok = False
 
-    ok = dim == d.expected_centralizer_dim and frob_ok and samples_ok
+    ok = dim == d.expected_centralizer_dim and d.frobenius_ok and samples_ok
     return CentralizerReport(
         datum=d.name,
         ok=ok,
         expected_dim=d.expected_centralizer_dim,
         computed_dim=dim,
-        frobenius_ok=frob_ok,
+        frobenius_ok=d.frobenius_ok,
         samples_ok=samples_ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# recovering the square class from Satake-level data
-
-
-def recover_alpha(pair: tuple[ExactMatrix, Fraction], nontrivial: AlphaClass) -> AlphaClass:
-    """'split' detection at one place: the class is trivial exactly when
-    det g = x^2; otherwise the caller's nontrivial token is returned."""
-    g, x = pair
-    x = frac(x)
-    if g.det() == x * x:
-        return TRIVIAL_CLASS
-    return nontrivial
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -204,9 +202,6 @@ class ExactMatrix:
     def entries(self) -> tuple:
         d = self._den
         return tuple(tuple(Fraction(x, d) for x in r) for r in self._num)
-
-    def tolist(self) -> list:
-        return [list(r) for r in self.entries()]
 
     # algebra -----------------------------------------------------------
 
@@ -650,14 +645,6 @@ def commutant_basis(
     return matrix_equation_kernel(
         [[(ident, "X", g), (-g, "X", ident)] for g in generators], ambient or ()
     )
-
-
-def commutant_dimension(
-    generators: Sequence[ExactMatrix],
-    ambient: Sequence[ExactMatrix] | None = None,
-) -> int:
-    """dim {X in ambient : Xg = gX for all generators g}."""
-    return len(commutant_basis(generators, ambient))
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

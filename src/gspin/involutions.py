@@ -218,46 +218,6 @@ def _find_dual_top(basis: ExactMatrix, pairs):
 
 
 # ---------------------------------------------------------------------------
-# the exposed unipotent decomposition
-
-
-@dataclass(frozen=True)
-class Sl2Block:
-    d: int
-    multiplicity_basis: ExactMatrix  # a frame: the string generators of length d
-    pairing: ExactMatrix
-    pairing_type: str  # 'symmetric' for odd d, 'alternating' for even d
-
-
-def unipotent_sl2_decompose(space: QuadraticSpace, u: ExactMatrix) -> list[Sl2Block]:
-    """Decompose a unipotent isometry: log, orthogonal strings, and the
-    induced pairings on the multiplicity spaces."""
-    if space.similitude_factor(u) != 1:
-        raise ValueError("input must be an isometry")
-    n_mat = matrix_log_unipotent(u)  # raises for non-unipotent input
-    pieces = orthogonal_string_decomposition(space, n_mat)
-    by_d: dict[int, list[StringPiece]] = {}
-    for p in pieces:
-        by_d.setdefault(p.d, []).append(p)
-    out = []
-    for d in sorted(by_d):
-        gens = ExactMatrix.hstack([p.generators for p in by_d[d]])
-        pairing = pairing_matrix(space.gram * n_mat ** (d - 1), gens, gens)  # B(a, N^(d-1) b)
-        kind = "symmetric" if d % 2 == 1 else "alternating"
-        if kind == "symmetric" and not pairing.is_symmetric():
-            raise AssertionError("odd blocks must induce a symmetric pairing")
-        if kind == "alternating" and not pairing.is_antisymmetric():
-            raise AssertionError("even blocks must induce an alternating pairing")
-        if pairing.det() == 0:
-            raise AssertionError("induced pairing must be nondegenerate")
-        out.append(Sl2Block(d, gens, pairing, kind))
-    total = sum(b.d * b.multiplicity_basis.cols for b in out)
-    if total != space.dim:
-        raise AssertionError("string dimensions do not fill the space")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # reversing involutions piece by piece
 
 

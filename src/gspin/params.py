@@ -89,9 +89,6 @@ class TwoGroup:
     def contains(self, labels: Iterable[str]) -> bool:
         return self._pattern(labels) in self._members
 
-    def is_identity(self, labels: Iterable[str]) -> bool:
-        return self._pattern(labels) in self._relation_span
-
     @property
     def order(self) -> int:
         return len(self._elements)

@@ -18,7 +18,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .dualgroups import DualElement, SO5_GRAM, THETA_J, embed_pair, project_to_so5
+from .dualgroups import DualElement, GSO4_GRAM, SO5_GRAM, THETA_J, embed_pair, project_to_so5
 from .params import TwoGroup, _realization
 from .exactlin import (
     ExactMatrix,
@@ -310,10 +310,8 @@ def restriction_count_identity(proj: ProjectedParameter) -> CountReport:
 
 
 # ---------------------------------------------------------------------------
-# restriction on the endoscopic side (pairs of 2x2 blocks down to SO4)
-
-SO4_FORM = kron(ExactMatrix([[0, 1], [-1, 0]]), ExactMatrix([[0, 1], [-1, 0]]))
-
+# restriction on the endoscopic side (pairs of 2x2 blocks down to SO4, whose
+# form GSO4_GRAM is the Kronecker square of the 2x2 symplectic form)
 
 @dataclass(frozen=True)
 class PairParameterDescriptor:
@@ -344,7 +342,7 @@ def restrict_gso4(phi: PairParameterDescriptor) -> tuple[ComponentSignGroup, fro
         if a.det() != b.det():
             raise ValueError("pair members must have equal determinants")
         gens.append(kron(a, b).scale(ONE / a.det()))
-    if not all(_in_group(g, SO4_FORM) for g in gens):
+    if not all(_in_group(g, GSO4_GRAM) for g in gens):
         raise ValueError("pair image must be special orthogonal")
-    downstairs = component_sign_group(gens, SO4_FORM)
+    downstairs = component_sign_group(gens, GSO4_GRAM)
     return downstairs, frozenset(downstairs.group.characters())

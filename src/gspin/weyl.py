@@ -12,19 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
-from .characters import CharacterGroup
-from .dualgroups import (
-    DualElement,
-    GSO4_GRAM,
-    GroupTag,
-    THETA_J,
-    antidiag_ones,
-    similitude_factor,
-)
-from .exactlin import ExactMatrix, frac, ONE, ZERO
-from .params import CuspidalHandle
+from .dualgroups import GroupTag
+from .exactlin import ExactMatrix, frac, ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +96,6 @@ class TwistedWeylElement:
     levi: LeviDescriptor
     perms: tuple[tuple[int, tuple[int, ...]], ...]
     signs: tuple[tuple[int, tuple[int, ...]], ...] = ()
-
-    def perm(self, k: int) -> tuple[int, ...]:
-        return dict(self.perms)[k]
 
     def sign(self, k: int) -> tuple[int, ...]:
         return dict(self.signs)[k]
@@ -228,114 +215,3 @@ def det_factor(w: TwistedWeylElement) -> Fraction:
     d = action_determinant(w)
     assert d != 0
     return abs(d)
-
-
-# ---------------------------------------------------------------------------
-# fixed-point condition on discrete data
-
-
-def fixed_point_condition(
-    group: CharacterGroup,
-    w: TwistedWeylElement,
-    assignments: Mapping[tuple[int, int], CuspidalHandle],
-    chi,
-) -> bool:
-    """True iff every assigned handle is chi-self-dual and each permutation
-    fixes the tuple of handle ids."""
-    for k, nk in sorted(w.levi.size_classes.items()):
-        ids = []
-        for i in range(nk):
-            try:
-                h = assignments[(k, i)]
-            except KeyError:
-                raise ValueError(f"missing assignment for block ({k},{i})") from None
-            if h.N != k:
-                raise ValueError(f"handle {h.id} has size {h.N}, block needs {k}")
-            if not group.equal(h.chi, chi):
-                return False
-            ids.append(h.id)
-        p = w.perm(k)
-        if any(ids[p[j]] != ids[j] for j in range(nk)):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# dual Levi embeddings
-
-
-_AMBIENT_FORMS = {
-    "gspin_odd": THETA_J,
-    "gspin_even": GSO4_GRAM,
-    "sp_gl1": antidiag_ones(5),
-}
-
-
-def dual_levi_embed(
-    levi: LeviDescriptor, factors: Sequence[ExactMatrix], h: DualElement
-) -> DualElement:
-    """Assemble the block-diagonal dual element with similitude-twisted
-    contragredient tail blocks; the ambient similitude invariant is asserted
-    exactly.
-
-    factors are the GL_{n_i} matrices; h is the residual dual element (its
-    GL1 coordinate is the similitude when the residual rank is zero)."""
-    group = levi.group
-    if group.family == "gl_gl1":
-        if len(factors) != len(levi.blocks):
-            raise ValueError("factor count mismatch")
-        return DualElement(ExactMatrix.block_diagonal(list(factors)), h.x)
-    form = _AMBIENT_FORMS[group.family]
-    n_amb = form.rows
-    blocks = levi.blocks
-    if len(factors) != len(blocks):
-        raise ValueError("factor count mismatch")
-    for g, k in zip(factors, blocks):
-        if g.rows != k or g.det() == 0:
-            raise ValueError("factors must be invertible of the declared sizes")
-    mid_size = n_amb - 2 * sum(blocks)
-    offsets = []
-    pos = 0
-    for k in blocks:
-        offsets.append(pos)
-        pos += k
-    mid_start = pos
-
-    if mid_size > 0:
-        mid_form = ExactMatrix(
-            [[form[i, j] for j in range(mid_start, mid_start + mid_size)] for i in range(mid_start, mid_start + mid_size)]
-        )
-        mu = similitude_factor(h.g, mid_form)
-        if mu is None:
-            raise ValueError("residual element does not preserve the middle form")
-        if group.family == "sp_gl1" and mu != 1:
-            raise ValueError("residual element must be special orthogonal")
-        if group.family == "sp_gl1":
-            mu = ONE
-        mid_block = h.g
-    else:
-        mu = h.x
-        mid_block = None
-
-    out = [[ZERO] * n_amb for _ in range(n_amb)]
-    for g, k, off in zip(factors, blocks, offsets):
-        for i in range(k):
-            for j in range(k):
-                out[off + i][off + j] = g[i, j]
-        mirror = n_amb - off - k
-        coupling = ExactMatrix([[form[off + i, mirror + j] for j in range(k)] for i in range(k)])
-        tail = coupling.inverse() * g.inverse().transpose() * coupling
-        tail = tail.scale(mu)
-        for i in range(k):
-            for j in range(k):
-                out[mirror + i][mirror + j] = tail[i, j]
-    if mid_block is not None:
-        for i in range(mid_size):
-            for j in range(mid_size):
-                out[mid_start + i][mid_start + j] = mid_block[i, j]
-    m = ExactMatrix(out)
-    got = similitude_factor(m, form)
-    if got != mu:
-        raise ValueError("assembled element violates the ambient similitude invariant")
-    x = h.x if group.family == "sp_gl1" else mu
-    return DualElement(m, x)

@@ -10,24 +10,19 @@ from gspin.dualgroups import (
     BIVECTOR_FORM,
     DualElement,
     GSO4_GRAM,
-    GSPIN5,
     OMEGA,
     SO5_GRAM,
-    SP4_GL1,
     THETA_J,
-    antidiag_ones,
     apply_theta,
     embed_so4_block,
     exterior_square,
     fixed_point_check,
-    gspin_even_tag,
     pinning_fixed_by_theta,
     project_to_so5,
     sample_gl2,
     sample_gso4,
     sample_gsp4,
     similitude_factor,
-    std_rep,
     theta_pinning_matrix,
 )
 
@@ -100,27 +95,6 @@ def test_fixed_points_are_exactly_j_similitudes():
         assert fixed_point_check(e)
         assert e.g.transpose() * THETA_J * e.g == THETA_J.scale(e.x)
         assert STANDARD_TWIST.apply_dual(e) == e
-
-
-def test_std_rep_table():
-    g, mu = std_rep(GSPIN5, DualElement(ExactMatrix.identity(4), 1))
-    assert g == ExactMatrix.identity(4) and mu == 1
-
-    lam = frac(5)
-    g, mu = std_rep(GSPIN5, DualElement(ExactMatrix.identity(4).scale(lam), lam * lam))
-    assert g == ExactMatrix.identity(4).scale(lam) and mu == lam * lam
-
-    h = antidiag_ones(5)  # the form itself is an orthogonal reflection-sum
-    # build a genuine SO5 element: diag torus
-    a, b = frac(2), frac(3)
-    so5 = ExactMatrix.diagonal([a, b, 1, 1 / b, 1 / a])
-    g, x = std_rep(SP4_GL1, DualElement(so5, frac(7)))
-    assert g == so5 and x == 7
-
-    rng = random.Random(3)
-    e = sample_gso4(rng)
-    g, mu = std_rep(gspin_even_tag(), e)
-    assert mu == e.x
 
 
 def test_exterior_square_multiplicative():
@@ -210,7 +184,7 @@ def test_pinning_report_pass():
 
 
 def test_pinning_fails_for_plain_antidiagonal():
-    report = pinning_fixed_by_theta(antidiag_ones(4))
+    report = pinning_fixed_by_theta(ExactMatrix.antidiagonal([1] * 4))
     assert not report.ok
     assert any(f.startswith("root_vector") for f in report.failures)
 

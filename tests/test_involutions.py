@@ -14,6 +14,7 @@ from gspin.exactlin import (
     kernel,
     matrix_equation_kernel,
     matrix_exp_nilpotent,
+    matrix_log_unipotent,
     pairing_matrix,
     rank,
 )
@@ -23,7 +24,6 @@ from gspin.involutions import (
     SimilitudeElement,
     factor,
     orthogonal_string_decomposition,
-    unipotent_sl2_decompose,
     verify,
 )
 from gspin.selftest import run_selftest
@@ -336,11 +336,8 @@ def test_similitude_element_validation():
 
 def test_string_decomposition_identity():
     space = SPACES[4][1]
-    blocks = unipotent_sl2_decompose(space, ExactMatrix.identity(4))
-    assert len(blocks) == 1
-    b = blocks[0]
-    assert b.d == 1 and b.multiplicity_basis.cols == 4
-    assert b.pairing_type == "symmetric"
+    pieces = orthogonal_string_decomposition(space, matrix_log_unipotent(ExactMatrix.identity(4)))
+    assert [(p.d, p.generators.cols) for p in pieces] == [(1, 1)] * 4
 
 
 def test_string_decomposition_even_pair():
@@ -354,10 +351,8 @@ def test_string_decomposition_even_pair():
         ]
     )
     u = matrix_exp_nilpotent(nil)
-    blocks = unipotent_sl2_decompose(space, u)
-    assert [(b.d, b.multiplicity_basis.cols, b.pairing_type) for b in blocks] == [
-        (2, 2, "alternating")
-    ]
+    pieces = orthogonal_string_decomposition(space, matrix_log_unipotent(u))
+    assert [(p.d, p.generators.cols) for p in pieces] == [(2, 2)]
 
 
 def test_string_decomposition_two_odd_strings():
@@ -369,10 +364,8 @@ def test_string_decomposition_two_odd_strings():
     nil = ExactMatrix(n)
     assert (nil.transpose() * space.gram + space.gram * nil).is_zero()
     u = matrix_exp_nilpotent(nil)
-    blocks = unipotent_sl2_decompose(space, u)
-    assert [(b.d, b.multiplicity_basis.cols, b.pairing_type) for b in blocks] == [
-        (3, 2, "symmetric")
-    ]
+    pieces = orthogonal_string_decomposition(space, matrix_log_unipotent(u))
+    assert [(p.d, p.generators.cols) for p in pieces] == [(3, 1), (3, 1)]
     # the factorization handles this unipotent too
     e = SimilitudeElement(space, u, 1)
     assert verify(e, factor(e))
@@ -397,40 +390,33 @@ def test_decompose_rejects_non_unipotent():
     space = SPACES[4][0]
     g = space.reflection((1, 0, 0, 1)) * space.reflection((0, 1, 1, 0))
     with pytest.raises(ValueError):
-        unipotent_sl2_decompose(space, g.scale(2))
+        matrix_log_unipotent(g.scale(2))
 
 
 def test_reassembled_pairing_matches_gram():
-    # the Gram in the full string basis is exactly the block pattern
-    # predicted by the per-d pairings: B(N^i a, N^j b) = (-1)^i P_d(a,b)
-    # when i + j = d - 1, zero otherwise
-    from gspin.exactlin import matrix_log_unipotent
-
+    # the Gram in the string basis of each piece is exactly the block
+    # pattern predicted by its top pairing P(a, b) = B(a, N^(d-1) b):
+    # B(N^i a, N^j b) = (-1)^i P(a, b) when i + j = d - 1, zero otherwise;
+    # P is nondegenerate, symmetric for odd d and alternating for even d
     space = QuadraticSpace(6, ExactMatrix.antidiagonal([1] * 6))
     n = [[0] * 6 for _ in range(6)]
     for i, s in ((0, 1), (1, 1), (3, -1), (4, -1)):
         n[i][i + 1] = s
-    nil = ExactMatrix(n)
-    u = matrix_exp_nilpotent(nil)
-    blocks = unipotent_sl2_decompose(space, u)
+    u = matrix_exp_nilpotent(ExactMatrix(n))
     n_mat = matrix_log_unipotent(u)
-    for b in blocks:
-        columns = [b.multiplicity_basis.column(j) for j in range(b.multiplicity_basis.cols)]
-        for ai, a in enumerate(columns):
-            for bi, bb in enumerate(columns):
-                for i in range(b.d):
-                    va = a
-                    for _ in range(i):
-                        va = n_mat.apply(va)
-                    for j in range(b.d):
-                        vb = bb
-                        for _ in range(j):
-                            vb = n_mat.apply(vb)
-                        got = space.bilinear(va, vb)
-                        if i + j == b.d - 1:
-                            assert got == Fraction(-1) ** i * b.pairing[ai, bi]
-                        else:
-                            assert got == 0
+    pieces = orthogonal_string_decomposition(space, n_mat)
+    assert sum(p.d * p.generators.cols for p in pieces) == 6
+    for p in pieces:
+        top = pairing_matrix(space.gram * n_mat ** (p.d - 1), p.generators, p.generators)
+        assert top.det() != 0
+        assert top.is_symmetric() if p.d % 2 else top.is_antisymmetric()
+        for i in range(p.d):
+            for j in range(p.d):
+                got = pairing_matrix(space.gram, n_mat**i * p.generators, n_mat**j * p.generators)
+                if i + j == p.d - 1:
+                    assert got == top.scale((-1) ** i)
+                else:
+                    assert got.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +506,7 @@ def _y_exp_n(rng):
     while c == (0, 0):
         c = (rng.randint(-2, 2), rng.randint(-2, 2))
     s = s1.scale(c[0]) + s2.scale(c[1])
-    n_mat = ExactMatrix([[0] * 4 + list(row) for row in s.tolist()] + [[0] * 8] * 4)
+    n_mat = ExactMatrix([[0] * 4 + list(row) for row in s.entries()] + [[0] * 8] * 4)
     g = ExactMatrix.block_diagonal([a, d]) * matrix_exp_nilpotent(n_mat)
     return SimilitudeElement(SPACES[8][0], g, nu)
 

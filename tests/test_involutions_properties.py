@@ -126,7 +126,7 @@ def y_exp_n(draw):
     assert len(solutions) == 2
     c = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda c: c != (0, 0)))
     s = solutions[0].scale(c[0]) + solutions[1].scale(c[1])
-    n_mat = ExactMatrix([[0] * 4 + list(row) for row in s.tolist()] + [[0] * 8] * 4)
+    n_mat = ExactMatrix([[0] * 4 + list(row) for row in s.entries()] + [[0] * 8] * 4)
     g = ExactMatrix.block_diagonal([a, d]) * matrix_exp_nilpotent(n_mat)
     return SimilitudeElement(split(8), g, nu)
 

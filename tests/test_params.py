@@ -120,7 +120,7 @@ def test_two_group_quotient():
     tg = TwoGroup(("a", "b"), [frozenset({"a", "b"})])
     assert tg.rank == 1
     assert tg.canonical({"a"}) == tg.canonical({"b"})
-    assert tg.is_identity({"a", "b"})
+    assert tg.canonical({"a", "b"}) == tg.canonical(())
     assert len(tg.elements()) == 2
 
 

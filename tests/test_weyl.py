@@ -1,30 +1,14 @@
-from fractions import Fraction
-
 import pytest
 
-from gspin.characters import CharacterGroup
-from gspin.dualgroups import (
-    DualElement,
-    GL4_GL1,
-    GSPIN5,
-    SP4_GL1,
-    THETA_J,
-    fixed_point_check,
-    gspin_even_tag,
-    similitude_factor,
-)
-from gspin.exactlin import ExactMatrix, frac
-from gspin.params import CuspidalHandle
+from gspin.dualgroups import GL4_GL1, GSPIN5, SP4_GL1, gspin_even_tag
 from gspin.weyl import (
     LeviDescriptor,
     TwistedWeylElement,
     action_determinant,
     det_factor,
-    dual_levi_embed,
     element_is_valid,
     enumerate_levis,
     enumerate_weyl_elements,
-    fixed_point_condition,
     is_regular,
 )
 
@@ -113,95 +97,6 @@ def test_exhaustive_regular_iff_nonzero_det():
 def test_regular_elements_exist_for_every_proper_levi_of_gl():
     for levi in enumerate_levis(GL4_GL1):
         assert any(is_regular(w) for w in enumerate_weyl_elements(levi))
-
-
-def test_fixed_point_condition():
-    g = CharacterGroup()
-    chi = g.declare_generator("chi0")
-    pi = CuspidalHandle(id="pi", N=2, central_character=chi, chi=chi, sign=-1)
-    rho = CuspidalHandle(id="rho", N=2, central_character=chi, chi=chi, sign=-1)
-    other = CuspidalHandle(id="bad", N=2, central_character=chi, chi=g.pow(chi, 3))
-    levi = LeviDescriptor(GL4_GL1, (2, 2), 0)
-    ident = TwistedWeylElement(levi, ((2, (0, 1)),))
-    swap = TwistedWeylElement(levi, ((2, (1, 0)),))
-    both_pi = {(2, 0): pi, (2, 1): pi}
-    mixed = {(2, 0): pi, (2, 1): rho}
-    assert fixed_point_condition(g, ident, both_pi, chi)
-    assert fixed_point_condition(g, ident, mixed, chi)
-    assert fixed_point_condition(g, swap, both_pi, chi)
-    assert not fixed_point_condition(g, swap, mixed, chi)
-    assert not fixed_point_condition(g, ident, {(2, 0): pi, (2, 1): other}, chi)
-    # vacuous for the full Levi
-    full = TwistedWeylElement(LeviDescriptor(GL4_GL1, (4,), 0), ((4, (0,)),))
-    assert fixed_point_condition(g, full, {(4, 0): CuspidalHandle(id="Pi", N=4, central_character=g.pow(chi, 2), chi=chi)}, chi)
-
-
-def test_dual_levi_embed_identity():
-    levi = LeviDescriptor(GSPIN5, (1,), 1)
-    h = DualElement(ExactMatrix.identity(2), 1)
-    e = dual_levi_embed(levi, [ExactMatrix.identity(1)], h)
-    assert e.g == ExactMatrix.identity(4) and e.x == 1
-
-
-def test_dual_levi_embed_gl2_block_in_gspin5():
-    levi = LeviDescriptor(GSPIN5, (2,), 0)
-    g2 = ExactMatrix([[2, 1], [1, 1]])
-    lam = frac(3)
-    e = dual_levi_embed(levi, [g2], DualElement(ExactMatrix([[1]]), lam))
-    # residual rank zero: the GL1 coordinate is the similitude
-    assert e.x == lam
-    assert fixed_point_check(e)
-    # top block is g2 itself
-    assert all(e.g[i, j] == g2[i, j] for i in range(2) for j in range(2))
-
-
-def test_dual_levi_embed_torus_gives_symmetric_shape():
-    levi = LeviDescriptor(GSPIN5, (1,), 1)
-    a = frac(5)
-    mid = ExactMatrix.diagonal([2, 3])  # similitude 6 for the middle block
-    e = dual_levi_embed(levi, [ExactMatrix([[a]])], DualElement(mid, 1))
-    assert fixed_point_check(e)
-    assert e.g[0, 0] == a and e.g[3, 3] == e.x / a
-
-
-def test_dual_levi_embed_gso4():
-    levi = LeviDescriptor(GSPIN4A, (1,), 1)
-    a = frac(2)
-    mid = ExactMatrix.diagonal([3, 5])
-    e = dual_levi_embed(levi, [ExactMatrix([[a]])], DualElement(mid, 1))
-    from gspin.dualgroups import GSO4_GRAM
-
-    assert similitude_factor(e.g, GSO4_GRAM) == e.x
-
-
-def test_dual_levi_embed_sp4():
-    levi = LeviDescriptor(SP4_GL1, (1,), 1)
-    so3 = ExactMatrix.diagonal([2, 1, Fraction(1, 2)])
-    e = dual_levi_embed(levi, [ExactMatrix([[7]])], DualElement(so3, frac(11)))
-    from gspin.dualgroups import antidiag_ones
-
-    assert similitude_factor(e.g, antidiag_ones(5)) == 1
-    assert e.x == 11
-
-
-def test_dual_levi_embed_rejects_singular_factor():
-    levi = LeviDescriptor(GSPIN5, (2,), 0)
-    with pytest.raises(ValueError):
-        dual_levi_embed(levi, [ExactMatrix.zeros(2, 2)], DualElement(ExactMatrix([[1]]), 1))
-
-
-def test_dual_levi_embed_matches_eta_pi_eta_shape():
-    # the GL1 x GSpin3 Levi: diagonal entries eta, (pi-block), eta-mirror
-    levi = LeviDescriptor(GSPIN5, (1,), 1)
-    eta = frac(3)
-    mid = ExactMatrix([[2, 1], [3, 4]])
-    mu = similitude_factor(mid, ExactMatrix([[0, 1], [-1, 0]]))
-    e = dual_levi_embed(levi, [ExactMatrix([[eta]])], DualElement(mid, 1))
-    assert e.x == mu == mid.det()
-    # standard composition has block spectrum {eta} + spec(pi) + {mu/eta}
-    assert e.g[0, 0] == eta
-    assert e.g[3, 3] == mu / eta
-    assert all(e.g[i + 1, j + 1] == mid[i, j] for i in range(2) for j in range(2))
 
 
 def test_enumerate_levis_unsupported_rank():
