@@ -31,10 +31,10 @@ print(
 print()
 print("== rational spectral splits ==")
 g = ExactMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-parts, irrational = rational_eigensplit(g)
+parts = rational_eigensplit(g)
 for lam, basis in parts:
     print(f"eigenvalue {lam}: generalized eigenspace of dimension {basis.cols}")
-print(f"irrational part: dimension {irrational.cols} (a rotation block, x^2 + 1)")
+print(f"irrational part: dimension {g.rows - sum(b.cols for _, b in parts)} (a rotation block, x^2 + 1)")
 
 print()
 print("== quadratic spaces ==")

@@ -68,7 +68,7 @@ print("== the six discrete shapes ==")
 for name, psi in fixtures.items():
     cls = classify(group, psi)
     oracle = component_group_oracle(psi)
-    eps = "1" if cls.automorphy_character.is_trivial_on(cls.component_group) else "sgn"
+    eps = "1" if cls.component_group.is_trivial(cls.automorphy_character) else "sgn"
     print(
         f"{name:>16}: letter ({cls.arthur_type.letter}), component group of rank"
         f" {cls.component_rank}, epsilon = {eps}, oracle agrees: {oracle.agrees_with(cls)}"

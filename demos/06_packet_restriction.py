@@ -29,7 +29,7 @@ for name, phi in shape_catalog().items():
     for member in packet_members(phi):
         chars = restrict_member(member, proj)
         label = member.label or "pi"
-        reps = sorted(sorted(ch.rep) for ch in chars)
+        reps = sorted(sorted(ch) for ch in chars)
         print(f"    member {label:>2} restricts to {len(chars)} constituents {reps}")
 
 print()

@@ -55,10 +55,10 @@ def _matrix_json(m: ExactMatrix) -> list[list[str]]:
 def _classify(scn, seed, at, name):
     fixture = lookup(scn.parameters, name, "undeclared parameter", f"{at}.parameter")
     cls = classify(scn.group, fixture.parameter, fixture.root_number_minus)
-    trivial = cls.automorphy_character.is_trivial_on(cls.component_group)
+    trivial = cls.component_group.is_trivial(cls.automorphy_character)
     rec = {"parameter": fixture.name, "type": cls.arthur_type.label, "letter": cls.arthur_type.letter,
            "component_rank": cls.component_rank, "epsilon": "1" if trivial else "sgn",
-           "sign_element": sorted(cls.sign_element.support())}
+           "sign_element": sorted(cls.sign_element)}
     line = ("classify[{parameter}]: type={type} letter={letter} component_rank={component_rank}"
             " epsilon={epsilon} sign_element={sign}").format(**rec, sign=rec["sign_element"] or "1")
     return rec, [line]
@@ -89,7 +89,7 @@ def _membership(scn, seed, at, name, target, alpha):
 def _restriction(scn, seed, at, shape):
     phi = lookup(shape_catalog(), shape, "unknown restriction shape", f"{at}.shape")
     report = restriction_count_identity(project_parameter(phi))
-    parts = {label: sorted(sorted(ch.rep) for ch in part) for label, part in report.constituents}
+    parts = {label: sorted(sorted(ch) for ch in part) for label, part in report.constituents}
     rec = {"shape": shape, "ok": report.ok, "packet_sizes": list(report.packet_sizes),
            "dual_size": report.dual_size, "constituents": parts}
     return rec, [report.message()]

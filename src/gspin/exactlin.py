@@ -14,12 +14,12 @@ identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
 22 (1968).
 
 A set of vectors is always a column frame: one matrix whose columns are the
-vectors.  ``kernel``, ``generalized_kernel``, ``rational_eigensplit``,
-``span_basis`` and ``krylov`` return frames, and ``restrict_to`` and
-``pairing_matrix`` take them.  ``Fraction`` is the edge where a value leaves
-the module: entries, rows, columns, traces, determinants and the results of
-``apply``, ``solve`` and ``bilinear`` are Fractions, and constructors accept
-ints, strings like '3/4' and Fractions.
+vectors.  ``kernel``, ``generalized_kernel``, ``span_basis`` and ``krylov``
+return frames, ``rational_eigensplit`` one per rational eigenvalue, and
+``restrict_to`` and ``pairing_matrix`` take them.  ``Fraction`` is the edge
+where a value leaves the module: entries, columns, traces, determinants and
+the results of ``apply``, ``solve`` and ``bilinear`` are Fractions, and
+constructors accept ints, strings like '3/4' and Fractions.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -186,10 +186,6 @@ class ExactMatrix:
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return Fraction(self._num[i][j], self._den)
-
-    def row(self, i: int) -> tuple:
-        d = self._den
-        return tuple(Fraction(x, d) for x in self._num[i])
 
     def column(self, j: int) -> tuple:
         d = self._den
@@ -671,29 +667,6 @@ def poly_eval_matrix(coeffs: Sequence[Fraction], a: ExactMatrix) -> ExactMatrix:
     return out
 
 
-def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[list, list]:
-    num = [frac(c) for c in num]
-    den = [frac(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [ZERO] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    dlead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        if len(rem) < len(den) + k:
-            continue
-        coeff = rem[len(den) + k - 1] / dlead
-        quot[k] = coeff
-        if coeff != 0:
-            for i, d in enumerate(den):
-                rem[i + k] -= coeff * d
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of the polynomial, without multiplicity."""
     cs = [frac(c) for c in coeffs]
@@ -742,28 +715,17 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_eigensplit(g: ExactMatrix) -> tuple[list[tuple[Fraction, ExactMatrix]], ExactMatrix]:
-    """Primary decomposition restricted to rational eigenvalues.
+def rational_eigensplit(g: ExactMatrix) -> list[tuple[Fraction, ExactMatrix]]:
+    """The generalized eigenspaces at the rational eigenvalues.
 
-    Returns ([(eigenvalue, generalized eigenspace frame), ...], irrational
-    part frame, with no columns when every eigenvalue is rational).  The
-    subspaces are g-invariant and direct-sum to the full space.
+    Returns [(eigenvalue, generalized eigenspace frame), ...] by increasing
+    eigenvalue.  The subspaces are g-invariant and independent, and their
+    columns fill the space exactly when every eigenvalue is rational.
     """
     if not g.is_square():
         raise ValueError("square matrix required")
-    n = g.rows
-    cp = g.charpoly()
-    parts = []
-    remaining = list(cp)
-    for lam in sorted(rational_roots(cp)):
-        parts.append((lam, generalized_kernel(g - ExactMatrix.identity(n).scale(lam))))
-        while True:
-            quot, rem = poly_divmod(remaining, [-lam, ONE])
-            if rem:
-                break
-            remaining = quot
-    irrational = kernel(poly_eval_matrix(remaining, g)) if len(remaining) > 1 else ExactMatrix.zeros(n, 0)
-    return parts, irrational
+    ident = ExactMatrix.identity(g.rows)
+    return [(lam, generalized_kernel(g - ident.scale(lam))) for lam in sorted(rational_roots(g.charpoly()))]
 
 
 def is_rational_square(x: Fraction) -> tuple[bool, Fraction | None]:
@@ -798,7 +760,7 @@ def matrix_exp_nilpotent(n: ExactMatrix) -> ExactMatrix:
         term = term * n
         if term.is_zero():
             return out
-        out = out + term.scale(Fraction(1, _factorial(k)))
+        out = out + term.scale(Fraction(1, factorial(k)))
     raise ValueError("matrix is not nilpotent")
 
 
@@ -814,13 +776,6 @@ def matrix_log_unipotent(u: ExactMatrix) -> ExactMatrix:
             return out
         out = out + term.scale(Fraction((-1) ** (k + 1), k))
     raise ValueError("matrix is not unipotent")
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ similitude character chi; discreteness, membership in the discrete set of a
 target group, the six-type classification with component group / automorphy
 character / distinguished sign element, the multiplicity formula, and the
 block-matrix component-group oracle all live here.
+
+A component group is a TwoGroup of label sets.  Its elements, its
+characters (each as the labels it flips, valued (-1)^|flips & element|) and
+the sign element (the labels of the even-d summands) are all frozensets of
+labels, multiplied by symmetric difference.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ class TwoGroup:
     def elements(self) -> list[frozenset]:
         return list(self._elements)
 
-    def characters(self) -> list["TwoGroupCharacter"]:
+    def characters(self) -> list[frozenset]:
         """Every character once, as the least label set it flips; a flip set
         must meet each relation evenly to be a character of the quotient."""
         out = []
@@ -113,9 +118,29 @@ class TwoGroup:
                 key = tuple(len(flips & e) % 2 for e in self._elements)
                 if key not in seen:
                     seen.add(key)
-                    out.append(TwoGroupCharacter.make(self, dict.fromkeys(flips, -1)))
+                    out.append(flips)
         assert len(out) == self.order
         return out
+
+    def character(self, values: Mapping[str, int]) -> frozenset:
+        """The character with the given sign at each label (+1 where omitted),
+        as the labels it flips."""
+        self._pattern(values)  # every label must name a basis label
+        if any(v not in (1, -1) for v in values.values()):
+            raise ValueError("character values must be +-1")
+        flips = frozenset(lab for lab, v in values.items() if v == -1)
+        if any(self.value(flips, rel) != 1 for rel in self.relations):
+            raise ValueError("character violates the relations of the group")
+        return flips
+
+    @staticmethod
+    def value(character: frozenset, element: Iterable[str]) -> int:
+        """(-1) to the number of the element's labels the character flips."""
+        return -1 if len(character.intersection(element)) % 2 else 1
+
+    def is_trivial(self, character: frozenset) -> bool:
+        """Whether the character is 1 on every element."""
+        return all(self.value(character, e) == 1 for e in self._elements)
 
     def __eq__(self, other):
         return (
@@ -127,49 +152,6 @@ class TwoGroup:
 
     def __repr__(self):
         return f"TwoGroup(rank={self.rank}, basis={self.basis_labels})"
-
-
-@dataclass(frozen=True)
-class TwoGroupCharacter:
-    """Character of a TwoGroup as a sign vector on the basis labels."""
-
-    values: tuple[tuple[str, int], ...]
-
-    @staticmethod
-    def make(group: TwoGroup, values: Mapping[str, int]) -> "TwoGroupCharacter":
-        group._pattern(values)  # every label must name a basis label
-        vals = {lab: values.get(lab, 1) for lab in group.basis_labels}
-        if any(v not in (1, -1) for v in vals.values()):
-            raise ValueError("character values must be +-1")
-        ch = TwoGroupCharacter(tuple(sorted(vals.items())))
-        if any(ch.evaluate(rel) != 1 for rel in group.relations):
-            raise ValueError("character violates the relations of the group")
-        return ch
-
-    @staticmethod
-    def trivial(group: TwoGroup) -> "TwoGroupCharacter":
-        return TwoGroupCharacter.make(group, {})
-
-    @property
-    def rep(self) -> frozenset:
-        """The labels this character flips."""
-        return frozenset(lab for lab, v in self.values if v == -1)
-
-    def evaluate(self, labels: Iterable[str]) -> int:
-        vals = dict(self.values)
-        out = 1
-        for lab in labels:
-            out *= vals[lab]
-        return out
-
-    def __mul__(self, other: "TwoGroupCharacter") -> "TwoGroupCharacter":
-        a, b = dict(self.values), dict(other.values)
-        if set(a) != set(b):
-            raise ValueError("characters of different groups")
-        return TwoGroupCharacter(tuple(sorted((k, a[k] * b[k]) for k in a)))
-
-    def is_trivial_on(self, group: TwoGroup) -> bool:
-        return all(self.evaluate(el) == 1 for el in group.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +233,10 @@ def gl2_alternative(group: CharacterGroup, pi: CuspidalHandle) -> CuspidalHandle
     raise ValueError("central character / chi is neither trivial nor of order two")
 
 
-@dataclass(frozen=True)
-class GL4Alternative:
-    case: str  # 'tensor', 'asai', 'symplectic'
-    handle: CuspidalHandle
-    alpha: AlphaClass | None = None
-
-
-def gl4_alternative(group: CharacterGroup, pi: CuspidalHandle) -> GL4Alternative:
-    """Resolve the GL4 trichotomy: tensor-type (orthogonal), Asai-type
-    (orthogonal, with quadratic class chi^2/omega), or symplectic."""
+def gl4_alternative(group: CharacterGroup, pi: CuspidalHandle) -> CuspidalHandle:
+    """Resolve the GL4 trichotomy to the signed handle: tensor-type
+    (orthogonal), Asai-type (orthogonal, chi^2/omega a declared quadratic
+    class), or symplectic."""
     if pi.N != 4:
         raise ValueError("GL4 handle required")
     chi_sq = group.pow(pi.chi, 2)
@@ -268,16 +244,15 @@ def gl4_alternative(group: CharacterGroup, pi: CuspidalHandle) -> GL4Alternative
     if pi.tensor_origin is not None:
         if not group.equal(omega, chi_sq):
             raise ValueError("inconsistent handle: tensor origin with omega != chi^2")
-        return GL4Alternative("tensor", replace(pi, sign=+1))
+        return replace(pi, sign=+1)
     if not group.equal(omega, chi_sq):
         ratio = group.ratio(chi_sq, omega)
         if not ratio.order_two:
             raise ValueError("chi^2 / omega must have order two")
-        cls = group.class_of_character(ratio)
-        if cls is None:
+        if group.class_of_character(ratio) is None:
             raise ValueError(f"no declared square class for {ratio.id}")
-        return GL4Alternative("asai", replace(pi, sign=+1), cls)
-    return GL4Alternative("symplectic", replace(pi, sign=-1))
+        return replace(pi, sign=+1)
+    return replace(pi, sign=-1)
 
 
 def boxtimes(
@@ -403,25 +378,11 @@ class ArthurType(Enum):
 
 
 @dataclass(frozen=True)
-class SPsiElement:
-    """The distinguished sign element: -1 exactly on even-d summands."""
-
-    signs: tuple[tuple[str, int], ...]
-
-    @staticmethod
-    def of(psi: FormalParameter) -> "SPsiElement":
-        return SPsiElement(tuple((h.id, (-1) ** (d - 1)) for h, d in psi.sorted_summands()))
-
-    def support(self) -> frozenset:
-        return frozenset(lab for lab, s in self.signs if s == -1)
-
-
-@dataclass(frozen=True)
 class Classification:
     arthur_type: ArthurType
     component_group: TwoGroup
-    automorphy_character: TwoGroupCharacter
-    sign_element: SPsiElement
+    automorphy_character: frozenset  # the labels it flips
+    sign_element: frozenset  # the labels of the even-d summands
 
     @property
     def component_rank(self) -> int:
@@ -446,8 +407,8 @@ def classify(
     summands = psi.sorted_summands()
     shape = tuple((h.N, d) for h, d in summands)
     sgroup = component_group_table(psi)
-    trivial = TwoGroupCharacter.trivial(sgroup)
-    s_elt = SPsiElement.of(psi)
+    trivial = frozenset()
+    s_elt = frozenset(h.id for h, d in summands if d % 2 == 0)
 
     if shape == ((4, 1),):
         return Classification(ArthurType.GENERAL, sgroup, trivial, s_elt)
@@ -462,10 +423,7 @@ def classify(
             raise ValueError("unclassifiable: ratio to chi must have order two")
         return Classification(ArthurType.SOUDRY, sgroup, trivial, s_elt)
     if shape == ((2, 1), (1, 2)):
-        eps = trivial
-        if root_number_minus:
-            labels = sgroup.basis_labels
-            eps = TwoGroupCharacter.make(sgroup, {lab: -1 for lab in labels})
+        eps = frozenset(sgroup.basis_labels) if root_number_minus else trivial
         return Classification(ArthurType.SAITO_KUROKAWA, sgroup, eps, s_elt)
     if shape == ((1, 2), (1, 2)):
         return Classification(ArthurType.HOWE_PS, sgroup, trivial, s_elt)
@@ -488,7 +446,7 @@ def multiplicity_prefactor(psi: FormalParameter, target: GroupTag) -> int:
 def multiplicity(
     group: CharacterGroup,
     psi: FormalParameter,
-    local_data: Sequence[tuple[str, TwoGroupCharacter]],
+    local_data: Sequence[tuple[str, frozenset]],
     target: GroupTag | None = None,
     root_number_minus: bool = False,
 ) -> int:
@@ -504,13 +462,11 @@ def multiplicity(
         sgroup, eps = cls.component_group, cls.automorphy_character
     else:
         sgroup = component_group_table(psi)
-        eps = TwoGroupCharacter.trivial(sgroup)
-    prod = TwoGroupCharacter.trivial(sgroup)
+        eps = frozenset()
+    # the product of the local characters equals eps iff eps times it is trivial
     for _place, ch in local_data:
-        TwoGroupCharacter.make(sgroup, dict(ch.values))  # validates relations
-        prod = prod * ch
-    same = all(prod.evaluate(el) == eps.evaluate(el) for el in sgroup.elements())
-    return multiplicity_prefactor(psi, target) if same else 0
+        eps ^= sgroup.character(dict.fromkeys(ch, -1))  # validates ch
+    return multiplicity_prefactor(psi, target) if sgroup.is_trivial(eps) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +574,7 @@ class OracleResult:
         table_group = cls.component_group
         if table_group.rank != self.component_group.rank:
             return False
-        return table_group.canonical(cls.sign_element.support()) == self.sign_element
+        return table_group.canonical(cls.sign_element) == self.sign_element
 
 
 def component_group_oracle(psi: FormalParameter) -> OracleResult:

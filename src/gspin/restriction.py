@@ -55,8 +55,8 @@ def _split_pieces(generators: Sequence[ExactMatrix]) -> list[ExactMatrix]:
             if restricted is None or restricted.is_scalar():
                 new_pieces.append(span)
                 continue
-            parts, irrational = rational_eigensplit(restricted)
-            if irrational.cols:
+            parts = rational_eigensplit(restricted)
+            if sum(sub.cols for _lam, sub in parts) != span.cols:
                 raise ValueError("degenerate generator set: irrational commutant spectrum")
             new_pieces.extend(span * sub for _lam, sub in parts)
         pieces = new_pieces
@@ -269,7 +269,7 @@ def restrict_member(member: PacketMember, proj: ProjectedParameter) -> frozenset
     if proj.s_group.group.rank == 0:
         return frozenset(chars)
     want = 1 if member.label == "+" else -1
-    return frozenset(ch for ch in chars if ch.evaluate(proj.embedded_s) == want)
+    return frozenset(ch for ch in chars if TwoGroup.value(ch, proj.embedded_s) == want)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .exactlin import ExactMatrix
 from .params import (
     CuspidalHandle,
     FormalParameter,
-    TwoGroupCharacter,
     check_selfdual,
     gl2_alternative,
     gl4_alternative,
@@ -206,7 +205,7 @@ def build_scenario(doc: dict) -> Scenario:
             elif sign is None and n == 2:
                 handle = gl2_alternative(group, handle)
             elif sign is None and n == 4:
-                handle = gl4_alternative(group, handle).handle
+                handle = gl4_alternative(group, handle)
         cuspidals[ident] = handle
 
     parameters: dict[str, ParameterFixture] = {}
@@ -234,12 +233,12 @@ def build_scenario(doc: dict) -> Scenario:
     return Scenario(group=group, classes=classes, parameters=parameters, requests=requests)
 
 
-def local_characters(fixture: ParameterFixture, sgroup) -> list[tuple[str, TwoGroupCharacter]]:
+def local_characters(fixture: ParameterFixture, sgroup) -> list[tuple[str, frozenset]]:
     out = []
     for k, (place, values) in enumerate(fixture.local_data):
         try:
-            ch = TwoGroupCharacter.make(sgroup, values)
-        except (KeyError, ValueError) as err:
+            ch = sgroup.character(values)
+        except ValueError as err:
             raise ScenarioError(f"{_at('local_data', fixture.name)}[{k}]: {err}") from None
         out.append((place, ch))
     return out

@@ -201,7 +201,7 @@ def check_types_table_vs_oracle(seed: int, corrupt: bool) -> CheckResult:
     eps_minus = classify(g, sk, root_number_minus=True).automorphy_character
     eps_plus = classify(g, sk, root_number_minus=False).automorphy_character
     cg = classify(g, sk).component_group
-    if eps_plus.is_trivial_on(cg) is not True or eps_minus.is_trivial_on(cg) is not False:
+    if cg.is_trivial(eps_plus) is not True or cg.is_trivial(eps_minus) is not False:
         return CheckResult("params.type_table", False, "epsilon flag")
     return CheckResult("params.type_table", True, "six types match the oracle, epsilon flag correct")
 

@@ -23,6 +23,7 @@ from gspin.params import (
     ArthurType,
     CuspidalHandle,
     FormalParameter,
+    TwoGroup,
     character_summand,
     classify,
     component_group_oracle,
@@ -132,7 +133,7 @@ def test_criterion_1_type_table():
             cls = classify(g, psi, root_number_minus=flag)
             assert cls.arthur_type == expected_type and cls.arthur_type.letter == letter
             assert cls.component_rank == expected_rank
-            eps_trivial = cls.automorphy_character.is_trivial_on(cls.component_group)
+            eps_trivial = cls.component_group.is_trivial(cls.automorphy_character)
             if letter == "d" and flag:
                 assert not eps_trivial  # epsilon = sgn exactly here
             else:
@@ -235,9 +236,9 @@ def test_criterion_6_restriction():
         if proj.s_group.group.rank == 1:
             plus, minus = packet_members(phi)
             for ch in restrict_member(plus, proj):
-                assert ch.evaluate(proj.embedded_s) == 1
+                assert TwoGroup.value(ch, proj.embedded_s) == 1
             for ch in restrict_member(minus, proj):
-                assert ch.evaluate(proj.embedded_s) == -1
+                assert TwoGroup.value(ch, proj.embedded_s) == -1
     for name, phi in gso4_shape_catalog().items():
         group, chars = restrict_gso4(phi)
         assert isinstance(chars, frozenset)  # duplicate-free container

@@ -98,6 +98,32 @@ def test_local_data_with_unknown_label_is_input_error(tmp_path, capsys, v2, unkn
     assert captured.err == f"input error: local_data.psi[1]: unknown label {unknown!r}\n"
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"pi1": 2, "pi2": -1}, "character values must be +-1"),
+        ({"pi1": -1}, "character violates the relations of the group"),
+    ],
+    ids=["value-not-a-sign", "flips-one-summand"],
+)
+def test_local_data_that_is_not_a_character_is_input_error(tmp_path, capsys, values, message):
+    doc = {
+        "characters": {"generators": [{"name": "chi0"}], "defined": {"chi": {"free": {"chi0": 1}}}},
+        "cuspidals": [
+            {"id": "pi1", "N": 2, "central_character": "chi", "chi": "chi"},
+            {"id": "pi2", "N": 2, "central_character": "chi", "chi": "chi"},
+        ],
+        "parameters": [{"name": "psi", "chi": "chi", "summands": [["pi1", 1], ["pi2", 1]]}],
+        "local_data": {"psi": [["v1", values]]},
+        "requests": [{"op": "multiplicity", "parameter": "psi"}],
+    }
+    code = main(["run", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: local_data.psi[0]: {message}\n"
+
+
 def test_empty_request_list(tmp_path, capsys):
     doc = {"requests": []}
     code = main(["run", write_scenario(tmp_path, doc)])

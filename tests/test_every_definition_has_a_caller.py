@@ -1,6 +1,8 @@
 """Every top-level function, class and constant of the package, and every
 public method of its top-level classes, is read somewhere in the package
-outside its own definition: as a name, an attribute or an imported name.
+outside its own definition: a top-level name as a name, an attribute or an
+imported name, a method as an attribute (a bare name that happens to share
+the method's name does not call it).
 
 Code that only tests call is code to delete.  A name kept on purpose for a
 reader outside the package is listed in KEPT with its reason; the list holds
@@ -19,7 +21,7 @@ KEPT = {
     "gso4_shape_catalog": "demo 06 and acceptance criterion 6 read it",
     "catalog": "demo 03 reads it",
     "boxtimes": "ROADMAP item 2 builds on it",
-    "ExactMatrix.column": "public accessor, the counterpart of row",
+    "ExactMatrix.column": "public accessor: the vectors of a frame are its columns",
     "ThetaTwist.apply_dual": "the tests' reference for endoscopy.theta_s_fixed",
 }
 
@@ -37,35 +39,43 @@ def _reads(tree: ast.AST) -> list[str]:
     return out
 
 
+def _attributes(tree: ast.AST) -> list[str]:
+    """Attribute names read in the tree: the only way to call a method."""
+    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
 def _definitions(tree: ast.Module):
-    """(qualified name, name, line, reads inside the definition) of each
-    top-level def, class and assigned name, and of each public method of a
-    top-level class."""
+    """(qualified name, name, line, reads inside the definition, reader) of
+    each top-level def, class and assigned name, read by `_reads`, and of
+    each public method of a top-level class, read by `_attributes`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node.lineno, _reads(node)
+            yield node.name, node.name, node.lineno, _reads(node), _reads
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             inside = _reads(node.value) if node.value else []
             for t in targets:
                 if isinstance(t, ast.Name):
-                    yield t.id, t.id, node.lineno, inside
+                    yield t.id, t.id, node.lineno, inside, _reads
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item.lineno, _reads(item)
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, _attributes(item), _attributes
 
 
 def _uncalled(paths: list[Path]) -> dict[str, str]:
     """Qualified name -> file:line of each definition that no module reads
     outside the definition itself."""
     trees = {path: ast.parse(path.read_text()) for path in paths}
-    reads = [name for tree in trees.values() for name in _reads(tree)]
+    reads = {
+        reader: [name for tree in trees.values() for name in reader(tree)]
+        for reader in (_reads, _attributes)
+    }
     return {
         qualified: f"{path.name}:{line}"
         for path, tree in trees.items()
-        for qualified, name, line, inside in _definitions(tree)
-        if not name.startswith("__") and reads.count(name) == inside.count(name)
+        for qualified, name, line, inside, reader in _definitions(tree)
+        if not name.startswith("__") and reads[reader].count(name) == inside.count(name)
     }
 
 
@@ -92,6 +102,7 @@ def test_an_uncalled_definition_is_found(tmp_path):
         "    def spare(self):\n"
         "        return self._private()\n"
     )
-    b.write_text("from a import count, Box\nprint(count(2), Box())\n")
+    # b's own `spare` is a bare name: it does not call Box.spare
+    b.write_text("from a import count, Box\nspare = 2\nprint(count(2), Box(), spare)\n")
     assert sorted(_uncalled([a])) == ["Box", "Box.spare", "SPARE", "count"]
     assert sorted(_uncalled([a, b])) == ["Box.spare", "SPARE"]

@@ -188,7 +188,7 @@ def test_span_basis_is_the_reduced_basis_of_the_column_span(f):
     # they span the column space of f
     basis = span_basis(f)
     red, _ = rref(f.transpose())
-    nonzero = [red.row(i) for i in range(red.rows) if any(red.row(i))]
+    nonzero = [row for row in red.entries() if any(row)]
     assert [basis.column(j) for j in range(basis.cols)] == nonzero
     assert basis.cols == rank(basis) == rank(f) == rank(ExactMatrix.hstack([f, basis]))
 

@@ -12,9 +12,7 @@ from gspin.params import (
     Classification,
     CuspidalHandle,
     FormalParameter,
-    SPsiElement,
     TwoGroup,
-    TwoGroupCharacter,
     boxtimes,
     character_summand,
     check_selfdual,
@@ -64,9 +62,9 @@ def general_parameter(g):
     chi = g.element({"chi0": 1})
     pi = CuspidalHandle(id="Pi4", N=4, central_character=g.pow(chi, 2), chi=chi)
     check_selfdual(g, pi)
-    alt = gl4_alternative(g, pi)
-    assert alt.case == "symplectic"
-    return FormalParameter(chi=chi, summands=((alt.handle, 1),))
+    handle = gl4_alternative(g, pi)
+    assert handle.sign == -1
+    return FormalParameter(chi=chi, summands=((handle, 1),))
 
 
 def soudry_parameter(g):
@@ -139,18 +137,18 @@ def test_two_group_subquotient():
     assert tg.elements() == [frozenset(), frozenset("ab")]
     chars = tg.characters()
     assert len(chars) == tg.order
-    assert [ch.rep for ch in chars] == [frozenset(), frozenset("b")]
+    assert chars == [frozenset(), frozenset("b")]
     for ch in chars:
-        assert ch.evaluate(frozenset("ac")) == 1
+        assert tg.value(ch, frozenset("ac")) == 1
 
 
 def test_character_respects_relations():
     tg = TwoGroup(("a", "b"), [frozenset({"a", "b"})])
     with pytest.raises(ValueError):
-        TwoGroupCharacter.make(tg, {"a": -1, "b": 1})
-    sgn = TwoGroupCharacter.make(tg, {"a": -1, "b": -1})
-    assert sgn.evaluate({"a"}) == -1
-    assert (sgn * sgn).is_trivial_on(tg)
+        tg.character({"a": -1, "b": 1})
+    sgn = tg.character({"a": -1, "b": -1})
+    assert tg.value(sgn, {"a"}) == -1
+    assert tg.is_trivial(sgn ^ sgn)
     assert len(tg.characters()) == 2
 
 
@@ -160,7 +158,7 @@ def test_character_is_multiplicative():
         for x in tg.elements():
             for y in tg.elements():
                 xy = tg.canonical(set(x) ^ set(y))
-                assert ch.evaluate(xy) == ch.evaluate(x) * ch.evaluate(y)
+                assert tg.value(ch, xy) == tg.value(ch, x) * tg.value(ch, y)
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +203,15 @@ def test_gl4_alternative_cases():
     t = CuspidalHandle(
         id="t", N=4, central_character=g.pow(chi, 2), chi=chi, tensor_origin=("a", "b")
     )
-    alt = gl4_alternative(g, t)
-    assert alt.case == "tensor" and alt.handle.sign == +1
+    assert gl4_alternative(g, t).sign == +1
     # case 2: omega != chi^2 by the quadratic beta
     a = CuspidalHandle(
         id="a4", N=4, central_character=g.mul(g.pow(chi, 2), g.element({}, {"beta"})), chi=chi
     )
-    alt = gl4_alternative(g, a)
-    assert alt.case == "asai" and alt.alpha.token == "alpha" and alt.handle.sign == +1
+    assert gl4_alternative(g, a).sign == +1
     # case 3: symplectic
     s = CuspidalHandle(id="s4", N=4, central_character=g.pow(chi, 2), chi=chi)
-    alt = gl4_alternative(g, s)
-    assert alt.case == "symplectic" and alt.handle.sign == -1
+    assert gl4_alternative(g, s).sign == -1
     # inconsistent: tensor origin but omega != chi^2
     bad = CuspidalHandle(
         id="bad4",
@@ -227,6 +222,19 @@ def test_gl4_alternative_cases():
     )
     with pytest.raises(ValueError):
         gl4_alternative(g, bad)
+    # Asai-type refusals: chi^2 / omega not of order two, or of order two
+    # without a declared square class
+    free = CuspidalHandle(
+        id="f4", N=4, central_character=g.mul(g.pow(chi, 2), g.element({"eta0": 1})), chi=chi
+    )
+    with pytest.raises(ValueError, match="order two"):
+        gl4_alternative(g, free)
+    g.declare_generator("gamma", order_two=True)
+    undeclared = CuspidalHandle(
+        id="u4", N=4, central_character=g.mul(g.pow(chi, 2), g.element({}, {"gamma"})), chi=chi
+    )
+    with pytest.raises(ValueError, match="no declared square class"):
+        gl4_alternative(g, undeclared)
 
 
 def test_boxtimes_rules():
@@ -325,7 +333,7 @@ def test_classification_table():
         assert cls.arthur_type == expected_type
         assert cls.component_rank == expected_rank
         if expected_type != ArthurType.SAITO_KUROKAWA:
-            assert cls.automorphy_character.is_trivial_on(cls.component_group)
+            assert cls.component_group.is_trivial(cls.automorphy_character)
 
 
 def test_saito_kurokawa_epsilon_flag():
@@ -333,22 +341,22 @@ def test_saito_kurokawa_epsilon_flag():
     psi = saito_kurokawa_parameter(g)
     plus = classify(g, psi, root_number_minus=False)
     minus = classify(g, psi, root_number_minus=True)
-    assert plus.automorphy_character.is_trivial_on(plus.component_group)
-    assert not minus.automorphy_character.is_trivial_on(minus.component_group)
+    assert plus.component_group.is_trivial(plus.automorphy_character)
+    assert not minus.component_group.is_trivial(minus.automorphy_character)
 
 
 def test_sign_element_parities():
     g = make_group()
     psi = saito_kurokawa_parameter(g)
     cls = classify(g, psi)
-    support = cls.sign_element.support()
+    support = cls.sign_element
     # the eta[2] summand carries the -1 coordinate
     assert len(support) == 1
     (lab,) = support
     assert lab.startswith("char:")
     # Yoshida: both d odd, sign element trivial
     cls_y = classify(g, yoshida_parameter(g))
-    assert cls_y.sign_element.support() == frozenset()
+    assert cls_y.sign_element == frozenset()
 
 
 def test_classify_rejects_nonmember():
@@ -496,7 +504,7 @@ def test_multiplicity_yoshida_two_sgn_places():
     g = make_group()
     psi = yoshida_parameter(g)
     sg = classify(g, psi).component_group
-    sgn = TwoGroupCharacter.make(sg, {lab: -1 for lab in sg.basis_labels})
+    sgn = sg.character({lab: -1 for lab in sg.basis_labels})
     assert multiplicity(g, psi, [("v1", sgn), ("v2", sgn)]) == 1
     assert multiplicity(g, psi, [("v1", sgn)]) == 0
 
@@ -550,7 +558,7 @@ def test_multiplicity_rejects_bad_character():
     psi = yoshida_parameter(g)
     sg = classify(g, psi).component_group
     lab = sg.basis_labels[0]
-    bad = TwoGroupCharacter(((lab, -1), (sg.basis_labels[1], 1)))
+    bad = frozenset({lab})
     with pytest.raises(ValueError):
         multiplicity(g, psi, [("v", bad)])
 

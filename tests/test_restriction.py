@@ -29,7 +29,7 @@ def test_sign_group_basics():
     assert g.order == 2 and g.rank == 1
     chars = g.characters()
     assert len(chars) == 2
-    nontrivial = [c for c in chars if c.evaluate(frozenset({"a", "b"})) == -1]
+    nontrivial = [c for c in chars if g.value(c, frozenset({"a", "b"})) == -1]
     assert len(nontrivial) == 1
     with pytest.raises(ValueError):
         TwoGroup(("a",), elements=[frozenset({"a"})])  # missing identity
@@ -86,9 +86,9 @@ def test_restrict_member_sign_split():
     assert len(out_plus) == len(out_minus) == 2  # half of the four characters
     assert not (out_plus & out_minus)
     for ch in out_plus:
-        assert ch.evaluate(proj.embedded_s) == 1
+        assert TwoGroup.value(ch, proj.embedded_s) == 1
     for ch in out_minus:
-        assert ch.evaluate(proj.embedded_s) == -1
+        assert TwoGroup.value(ch, proj.embedded_s) == -1
 
 
 def test_restrict_member_wrong_parent():

@@ -29,7 +29,7 @@ def _unused_imports(path: Path) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = alias.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    # names inside string annotations such as -> "TwoGroupCharacter"
+    # names inside string annotations such as -> "ExactMatrix"
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
