@@ -4,8 +4,9 @@
 Each datum is a semisimple sign element s with a printed Frobenius image for
 the non-split members.  The dimension of the (twisted) centralizer Lie
 algebra is recomputed from scratch and compared with the dimension of the
-endoscopic dual group; the two restriction squares are checked to commute on
-seeded exact samples.
+endoscopic dual group, and a fixed generating set of that group is checked to
+centralize s (the "samples" verdict); the two restriction squares are checked
+to commute on seeded exact samples.
 """
 
 from gspin.characters import AlphaClass
@@ -21,7 +22,7 @@ for ambient, classes, title in (
 ):
     print(f"== elliptic endoscopic data of the {title} ==")
     for d in catalog(ambient, classes):
-        report = verify_centralizer(d, seed=0)
+        report = verify_centralizer(d)
         iota = f", stabilisation constant {d.stabilisation_constant}" if d.stabilisation_constant else ""
         print(f"  {d.name}: H = {d.h_description}, s = diag{tuple(int(d.s.g[i, i]) for i in range(4))}")
         print(f"    {report.message()}{iota}")

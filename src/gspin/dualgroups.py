@@ -8,13 +8,14 @@ GSpin2^alpha x GSpin3.  The projection onto SO5 (dual of Sp4) is realized on
 the second exterior power, with the invariant symplectic-form line split off
 exactly.
 
-The seeded samplers and the two maps into SO5 run on integer numerators (see
+The seeded GSp4 and GL2 samplers, which drive the restriction-diagram and
+projection checks, and the two maps into SO5 run on integer numerators (see
 ``exactlin.int_product``) and normalise each matrix they return once; every
-sample is still checked exactly before it is returned.  Constant factors
-(the split bases, the SO4-block bases, THETA_J, the diagonal of a sample and
-each reflection) are applied through their nonzero entries
-(``exactlin.sparse_product``) or as rank-one updates, never as dense
-products.
+GSp4 sample is still checked exactly before it is returned.  Constant
+factors (the split bases, the SO4-block bases, THETA_J and the diagonal of a
+sample) are applied through their nonzero entries
+(``exactlin.sparse_product``), never as dense products.  The endoscopic
+groups are not sampled: ``endoscopy`` checks each on a fixed generating set.
 """
 
 from __future__ import annotations
@@ -445,32 +446,3 @@ def sample_gl2(rng, det_value: Fraction) -> ExactMatrix:
         if a != 0:
             # d = (det_value + b c) / a; every entry over q a
             return ExactMatrix._make(((q * a * a, q * a * b), (q * a * c, p + q * b * c)), q * a, 2)
-
-
-def sample_gso4(rng) -> DualElement:
-    """Seeded exact sample of GSO4 (similitude nu, det = nu^2) for the fixed
-    Gram, paired with its similitude coordinate: an even number of
-    reflections times diag(a, b, nu/b, nu/a), multiplied on numerators and
-    normalised once."""
-    num, den = ExactMatrix.identity(4)._num, 1
-    for _ in range(2 * rng.randint(1, 2)):
-        while True:
-            v = [rng.randint(-3, 3) for _ in range(4)]
-            gv = [sum(map(mul, r, v)) for r in GSO4_GRAM._num]
-            q = sum(map(mul, v, gv))
-            if q:
-                break
-        # times the reflection (q - 2 v t(G v)) / q in the non-isotropic v,
-        # a rank-one update of the numerators
-        nv = [sum(map(mul, r, v)) for r in num]
-        num = tuple(tuple([q * x - 2 * s * y for x, y in zip(r, gv)]) for r, s in zip(num, nv))
-        den *= q
-    nu, a, b = (rng.randint(1, 4) for _ in range(3))
-    # times diag(a, b, nu/b, nu/a) = diag(a a b, b a b, nu a, nu b) / (a b)
-    column_scale = (a * a * b, b * a * b, nu * a, nu * b)
-    num = tuple(tuple([x * f for x, f in zip(r, column_scale)]) for r in num)
-    g = ExactMatrix._make(num, den * a * b, 4)
-    x = similitude_factor(g, GSO4_GRAM)
-    if x is None or g.det() != x * x:
-        raise ValueError("sample left the special similitude group GSO4")
-    return DualElement(g, x)

@@ -257,20 +257,6 @@ class ExactMatrix:
         den = self._den * vd
         return tuple(Fraction(sum(map(mul, row, vec)), den) for row in self._num)
 
-    def __pow__(self, k: int) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return ExactMatrix.identity(self.rows)
-        out = self
-        for bit in bin(k)[3:]:  # the bits below the top one, highest first
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
-
     def transpose(self) -> "ExactMatrix":
         num = tuple(zip(*self._num)) if self.rows else ((),) * self.cols
         return ExactMatrix._raw(num, self._den, self.rows)
@@ -493,8 +479,8 @@ def krylov(m: ExactMatrix, starts: ExactMatrix, length: int) -> ExactMatrix:
 def generalized_kernel(m: ExactMatrix) -> ExactMatrix:
     """Basis frame of the generalized kernel of a square m: the kernel of the
     power of m at which the kernels stop growing, so an invertible m returns
-    after one kernel.  It is the frame ``kernel(m ** m.rows)`` gives, since a
-    kernel basis depends on the subspace alone."""
+    after one kernel.  It is the frame the kernel of the m.rows-th power of m
+    gives, since a kernel basis depends on the subspace alone."""
     power, prev = m, kernel(m)
     while 0 < prev.cols < m.rows:
         power = power * m

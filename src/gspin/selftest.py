@@ -167,7 +167,7 @@ def check_endoscopy_catalog(seed: int, corrupt: bool) -> CheckResult:
     for d in data:
         if corrupt and d.name == "h1":
             d = replace(d, s=DualElement(ExactMatrix.diagonal([1, 1, -1, 1]), 1))
-        reports.append(endoscopy.verify_centralizer(d, seed=seed))
+        reports.append(endoscopy.verify_centralizer(d))
     bad = [r for r in reports if not r.ok]
     dims = ",".join(str(r.computed_dim) for r in reports)
     if bad:

@@ -45,13 +45,9 @@ class LeviDescriptor:
         parts = [f"GL{k}" for k in self.blocks]
         if self.group.family == "gl_gl1":
             tail = "GL1"
-        elif self.group.family == "sp_gl1":
-            tail = f"Sp{2 * self.m}xGL1"
-        elif self.group.family == "gspin_odd":
-            tail = f"GSpin{2 * self.m + 1}"
         else:
-            alpha = self.group.alpha if self.m > 0 else "1"
-            tail = f"GSpin{2 * self.m}^{alpha}"
+            # the residual group; a rank-zero GSpin is split
+            tail = GroupTag(self.group.family, self.m, self.group.alpha if self.m else "1").describe()
         name = " x ".join(parts + [tail])
         return name + (" (outer copy)" if self.outer_copy else "")
 

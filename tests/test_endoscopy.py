@@ -4,18 +4,21 @@ from fractions import Fraction
 import pytest
 
 from gspin.characters import AlphaClass
-from gspin.dualgroups import DualElement, sample_gsp4, sample_gso4
-from gspin.exactlin import ExactMatrix, frac
+from gspin.dualgroups import DualElement, sample_gsp4
+from gspin.exactlin import ExactMatrix, frac, matrix_log_unipotent, span_basis
 from gspin import cli, endoscopy
 from gspin.endoscopy import (
     FROBENIUS_GSO4,
     FROBENIUS_H2,
     FROBENIUS_RANK1,
+    _generators,
     catalog,
     full_catalog,
     ordinary_centralizer_basis,
     restriction_diagrams_commute,
+    S_GSO4,
     S_H1,
+    S_RANK1,
     theta_s_fixed,
     twisted_centralizer_basis,
     verify_centralizer,
@@ -113,7 +116,8 @@ def test_a_warm_endoscopy_suite_inverts_only_the_frobenius_images_and_takes_no_e
 
 def test_a_warm_endoscopy_suite_makes_at_most_288_integer_products(monkeypatch):
     # 576 while the constant factors of the samplers and projections were
-    # dense products, and each similitude factor took two
+    # dense products, and each similitude factor took two; 162 while
+    # verify_centralizer drew samples; now only the restriction diagrams draw
     import gspin
     from gspin import exactlin
 
@@ -130,7 +134,20 @@ def test_a_warm_endoscopy_suite_makes_at_most_288_integer_products(monkeypatch):
             monkeypatch.setattr(module, "int_product", int_product)
     ok, lines = cli._endoscopy_suite(1)
     assert ok, lines
-    assert 0 < len(calls) <= 288
+    assert 0 < len(calls) <= 100
+
+
+def test_a_warm_verify_centralizer_multiplies_no_matrices(monkeypatch):
+    # each datum checks its generators once, when it is built
+    from gspin import exactlin
+
+    data = full_catalog()
+    calls = []
+    real = exactlin._matmul
+    monkeypatch.setattr(exactlin, "_matmul", lambda a, b: calls.append(1) or real(a, b))
+    for d in data:
+        assert verify_centralizer(d).ok
+    assert calls == []
 
 
 def test_twisted_centralizer_dimensions():
@@ -156,8 +173,77 @@ def test_every_catalog_entry_passes_verification():
         ("gspin4", [ALPHA]),
     ):
         for d in catalog(ambient, classes):
-            report = verify_centralizer(d, seed=7)
+            report = verify_centralizer(d)
             assert report.ok, report.message()
+
+
+def _log(g: ExactMatrix) -> ExactMatrix | None:
+    """log g of a unipotent g, diag(k) of g = diag(2^k), None otherwise."""
+    if (g - ExactMatrix.identity(g.rows)).charpoly()[:-1] == [0] * g.rows:
+        return matrix_log_unipotent(g)
+    entries = [g[i, i] for i in range(g.rows)]
+    if g != ExactMatrix.diagonal(entries):
+        return None
+    exponents = [e.numerator.bit_length() - e.denominator.bit_length() for e in entries]
+    assert entries == [Fraction(2) ** k for k in exponents], "diagonal generator not a power of 2"
+    return ExactMatrix.diagonal(exponents)
+
+
+def _generated_lie_algebra_dim(gens: list[ExactMatrix]) -> int:
+    """Dimension of the span of the logs of the generators, closed under
+    Ad(g) for every generator g and under brackets: a Lie algebra inside
+    that of the Zariski closure of the group the generators generate."""
+    n = gens[0].rows
+    algebra = [x for x in map(_log, gens) if x is not None]
+    dim = -1
+    while dim < len(algebra):
+        dim = len(algebra)
+        grown = algebra + [g * x * g.inverse() for g in gens for x in algebra]
+        grown += [x * y - y * x for i, x in enumerate(algebra) for y in algebra[:i]]
+        basis = span_basis(ExactMatrix.from_columns([[v for r in x.entries() for v in r] for x in grown]))
+        algebra = [ExactMatrix([basis.column(j)[n * i : n * i + n] for i in range(n)]) for j in range(basis.cols)]
+    return dim
+
+
+def test_the_generators_generate_a_group_of_the_printed_dimension():
+    dims = [_generated_lie_algebra_dim([e.g for e in _generators(d)]) for d in full_catalog()]
+    assert dims == [d.expected_centralizer_dim for d in full_catalog()] == [11, 7, 7, 5, 7, 3]
+    # without the similitude diag(1, 1, 2, 2), GSp4's generators generate Sp4
+    (gsp4,) = [d for d in full_catalog() if d.name == "gspin5"]
+    assert _generated_lie_algebra_dim([e.g for e in _generators(gsp4)][:-1]) == 10
+
+
+S_ELEMENTS = (ExactMatrix.identity(4), S_GSO4, S_RANK1, S_H1, ExactMatrix.diagonal([2, 1, -1, 3]))
+
+
+def test_generator_verdicts_for_every_datum_and_s():
+    from dataclasses import replace
+
+    rows = [
+        (d.name, "".join(str(int(verify_centralizer(replace(d, s=DualElement(s, 1))).samples_ok)) for s in S_ELEMENTS))
+        for d in full_catalog()
+    ]
+    # columns: s = 1, S_GSO4, S_RANK1, S_H1, diag(2, 1, -1, 3)
+    assert rows == [
+        ("gspin5", "10000"),
+        ("gspin4^1", "01000"),
+        ("gspin4^alpha", "01000"),
+        ("rank1^alpha", "10110"),
+        ("h1", "10010"),
+        ("h2^alpha", "11111"),
+    ]
+
+
+def test_verification_draws_nothing(monkeypatch):
+    from dataclasses import replace
+
+    def no_draws(*args):
+        raise AssertionError("verify_centralizer drew a random sample")
+
+    monkeypatch.setattr(endoscopy.random, "Random", no_draws)
+    for d in full_catalog():
+        report = verify_centralizer(replace(d))
+        assert report.ok, report.message()
 
 
 @pytest.mark.parametrize(
@@ -186,8 +272,8 @@ def test_theta_s_fixedness_of_gsp4_and_gso4_samples():
     for _ in range(5):
         e = sample_gsp4(rng, frac(rng.randint(1, 4)))
         assert theta_s_fixed(ExactMatrix.identity(4), e)
-    for _ in range(5):
-        e = sample_gso4(rng)
+    (gso4,) = [d for d in full_catalog() if d.name == "gspin4^1"]
+    for e in _generators(gso4):
         assert theta_s_fixed(ExactMatrix.diagonal([-1, -1, 1, 1]), e)
 
 

@@ -1,11 +1,13 @@
-"""Property test: the twisted fixed-point test of the endoscopy samples,
+"""Property test: the twisted fixed-point test of the endoscopy generators,
 `theta_s_fixed`, agrees with applying Ad(s) after the dual twist and
-comparing, on fixed samples and on perturbed ones that are not fixed.
+comparing, on words in the generators, which are fixed, and on perturbed
+ones that are not.
 
-Examples are derandomized, so every run checks the same samples.
+Examples are derandomized, so every run checks the same words.
 """
 
-import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -13,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gspin.dualgroups import STANDARD_TWIST, DualElement  # noqa: E402
-from gspin.endoscopy import S_GSO4, S_H1, S_RANK1, _xi_samples, full_catalog, theta_s_fixed  # noqa: E402
+from gspin.endoscopy import S_GSO4, S_H1, S_RANK1, _generators, full_catalog, theta_s_fixed  # noqa: E402
 from gspin.exactlin import ExactMatrix  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -27,12 +29,12 @@ def _fixed_by_the_twist(s: ExactMatrix, e: DualElement) -> bool:
 
 @st.composite
 def twisted_samples(draw):
-    """A sample of one twisted datum, as drawn by verify_centralizer, with
+    """A word of one to four generators of one twisted datum's group, with
     its datum's s; then possibly sheared, its GL1 coordinate doubled, or
     paired with another s."""
     data = [d for d in full_catalog() if d.twisted]
     d = draw(st.sampled_from(data))
-    e = draw(st.sampled_from(_xi_samples(d, random.Random(draw(st.integers(0, 10**6))))))
+    e = reduce(mul, draw(st.lists(st.sampled_from(_generators(d)), min_size=1, max_size=4)))
     move = draw(st.sampled_from(["none", "shear", "double", "other s"]))
     s = d.s.g
     if move == "shear":
@@ -58,12 +60,11 @@ def test_theta_s_fixed_agrees_with_the_twist(sample):
 
 def test_theta_s_fixed_agrees_with_the_twist_on_every_datum_and_s():
     seen = set()
-    for seed in range(3):
-        for d in full_catalog():
-            for e in _xi_samples(d, random.Random(seed)):
-                for s in S_ELEMENTS:
-                    for f in (e, DualElement(e.g * SHEAR, e.x), DualElement(e.g, 2 * e.x)):
-                        fixed = theta_s_fixed(s, f)
-                        assert fixed == _fixed_by_the_twist(s, f)
-                        seen.add(fixed)
+    for d in full_catalog():
+        for e in _generators(d):
+            for s in S_ELEMENTS:
+                for f in (e, DualElement(e.g * SHEAR, e.x), DualElement(e.g, 2 * e.x)):
+                    fixed = theta_s_fixed(s, f)
+                    assert fixed == _fixed_by_the_twist(s, f)
+                    seen.add(fixed)
     assert seen == {True, False}

@@ -296,21 +296,6 @@ def test_exp_log_unipotent_roundtrip():
     assert matrix_log_unipotent(u) == n
 
 
-def test_power_squares_from_the_matrix_itself(monkeypatch):
-    from gspin import exactlin
-
-    calls = []
-    real = exactlin._matmul
-    monkeypatch.setattr(exactlin, "_matmul", lambda a, b: calls.append(1) or real(a, b))
-    m = ExactMatrix([[1, 1], [0, 2]])
-    for k, products in ((1, 0), (2, 1), (3, 2), (4, 2), (8, 3)):
-        calls.clear()
-        assert m ** k == ExactMatrix([[1, 2**k - 1], [0, 2**k]])
-        assert len(calls) == products, k
-    assert m ** 0 == ExactMatrix.identity(2)
-    assert m ** -1 == ExactMatrix([[1, Fraction(-1, 2)], [0, Fraction(1, 2)]])
-
-
 def test_exp_and_log_refuse_what_is_not_nilpotent_or_unipotent():
     m = ExactMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]])
     with pytest.raises(ValueError, match="not unipotent"):
