@@ -14,12 +14,11 @@ from gspin.dualgroups import (
     SO5_GRAM,
     THETA_J,
     apply_theta,
-    fixed_point_check,
     pinning_fixed_by_theta,
     project_to_so5,
     sample_gsp4,
 )
-from gspin.exactlin import ExactMatrix, frac
+from gspin.exactlin import ExactMatrix, frac, similitude_factor
 
 print("the twist matrix J:")
 print(THETA_J)
@@ -35,17 +34,16 @@ print("pinning check (Borel, torus, simple root vectors):", pinning_fixed_by_the
 print()
 
 rng = random.Random(0)
-e = sample_gsp4(rng, frac(3))
+g = sample_gsp4(rng, frac(3))
 print("a symplectic similitude sample with factor 3:")
-print(e.g)
-print("fixed by the dual twist:", fixed_point_check(e))
-p = project_to_so5(e)
+print(g)
+print("fixed by the dual twist:", similitude_factor(g, THETA_J) == 3)
+p = project_to_so5(g)
 print("its projection to SO5:")
 print(p)
 print("orthogonal for the induced form:", p.transpose() * SO5_GRAM * p == SO5_GRAM)
 print("special:", p.det() == 1)
 print()
 
-lam = frac(5)
-center = DualElement(ExactMatrix.identity(4).scale(lam), lam * lam)
+center = ExactMatrix.identity(4).scale(5)
 print("the center projects to the identity:", project_to_so5(center) == ExactMatrix.identity(5))

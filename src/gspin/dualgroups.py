@@ -8,6 +8,10 @@ GSpin2^alpha x GSpin3.  The projection onto SO5 (dual of Sp4) is realized on
 the second exterior power, with the invariant symplectic-form line split off
 exactly.
 
+A GSp4 element is its 4x4 matrix g: its similitude factor nu(g) is read off
+g wherever it is needed, so no caller hands it in.  DualElement (g, x) is an
+element of the twisted stage GL4 x GL1 only, where x is data of its own.
+
 The seeded GSp4 and GL2 samplers, which drive the restriction-diagram and
 projection checks, and the two maps into SO5 run on integer numerators (see
 ``exactlin.int_product``) and normalise each matrix they return once; every
@@ -102,18 +106,9 @@ def gspin_even_tag(alpha: str = "1") -> GroupTag:
 # the twist
 
 
-def theta_pinning_matrix(n: int = 4) -> ExactMatrix:
-    """The antidiagonal matrix with alternating entries -1, 1, ... chosen so
-    that conjugated inverse-transpose fixes the standard pinning of GL_n."""
-    return ExactMatrix(
-        [
-            [(Fraction(-1) ** (i + 1) if j == n - 1 - i else ZERO) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-
-
-THETA_J = theta_pinning_matrix(4)
+# the antidiagonal matrix with alternating entries -1, 1, ... chosen so that
+# conjugated inverse-transpose fixes the standard pinning of GL4
+THETA_J = ExactMatrix.antidiagonal([-1, 1, -1, 1])
 
 
 @dataclass(frozen=True)
@@ -129,9 +124,6 @@ class DualElement:
             raise ValueError("g must be square")
         if self.x == 0:
             raise ValueError("GL1 coordinate must be nonzero")
-
-    def __mul__(self, other: "DualElement") -> "DualElement":
-        return DualElement(self.g * other.g, self.x * other.x)
 
 
 @dataclass(frozen=True)
@@ -192,11 +184,6 @@ def embed_pair(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         (p, q), (r, s) = blk._num
         m[i0][i0], m[i0][i1], m[i1][i0], m[i1][i1] = p * f, q * f, r * f, s * f
     return ExactMatrix._make(tuple(map(tuple, m)), den, 4)
-
-
-def fixed_point_check(e: DualElement) -> bool:
-    """True iff (g, x) is fixed by the dual twist, i.e. t(g) J g = x J."""
-    return similitude_factor(e.g, THETA_J) == e.x
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +265,17 @@ def _complement_block(num: tuple, den: int, message: str) -> ExactMatrix:
     return ExactMatrix._make(tuple(r[1:] for r in num[1:]), den, 5)
 
 
-def project_to_so5(e: DualElement) -> ExactMatrix:
+def project_to_so5(g: ExactMatrix) -> ExactMatrix:
     """The 5x5 matrix induced on the complement of the invariant line by the
-    exterior square divided by the similitude factor.
+    exterior square divided by the similitude factor x = nu(g).
 
-    Requires (g, x) in the symplectic similitude realization; the result is
+    Requires g in the symplectic similitude realization; the result is
     special orthogonal for SO5_GRAM.  With x = p / q the split matrix is
     SPLIT_BASIS_INV (q minors(num g)) SPLIT_BASIS / (p den(g)^2), on numerators.
     """
-    if not fixed_point_check(e):
+    x = similitude_factor(g, THETA_J)
+    if x is None:
         raise ValueError("input is not in the symplectic similitude realization")
-    g, x = e.g, e.x
     num, den = _split_product(
         SPLIT_BASIS_INV, _minors(g._num, x.denominator), x.numerator * g._den * g._den, SPLIT_BASIS
     )
@@ -333,12 +320,11 @@ class PinningReport:
     failures: tuple[str, ...]
 
 
-def pinning_fixed_by_theta(j: ExactMatrix | None = None) -> PinningReport:
-    """Check that the twist built from j preserves the upper-triangular Borel,
+def pinning_fixed_by_theta() -> PinningReport:
+    """Check that the standard twist preserves the upper-triangular Borel,
     the diagonal torus, and permutes the simple root vectors exactly."""
-    j = THETA_J if j is None else j
-    n = j.rows
-    twist = ThetaTwist(j)
+    twist = STANDARD_TWIST
+    n = twist.J.rows
     failures: list[str] = []
 
     # diagonal torus: theta of a generic diagonal must be diagonal
@@ -407,13 +393,13 @@ def _exp_strictly_upper(n1: tuple, d: int) -> tuple:
     )
 
 
-def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
+def sample_gsp4(rng, similitude: Fraction) -> ExactMatrix:
     """Seeded exact sample of GSp4 with the requested similitude factor:
     diag(a, b, x/b, x/a) times one to three factors exp(N), each optionally
     followed by THETA_J, multiplied on numerators and normalised once.  The
     diagonal scales the rows of the first exp(N), and THETA_J permutes
     columns with signs."""
-    x = frac(similitude) if similitude is not None else ONE
+    x = frac(similitude)
     p, q = x.numerator, x.denominator
     a = rng.randint(1, 5)
     b = rng.randint(1, 5)
@@ -431,10 +417,9 @@ def sample_gsp4(rng, similitude: Fraction | None = None) -> DualElement:
             num = _times_constant(num, THETA_J)
             den *= THETA_J._den
     g = ExactMatrix._make(num, den, 4)
-    nu = similitude_factor(g, THETA_J)
-    if nu is None:
+    if similitude_factor(g, THETA_J) is None:
         raise ValueError("sample left the symplectic similitude group")
-    return DualElement(g, nu)
+    return g
 
 
 def sample_gl2(rng, det_value: Fraction) -> ExactMatrix:

@@ -1,14 +1,18 @@
 """Elliptic endoscopic data with exact verification.
 
-Each datum stores the printed matrix ingredients: the semisimple element s,
-the Frobenius image for non-split members, and the stabilisation constant
-where one is on record.  Each datum solves, by exact linear algebra, the basis
-of its (twisted) centralizer Lie algebra once, when it is built, and checks
-there, once, that its Frobenius image is an involution normalizing the
-embedded subgroup and that each element of a fixed generating set of its
-group H centralizes s in the twisted or the ordinary sense; the six data are
-built once per process.  verify_centralizer compares the dimension of that
-basis with the printed one and reports both checks.
+Each datum stores the printed matrix ingredients: the semisimple element s
+(a 4x4 matrix), the Frobenius image for non-split members, and the
+stabilisation constant where one is on record.  Each datum solves, by exact
+linear algebra, the basis of its (twisted) centralizer Lie algebra once,
+when it is built, and checks there, once, that its Frobenius image is an
+involution normalizing the embedded subgroup and that each element of a
+fixed generating set of its group H centralizes s in the twisted or the
+ordinary sense; the six data are built once per process, and full_catalog
+is the only way to them.  verify_centralizer compares the dimension of that
+basis with the printed one and reports both checks.  The generators of a
+twisted datum are elements (g, x) of the stage GL4 x GL1, x from the
+embedding's own formula; the restriction diagrams project bare GSp4
+matrices.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .characters import AlphaClass, TRIVIAL_CLASS
 from .dualgroups import (
     DualElement,
     GSO4_GRAM,
@@ -88,9 +90,8 @@ class EndoscopicDatum:
     name: str
     base: str  # 'twisted_gl4', 'gspin5', 'gspin4'
     h_description: str
-    s: DualElement
+    s: ExactMatrix
     expected_centralizer_dim: int
-    alpha: AlphaClass = TRIVIAL_CLASS
     frobenius_image: ExactMatrix | None = None
     stabilisation_constant: Fraction | None = None
     lie_basis: tuple[tuple[ExactMatrix, Fraction], ...] = field(init=False, compare=False, repr=False)
@@ -112,33 +113,17 @@ def full_catalog() -> tuple[EndoscopicDatum, ...]:
     """The data of all three ambients with the one nontrivial square class
     'alpha' declared, built once, read-only: what verify-endoscopy and the
     selftest verify."""
-    alpha, tw, trivial = AlphaClass("alpha"), "twisted_gl4", TRIVIAL_CLASS
+    tw = "twisted_gl4"
     rows = (
-        # name, ambient, H, s, centralizer dimension, square class, Frobenius image, constant
-        ("gspin5", tw, "GSpin5", ExactMatrix.identity(4), 11, trivial, None, ONE),
-        ("gspin4^1", tw, "GSpin4^1", S_GSO4, 7, trivial, None, None),
-        ("gspin4^alpha", tw, "GSpin4^alpha", S_GSO4, 7, alpha, FROBENIUS_GSO4, None),
-        ("rank1^alpha", tw, "(GSpin2^alpha x GSpin3)/GL1", S_RANK1, 5, alpha, FROBENIUS_RANK1, None),
-        ("h1", "gspin5", "(GL2 x GL2)/GL1", S_H1, 7, trivial, None, Fraction(1, 4)),
-        ("h2^alpha", "gspin4", "(GSpin2^alpha x GSpin2^alpha)/GL1", S_H2, 3, alpha, FROBENIUS_H2, None),
+        # name, ambient, H, s, centralizer dimension, Frobenius image, constant
+        ("gspin5", tw, "GSpin5", ExactMatrix.identity(4), 11, None, ONE),
+        ("gspin4^1", tw, "GSpin4^1", S_GSO4, 7, None, None),
+        ("gspin4^alpha", tw, "GSpin4^alpha", S_GSO4, 7, FROBENIUS_GSO4, None),
+        ("rank1^alpha", tw, "(GSpin2^alpha x GSpin3)/GL1", S_RANK1, 5, FROBENIUS_RANK1, None),
+        ("h1", "gspin5", "(GL2 x GL2)/GL1", S_H1, 7, None, Fraction(1, 4)),
+        ("h2^alpha", "gspin4", "(GSpin2^alpha x GSpin2^alpha)/GL1", S_H2, 3, FROBENIUS_H2, None),
     )
-    return tuple(EndoscopicDatum(n, b, h, DualElement(s, ONE), *rest) for n, b, h, s, *rest in rows)
-
-
-def catalog(ambient: str, classes: Sequence[AlphaClass] = ()) -> list[EndoscopicDatum]:
-    """The elliptic endoscopic data attached to the ambient space.
-
-    ambient is 'twisted_gl4' (the twisted GL4 x GL1 space), 'gspin5', or
-    'gspin4'.  The data of the square class 'alpha', the only nontrivial one
-    with data, are included when the caller declares it; a declared class
-    without data is refused."""
-    data = full_catalog()
-    if ambient not in {d.base for d in data}:
-        raise ValueError(f"unsupported ambient {ambient!r}")
-    unknown = sorted(c.token for c in set(classes) - {d.alpha for d in data})
-    if unknown:
-        raise ValueError(f"no endoscopic data for the square class {unknown[0]!r}")
-    return [d for d in data if d.base == ambient and (d.alpha.is_trivial or d.alpha in classes)]
+    return tuple(EndoscopicDatum(*row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +154,8 @@ def ordinary_centralizer_basis(
 
 def _lie_basis(d: EndoscopicDatum) -> list[tuple[ExactMatrix, Fraction]]:
     if d.twisted:
-        return twisted_centralizer_basis(d.s.g)
-    return ordinary_centralizer_basis(d.s.g, THETA_J if d.base == "gspin5" else GSO4_GRAM)
+        return twisted_centralizer_basis(d.s)
+    return ordinary_centralizer_basis(d.s, THETA_J if d.base == "gspin5" else GSO4_GRAM)
 
 
 def _frobenius_ok(d: EndoscopicDatum) -> bool:
@@ -237,7 +222,7 @@ def _generators_ok(d: EndoscopicDatum) -> bool:
     the group the generators generate, which contains H^0: the tests pin
     that their logs, closed under brackets and their Ad, span the printed
     dimension."""
-    s = d.s.g
+    s = d.s
     if d.twisted:
         return all(theta_s_fixed(s, e) for e in _generators(d))
     return all(s * e.g == e.g * s for e in _generators(d))
@@ -294,8 +279,9 @@ class DiagramReport:
         )
 
 
-def restriction_diagrams_commute(seed: int = 0, samples: int = 20) -> DiagramReport:
-    """Exact elementwise commutativity of the two dual-group squares.
+def restriction_diagrams_commute(seed: int = 0) -> DiagramReport:
+    """Exact elementwise commutativity of the two dual-group squares on 20
+    seeded samples.
 
     Square one: on symplectic elements the exterior square over the
     similitude on GL4 x GL1 is 1 (+) (projection to SO5), and the projection
@@ -303,11 +289,11 @@ def restriction_diagrams_commute(seed: int = 0, samples: int = 20) -> DiagramRep
     is that p5 preserves SO5_GRAM and has determinant one).  Square two: the
     endoscopic pair embedding into GSp4 followed by the projection agrees
     with the Kronecker-product map into SO4 followed by its embedding."""
+    samples = 20
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
-        e = sample_gsp4(rng, frac(rng.randint(1, 4)))
-        p5 = project_to_so5(e)
+        p5 = project_to_so5(sample_gsp4(rng, frac(rng.randint(1, 4))))
         if similitude_factor(p5, SO5_GRAM) != 1:
             failures.append(f"square1@{i}")
         if p5.det() != 1:
@@ -316,11 +302,11 @@ def restriction_diagrams_commute(seed: int = 0, samples: int = 20) -> DiagramRep
         det = frac(rng.randint(1, 5))
         a = sample_gl2(rng, det)
         b = sample_gl2(rng, det)
-        via_gsp4 = project_to_so5(DualElement(embed_pair(a, b), det))
+        via_gsp4 = project_to_so5(embed_pair(a, b))
         via_so4 = embed_so4_block(kron(a, b).scale(ONE / det))
         if via_gsp4 != via_so4:
             failures.append(f"square2@{i}")
     # identity element commutes trivially; include it once
-    if project_to_so5(DualElement(ExactMatrix.identity(4), ONE)) != ExactMatrix.identity(5):
+    if project_to_so5(ExactMatrix.identity(4)) != ExactMatrix.identity(5):
         failures.append("identity")
     return DiagramReport(ok=not failures, samples=samples, failures=tuple(failures))

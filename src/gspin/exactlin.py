@@ -608,15 +608,8 @@ def matrix_equation_kernel(
     return solutions
 
 
-def commutant_basis(
-    generators: Sequence[ExactMatrix],
-    ambient: Sequence[ExactMatrix] | None = None,
-) -> list[ExactMatrix]:
-    """Basis of {X : Xg = gX for all generators g} intersected with the
-    linear subspace cut out by the ambient constraint matrices.
-
-    Each ambient constraint C imposes sum_ij C[i,j] X[i,j] = 0.
-    """
+def commutant_basis(generators: Sequence[ExactMatrix]) -> list[ExactMatrix]:
+    """Basis of {X : Xg = gX for all generators g}."""
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].rows
@@ -624,9 +617,7 @@ def commutant_basis(
         if not g.is_square() or g.rows != n:
             raise ValueError("generators must be square of equal size")
     ident = ExactMatrix.identity(n)
-    return matrix_equation_kernel(
-        [[(ident, "X", g), (-g, "X", ident)] for g in generators], ambient or ()
-    )
+    return matrix_equation_kernel([[(ident, "X", g), (-g, "X", ident)] for g in generators])
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

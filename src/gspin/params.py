@@ -167,7 +167,6 @@ class CuspidalHandle:
     central_character: HeckeCharacterHandle
     chi: HeckeCharacterHandle
     sign: int | None = None  # +1 orthogonal, -1 symplectic
-    dihedral_from: AlphaClass | None = None
     tensor_origin: tuple[str, str] | None = None
 
 
@@ -181,11 +180,11 @@ def check_selfdual(group: CharacterGroup, handle: CuspidalHandle) -> None:
         raise ValueError(f"{handle.id}: odd N forces chi to be a square")
 
 
-def character_summand(group: CharacterGroup, eta: HeckeCharacterHandle, chi: HeckeCharacterHandle, id_hint: str | None = None) -> CuspidalHandle:
+def character_summand(group: CharacterGroup, eta: HeckeCharacterHandle, chi: HeckeCharacterHandle) -> CuspidalHandle:
     """A GL1 summand; chi-self-dual means eta^2 = chi, always orthogonal."""
     if not group.equal(group.pow(eta, 2), chi):
         raise ValueError("character summand must square to chi")
-    return CuspidalHandle(id=id_hint or f"char:{eta.id}", N=1, central_character=eta, chi=chi, sign=+1)
+    return CuspidalHandle(id=f"char:{eta.id}", N=1, central_character=eta, chi=chi, sign=+1)
 
 
 @dataclass(frozen=True)
@@ -226,10 +225,9 @@ def gl2_alternative(group: CharacterGroup, pi: CuspidalHandle) -> CuspidalHandle
     if ratio.is_trivial:
         return replace(pi, sign=-1)
     if ratio.order_two:
-        cls = group.class_of_character(ratio)
-        if cls is None:
+        if group.class_of_character(ratio) is None:
             raise ValueError(f"no declared square class for {ratio.id}")
-        return replace(pi, sign=+1, dihedral_from=cls)
+        return replace(pi, sign=+1)
     raise ValueError("central character / chi is neither trivial nor of order two")
 
 
@@ -568,7 +566,6 @@ def _realization(shape: tuple[tuple[int, int, int | None], ...]) -> tuple[ExactM
 class OracleResult:
     component_group: TwoGroup
     sign_element: frozenset
-    commutant_dim: int
 
     def agrees_with(self, cls: Classification) -> bool:
         table_group = cls.component_group
@@ -590,18 +587,16 @@ def component_group_oracle(psi: FormalParameter) -> OracleResult:
     generators = realize(psi)
     if any(similitude_factor(g, THETA_J) is None for g in generators):
         raise ValueError("realization outside GSp4")
-    comm = commutant_basis(generators)
+    dim = len(commutant_basis(generators))
     k = len(summands)
-    if len(comm) != k:
-        raise ValueError(
-            f"degenerate realization: commutant dimension {len(comm)}, expected {k}"
-        )
+    if dim != k:
+        raise ValueError(f"degenerate realization: commutant dimension {dim}, expected {k}")
     coords = PAIR_PLANES if k > 1 else (range(4),)
     # piece c is the frame of the unit vectors e_j, j in c
     pieces = [
-        PieceData(h.id, ExactMatrix([[int(i == j) for j in c] for i in range(4)]), True, None)
+        PieceData(h.id, ExactMatrix([[int(i == j) for j in c] for i in range(4)]), True)
         for (h, _), c in zip(summands, coords)
     ]
     group = sign_patterns(pieces, generators, THETA_J).group
     s_support = group.canonical({h.id for h, d in summands if d % 2 == 0})
-    return OracleResult(component_group=group, sign_element=s_support, commutant_dim=len(comm))
+    return OracleResult(component_group=group, sign_element=s_support)

@@ -18,12 +18,11 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .dualgroups import DualElement, GSO4_GRAM, SO5_GRAM, THETA_J, embed_pair, project_to_so5
+from .dualgroups import GSO4_GRAM, SO5_GRAM, THETA_J, embed_pair, project_to_so5
 from .params import TwoGroup, _realization
 from .exactlin import (
     ExactMatrix,
     commutant_basis,
-    frac,
     kron,
     pairing_matrix,
     rational_eigensplit,
@@ -71,7 +70,6 @@ class PieceData:
     label: str
     basis: ExactMatrix  # a frame: the piece's basis vectors are its columns
     self_paired: bool
-    partner: str | None
 
 
 def _classify_pieces(pieces: list[ExactMatrix], form: ExactMatrix) -> list[PieceData]:
@@ -80,7 +78,7 @@ def _classify_pieces(pieces: list[ExactMatrix], form: ExactMatrix) -> list[Piece
     for label, basis in named:
         self_block = pairing_matrix(form, basis, basis)
         if self_block.det() != 0:
-            out.append(PieceData(label, basis, True, None))
+            out.append(PieceData(label, basis, True))
             continue
         if not self_block.is_zero():
             raise ValueError("degenerate generator set: piece with degenerate pairing")
@@ -91,7 +89,7 @@ def _classify_pieces(pieces: list[ExactMatrix], form: ExactMatrix) -> list[Piece
         ]
         if len(partners) != 1:
             raise ValueError("degenerate generator set: ambiguous isotropic pairing")
-        out.append(PieceData(label, basis, False, partners[0]))
+        out.append(PieceData(label, basis, False))
     return out
 
 
@@ -173,7 +171,7 @@ def component_sign_group(generators: Sequence[ExactMatrix], form: ExactMatrix) -
 @dataclass(frozen=True)
 class BoundedParameterDescriptor:
     shape: str
-    generators: tuple[DualElement, ...]
+    generators: tuple[ExactMatrix, ...]
     declared_rank: int
 
 
@@ -192,31 +190,19 @@ def packet_members(phi: BoundedParameterDescriptor) -> list[PacketMember]:
 @functools.cache
 def shape_catalog() -> Mapping[str, BoundedParameterDescriptor]:
     """Representative generator samples of the bounded shapes, built once, read-only."""
-
-    def realized(shape: tuple[tuple[int, int, int], ...]) -> tuple[DualElement, ...]:
-        """The realization of a parameter shape (see `params.realize`) as dual elements."""
-        return tuple(DualElement(m, similitude_factor(m, THETA_J)) for m in _realization(shape))
-
-    c = frac(6)
     diag_a, diag_b = ExactMatrix.diagonal([2, 3]), ExactMatrix.diagonal([5, Fraction(6, 5)])
     dihedral_flip = ExactMatrix([[0, 1], [6, 0]])  # determinant -6 on both blocks
-    two_two_dihedral = [
-        DualElement(embed_pair(diag_a, diag_b), c),
-        DualElement(embed_pair(dihedral_flip, dihedral_flip), -c),
-    ]
-
-    principal = [
-        DualElement(ExactMatrix.diagonal([2, 3, Fraction(5, 3), Fraction(5, 2)]), 5),
-        DualElement(ExactMatrix.diagonal([7, 2, Fraction(3, 2), Fraction(3, 7)]), 3),
-    ]
+    two_two_dihedral = (embed_pair(diag_a, diag_b), embed_pair(dihedral_flip, dihedral_flip))
+    principal = (
+        ExactMatrix.diagonal([2, 3, Fraction(5, 3), Fraction(5, 2)]),
+        ExactMatrix.diagonal([7, 2, Fraction(3, 2), Fraction(3, 7)]),
+    )
 
     return MappingProxyType({
-        "irreducible": BoundedParameterDescriptor("irreducible", realized(((4, 1, -1),)), 0),
-        "two_two_generic": BoundedParameterDescriptor("two_two_generic", realized(((2, 1, -1), (2, 1, -1))), 1),
-        "two_two_dihedral": BoundedParameterDescriptor(
-            "two_two_dihedral", tuple(two_two_dihedral), 1
-        ),
-        "principal_series": BoundedParameterDescriptor("principal_series", tuple(principal), 0),
+        "irreducible": BoundedParameterDescriptor("irreducible", _realization(((4, 1, -1),)), 0),
+        "two_two_generic": BoundedParameterDescriptor("two_two_generic", _realization(((2, 1, -1), (2, 1, -1))), 1),
+        "two_two_dihedral": BoundedParameterDescriptor("two_two_dihedral", two_two_dihedral, 1),
+        "principal_series": BoundedParameterDescriptor("principal_series", principal, 0),
     })
 
 
@@ -236,23 +222,20 @@ class ProjectedParameter:
 def project_parameter(phi: BoundedParameterDescriptor) -> ProjectedParameter:
     """Push the samples through the projection and compute both component
     groups and the embedding of the upstairs group, once per descriptor value."""
-    upstairs = component_sign_group([e.g for e in phi.generators], THETA_J)
+    upstairs = component_sign_group(phi.generators, THETA_J)
     if upstairs.group.rank != phi.declared_rank:
         raise ValueError(
             f"degenerate generator set: computed rank {upstairs.group.rank},"
             f" declared {phi.declared_rank}"
         )
-    downstairs_gens = [project_to_so5(e) for e in phi.generators]
+    downstairs_gens = [project_to_so5(g) for g in phi.generators]
     if all(g == ExactMatrix.identity(5) for g in downstairs_gens):
         raise ValueError("degenerate generator set: projection is trivial")
     downstairs = component_sign_group(downstairs_gens, SO5_GRAM)
     embedded = None
     if upstairs.group.rank == 1:
         (nontrivial,) = [e for e in upstairs.group.elements() if e]
-        s_mat = upstairs.matrix_for(nontrivial)
-        x = similitude_factor(s_mat, THETA_J)
-        s_prime = project_to_so5(DualElement(s_mat, x))
-        embedded = downstairs.pattern_of(s_prime)
+        embedded = downstairs.pattern_of(project_to_so5(upstairs.matrix_for(nontrivial)))
         if not downstairs.group.contains(embedded):
             raise ValueError("image of the sign element is not a component")
         if embedded == frozenset():

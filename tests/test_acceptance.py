@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from gspin.characters import AlphaClass, CharacterGroup
+from gspin.characters import CharacterGroup
 from gspin.dualgroups import (
     GL4_GL1,
     GSPIN5,
@@ -195,22 +195,20 @@ def test_criterion_3_multiplicity_formula():
 
 
 def test_criterion_4_endoscopy():
-    alpha = AlphaClass("alpha")
     dims = []
-    for ambient, classes in (("twisted_gl4", [alpha]), ("gspin5", []), ("gspin4", [alpha])):
-        for d in endoscopy.catalog(ambient, classes):
-            rep = endoscopy.verify_centralizer(d)
-            assert rep.ok, rep.message()
-            dims.append(rep.computed_dim)
+    for d in endoscopy.full_catalog():
+        rep = endoscopy.verify_centralizer(d)
+        assert rep.ok, rep.message()
+        dims.append(rep.computed_dim)
     assert sorted(dims) == [3, 5, 7, 7, 7, 11]  # 11,7,7,5 twisted + 7, 3 ordinary
     iotas = {
         d.name: d.stabilisation_constant
-        for d in endoscopy.catalog("twisted_gl4", [alpha]) + endoscopy.catalog("gspin5")
+        for d in endoscopy.full_catalog()
         if d.stabilisation_constant is not None
     }
     assert iotas == {"gspin5": Fraction(1), "h1": Fraction(1, 4)}
     assert pinning_fixed_by_theta().ok
-    diag = endoscopy.restriction_diagrams_commute(seed=2, samples=20)
+    diag = endoscopy.restriction_diagrams_commute(seed=2)
     assert diag.ok and diag.samples >= 20
     report(4, True, "centralizer dims 11,7,7,5,7,3; constants 1 and 1/4; pinning; 20-sample diagrams")
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gspin.exactlin import ExactMatrix, frac, kron
+from gspin import dualgroups
 from gspin.dualgroups import (
     STANDARD_TWIST,
     BIVECTOR_FORM,
@@ -16,13 +17,12 @@ from gspin.dualgroups import (
     apply_theta,
     embed_so4_block,
     exterior_square,
-    fixed_point_check,
     pinning_fixed_by_theta,
     project_to_so5,
     sample_gl2,
     sample_gsp4,
     similitude_factor,
-    theta_pinning_matrix,
+    ThetaTwist,
 )
 
 
@@ -68,32 +68,33 @@ def test_apply_theta_rejects_singular():
         apply_theta(DualElement(ExactMatrix.zeros(4, 4) + ExactMatrix.diagonal([1, 1, 1, 0]), 1))
 
 
+SHEAR = ExactMatrix.identity(4) + ExactMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+
 def test_fixed_point_check_identity_and_center():
-    assert fixed_point_check(DualElement(ExactMatrix.identity(4), 1))
+    assert similitude_factor(ExactMatrix.identity(4), THETA_J) == 1
     lam = frac(3)
-    assert fixed_point_check(DualElement(ExactMatrix.identity(4).scale(lam), lam * lam))
+    assert similitude_factor(ExactMatrix.identity(4).scale(lam), THETA_J) == lam * lam
 
 
 def test_fixed_point_check_diagonal_similitude():
     t, lam = frac(2), frac(6)
     g = ExactMatrix.diagonal([t, t, lam / t, lam / t])
-    assert fixed_point_check(DualElement(g, lam))
+    assert similitude_factor(g, THETA_J) == lam
 
 
 def test_fixed_point_check_rejects_shear():
-    shear = ExactMatrix.identity(4) + ExactMatrix(
-        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    )
-    assert not fixed_point_check(DualElement(shear, 1))
+    assert similitude_factor(SHEAR, THETA_J) is None
 
 
 def test_fixed_points_are_exactly_j_similitudes():
     rng = random.Random(23)
     for _ in range(20):
-        e = sample_gsp4(rng, frac(rng.randint(1, 4)))
-        assert fixed_point_check(e)
-        assert e.g.transpose() * THETA_J * e.g == THETA_J.scale(e.x)
-        assert STANDARD_TWIST.apply_dual(e) == e
+        x = frac(rng.randint(1, 4))
+        g = sample_gsp4(rng, x)
+        assert similitude_factor(g, THETA_J) == x
+        assert g.transpose() * THETA_J * g == THETA_J.scale(x)
+        assert STANDARD_TWIST.apply_dual(DualElement(g, x)) == DualElement(g, x)
 
 
 def test_exterior_square_multiplicative():
@@ -124,29 +125,37 @@ def test_exterior_square_of_rational_matrices():
 
 
 def test_projection_identity_and_center():
-    assert project_to_so5(DualElement(ExactMatrix.identity(4), 1)) == ExactMatrix.identity(5)
-    lam = frac(4)
-    assert project_to_so5(
-        DualElement(ExactMatrix.identity(4).scale(lam), lam * lam)
-    ) == ExactMatrix.identity(5)
+    assert project_to_so5(ExactMatrix.identity(4)) == ExactMatrix.identity(5)
+    assert project_to_so5(ExactMatrix.identity(4).scale(4)) == ExactMatrix.identity(5)
 
 
 def test_projection_is_multiplicative_and_orthogonal():
     rng = random.Random(41)
     for _ in range(15):
-        e1 = sample_gsp4(rng, frac(rng.randint(1, 3)))
-        e2 = sample_gsp4(rng, frac(rng.randint(1, 3)))
-        p1, p2 = project_to_so5(e1), project_to_so5(e2)
-        assert project_to_so5(e1 * e2) == p1 * p2
+        g1 = sample_gsp4(rng, frac(rng.randint(1, 3)))
+        g2 = sample_gsp4(rng, frac(rng.randint(1, 3)))
+        p1, p2 = project_to_so5(g1), project_to_so5(g2)
+        assert project_to_so5(g1 * g2) == p1 * p2
         assert p1.transpose() * SO5_GRAM * p1 == SO5_GRAM
         assert p1.det() == 1
+
+
+def test_projection_reads_the_similitude_off_the_matrix():
+    # g and c g have the factors nu and c^2 nu, and project to one matrix
+    rng = random.Random(71)
+    for _ in range(20):
+        g = sample_gsp4(rng, frac(rng.randint(1, 4)))
+        for c in (frac(-2), frac("1/3"), frac(5)):
+            assert project_to_so5(g.scale(c)) == project_to_so5(g)
+    with pytest.raises(ValueError, match="input is not in the symplectic similitude realization"):
+        project_to_so5(SHEAR)
 
 
 def test_projection_fixes_omega():
     rng = random.Random(43)
     for _ in range(10):
-        e = sample_gsp4(rng, frac(rng.randint(1, 3)))
-        f = exterior_square(e.g).scale(1 / e.x)
+        x = frac(rng.randint(1, 3))
+        f = exterior_square(sample_gsp4(rng, x)).scale(1 / x)
         assert f * OMEGA == OMEGA
 
 
@@ -155,21 +164,19 @@ def test_projection_kernel_is_center():
     rng = random.Random(47)
     nontrivial = 0
     for _ in range(10):
-        e = sample_gsp4(rng, 1)
-        if e.g not in (ExactMatrix.identity(4), ExactMatrix.identity(4).scale(-1)):
-            assert project_to_so5(e) != ExactMatrix.identity(5)
+        g = sample_gsp4(rng, 1)
+        if g not in (ExactMatrix.identity(4), ExactMatrix.identity(4).scale(-1)):
+            assert project_to_so5(g) != ExactMatrix.identity(5)
             nontrivial += 1
     assert nontrivial > 0
     # central elements do project to identity
     for lam in (frac(2), frac(-3), frac("1/2")):
-        assert project_to_so5(
-            DualElement(ExactMatrix.identity(4).scale(lam), lam * lam)
-        ) == ExactMatrix.identity(5)
+        assert project_to_so5(ExactMatrix.identity(4).scale(lam)) == ExactMatrix.identity(5)
 
 
 def test_projection_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        project_to_so5(DualElement(ExactMatrix.diagonal([1, 2, 3, 4]), 1))
+        project_to_so5(ExactMatrix.diagonal([1, 2, 3, 4]))
 
 
 def test_so5_gram_symmetric_invertible():
@@ -182,19 +189,16 @@ def test_pinning_report_pass():
     assert pinning_fixed_by_theta().ok
 
 
-def test_pinning_fails_for_plain_antidiagonal():
-    report = pinning_fixed_by_theta(ExactMatrix.antidiagonal([1] * 4))
+def test_pinning_fails_for_plain_antidiagonal(monkeypatch):
+    monkeypatch.setattr(dualgroups, "STANDARD_TWIST", ThetaTwist(ExactMatrix.antidiagonal([1] * 4)))
+    report = pinning_fixed_by_theta()
     assert not report.ok
     assert any(f.startswith("root_vector") for f in report.failures)
 
 
-def test_pinning_passes_for_negated_matrix():
-    assert pinning_fixed_by_theta(THETA_J.scale(-1)).ok
-
-
-def test_pinning_other_sizes():
-    for n in (2, 3, 5, 6):
-        assert pinning_fixed_by_theta(theta_pinning_matrix(n)).ok
+def test_pinning_passes_for_negated_matrix(monkeypatch):
+    monkeypatch.setattr(dualgroups, "STANDARD_TWIST", ThetaTwist(THETA_J.scale(-1)))
+    assert pinning_fixed_by_theta().ok
 
 
 def test_embed_so4_block_lands_in_so5():
@@ -217,8 +221,7 @@ def test_embed_so4_block_lands_in_so5():
 
 def test_gsp4_similitude_helper():
     rng = random.Random(61)
-    e = sample_gsp4(rng, frac(6))
-    assert similitude_factor(e.g, THETA_J) == 6
+    assert similitude_factor(sample_gsp4(rng, frac(6)), THETA_J) == 6
     assert similitude_factor(ExactMatrix.diagonal([1, 2, 3, 4]), THETA_J) is None
     rank_one = ExactMatrix([[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert similitude_factor(rank_one, THETA_J) is None
@@ -229,7 +232,8 @@ def test_similitude_factor_is_none_when_the_factor_is_zero():
     rank_one = ExactMatrix([[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert rank_one.transpose() * THETA_J * rank_one == ExactMatrix.zeros(4, 4)
     assert similitude_factor(rank_one, THETA_J) is None
-    assert not fixed_point_check(DualElement(rank_one, 1))
+    with pytest.raises(ValueError, match="not in the symplectic similitude realization"):
+        project_to_so5(rank_one)
     assert similitude_factor(ExactMatrix.zeros(4, 4), ExactMatrix.identity(4)) is None
     # a nonzero factor is still returned, also for forms and matrices with denominators
     assert similitude_factor(ExactMatrix.identity(4).scale(3), ExactMatrix.identity(4)) == 9
@@ -251,12 +255,12 @@ def _sampler_digest(seeds) -> str:
     h = hashlib.sha256()
     for seed in seeds:
         rng = random.Random(seed)
-        e = sample_gsp4(rng, frac(rng.randint(1, 4)))
+        g = sample_gsp4(rng, frac(rng.randint(1, 4)))
         det = frac(rng.randint(1, 5))
         a, b = sample_gl2(rng, det), sample_gl2(rng, det)
-        for m in (e.g, a, b, project_to_so5(e), embed_so4_block(kron(a, b).scale(1 / det))):
+        for m in (g, a, b, project_to_so5(g), embed_so4_block(kron(a, b).scale(1 / det))):
             h.update(repr((m._num, m._den)).encode())
-        h.update(repr((e.x, rng.random())).encode())
+        h.update(repr((similitude_factor(g, THETA_J), rng.random())).encode())
     return h.hexdigest()
 
 

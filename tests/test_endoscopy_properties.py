@@ -34,9 +34,10 @@ def twisted_samples(draw):
     paired with another s."""
     data = [d for d in full_catalog() if d.twisted]
     d = draw(st.sampled_from(data))
-    e = reduce(mul, draw(st.lists(st.sampled_from(_generators(d)), min_size=1, max_size=4)))
+    word = draw(st.lists(st.sampled_from(_generators(d)), min_size=1, max_size=4))
+    e = DualElement(reduce(mul, (f.g for f in word)), reduce(mul, (f.x for f in word)))
     move = draw(st.sampled_from(["none", "shear", "double", "other s"]))
-    s = d.s.g
+    s = d.s
     if move == "shear":
         e = DualElement(e.g * SHEAR, e.x)
     elif move == "double":

@@ -1,8 +1,9 @@
-"""Every top-level function, class and constant of the package, and every
-public method of its top-level classes, is read somewhere in the package
-outside its own definition: a top-level name as a name, an attribute or an
-imported name, a method as an attribute (a bare name that happens to share
-the method's name does not call it).
+"""Every top-level function, class and constant of the package, every
+public method of its top-level classes and every annotated field of their
+bodies, is read somewhere in the package outside its own definition: a
+top-level name as a name, an attribute or an imported name, a method or a
+field as an attribute (a bare name that happens to share the method's or
+the field's name does not read it).
 
 Code that only tests call is code to delete.  A name kept on purpose for a
 reader outside the package is listed in KEPT with its reason; the list holds
@@ -19,7 +20,7 @@ KEPT = {
     "orthogonal_string_decomposition": "perfbench/tracer.py binds it",
     "restrict_gso4": "perfbench/tracer.py binds it",
     "gso4_shape_catalog": "demo 06 and acceptance criterion 6 read it",
-    "catalog": "demo 03 reads it",
+    "EndoscopicDatum.h_description": "demo 03 prints it",
     "boxtimes": "ROADMAP item 2 builds on it",
     "ExactMatrix.column": "public accessor: the vectors of a frame are its columns",
     "ThetaTwist.apply_dual": "the tests' reference for endoscopy.theta_s_fixed",
@@ -47,7 +48,8 @@ def _attributes(tree: ast.AST) -> list[str]:
 def _definitions(tree: ast.Module):
     """(qualified name, name, line, reads inside the definition, reader) of
     each top-level def, class and assigned name, read by `_reads`, and of
-    each public method of a top-level class, read by `_attributes`."""
+    each public method and each annotated field of a top-level class, read
+    by `_attributes`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node.lineno, _reads(node), _reads
@@ -61,6 +63,9 @@ def _definitions(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item.name, item.lineno, _attributes(item), _attributes
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                    yield f"{node.name}.{name}", name, item.lineno, _attributes(item), _attributes
 
 
 def _uncalled(paths: list[Path]) -> dict[str, str]:
@@ -106,3 +111,19 @@ def test_an_uncalled_definition_is_found(tmp_path):
     b.write_text("from a import count, Box\nspare = 2\nprint(count(2), Box(), spare)\n")
     assert sorted(_uncalled([a])) == ["Box", "Box.spare", "SPARE", "count"]
     assert sorted(_uncalled([a, b])) == ["Box.spare", "SPARE"]
+
+
+def test_an_unread_field_is_found(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    label: str = ''\n"
+        "y = 3\n"
+        "print(Point(1).x, Point(2, y=y, label='p'))\n"
+    )
+    # set by keyword and shadowed by a bare name, y and label are never read
+    assert sorted(_uncalled([a])) == ["Point.label", "Point.y"]

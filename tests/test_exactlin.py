@@ -204,7 +204,8 @@ def test_commutant_with_ambient_constraints():
                 c = [[0] * n for _ in range(n)]
                 c[i][j] = 1
                 constraints.append(ExactMatrix(c))
-    assert len(commutant_basis([ExactMatrix.identity(n)], constraints)) == 4
+    ident = ExactMatrix.identity(n)
+    assert len(matrix_equation_kernel([[(ident, "X", ident), (-ident, "X", ident)]], constraints)) == 4
 
 
 def test_matrix_equation_single_term_matches_kron():

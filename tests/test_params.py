@@ -5,8 +5,8 @@ import pytest
 
 from gspin import params
 from gspin.characters import CharacterGroup
-from gspin.dualgroups import GSPIN5, SO5_GRAM, THETA_J, DualElement, embed_pair, gspin_even_tag, project_to_so5
-from gspin.exactlin import ExactMatrix, matrix_exp_nilpotent, matrix_log_unipotent, similitude_factor
+from gspin.dualgroups import GSPIN5, SO5_GRAM, THETA_J, embed_pair, gspin_even_tag, project_to_so5
+from gspin.exactlin import ExactMatrix, commutant_basis, matrix_exp_nilpotent, matrix_log_unipotent, similitude_factor
 from gspin.params import (
     ArthurType,
     Classification,
@@ -71,7 +71,7 @@ def soudry_parameter(g):
     chi = g.element({"chi0": 1})
     beta = g.element({}, {"beta"})
     pi = gl2_alternative(g, cuspidal_gl2(g, "piDi", g.mul(chi, beta), chi))
-    assert pi.sign == +1 and pi.dihedral_from is not None
+    assert pi.sign == +1
     return FormalParameter(chi=chi, summands=((pi, 2),))
 
 
@@ -169,7 +169,7 @@ def test_gl2_alternative_symplectic():
     g = make_group()
     chi = g.element({"chi0": 1})
     pi = gl2_alternative(g, cuspidal_gl2(g, "pi", chi, chi))
-    assert pi.sign == -1 and pi.dihedral_from is None
+    assert pi.sign == -1
 
 
 def test_gl2_alternative_orthogonal_dihedral():
@@ -177,7 +177,7 @@ def test_gl2_alternative_orthogonal_dihedral():
     chi = g.element({"chi0": 1})
     omega = g.mul(chi, g.element({}, {"beta"}))
     pi = gl2_alternative(g, cuspidal_gl2(g, "pi", omega, chi))
-    assert pi.sign == +1 and pi.dihedral_from.token == "alpha"
+    assert pi.sign == +1 and g.class_of_character(g.ratio(omega, chi)).token == "alpha"
 
 
 def test_gl2_alternative_trivial_chi():
@@ -380,7 +380,13 @@ def test_oracle_matches_table_on_all_six_types():
         oracle = component_group_oracle(psi)
         assert oracle.component_group.rank == expected_rank
         assert oracle.agrees_with(cls), f"{build.__name__} disagrees"
-        assert oracle.commutant_dim == len(psi.summands)
+        assert len(commutant_basis(realize(psi))) == len(psi.summands)
+
+
+def test_oracle_refuses_a_realization_with_a_large_commutant(monkeypatch):
+    monkeypatch.setattr(params, "realize", lambda psi: [ExactMatrix.identity(4)])
+    with pytest.raises(ValueError, match="degenerate realization: commutant dimension 16, expected 2"):
+        component_group_oracle(yoshida_parameter(make_group()))
 
 
 def test_oracle_refuses_a_gl2_handle_of_unresolved_duality_type():
@@ -405,7 +411,7 @@ def test_oracle_builds_each_realization_once(monkeypatch):
     assert len(calls) == 2  # e, then f
     second = component_group_oracle(psi)
     assert len(calls) == 2
-    assert (second.sign_element, second.commutant_dim) == (first.sign_element, first.commutant_dim)
+    assert second.sign_element == first.sign_element
     assert second.component_group.elements() == first.component_group.elements()
     realize(psi).clear()  # each call returns a fresh list
     assert realize(psi) == realize(psi) != []
@@ -457,7 +463,7 @@ def test_realization_has_one_sl2_triple():
 
 
 def _projected_rank(generators):
-    down = [project_to_so5(DualElement(m, similitude_factor(m, THETA_J))) for m in generators]
+    down = [project_to_so5(m) for m in generators]
     return component_sign_group(down, SO5_GRAM).group.rank
 
 
@@ -489,7 +495,7 @@ def test_prefactor():
     psi_odd = FormalParameter(
         chi=psi4.chi,
         summands=psi4.summands[:1]
-        + ((character_summand(g, g.element({"eta0": 1}), g.pow(g.element({"eta0": 1}), 2), "e"), 1),),
+        + ((character_summand(g, g.element({"eta0": 1}), g.pow(g.element({"eta0": 1}), 2)), 1),),
     )
     assert multiplicity_prefactor(psi_odd, gspin_even_tag()) == 1
 

@@ -4,7 +4,7 @@ import pytest
 
 from gspin import restriction
 from gspin.cli import main
-from gspin.dualgroups import THETA_J, DualElement, project_to_so5
+from gspin.dualgroups import THETA_J, project_to_so5
 from gspin.exactlin import ONE, ExactMatrix, kron
 from gspin.params import TwoGroup
 from gspin.restriction import (
@@ -108,9 +108,7 @@ def test_count_identity_all_shapes():
 
 
 def test_degenerate_generators_rejected():
-    phi = BoundedParameterDescriptor(
-        "identity-only", (DualElement(ExactMatrix.identity(4), 1),), 0
-    )
+    phi = BoundedParameterDescriptor("identity-only", (ExactMatrix.identity(4),), 0)
     with pytest.raises(ValueError):
         project_parameter(phi)
 
@@ -171,7 +169,7 @@ def test_split_pieces_match_recorded_bases(shape):
         sides = [[kron(a, b).scale(ONE / a.det()) for a, b in pairs]]
     else:
         elements = shape_catalog()[shape].generators
-        sides = [[e.g for e in elements], [project_to_so5(e) for e in elements]]
+        sides = [list(elements), [project_to_so5(g) for g in elements]]
     for gens, recorded in zip(sides, RECORDED_PIECES[shape], strict=True):
         assert _split_pieces(gens) == _unit_pieces(gens[0].rows, recorded)
 
@@ -193,8 +191,15 @@ def test_classify_pieces_pairs_two_isotropic_lines():
     # the eigenlines of diag(2, 3) are isotropic for the alternating form and
     # pair with each other
     pieces = _classify_pieces(_split_pieces([ExactMatrix.diagonal([2, 3])]), ExactMatrix([[0, 1], [-1, 0]]))
-    assert [(p.basis.cols, p.self_paired, p.partner) for p in pieces] == [(1, False, "p1"), (1, False, "p0")]
+    assert [(p.basis.cols, p.self_paired) for p in pieces] == [(1, False), (1, False)]
     assert {p.basis for p in pieces} == {ExactMatrix([[1], [0]]), ExactMatrix([[0], [1]])}
+
+
+def test_classify_pieces_refuses_an_isotropic_line_with_two_partners():
+    # e1 is isotropic and pairs with both e2 and e3
+    form = ExactMatrix([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])
+    with pytest.raises(ValueError, match="ambiguous isotropic pairing"):
+        _classify_pieces(_unit_pieces(3, [[0], [1], [2]]), form)
 
 
 def test_pattern_of_reads_signs_and_refuses_anything_else():
