@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Levi classes and regular twisted Weyl elements.
 
-For each supported group the standard Levi classes are enumerated; the
-combinatorial regularity criterion (odd cycles in the twisted GL family,
-cycle sign products -1 in the spin families) is matched against the
-determinant of the induced action on block coordinates.
+For each supported group the standard Levi classes are enumerated.  A
+relative Weyl element is a signed permutation of the Levi's blocks (every
+sign -1 in the twisted GL family); the combinatorial regularity criterion
+(every cycle has sign product -1, so odd cycles in the GL family) is matched
+against the determinant of the induced action on block coordinates.
 """
 
 from gspin.dualgroups import GL4_GL1, GSPIN5, SP4_GL1, gspin_even_tag
@@ -32,5 +33,5 @@ for group in (GL4_GL1, GSPIN5, gspin_even_tag("1"), gspin_even_tag("alpha"), SP4
 print("the two-block twisted contribution has determinant factor 2:")
 from gspin.weyl import LeviDescriptor, TwistedWeylElement
 
-w = TwistedWeylElement(LeviDescriptor(GL4_GL1, (2, 2), 0), ((2, (0, 1)),))
+w = TwistedWeylElement(LeviDescriptor(GL4_GL1, (2, 2), 0), (0, 1), (-1, -1))
 print("det factor =", det_factor(w))

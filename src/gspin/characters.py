@@ -6,28 +6,15 @@ handle is stored as an exponent vector over the generators, so products,
 inverses, order-two tests and exact square detection are all decidable, and
 the multiplication table is closed and associative by construction.
 
-Square classes are opaque tokens alpha with alpha * alpha = 1; a nontrivial
-class may carry the order-two character cutting out its quadratic extension.
+A square class is its token string alpha, with alpha * alpha = 1; the group
+maps each declared token to the order-two character cutting out its
+quadratic extension, and the token '1' to the trivial character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-
-@dataclass(frozen=True)
-class AlphaClass:
-    """Square-class token; '1' is the distinguished trivial class."""
-
-    token: str
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.token == "1"
-
-
-TRIVIAL_CLASS = AlphaClass("1")
 
 
 @dataclass(frozen=True)
@@ -61,8 +48,7 @@ class CharacterGroup:
     def __init__(self):
         self._free_gens: list[str] = []
         self._torsion_gens: list[str] = []
-        self._classes: dict[str, AlphaClass] = {"1": TRIVIAL_CLASS}
-        self._class_characters: dict[str, HeckeCharacterHandle] = {}
+        self._classes: dict[str, HeckeCharacterHandle] = {"1": self.trivial()}
 
     # declarations -------------------------------------------------------
 
@@ -75,33 +61,27 @@ class CharacterGroup:
         self._free_gens.append(name)
         return self.element({name: 1})
 
-    def declare_class(self, token: str, character: HeckeCharacterHandle | None = None) -> AlphaClass:
-        """Declare a square class; a nontrivial one may carry its order-two
-        character."""
-        cls = AlphaClass(token)
+    def declare_class(self, token: str, character: HeckeCharacterHandle) -> None:
+        """Declare a square class with its order-two character; declaring a
+        token again is allowed with the same character only."""
         if token in self._classes:
-            return self._classes[token]
-        if not cls.is_trivial:
-            if character is None or not character.order_two:
-                raise ValueError("nontrivial class needs an order-two character")
-            self._class_characters[token] = character
-        self._classes[token] = cls
-        return cls
+            if not self.equal(self._classes[token], character):
+                raise ValueError(f"square class {token!r} is already declared with another character")
+            return
+        if not character.order_two:
+            raise ValueError("nontrivial class needs an order-two character")
+        self._classes[token] = character
 
-    def class_character(self, cls: AlphaClass) -> HeckeCharacterHandle:
-        if cls.is_trivial:
-            return self.trivial()
-        if cls.token not in self._class_characters:
-            raise ValueError(f"square class {cls.token!r} is not declared")
-        return self._class_characters[cls.token]
+    def class_character(self, token: str) -> HeckeCharacterHandle:
+        if token not in self._classes:
+            raise ValueError(f"square class {token!r} is not declared")
+        return self._classes[token]
 
-    def class_of_character(self, chi: HeckeCharacterHandle) -> AlphaClass | None:
+    def class_of_character(self, chi: HeckeCharacterHandle) -> str | None:
         """The declared class whose character equals chi, if any."""
-        if chi.is_trivial:
-            return TRIVIAL_CLASS
-        for token, ch in self._class_characters.items():
+        for token, ch in self._classes.items():
             if ch.free == chi.free and ch.torsion == chi.torsion:
-                return self._classes[token]
+                return token
         return None
 
     # elements -------------------------------------------------------------

@@ -64,9 +64,18 @@ def _classify(scn, seed, at, name):
     return rec, [line]
 
 
+def _target(scn, at, name):
+    """The target group of a request; an even GSpin target reads its square
+    class, which the scenario must declare."""
+    tag = lookup(_GROUP_NAMES, name, "unknown target", f"{at}.target")
+    if tag.family == "gspin_even" and tag.alpha not in scn.classes:
+        raise ScenarioError(f"{at}.target: {name!r} reads the undeclared square class {tag.alpha!r}")
+    return tag
+
+
 def _multiplicity(scn, seed, at, name, target):
     fixture = lookup(scn.parameters, name, "undeclared parameter", f"{at}.parameter")
-    target = lookup(_GROUP_NAMES, target, "unknown target", f"{at}.target")
+    target = _target(scn, at, target)
     # reject a psi outside the target's discrete set before reading its local data
     require_membership(scn.group, fixture.parameter, target)
     data = local_characters(fixture, component_group_table(fixture.parameter))
@@ -76,9 +85,9 @@ def _multiplicity(scn, seed, at, name, target):
 
 def _membership(scn, seed, at, name, target, alpha):
     fixture = lookup(scn.parameters, name, "undeclared parameter", f"{at}.parameter")
-    tag = lookup(_GROUP_NAMES, target, "unknown target", f"{at}.target")
+    tag = _target(scn, at, target)
     if alpha is not None:
-        alpha = lookup(scn.classes, alpha, "undeclared class", f"{at}.alpha")
+        lookup(scn.classes, alpha, "undeclared class", f"{at}.alpha")
         if tag.family != "gspin_even":
             raise ScenarioError(f"{at}.alpha: target {target!r} reads no square class")
     rep = psi_disc_membership(scn.group, fixture.parameter, tag, alpha)

@@ -25,7 +25,7 @@ groups are not sampled: ``endoscopy`` checks each on a fixed generating set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -126,35 +126,13 @@ class DualElement:
             raise ValueError("GL1 coordinate must be nonzero")
 
 
-@dataclass(frozen=True)
-class ThetaTwist:
-    """The twist (g, x) -> (J tg^-1 J^-1, x det g) on GL_n x GL1."""
-
-    J: ExactMatrix
-    J_inv: ExactMatrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "J_inv", self.J.inverse())
-
-    def apply(self, e: DualElement) -> DualElement:
-        d = e.g.det()
-        if d == 0:
-            raise ValueError("singular g")
-        gt_inv = e.g.inverse().transpose()
-        return DualElement(self.J * gt_inv * self.J_inv, e.x * d)
-
-    def apply_dual(self, e: DualElement) -> DualElement:
-        """The dual-side twist (g, x) -> (J tg^-1 J^-1 x, x)."""
-        gt_inv = e.g.inverse().transpose()
-        return DualElement((self.J * gt_inv * self.J_inv).scale(e.x), e.x)
-
-
-STANDARD_TWIST = ThetaTwist(THETA_J)
-
-
 def apply_theta(e: DualElement) -> DualElement:
-    """theta(g, x) on GL4 x GL1; applying twice returns the input."""
-    return STANDARD_TWIST.apply(e)
+    """theta(g, x) = (J tg^-1 J^-1, x det g) on GL4 x GL1, J = THETA_J;
+    applying twice returns the input."""
+    d = e.g.det()
+    if d == 0:
+        raise ValueError("singular g")
+    return DualElement(THETA_J * e.g.inverse().transpose() * THETA_J.inverse(), e.x * d)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +299,14 @@ class PinningReport:
 
 
 def pinning_fixed_by_theta() -> PinningReport:
-    """Check that the standard twist preserves the upper-triangular Borel,
+    """Check that theta preserves the upper-triangular Borel,
     the diagonal torus, and permutes the simple root vectors exactly."""
-    twist = STANDARD_TWIST
-    n = twist.J.rows
+    n = THETA_J.rows
     failures: list[str] = []
 
     # diagonal torus: theta of a generic diagonal must be diagonal
     d = ExactMatrix.diagonal([frac(k + 2) for k in range(n)])
-    td = twist.apply(DualElement(d, ONE)).g
+    td = apply_theta(DualElement(d, ONE)).g
     if any(td[a, b] != 0 for a in range(n) for b in range(n) if a != b):
         failures.append("torus")
 
@@ -340,7 +317,7 @@ def pinning_fixed_by_theta() -> PinningReport:
         e = [[ZERO] * n for _ in range(n)]
         e[a][a + 1] = ONE
         u = ExactMatrix.identity(n) + ExactMatrix(e)
-        tu = twist.apply(DualElement(u, ONE)).g
+        tu = apply_theta(DualElement(u, ONE)).g
         lower_ok = all(tu[r, c] == 0 for r in range(n) for c in range(n) if r > c)
         if not lower_ok:
             failures.append(f"borel:e{a + 1}{a + 2}")

@@ -72,12 +72,14 @@ FROBENIUS_RANK1 = ExactMatrix(
         [1, 0, 0, 0],
     ]
 )
+# kron(w, w) for the 2x2 swap w: it commutes with S_H2, lies in GSO4 and
+# fixes a line of the centre of h2's torus, so the datum is elliptic
 FROBENIUS_H2 = ExactMatrix(
     [
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
         [0, 0, 0, 1],
         [0, 0, 1, 0],
+        [0, 1, 0, 0],
+        [1, 0, 0, 0],
     ]
 )
 

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .characters import AlphaClass, CharacterGroup, HeckeCharacterHandle
+from .characters import CharacterGroup, HeckeCharacterHandle
 from .dualgroups import _GSP4_NILPOTENTS, GSPIN5, PAIR_PLANES, GroupTag, THETA_J, embed_pair
 from .exactlin import (
     ExactMatrix,
@@ -317,7 +317,7 @@ def psi_disc_membership(
     group: CharacterGroup,
     psi: FormalParameter,
     target: GroupTag,
-    alpha_class: AlphaClass | None = None,
+    alpha_class: str | None = None,
 ) -> MembershipReport:
     """Size, discreteness, per-summand sign condition, and (even GSpin only)
     the square-class condition on the product of central characters."""
@@ -341,7 +341,7 @@ def psi_disc_membership(
         prod = group.pow(psi.chi, -n)
         for h, d in psi.summands:
             prod = group.mul(prod, group.pow(h.central_character, d))
-        expected = group.class_character(alpha_class or AlphaClass(target.alpha))
+        expected = group.class_character(alpha_class or target.alpha)
         if not group.equal(prod, expected):
             return MembershipReport(False, "central-character product does not match the square class")
     return MembershipReport(True, "ok")

@@ -296,32 +296,23 @@ def restriction_count_identity(proj: ProjectedParameter) -> CountReport:
 # restriction on the endoscopic side (pairs of 2x2 blocks down to SO4, whose
 # form GSO4_GRAM is the Kronecker square of the 2x2 symplectic form)
 
-@dataclass(frozen=True)
-class PairParameterDescriptor:
-    """Bounded parameter of the pair group: samples (a, b) with det a = det b."""
-
-    shape: str
-    pairs: tuple[tuple[ExactMatrix, ExactMatrix], ...]
-
-
-def gso4_shape_catalog() -> dict[str, PairParameterDescriptor]:
+def gso4_shape_catalog() -> dict[str, tuple[tuple[ExactMatrix, ExactMatrix], ...]]:
+    """Bounded parameters of the pair group, by name: samples (a, b) with
+    det a = det b."""
     diag_a, diag_b = ExactMatrix.diagonal([2, 3]), ExactMatrix.diagonal([5, Fraction(6, 5)])
     flip6 = ExactMatrix([[0, 1], [-6, 0]])
     generic = ((diag_a, diag_b), (flip6, ExactMatrix([[1, 1], [-2, 4]])))
     dihedral = ((diag_a, diag_b), (ExactMatrix([[0, 1], [6, 0]]), ExactMatrix([[0, 1], [6, 0]])))
-    return {
-        "gso4_generic": PairParameterDescriptor("gso4_generic", generic),
-        "gso4_dihedral_pair": PairParameterDescriptor("gso4_dihedral_pair", dihedral),
-    }
+    return {"gso4_generic": generic, "gso4_dihedral_pair": dihedral}
 
 
-def restrict_gso4(phi: PairParameterDescriptor) -> tuple[ComponentSignGroup, frozenset]:
+def restrict_gso4(pairs: tuple[tuple[ExactMatrix, ExactMatrix], ...]) -> tuple[ComponentSignGroup, frozenset]:
     """The single member downstairs restriction: the full packet, as a set.
 
     Returns the downstairs component group and the (duplicate-free) set of
     its characters."""
     gens = []
-    for a, b in phi.pairs:
+    for a, b in pairs:
         if a.det() != b.det():
             raise ValueError("pair members must have equal determinants")
         gens.append(kron(a, b).scale(ONE / a.det()))

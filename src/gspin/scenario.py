@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .characters import AlphaClass, CharacterGroup
+from .characters import CharacterGroup, HeckeCharacterHandle
 from .exactlin import ExactMatrix
 from .params import (
     CuspidalHandle,
@@ -41,7 +41,7 @@ class ParameterFixture:
 @dataclass
 class Scenario:
     group: CharacterGroup
-    classes: dict[str, AlphaClass]
+    classes: dict[str, HeckeCharacterHandle]  # square-class token -> its character
     parameters: dict[str, ParameterFixture]
     requests: list[Any]
 
@@ -173,13 +173,14 @@ def build_scenario(doc: dict) -> Scenario:
         with blame(at):
             characters[_fresh(characters, name, at)] = group.element(free, torsion)
 
-    classes = {"1": group.declare_class("1")}
+    classes = {"1": group.trivial()}
     for i, node in enumerate(class_docs):
         at = f"classes[{i}]"
         token, char = read(node, at, {"token": (str, REQUIRED), "character": (str, REQUIRED)})
         character = lookup(characters, char, "undeclared character", f"{at}.character")
         with blame(at):
-            classes[_fresh(classes, token, f"{at}.token")] = group.declare_class(token, character)
+            group.declare_class(_fresh(classes, token, f"{at}.token"), character)
+        classes[token] = character
 
     cuspidals: dict[str, CuspidalHandle] = {}
     for i, node in enumerate(cusp_docs):

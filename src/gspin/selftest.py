@@ -234,7 +234,7 @@ def check_weyl_equivalence(seed: int, corrupt: bool) -> CheckResult:
                 total += 1
                 if is_regular(w) != (action_determinant(w) != 0):
                     return CheckResult("weyl.regularity", False, levi.describe())
-    yoshida = TwistedWeylElement(LeviDescriptor(GL4_GL1, (2, 2), 0), ((2, (0, 1)),))
+    yoshida = TwistedWeylElement(LeviDescriptor(GL4_GL1, (2, 2), 0), (0, 1), (-1, -1))
     if det_factor(yoshida) != 2:
         return CheckResult("weyl.regularity", False, "det factor for the two-block twist")
     return CheckResult("weyl.regularity", True, f"criterion = determinant on {total} elements; factor 2")

@@ -1,10 +1,10 @@
 """Standard Levi bookkeeping and regular twisted Weyl elements.
 
 Levi classes are ordered partitions n = n_1 + ... + n_r + m subject to the
-residual-rank constraints of each family.  Relative Weyl elements are stored
-combinatorially: a permutation per block-size class, with signs in the spin
-families and an implicit inverse-transpose twist in the GL family.  The
-block-coordinate space modulo the central line carries the induced linear
+residual-rank constraints of each family.  A relative Weyl element is a
+signed permutation of the Levi's blocks that keeps block sizes; in the GL
+family the inverse-transpose twist makes every sign -1.  The
+block-coordinate space modulo the central line carries it as a linear
 action, making the regularity criterion a plain determinant."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualgroups import GroupTag
-from .exactlin import ExactMatrix, frac, ZERO
+from .exactlin import ExactMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +33,6 @@ class LeviDescriptor:
             raise ValueError("blocks and residual rank must fill the group rank")
         if self.group.family == "gl_gl1" and sum(self.blocks) != self.group.n:
             raise ValueError("blocks must partition N")
-
-    @property
-    def size_classes(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for b in self.blocks:
-            out[b] = out.get(b, 0) + 1
-        return out
 
     def describe(self) -> str:
         parts = [f"GL{k}" for k in self.blocks]
@@ -82,121 +75,73 @@ def enumerate_levis(group: GroupTag) -> list[LeviDescriptor]:
 
 @dataclass(frozen=True)
 class TwistedWeylElement:
-    """Element of the relative Weyl set of a Levi.
-
-    perms maps a block size k to a permutation of the n_k same-size blocks
-    (tuple of images).  signs carries the per-block sign flips in the spin
-    families; the GL family has an implicit global inverse-transpose twist
-    instead."""
+    """Element of the relative Weyl set of a Levi: a signed permutation of
+    its blocks.  Block j goes to block images[j], of the same size, with sign
+    signs[j]; in the GL family the inverse-transpose twist makes every sign
+    -1."""
 
     levi: LeviDescriptor
-    perms: tuple[tuple[int, tuple[int, ...]], ...]
-    signs: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    images: tuple[int, ...]
+    signs: tuple[int, ...]
 
-    def sign(self, k: int) -> tuple[int, ...]:
-        return dict(self.signs)[k]
-
-    @property
-    def twisted_gl(self) -> bool:
-        return self.levi.group.family == "gl_gl1"
-
-
-def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = perm[i]
-        out.append(cyc)
-    return out
-
-
-def element_is_valid(w: TwistedWeylElement) -> bool:
-    """Whether the combinatorial data lies in the image of the relative Weyl
-    set; the only failure is the index-two condition for split even groups
-    with no residual rank and an odd block size present."""
-    levi = w.levi
-    if levi.group.family != "gspin_even" or levi.m != 0:
-        return True
-    if not any(k % 2 == 1 for k in levi.size_classes):
-        return True
-    flips = 0
-    for k, signs in w.signs:
-        if k % 2 == 1:
-            flips += sum(1 for s in signs if s == -1)
-    return flips % 2 == 0
+    def __post_init__(self):
+        blocks = self.levi.blocks
+        if sorted(self.images) != list(range(len(blocks))) or len(self.signs) != len(blocks):
+            raise ValueError("images must permute the blocks, with one sign per block")
+        if any(blocks[i] != k for i, k in zip(self.images, blocks)):
+            raise ValueError("a block must go to a block of its own size")
+        allowed = {-1} if self.levi.group.family == "gl_gl1" else {1, -1}
+        if not set(self.signs) <= allowed:
+            raise ValueError(f"signs must lie in {sorted(allowed)}")
 
 
 def enumerate_weyl_elements(levi: LeviDescriptor) -> list[TwistedWeylElement]:
-    """All valid relative Weyl elements of the Levi (the twisted component in
-    the GL family)."""
-    classes = sorted(levi.size_classes.items())
-    perm_choices = []
-    for k, nk in classes:
-        perm_choices.append([(k, p) for p in itertools.permutations(range(nk))])
-    out = []
+    """All relative Weyl elements of the Levi (the twisted component in the GL
+    family).  A split even group with no residual rank keeps only the index-two
+    subgroup: an even number of sign flips on the odd-size blocks."""
+    blocks = levi.blocks
+    r = len(blocks)
+    perms = [p for p in itertools.permutations(range(r)) if all(blocks[i] == k for i, k in zip(p, blocks))]
     if levi.group.family == "gl_gl1":
-        for perms in itertools.product(*perm_choices) if perm_choices else [()]:
-            out.append(TwistedWeylElement(levi, tuple(perms)))
-        return out
-    sign_choices = []
-    for k, nk in classes:
-        sign_choices.append([(k, s) for s in itertools.product((1, -1), repeat=nk)])
-    for perms in itertools.product(*perm_choices) if perm_choices else [()]:
-        for signs in itertools.product(*sign_choices) if sign_choices else [()]:
-            w = TwistedWeylElement(levi, tuple(perms), tuple(signs))
-            if element_is_valid(w):
-                out.append(w)
-    return out
+        return [TwistedWeylElement(levi, p, (-1,) * r) for p in perms]
+    index_two = levi.group.family == "gspin_even" and levi.m == 0
+    return [
+        TwistedWeylElement(levi, p, signs)
+        for p in perms
+        for signs in itertools.product((1, -1), repeat=r)
+        if not (index_two and sum(k % 2 == 1 and s == -1 for k, s in zip(blocks, signs)) % 2)
+    ]
 
 
 def is_regular(w: TwistedWeylElement) -> bool:
-    """GL family: every cycle of every permutation has odd length.  Spin
-    families: every cycle has sign product -1."""
-    if w.twisted_gl:
-        return all(len(c) % 2 == 1 for k, p in w.perms for c in _cycles(p))
-    for k, p in w.perms:
-        signs = w.sign(k)
-        for cyc in _cycles(p):
-            prod = 1
-            for i in cyc:
-                prod *= signs[i]
-            if prod != -1:
-                return False
+    """Every cycle of the block permutation has sign product -1; in the GL
+    family, where every sign is -1, every cycle has odd length."""
+    seen: set[int] = set()
+    for start in range(len(w.images)):
+        if start in seen:
+            continue
+        prod, i = 1, start
+        while i not in seen:
+            seen.add(i)
+            prod *= w.signs[i]
+            i = w.images[i]
+        if prod != -1:
+            return False
     return True
 
 
-def _action_matrix(w: TwistedWeylElement) -> ExactMatrix:
-    """The induced action on the block-coordinate space (one coordinate per
-    block, all size classes together)."""
-    order: list[tuple[int, int]] = []
-    for k, nk in sorted(w.levi.size_classes.items()):
-        order.extend((k, i) for i in range(nk))
-    idx = {pair: n for n, pair in enumerate(order)}
-    r = len(order)
-    m = [[ZERO] * r for _ in range(r)]
-    for k, p in w.perms:
-        signs = dict(w.signs).get(k, tuple([1] * len(p))) if not w.twisted_gl else tuple([-1] * len(p))
-        for j in range(len(p)):
-            i = p[j]
-            m[idx[(k, i)]][idx[(k, j)]] = frac(signs[j])
-    return ExactMatrix(m)
-
-
 def action_determinant(w: TwistedWeylElement) -> Fraction:
-    """det of (action - 1) on the block-coordinate space modulo the centre."""
-    r = sum(w.levi.size_classes.values())
+    """det of (action - 1) on the block-coordinate space (one coordinate per
+    block) modulo the centre; the action is the signed permutation matrix."""
+    r = len(w.images)
     if r == 0:
         return Fraction(1)
-    m = _action_matrix(w)
-    d = (m - ExactMatrix.identity(r)).det()
-    if w.twisted_gl:
+    m = [[0] * r for _ in range(r)]  # action - 1, column by column
+    for j, (i, s) in enumerate(zip(w.images, w.signs)):
+        m[i][j] += s
+        m[j][j] -= 1
+    d = ExactMatrix(m).det()
+    if w.levi.group.family == "gl_gl1":
         # quotient by the scalar line, an eigenvector of the action with
         # eigenvalue -1, on which action - 1 scales by -2
         return d / Fraction(-2)

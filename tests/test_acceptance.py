@@ -221,7 +221,7 @@ def test_criterion_5_twisted_weyl():
             for w in enumerate_weyl_elements(levi):
                 total += 1
                 assert is_regular(w) == (action_determinant(w) != 0)
-    yoshida = TwistedWeylElement(LeviDescriptor(GL4_GL1, (2, 2), 0), ((2, (0, 1)),))
+    yoshida = TwistedWeylElement(LeviDescriptor(GL4_GL1, (2, 2), 0), (0, 1), (-1, -1))
     assert det_factor(yoshida) == 2
     report(5, True, f"regularity = nonzero determinant on {total} elements; contribution factor 2")
 

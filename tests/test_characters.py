@@ -1,6 +1,6 @@
 import pytest
 
-from gspin.characters import CharacterGroup, TRIVIAL_CLASS
+from gspin.characters import CharacterGroup
 
 
 def test_generator_declaration_and_products():
@@ -41,14 +41,31 @@ def test_mixed_torsion_square():
 def test_classes():
     g = CharacterGroup()
     beta = g.declare_generator("beta", order_two=True)
-    alpha = g.declare_class("alpha", beta)
-    assert g.class_character(alpha) == beta
-    assert g.class_of_character(beta) == alpha
-    assert g.class_of_character(g.trivial()) == TRIVIAL_CLASS
+    g.declare_class("alpha", beta)
+    assert g.class_character("alpha") == beta
+    assert g.class_character("1") == g.trivial()
+    assert g.class_of_character(beta) == "alpha"
+    assert g.class_of_character(g.trivial()) == "1"
     chi = g.declare_generator("chi0")
     assert g.class_of_character(chi) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order-two character"):
         g.declare_class("gamma", chi)
+    with pytest.raises(ValueError, match="'gamma' is not declared"):
+        g.class_character("gamma")
+
+
+def test_a_class_is_declared_again_only_with_its_character():
+    g = CharacterGroup()
+    beta = g.declare_generator("beta", order_two=True)
+    gamma = g.declare_generator("gamma", order_two=True)
+    g.declare_class("alpha", beta)
+    g.declare_class("alpha", g.element({}, {"beta"}))  # the same character
+    assert g.class_character("alpha") == beta
+    with pytest.raises(ValueError, match="'alpha' is already declared with another character"):
+        g.declare_class("alpha", gamma)
+    with pytest.raises(ValueError, match="'1' is already declared with another character"):
+        g.declare_class("1", beta)
+    assert g.class_character("alpha") == beta and g.class_of_character(gamma) is None
 
 
 def test_unknown_generator_rejected():

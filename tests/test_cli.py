@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gspin import cli
 from gspin.cli import main
 from gspin.scenario import ScenarioError, load_scenario
 from gspin.selftest import run_selftest
@@ -352,6 +353,30 @@ def test_verify_endoscopy_request_inside_run(tmp_path, capsys):
     code = main(["run", write_scenario(tmp_path, doc)])
     assert code == 0
     assert "pass centralizer[rank1^alpha]" in capsys.readouterr().out
+
+
+# op -> the keys of its --out record, as the README's table lists them
+OUT_KEYS = {
+    "classify": {"op", "parameter", "type", "letter", "component_rank", "epsilon", "sign_element"},
+    "multiplicity": {"op", "parameter", "multiplicity"},
+    "membership": {"op", "parameter", "member", "reason"},
+    "restriction": {"op", "shape", "ok", "packet_sizes", "dual_size", "constituents"},
+    "verify-endoscopy": {"op", "ok"},
+    "selftest": {"op", "ok"},
+}
+
+
+def test_every_op_writes_the_documented_record_keys(tmp_path, capsys):
+    assert sorted(OUT_KEYS) == sorted(cli._OPS)
+    args = {"classify": {"parameter": "psi_sk"}, "multiplicity": {"parameter": "psi_sk"},
+            "membership": {"parameter": "psi_sk"}, "restriction": {"shape": "two_two_dihedral"}}
+    doc = {**SK_SCENARIO, "requests": [{"op": op, **args.get(op, {})} for op in OUT_KEYS]}
+    out_path = tmp_path / "report.json"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out_path.read_text())
+    assert set(payload) == {"version", "seed", "results"}
+    assert [(rec["op"], set(rec)) for rec in payload["results"]] == list(OUT_KEYS.items())
 
 
 def test_report_bytes_identical_across_runs(tmp_path):

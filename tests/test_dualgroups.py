@@ -7,7 +7,6 @@ import pytest
 from gspin.exactlin import ExactMatrix, frac, kron
 from gspin import dualgroups
 from gspin.dualgroups import (
-    STANDARD_TWIST,
     BIVECTOR_FORM,
     DualElement,
     GSO4_GRAM,
@@ -22,7 +21,6 @@ from gspin.dualgroups import (
     sample_gl2,
     sample_gsp4,
     similitude_factor,
-    ThetaTwist,
 )
 
 
@@ -94,7 +92,8 @@ def test_fixed_points_are_exactly_j_similitudes():
         g = sample_gsp4(rng, x)
         assert similitude_factor(g, THETA_J) == x
         assert g.transpose() * THETA_J * g == THETA_J.scale(x)
-        assert STANDARD_TWIST.apply_dual(DualElement(g, x)) == DualElement(g, x)
+        # fixed by the dual-side twist g -> x J tg^-1 J^-1
+        assert (THETA_J * g.inverse().transpose() * THETA_J.inverse()).scale(x) == g
 
 
 def test_exterior_square_multiplicative():
@@ -190,14 +189,14 @@ def test_pinning_report_pass():
 
 
 def test_pinning_fails_for_plain_antidiagonal(monkeypatch):
-    monkeypatch.setattr(dualgroups, "STANDARD_TWIST", ThetaTwist(ExactMatrix.antidiagonal([1] * 4)))
+    monkeypatch.setattr(dualgroups, "THETA_J", ExactMatrix.antidiagonal([1] * 4))
     report = pinning_fixed_by_theta()
     assert not report.ok
     assert any(f.startswith("root_vector") for f in report.failures)
 
 
 def test_pinning_passes_for_negated_matrix(monkeypatch):
-    monkeypatch.setattr(dualgroups, "STANDARD_TWIST", ThetaTwist(THETA_J.scale(-1)))
+    monkeypatch.setattr(dualgroups, "THETA_J", THETA_J.scale(-1))
     assert pinning_fixed_by_theta().ok
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gspin.dualgroups import DualElement, sample_gsp4
-from gspin.exactlin import ExactMatrix, frac, matrix_log_unipotent, span_basis
+from gspin.exactlin import ExactMatrix, frac, matrix_log_unipotent, rank, span_basis
 from gspin import cli, endoscopy
 from gspin.endoscopy import (
     FROBENIUS_GSO4,
@@ -53,6 +53,21 @@ def test_catalog_gspin4():
     (h2,) = _data("gspin4")
     assert h2.expected_centralizer_dim == 3
     assert h2.frobenius_image == FROBENIUS_H2
+
+
+def test_ordinary_frobenius_images_commute_with_s_and_h2_stays_elliptic():
+    ordinary = [d for d in full_catalog() if not d.twisted and d.frobenius_image is not None]
+    assert [d.name for d in ordinary] == ["h2^alpha"]
+    for d in ordinary:
+        c = d.frobenius_image
+        assert c * d.s == d.s * c, d.name
+    # h2's Lie algebra is a torus, so the part its Frobenius image fixes is
+    # the fixed part of the centre: a line, as the datum is elliptic
+    (h2,) = ordinary
+    c = h2.frobenius_image
+    moved = [c * x * c.inverse() - x for x, _ in h2.lie_basis]
+    assert len(h2.lie_basis) == 3
+    assert len(h2.lie_basis) - rank(ExactMatrix([[v for row in m.entries() for v in row] for m in moved])) == 1
 
 
 def test_catalog_filters_the_one_read_only_tuple():
@@ -229,7 +244,8 @@ def test_verification_draws_nothing(monkeypatch):
 @pytest.mark.parametrize(
     "name, image",
     [
-        ("rank1^alpha", FROBENIUS_H2),  # an involution that does not normalize
+        # an involution that does not normalize
+        ("rank1^alpha", ExactMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])),
         ("gspin4^alpha", ExactMatrix.diagonal([1, 1, 1, 2])),  # not an involution
     ],
 )

@@ -14,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gspin.dualgroups import STANDARD_TWIST, DualElement  # noqa: E402
+from gspin.dualgroups import THETA_J, DualElement  # noqa: E402
 from gspin.endoscopy import S_GSO4, S_H1, S_RANK1, _generators, full_catalog, theta_s_fixed  # noqa: E402
 from gspin.exactlin import ExactMatrix  # noqa: E402
 
@@ -24,7 +24,9 @@ SHEAR = ExactMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def _fixed_by_the_twist(s: ExactMatrix, e: DualElement) -> bool:
-    return s * STANDARD_TWIST.apply_dual(e).g * s.inverse() == e.g
+    """Is g fixed by Ad(s) after the dual-side twist g -> x J tg^-1 J^-1?"""
+    dual = (THETA_J * e.g.inverse().transpose() * THETA_J.inverse()).scale(e.x)
+    return s * dual * s.inverse() == e.g
 
 
 @st.composite

@@ -23,7 +23,6 @@ KEPT = {
     "EndoscopicDatum.h_description": "demo 03 prints it",
     "boxtimes": "ROADMAP item 2 builds on it",
     "ExactMatrix.column": "public accessor: the vectors of a frame are its columns",
-    "ThetaTwist.apply_dual": "the tests' reference for endoscopy.theta_s_fixed",
 }
 
 

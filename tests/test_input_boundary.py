@@ -156,8 +156,8 @@ def test_factor_involution_refuses_similitude_factor_zero(tmp_path, capsys):
 
 
 def test_even_target_needs_its_square_class(tmp_path, capsys):
-    # orthogonal summands reach the square-class condition of GSpin4^alpha,
-    # which reads the class 'alpha' this scenario does not declare
+    # GSpin4^alpha reads the class 'alpha', which this scenario does not
+    # declare; once declared, orthogonal summands reach its condition
     doc = {
         "characters": {"generators": [{"name": "chi0"}], "defined": {"chi": {"free": {"chi0": 1}}}},
         "cuspidals": [{"id": f"p{k}", "N": 2, "central_character": "chi", "chi": "chi", "sign": 1}
@@ -165,8 +165,12 @@ def test_even_target_needs_its_square_class(tmp_path, capsys):
         "parameters": [{"name": "psi", "chi": "chi", "summands": [["p1", 1], ["p2", 1]]}],
         "requests": [{"op": "membership", "parameter": "psi", "target": "gspin4a"}],
     }
-    code, out, err = _run(tmp_path, capsys, doc)
-    assert (code, out, err) == (2, "", "computation error: square class 'alpha' is not declared\n")
+    for op in ("multiplicity", "membership"):
+        doc["requests"][0]["op"] = op
+        code, out, err = _run(tmp_path, capsys, doc)
+        assert (code, out, err) == (
+            2, "", "input error: requests[0].target: 'gspin4a' reads the undeclared square class 'alpha'\n"
+        )
     doc["characters"]["generators"].append({"name": "b", "order_two": True})
     doc["characters"]["defined"]["beta"] = {"torsion": ["b"]}
     doc["classes"] = [{"token": "alpha", "character": "beta"}]

@@ -136,11 +136,7 @@ def test_gso4_restriction_dihedral_full_dual():
 
 
 def test_gso4_rejects_unequal_determinants():
-    from gspin.restriction import PairParameterDescriptor
-
-    bad = PairParameterDescriptor(
-        "bad", ((ExactMatrix.diagonal([2, 3]), ExactMatrix.diagonal([2, 4])),)
-    )
+    bad = ((ExactMatrix.diagonal([2, 3]), ExactMatrix.diagonal([2, 4])),)
     with pytest.raises(ValueError):
         restrict_gso4(bad)
 
@@ -165,7 +161,7 @@ def _unit_pieces(n, pieces):
 @pytest.mark.parametrize("shape", sorted(RECORDED_PIECES))
 def test_split_pieces_match_recorded_bases(shape):
     if shape.startswith("gso4"):
-        pairs = gso4_shape_catalog()[shape].pairs
+        pairs = gso4_shape_catalog()[shape]
         sides = [[kron(a, b).scale(ONE / a.det()) for a, b in pairs]]
     else:
         elements = shape_catalog()[shape].generators

@@ -6,7 +6,6 @@ from gspin.weyl import (
     TwistedWeylElement,
     action_determinant,
     det_factor,
-    element_is_valid,
     enumerate_levis,
     enumerate_weyl_elements,
     is_regular,
@@ -48,8 +47,8 @@ def test_gspin5_levi_names():
 
 def test_gl_regularity_criterion():
     levi = LeviDescriptor(GL4_GL1, (2, 2), 0)
-    identity = TwistedWeylElement(levi, ((2, (0, 1)),))
-    swap = TwistedWeylElement(levi, ((2, (1, 0)),))
+    identity = TwistedWeylElement(levi, (0, 1), (-1, -1))
+    swap = TwistedWeylElement(levi, (1, 0), (-1, -1))
     assert is_regular(identity)       # two odd cycles
     assert not is_regular(swap)       # one even cycle
     assert det_factor(identity) == 2  # the Yoshida-contribution factor
@@ -58,8 +57,8 @@ def test_gl_regularity_criterion():
 
 def test_gspin_regularity_criterion():
     levi = LeviDescriptor(GSPIN5, (1,), 1)
-    minus = TwistedWeylElement(levi, ((1, (0,)),), ((1, (-1,)),))
-    plus = TwistedWeylElement(levi, ((1, (0,)),), ((1, (1,)),))
+    minus = TwistedWeylElement(levi, (0,), (-1,))
+    plus = TwistedWeylElement(levi, (0,), (1,))
     assert is_regular(minus) and det_factor(minus) == 2
     assert not is_regular(plus)
     with pytest.raises(ValueError):
@@ -67,17 +66,34 @@ def test_gspin_regularity_criterion():
 
 
 def test_validity_index_two_for_split_even():
-    levi = LeviDescriptor(GSPIN4, (1, 1), 0)
-    ok = TwistedWeylElement(levi, ((1, (0, 1)),), ((1, (-1, -1)),))
-    bad = TwistedWeylElement(levi, ((1, (0, 1)),), ((1, (-1, 1)),))
-    assert element_is_valid(ok)
-    assert not element_is_valid(bad)
-    # with residual rank the constraint disappears
-    levi5 = LeviDescriptor(GSPIN5, (1, 1), 0)
-    assert element_is_valid(TwistedWeylElement(levi5, ((1, (0, 1)),), ((1, (-1, 1)),)))
+    elements = enumerate_weyl_elements(LeviDescriptor(GSPIN4, (1, 1), 0))
+    assert len(elements) == 4
+    assert {w.signs for w in elements} == {(1, 1), (-1, -1)}
+    # GSpin5 keeps every sign pattern
+    elements5 = enumerate_weyl_elements(LeviDescriptor(GSPIN5, (1, 1), 0))
+    assert len(elements5) == 8
+    assert (-1, 1) in {w.signs for w in elements5}
     # even block sizes carry no constraint
-    levi2 = LeviDescriptor(GSPIN4, (2,), 0)
-    assert element_is_valid(TwistedWeylElement(levi2, ((2, (0,)),), ((2, (-1,)),)))
+    elements2 = enumerate_weyl_elements(LeviDescriptor(GSPIN4, (2,), 0))
+    assert {w.signs for w in elements2} == {(1,), (-1,)}
+
+
+def test_blocks_move_only_among_blocks_of_their_size():
+    elements = enumerate_weyl_elements(LeviDescriptor(GL4_GL1, (2, 1, 1), 0))
+    assert {w.images for w in elements} == {(0, 1, 2), (0, 2, 1)}
+    assert all(w.signs == (-1, -1, -1) for w in elements)
+
+
+def test_element_refuses_what_no_relative_weyl_element_is():
+    levi = LeviDescriptor(GL4_GL1, (2, 1, 1), 0)
+    with pytest.raises(ValueError, match="own size"):
+        TwistedWeylElement(levi, (1, 0, 2), (-1, -1, -1))
+    with pytest.raises(ValueError, match="signs must lie in"):
+        TwistedWeylElement(levi, (0, 1, 2), (-1, 1, -1))
+    with pytest.raises(ValueError, match="permute the blocks"):
+        TwistedWeylElement(levi, (0, 0, 2), (-1, -1, -1))
+    with pytest.raises(ValueError, match="signs must lie in"):
+        TwistedWeylElement(LeviDescriptor(GSPIN5, (1,), 1), (0,), (0,))
 
 
 def test_exhaustive_regular_iff_nonzero_det():
