@@ -17,7 +17,7 @@ print("== kernels ==")
 m = ExactMatrix([[1, 1], [2, 2]])
 print("matrix:", m)
 k = kernel(m)
-print("kernel basis:", [k.column(j) for j in range(k.cols)], "(the line through (1, -1))")
+print("kernel basis:", list(k.transpose().entries()), "(the line through (1, -1))")
 
 print()
 print("== commutants ==")

@@ -10,7 +10,8 @@ underlying string decomposition with its symmetric/alternating pairings.
 
 import random
 
-from gspin.exactlin import ExactMatrix, QuadraticSpace, frac, matrix_exp_nilpotent, matrix_log_unipotent
+from gspin.exactlin import ExactMatrix, QuadraticSpace, bilinear, frac, matrix_exp_nilpotent, matrix_log_unipotent
+from gspin.exactlin import similitude_factor
 from gspin.involutions import SimilitudeElement, factor, orthogonal_string_decomposition, verify
 
 space = QuadraticSpace(4, ExactMatrix.antidiagonal([1, 1, 1, 1]))
@@ -30,13 +31,13 @@ rng = random.Random(1)
 def aniso(space):
     while True:
         v = tuple(frac(rng.randint(-3, 3)) for _ in range(space.dim))
-        if space.bilinear(v, v) != 0:
+        if bilinear(space.gram, v, v) != 0:
             return v
 
 
 g = space.reflection(aniso(space)) * space.reflection(aniso(space))
 g = g.scale(frac(2))
-e = SimilitudeElement(space, g, space.similitude_factor(g))
+e = SimilitudeElement(space, g, similitude_factor(g, space.gram))
 pair = factor(e)
 print("element:")
 print(e.g)
@@ -67,6 +68,6 @@ for _ in range(10):
     for _ in range(4):
         g = g * big.reflection(aniso(big))
     g = g.scale(frac(rng.randint(1, 3)))
-    e = SimilitudeElement(big, g, big.similitude_factor(g))
+    e = SimilitudeElement(big, g, similitude_factor(g, big.gram))
     good += verify(e, factor(e))
 print(f"{good}/10 seeded factorizations verified")

@@ -14,6 +14,7 @@ quadratic extension, and the token '1' to the trivial character.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -65,12 +66,17 @@ class CharacterGroup:
         """Declare a square class with its order-two character; declaring a
         token again is allowed with the same character only."""
         if token in self._classes:
-            if not self.equal(self._classes[token], character):
+            if self._classes[token] != character:
                 raise ValueError(f"square class {token!r} is already declared with another character")
             return
         if not character.order_two:
             raise ValueError("nontrivial class needs an order-two character")
         self._classes[token] = character
+
+    @property
+    def classes(self) -> Mapping[str, HeckeCharacterHandle]:
+        """The declared square classes, token -> character, '1' included."""
+        return MappingProxyType(self._classes)
 
     def class_character(self, token: str) -> HeckeCharacterHandle:
         if token not in self._classes:
@@ -80,7 +86,7 @@ class CharacterGroup:
     def class_of_character(self, chi: HeckeCharacterHandle) -> str | None:
         """The declared class whose character equals chi, if any."""
         for token, ch in self._classes.items():
-            if ch.free == chi.free and ch.torsion == chi.torsion:
+            if ch == chi:
                 return token
         return None
 
@@ -126,6 +132,3 @@ class CharacterGroup:
 
     def ratio(self, a: HeckeCharacterHandle, b: HeckeCharacterHandle) -> HeckeCharacterHandle:
         return self.mul(a, self.inv(b))
-
-    def equal(self, a: HeckeCharacterHandle, b: HeckeCharacterHandle) -> bool:
-        return a.free == b.free and a.torsion == b.torsion

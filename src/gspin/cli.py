@@ -68,7 +68,7 @@ def _target(scn, at, name):
     """The target group of a request; an even GSpin target reads its square
     class, which the scenario must declare."""
     tag = lookup(_GROUP_NAMES, name, "unknown target", f"{at}.target")
-    if tag.family == "gspin_even" and tag.alpha not in scn.classes:
+    if tag.family == "gspin_even" and tag.alpha not in scn.group.classes:
         raise ScenarioError(f"{at}.target: {name!r} reads the undeclared square class {tag.alpha!r}")
     return tag
 
@@ -87,7 +87,7 @@ def _membership(scn, seed, at, name, target, alpha):
     fixture = lookup(scn.parameters, name, "undeclared parameter", f"{at}.parameter")
     tag = _target(scn, at, target)
     if alpha is not None:
-        lookup(scn.classes, alpha, "undeclared class", f"{at}.alpha")
+        lookup(scn.group.classes, alpha, "undeclared class", f"{at}.alpha")
         if tag.family != "gspin_even":
             raise ScenarioError(f"{at}.alpha: target {target!r} reads no square class")
     rep = psi_disc_membership(scn.group, fixture.parameter, tag, alpha)

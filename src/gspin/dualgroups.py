@@ -12,14 +12,16 @@ A GSp4 element is its 4x4 matrix g: its similitude factor nu(g) is read off
 g wherever it is needed, so no caller hands it in.  DualElement (g, x) is an
 element of the twisted stage GL4 x GL1 only, where x is data of its own.
 
-The seeded GSp4 and GL2 samplers, which drive the restriction-diagram and
-projection checks, and the two maps into SO5 run on integer numerators (see
-``exactlin.int_product``) and normalise each matrix they return once; every
-GSp4 sample is still checked exactly before it is returned.  Constant
-factors (the split bases, the SO4-block bases, THETA_J and the diagonal of a
-sample) are applied through their nonzero entries
-(``exactlin.sparse_product``), never as dense products.  The endoscopic
-groups are not sampled: ``endoscopy`` checks each on a fixed generating set.
+The seeded GSp4 sampler, the pair embedding and the two maps into SO5,
+which the restriction-diagram checks call on every sample, run on integer
+numerators (see ``exactlin.int_product``) and normalise each matrix they
+return once; every GSp4 sample is still checked exactly before it is
+returned.  They are the only code outside ``exactlin`` that reads its
+storage, and tier-1 names them.  Constant factors (the split bases, the
+SO4-block bases, THETA_J and the diagonal of a sample) are applied through
+their nonzero entries (``exactlin.sparse_product``), never as dense
+products.  The endoscopic groups are not sampled: ``endoscopy`` checks each
+on a fixed generating set.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ _BIVECTOR_INDEX = [(i, j) for i, j in itertools.combinations(range(4), 2)]
 
 
 def _minors(e: tuple, f: int = 1) -> tuple:
-    """f times the 2x2 minors of the 4x4 integer rows e, indexed by bivectors."""
+    """f times the 2x2 minors of the 4x4 rows e, indexed by bivectors."""
     return tuple(
         tuple([f * (e[i][k] * e[j][l] - e[i][l] * e[j][k]) for (k, l) in _BIVECTOR_INDEX])
         for (i, j) in _BIVECTOR_INDEX
@@ -180,10 +182,10 @@ def _minors(e: tuple, f: int = 1) -> tuple:
 
 def exterior_square(g: ExactMatrix) -> ExactMatrix:
     """Matrix of g acting on the 6-dimensional space of bivectors e_i ^ e_j:
-    the 2x2 minors of the numerators over the squared denominator."""
+    its 2x2 minors."""
     if g.rows != 4 or g.cols != 4:
         raise ValueError("4x4 matrix required")
-    return ExactMatrix._make(_minors(g._num), g._den * g._den, 6)
+    return ExactMatrix(_minors(g.entries()))
 
 
 # symmetric form on bivectors induced by the symplectic form:
@@ -402,9 +404,7 @@ def sample_gsp4(rng, similitude: Fraction) -> ExactMatrix:
 def sample_gl2(rng, det_value: Fraction) -> ExactMatrix:
     """Seeded 2x2 rational matrix with the prescribed determinant."""
     det_value = frac(det_value)
-    p, q = det_value.numerator, det_value.denominator
     while True:
         a, b, c = (rng.randint(-3, 3) for _ in range(3))
         if a != 0:
-            # d = (det_value + b c) / a; every entry over q a
-            return ExactMatrix._make(((q * a * a, q * a * b), (q * a * c, p + q * b * c)), q * a, 2)
+            return ExactMatrix([[a, b], [c, (det_value + b * c) / a]])

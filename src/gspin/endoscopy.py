@@ -166,14 +166,9 @@ def _frobenius_ok(d: EndoscopicDatum) -> bool:
     if d.frobenius_image is None:
         return True
     # the basis is independent, so the conjugates lie in its span exactly
-    # when they leave its rank alone; each vector (y, t) is one row, read off
-    # numerators as den(y) den(t) (y, t), which leaves the span alone
+    # when they leave its rank alone; each vector (y, t) is one row
     c, cinv = d.frobenius_image, d.frobenius_image.inverse()
-    rows = [
-        [v * t.denominator for r in y._num for v in r] + [t.numerator * y._den]
-        for x, t in d.lie_basis
-        for y in (x, c * x * cinv)
-    ]
+    rows = [[v for r in y.entries() for v in r] + [t] for x, t in d.lie_basis for y in (x, c * x * cinv)]
     return c * c == ExactMatrix.identity(4) and rank(ExactMatrix(rows)) == len(d.lie_basis)
 
 

@@ -17,9 +17,10 @@ A set of vectors is always a column frame: one matrix whose columns are the
 vectors.  ``kernel``, ``generalized_kernel``, ``span_basis`` and ``krylov``
 return frames, ``rational_eigensplit`` one per rational eigenvalue, and
 ``restrict_to`` and ``pairing_matrix`` take them.  ``Fraction`` is the edge
-where a value leaves the module: entries, columns, traces, determinants and
-the results of ``apply``, ``solve`` and ``bilinear`` are Fractions, and
-constructors accept ints, strings like '3/4' and Fractions.
+where a value leaves the module: entries, traces, determinants and the
+results of ``apply``, ``solve`` and ``bilinear`` are Fractions, and
+constructors accept ints, strings like '3/4' and Fractions.  A scalar
+multiple is ``scale``: ``*`` takes a matrix or a vector, never a number.
 """
 
 from __future__ import annotations
@@ -187,10 +188,6 @@ class ExactMatrix:
         i, j = ij
         return Fraction(self._num[i][j], self._den)
 
-    def column(self, j: int) -> tuple:
-        d = self._den
-        return tuple(Fraction(r[j], d) for r in self._num)
-
     def columns(self, start: int, stop: int) -> "ExactMatrix":
         """The columns start, ..., stop - 1, as a matrix."""
         return ExactMatrix._make(tuple(r[start:stop] for r in self._num), self._den, stop - start)
@@ -241,14 +238,13 @@ class ExactMatrix:
         )
 
     def __mul__(self, other):
+        """The product with a matrix, or the image of a vector (a tuple or a
+        list); a number is refused, since ``scale`` is its one spelling."""
         if isinstance(other, ExactMatrix):
             return _matmul(self, other)
         if isinstance(other, (tuple, list)):
             return self.apply(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return NotImplemented
 
     def apply(self, v: Sequence) -> tuple:
         vec, vd = _over_one_denominator(v)
@@ -822,9 +818,6 @@ class QuadraticSpace:
         if self.gram.det() == 0:
             raise ValueError("the form must be invertible")
 
-    def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
-        return bilinear(self.gram, u, v)
-
     def reflection(self, v: Sequence) -> ExactMatrix:
         """Reflection in the non-isotropic vector v; lies in O(gram), det -1.
 
@@ -842,7 +835,3 @@ class QuadraticSpace:
             for i, a in enumerate(vec)
         )
         return ExactMatrix._make(num, q, self.dim)
-
-    def similitude_factor(self, g: ExactMatrix) -> Fraction | None:
-        """nu with t(g) gram g = nu gram, or None if g is not a similitude."""
-        return similitude_factor(g, self.gram)

@@ -59,7 +59,7 @@ from itertools import combinations
 
 from .exactlin import ExactMatrix, QuadraticSpace, frac, generalized_kernel, is_rational_square, kernel
 from .exactlin import krylov, matrix_log_unipotent, pairing_matrix, poly_eval_matrix, rank, restrict_to
-from .exactlin import span_basis, ONE
+from .exactlin import similitude_factor, span_basis, ONE
 
 
 _HALF = Fraction(1, 2)
@@ -77,7 +77,7 @@ class SimilitudeElement:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", frac(self.nu))
-        got = self.space.similitude_factor(self.g)
+        got = similitude_factor(self.g, self.space.gram)
         if got != self.nu:  # got is None for a factor of 0
             raise ValueError("not an invertible similitude with the stated factor")
         n = self.space.dim // 2

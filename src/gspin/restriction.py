@@ -14,7 +14,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -97,15 +96,12 @@ def _classify_pieces(pieces: list[ExactMatrix], form: ExactMatrix) -> list[Piece
 class ComponentSignGroup:
     group: TwoGroup
     pieces: tuple[PieceData, ...]
-    # the matrix whose columns are the piece bases, in order, and its inverse
-    basis_matrix: ExactMatrix = field(repr=False, compare=False)
+    # the inverse of the matrix whose columns are the piece bases, in order
     basis_inverse: ExactMatrix = field(repr=False, compare=False)
 
     def matrix_for(self, pattern: frozenset) -> ExactMatrix:
-        signs = [-1 if p.label in pattern else 1 for p in self.pieces for _ in range(p.basis.cols)]
-        b = self.basis_matrix  # negated columns stay canonical over the same denominator
-        flipped = ExactMatrix._raw(tuple(tuple(map(mul, r, signs)) for r in b._num), b._den, b.cols)
-        return flipped * self.basis_inverse
+        flipped = [-p.basis if p.label in pattern else p.basis for p in self.pieces]
+        return ExactMatrix.hstack(flipped) * self.basis_inverse
 
     def pattern_of(self, m: ExactMatrix) -> frozenset:
         """Express a matrix acting by +-1 on every piece as a sign pattern."""
@@ -125,7 +121,7 @@ def _in_group(m: ExactMatrix, form: ExactMatrix) -> bool:
     if form.is_antisymmetric():
         return similitude_factor(m, form) is not None
     if form.is_symmetric():
-        return m.transpose() * form * m == form and m.det() == 1
+        return similitude_factor(m, form) == 1 and m.det() == 1
     raise ValueError("form must be alternating or symmetric")
 
 
@@ -137,9 +133,8 @@ def sign_patterns(
     when it is one of them."""
     pieces = tuple(pieces)
     self_labels = [p.label for p in pieces if p.self_paired]
-    basis_matrix = ExactMatrix.hstack([p.basis for p in pieces])
-    bases = (basis_matrix, basis_matrix.inverse())
-    raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), pieces, *bases)
+    basis_inverse = ExactMatrix.hstack([p.basis for p in pieces]).inverse()
+    raw = ComponentSignGroup(TwoGroup(self_labels, elements=[frozenset()]), pieces, basis_inverse)
     valid = []
     for r in range(len(self_labels) + 1):
         for subset in itertools.combinations(self_labels, r):
@@ -153,7 +148,7 @@ def sign_patterns(
     center = frozenset(self_labels)
     relations = [center] if center and center in valid else []
     group = TwoGroup(self_labels, relations, elements=valid)
-    return ComponentSignGroup(group, pieces, *bases)
+    return ComponentSignGroup(group, pieces, basis_inverse)
 
 
 def component_sign_group(generators: Sequence[ExactMatrix], form: ExactMatrix) -> ComponentSignGroup:

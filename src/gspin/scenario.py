@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .characters import CharacterGroup, HeckeCharacterHandle
+from .characters import CharacterGroup
 from .exactlin import ExactMatrix
 from .params import (
     CuspidalHandle,
@@ -41,7 +41,6 @@ class ParameterFixture:
 @dataclass
 class Scenario:
     group: CharacterGroup
-    classes: dict[str, HeckeCharacterHandle]  # square-class token -> its character
     parameters: dict[str, ParameterFixture]
     requests: list[Any]
 
@@ -96,7 +95,7 @@ def lookup(table: Mapping, name, what: str, path: str):
     return table[name]
 
 
-def _fresh(table: dict, name: str, path: str) -> str:
+def _fresh(table: Mapping, name: str, path: str) -> str:
     if name in table:
         raise ScenarioError(f"{path}: duplicate {name!r}")
     return name
@@ -173,14 +172,12 @@ def build_scenario(doc: dict) -> Scenario:
         with blame(at):
             characters[_fresh(characters, name, at)] = group.element(free, torsion)
 
-    classes = {"1": group.trivial()}
     for i, node in enumerate(class_docs):
         at = f"classes[{i}]"
         token, char = read(node, at, {"token": (str, REQUIRED), "character": (str, REQUIRED)})
         character = lookup(characters, char, "undeclared character", f"{at}.character")
         with blame(at):
-            group.declare_class(_fresh(classes, token, f"{at}.token"), character)
-        classes[token] = character
+            group.declare_class(_fresh(group.classes, token, f"{at}.token"), character)
 
     cuspidals: dict[str, CuspidalHandle] = {}
     for i, node in enumerate(cusp_docs):
@@ -231,7 +228,7 @@ def build_scenario(doc: dict) -> Scenario:
             label, values = entries(place, f"{at}[{k}]", str, dict)
             values = {s: check(v, int, _at(f"{at}[{k}][1]", s)) for s, v in values.items()}
             fixture.local_data.append((label, values))
-    return Scenario(group=group, classes=classes, parameters=parameters, requests=requests)
+    return Scenario(group=group, parameters=parameters, requests=requests)
 
 
 def local_characters(fixture: ParameterFixture, sgroup) -> list[tuple[str, frozenset]]:

@@ -17,7 +17,7 @@ from gspin.dualgroups import (
     gspin_even_tag,
     pinning_fixed_by_theta,
 )
-from gspin.exactlin import ExactMatrix, QuadraticSpace, frac
+from gspin.exactlin import ExactMatrix, QuadraticSpace, bilinear, frac, similitude_factor
 from gspin import endoscopy
 from gspin.params import (
     ArthurType,
@@ -265,14 +265,14 @@ def _random_element(rng, space):
     for _ in range(2 * rng.randint(1, 2)):
         while True:
             v = tuple(frac(rng.randint(-2, 2)) for _ in range(space.dim))
-            if space.bilinear(v, v) != 0:
+            if bilinear(space.gram, v, v) != 0:
                 break
         g = g * space.reflection(v)
     lam = frac(rng.randint(1, 4))
     if rng.random() < 0.3:
         lam = -lam
     g = g.scale(lam)
-    return SimilitudeElement(space, g, space.similitude_factor(g))
+    return SimilitudeElement(space, g, similitude_factor(g, space.gram))
 
 
 @pytest.mark.parametrize("dim", [4, 6, 8])

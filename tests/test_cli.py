@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from gspin import cli
+from gspin import cli, params
 from gspin.cli import main
+from gspin.dualgroups import SP4_GL1
 from gspin.scenario import ScenarioError, load_scenario
 from gspin.selftest import run_selftest
 
@@ -364,6 +365,37 @@ OUT_KEYS = {
     "verify-endoscopy": {"op", "ok"},
     "selftest": {"op", "ok"},
 }
+
+
+def test_the_demo_scenario_writes_the_documented_record_keys(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert main(["run", str(DEMO_SCENARIO), "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    results = json.loads(out_path.read_text())["results"]
+    assert [set(rec) for rec in results] == [OUT_KEYS[rec["op"]] for rec in results]
+
+
+def test_a_gspin5_multiplicity_request_checks_membership_twice(tmp_path, capsys, monkeypatch):
+    # once in cli before the local data are read and once in classify:
+    # params.multiplicity adds no third check for the target classify checks
+    calls = []
+    original = params.psi_disc_membership
+
+    def counted(group, psi, target, alpha_class=None):
+        calls.append(target.describe())
+        return original(group, psi, target, alpha_class)
+
+    monkeypatch.setattr(params, "psi_disc_membership", counted)
+    doc = {**SK_SCENARIO, "requests": [{"op": "multiplicity", "parameter": "psi_sk"}]}
+    assert main(["run", write_scenario(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == "multiplicity[psi_sk]: 0\n"
+    assert calls == ["GSpin5", "GSpin5"]
+    # any other target is still checked by params.multiplicity itself
+    calls.clear()
+    scn = load_scenario(json.dumps(SK_SCENARIO))
+    with pytest.raises(ValueError, match="^not a discrete parameter: parameter has size 4, target needs 5$"):
+        params.multiplicity(scn.group, scn.parameters["psi_sk"].parameter, [], SP4_GL1)
+    assert calls == ["Sp4xGL1"]
 
 
 def test_every_op_writes_the_documented_record_keys(tmp_path, capsys):

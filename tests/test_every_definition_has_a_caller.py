@@ -22,7 +22,6 @@ KEPT = {
     "gso4_shape_catalog": "demo 06 and acceptance criterion 6 read it",
     "EndoscopicDatum.h_description": "demo 03 prints it",
     "boxtimes": "ROADMAP item 2 builds on it",
-    "ExactMatrix.column": "public accessor: the vectors of a frame are its columns",
 }
 
 

@@ -77,10 +77,20 @@ def test_is_scalar_holds_only_for_square_multiples_of_the_identity():
     assert not ExactMatrix([[1, 0], [0, 1], [0, 0]]).is_scalar()
 
 
+def test_a_scalar_multiple_is_spelt_scale_only():
+    m = ExactMatrix([[1, 2], [3, 4]])
+    for product in (lambda: m * 2, lambda: 2 * m, lambda: Fraction(1, 2) * m):
+        with pytest.raises(TypeError):
+            product()
+    assert m.scale(Fraction(1, 2)) == ExactMatrix([["1/2", 1], ["3/2", 2]])
+    assert m * m == ExactMatrix([[7, 10], [15, 22]])
+    assert m * (1, 1) == (3, 7)
+
+
 def test_kernel_rank_one():
     basis = kernel(ExactMatrix([[1, 1], [2, 2]]))
     assert basis.cols == 1
-    v = basis.column(0)
+    v = basis.transpose().entries()[0]
     # spanned by (1, -1)
     assert v[0] == -v[1] != 0
 
@@ -213,7 +223,7 @@ def test_matrix_equation_single_term_matches_kron():
     a = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, -1]])  # rank 2
     b = ExactMatrix([[2, 1, 0], [0, 1, 0], [1, 0, 3]])
     k = kernel(kron(a, b.transpose()))
-    expected = [ExactMatrix([v[0:3], v[3:6], v[6:9]]) for v in (k.column(j) for j in range(k.cols))]
+    expected = [ExactMatrix([v[0:3], v[3:6], v[6:9]]) for v in k.transpose().entries()]
     got = matrix_equation_kernel([[(a, "X", b)]])
     assert len(got) == 3
     assert got == expected
@@ -328,17 +338,17 @@ def test_quadratic_space_reflection():
     assert r * r == ExactMatrix.identity(4)
     assert r.det() == -1
     assert r.transpose() * gram * r == gram
-    assert space.similitude_factor(r) == 1
+    assert similitude_factor(r, space.gram) == 1
 
 
 def _reflection_by_columns(space, v):
     """Column j is e_j - 2 B(e_j, v) / B(v, v) v, entry by entry."""
     n = space.dim
-    q = space.bilinear(v, v)
+    q = bilinear(space.gram, v, v)
     cols = []
     for j in range(n):
         e = [Fraction(int(i == j)) for i in range(n)]
-        coef = 2 * space.bilinear(e, v) / q
+        coef = 2 * bilinear(space.gram, e, v) / q
         cols.append([e[i] - coef * frac(v[i]) for i in range(n)])
     return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
@@ -355,7 +365,7 @@ def test_reflection_matches_the_column_formula(dim):
     checked = 0
     while checked < 20:
         v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim))
-        if space.bilinear(v, v) == 0:
+        if bilinear(space.gram, v, v) == 0:
             continue
         r = space.reflection(v)
         assert r == _reflection_by_columns(space, v)

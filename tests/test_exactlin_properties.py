@@ -181,7 +181,7 @@ def test_kernel_is_the_basis_read_off_rref(a):
         expected.append(tuple(v))
     frame = kernel(a)
     assert (frame.rows, frame.cols) == (a.cols, len(expected))
-    assert [frame.column(j) for j in range(frame.cols)] == expected
+    assert list(frame.transpose().entries()) == expected
 
 
 @PROPERTY
@@ -192,7 +192,7 @@ def test_span_basis_is_the_reduced_basis_of_the_column_span(f):
     basis = span_basis(f)
     red, _ = rref(f.transpose())
     nonzero = [row for row in red.entries() if any(row)]
-    assert [basis.column(j) for j in range(basis.cols)] == nonzero
+    assert list(basis.transpose().entries()) == nonzero
     assert basis.cols == rank(basis) == rank(f) == rank(ExactMatrix.hstack([f, basis]))
 
 
@@ -202,13 +202,13 @@ def test_krylov_is_the_chain_of_each_start(args):
     m, starts, length = args
     expected = []
     for j in range(starts.cols):
-        v = starts.column(j)
+        v = starts.transpose().entries()[j]
         for _ in range(length):  # v, m v, ..., m^(length-1) v
             expected.append(v)
             v = m.apply(v)
     block = krylov(m, starts, length)
     assert (block.rows, block.cols) == (m.rows, starts.cols * length)
-    assert [block.column(j) for j in range(block.cols)] == expected
+    assert list(block.transpose().entries()) == expected
 
 
 @PROPERTY
@@ -216,8 +216,8 @@ def test_krylov_is_the_chain_of_each_start(args):
 def test_column_slices_concatenate_back(a, data):
     cut = data.draw(st.integers(0, a.cols))
     left, right = a.columns(0, cut), a.columns(cut, a.cols)
-    assert [left.column(j) for j in range(cut)] == [a.column(j) for j in range(cut)]
-    assert [right.column(j) for j in range(a.cols - cut)] == [a.column(j) for j in range(cut, a.cols)]
+    assert list(left.transpose().entries()) == list(a.transpose().entries()[:cut])
+    assert list(right.transpose().entries()) == list(a.transpose().entries()[cut:])
     # equal storage: the concatenation is canonical
     assert ExactMatrix.hstack([left, right]) == a
 
@@ -284,7 +284,7 @@ def monomial_forms_and_matrices(draw):
     form = ExactMatrix([[diag[j] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
     kind = draw(st.sampled_from(["isometry", "generic", "singular", "zero"]))
     if kind == "isometry":
-        g = form.inverse() * form.transpose() * draw(ENTRIES.filter(bool))
+        g = (form.inverse() * form.transpose()).scale(draw(ENTRIES.filter(bool)))
     elif kind == "generic":
         g = draw(matrices(n, n))
     elif kind == "singular" and n > 1:

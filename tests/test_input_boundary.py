@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from gspin.cli import main
+from test_cli import OUT_KEYS
 from gspin.scenario import ScenarioError, parse_matrix, parse_rational
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,6 +78,8 @@ DEFECTS = {
         _set(["characters", "generators"], [{"name": "eta0"}, {"name": "eta0"}]),
         "characters.generators[1].name: duplicate 'eta0'"),
     "sign-three": (_set(["cuspidals", 0, "sign"], 3), "cuspidals[0].sign: expected 1 or -1"),
+    "class-token-one": (
+        _set(["classes"], [{"token": "1", "character": "chi"}]), "classes[0].token: duplicate '1'"),
 }
 
 
@@ -247,7 +250,8 @@ def test_scenario_fuzzer_never_crashes(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the scenarios of the benchmark's scenario-run workload stay valid
+# the scenarios of the benchmark's scenario-run workload stay valid, and
+# every record they write has the documented keys
 
 
 def _workloads():
@@ -264,5 +268,8 @@ def test_benchmark_scenarios_are_accepted(tmp_path, capsys, seed):
         doc, _, cli_seed = workloads.scenario_input(seed, i)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        assert main(["run", str(path), "--seed", str(cli_seed)]) == 0
+        out_path = tmp_path / "report.json"
+        assert main(["run", str(path), "--seed", str(cli_seed), "--out", str(out_path)]) == 0
         assert capsys.readouterr().err == ""
+        results = json.loads(out_path.read_text())["results"]
+        assert [set(rec) for rec in results] == [OUT_KEYS[rec["op"]] for rec in results]

@@ -8,6 +8,7 @@ from gspin import exactlin, involutions
 from gspin.exactlin import (
     ExactMatrix,
     QuadraticSpace,
+    bilinear,
     frac,
     generalized_kernel,
     is_rational_square,
@@ -17,6 +18,7 @@ from gspin.exactlin import (
     matrix_log_unipotent,
     pairing_matrix,
     rank,
+    similitude_factor,
 )
 from gspin.involutions import (
     FactorizationUnsupportedError,
@@ -53,7 +55,7 @@ SPACES = {
 def random_vector(rng, space):
     while True:
         v = tuple(frac(rng.randint(-3, 3)) for _ in range(space.dim))
-        if space.bilinear(v, v) != 0:
+        if bilinear(space.gram, v, v) != 0:
             return v
 
 
@@ -69,7 +71,7 @@ def random_gso(rng, space, reflections=4, with_scalar=True):
         lam = frac(1)
     g = g.scale(lam)
     n = space.dim // 2
-    nu = space.similitude_factor(g)
+    nu = similitude_factor(g, space.gram)
     assert nu is not None and g.det() == nu**n
     return SimilitudeElement(space, g, nu)
 
@@ -127,7 +129,7 @@ def test_dim2_any_similitude():
     # anisotropic plane, non-square similitude
     anis = SPACES[2][1]
     g = ExactMatrix([[1, 6], [2, 1]])  # a + b sqrt(3) model with alpha = 3
-    nu = anis.similitude_factor(g)
+    nu = similitude_factor(g, anis.gram)
     assert nu is not None and nu == -11
     e = SimilitudeElement(anis, g, nu)
     assert verify(e, factor(e))
@@ -192,7 +194,7 @@ def _broken_equations(e, p):
     as written: x^2 = 1, t(x) G x = G, det x = (-1)^n, x y = g and
     y^2 = nu(y) for a similitude y."""
     space, ident = e.space, ExactMatrix.identity(e.space.dim)
-    nu_y = space.similitude_factor(p.y)
+    nu_y = similitude_factor(p.y, space.gram)
     holds = {
         "involution": p.x * p.x == ident,
         "isometry": p.x.transpose() * space.gram * p.x == space.gram,
@@ -296,7 +298,7 @@ def test_mixed_unipotent_times_reflections():
         g = u * space.reflection(random_vector(rng, space)) * space.reflection(
             random_vector(rng, space)
         )
-        nu = space.similitude_factor(g)
+        nu = similitude_factor(g, space.gram)
         e = SimilitudeElement(space, g, nu)
         assert verify(e, factor(e))
 
@@ -450,7 +452,7 @@ def _pinned_square_nu_elements():
         g = u * space.reflection(random_vector(rng, space)) * space.reflection(
             random_vector(rng, space)
         )
-        yield SimilitudeElement(space, g, space.similitude_factor(g))
+        yield SimilitudeElement(space, g, similitude_factor(g, space.gram))
     space6 = SPACES[6][0]
     n = [[0] * 6 for _ in range(6)]
     for i, s in ((0, 1), (1, 1), (3, -1), (4, -1)):

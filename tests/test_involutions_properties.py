@@ -44,6 +44,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gspin.exactlin import (  # noqa: E402
     ExactMatrix,
     QuadraticSpace,
+    bilinear,
     frac,
     generalized_kernel,
     is_rational_square,
@@ -53,6 +54,7 @@ from gspin.exactlin import (  # noqa: E402
     matrix_exp_nilpotent,
     pairing_matrix,
     rank,
+    similitude_factor,
 )
 from gspin.involutions import SimilitudeElement, factor, verify  # noqa: E402
 
@@ -70,7 +72,7 @@ def split(dim: int) -> QuadraticSpace:
 
 def anisotropic(space: QuadraticSpace):
     vectors = st.lists(st.integers(-3, 3), min_size=space.dim, max_size=space.dim)
-    return vectors.map(lambda v: tuple(map(frac, v))).filter(lambda v: space.bilinear(v, v) != 0)
+    return vectors.map(lambda v: tuple(map(frac, v))).filter(lambda v: bilinear(space.gram, v, v) != 0)
 
 
 @st.composite
@@ -233,7 +235,7 @@ def unipotent_times_reflections(draw):
     for _ in range(draw(st.sampled_from((0, 2)))):
         g = g * space.reflection(draw(anisotropic(space)))
     g = g.scale(draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)])))
-    return SimilitudeElement(space, g, space.similitude_factor(g))
+    return SimilitudeElement(space, g, similitude_factor(g, space.gram))
 
 
 def cyclic_chain(e: SimilitudeElement, v: tuple) -> ExactMatrix:

@@ -206,7 +206,7 @@ def test_pattern_of_reads_signs_and_refuses_anything_else():
         down.pattern_of(ExactMatrix.identity(5).scale(2))
     # +1 on the first basis vector of p0 and -1 on its second is no sign either
     assert down.pieces[0].basis.cols > 1
-    mixed = down.basis_matrix * ExactMatrix.diagonal([1, -1, 1, 1, 1]) * down.basis_inverse
+    mixed = ExactMatrix.hstack([p.basis for p in down.pieces]) * ExactMatrix.diagonal([1, -1, 1, 1, 1]) * down.basis_inverse
     with pytest.raises(ValueError, match="does not act by a sign"):
         down.pattern_of(mixed)
 
