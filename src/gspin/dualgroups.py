@@ -6,7 +6,8 @@ symplectic group GSp4 (dual of GSpin5); twisting by suitable sign elements
 cuts out GO4 (dual side of GSpin4^alpha) and the rank-one group attached to
 GSpin2^alpha x GSpin3.  The projection onto SO5 (dual of Sp4) is realized on
 the second exterior power, with the invariant symplectic-form line split off
-exactly.
+exactly.  realize_shape builds the image of L_psi x SL2 in GSp4 for a shape,
+once per shape, on the coordinates summand_blocks gives each summand.
 
 A GSp4 element is its 4x4 matrix g: its similitude factor nu(g) is read off
 g wherever it is needed, so no caller hands it in.  DualElement (g, x) is an
@@ -38,7 +39,9 @@ from .exactlin import (
     frac,
     int_product,
     kernel,
+    kron,
     matrix_equation_kernel,
+    matrix_exp_nilpotent,
     similitude_factor,
     sparse_product,
     ONE,
@@ -153,6 +156,11 @@ GSO4_GRAM = ExactMatrix(
 
 # coordinates of the two symplectic planes span(e1, e4) and span(e2, e3)
 PAIR_PLANES = ((0, 3), (1, 2))
+
+
+def summand_blocks(count: int) -> tuple:
+    """The coordinates of each summand of a realization: all four for one, PAIR_PLANES for two."""
+    return PAIR_PLANES if count > 1 else (range(4),)
 
 
 def embed_pair(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -351,10 +359,10 @@ def _gsp4_nilpotent_basis() -> list[ExactMatrix]:
     )
 
 
-_GSP4_NILPOTENTS = _gsp4_nilpotent_basis()
+GSP4_NILPOTENTS = _gsp4_nilpotent_basis()
 # their numerators, row-major, over one common denominator
-_NILPOTENT_DEN = lcm(*(b._den for b in _GSP4_NILPOTENTS))
-_NILPOTENT_NUMS = [[x * (_NILPOTENT_DEN // b._den) for r in b._num for x in r] for b in _GSP4_NILPOTENTS]
+_NILPOTENT_DEN = lcm(*(b._den for b in GSP4_NILPOTENTS))
+_NILPOTENT_NUMS = [[x * (_NILPOTENT_DEN // b._den) for r in b._num for x in r] for b in GSP4_NILPOTENTS]
 
 
 def _exp_strictly_upper(n1: tuple, d: int) -> tuple:
@@ -386,7 +394,7 @@ def sample_gsp4(rng, similitude: Fraction) -> ExactMatrix:
     den = q * a * b
     diagonal = (((0, a * den),), ((1, b * den),), ((2, p * a),), ((3, p * b),))
     for k in range(rng.randint(1, 3)):
-        coeffs = [rng.randint(-2, 2) for _ in _GSP4_NILPOTENTS]
+        coeffs = [rng.randint(-2, 2) for _ in GSP4_NILPOTENTS]
         flat = [sum(map(mul, coeffs, entry)) for entry in zip(*_NILPOTENT_NUMS)]
         nil = tuple(tuple(flat[4 * i : 4 * i + 4]) for i in range(4))
         exp = _exp_strictly_upper(nil, _NILPOTENT_DEN)
@@ -408,3 +416,56 @@ def sample_gl2(rng, det_value: Fraction) -> ExactMatrix:
         a, b, c = (rng.randint(-3, 3) for _ in range(3))
         if a != 0:
             return ExactMatrix([[a, b], [c, (det_value + b * c) / a]])
+
+
+# ---------------------------------------------------------------------------
+# the realization of a parameter shape
+
+
+@cache
+def realize_shape(shape: tuple[tuple[int, int, int | None], ...]) -> tuple[ExactMatrix, ...]:
+    """Generators of the image of L_psi x SL2 in GSp4 for THETA_J, once per
+    checked shape of (N, d, sign) triples, one per summand.
+
+    Each summand gets generic samples a (similitude factor 9 for N = 1, 2; the
+    generic GSp4 sample for N = 4), acting as kron(a, I_d) on its block of
+    `summand_blocks`, with 3 I_2 on the other plane.  The one SL2 is the
+    triple (e, h, f): h is diagonal, of weight d - 1 - 2 (k mod d) on the
+    k-th coordinate of each block; e sums a basis of the weight-2 part of
+    sp(THETA_J) that commutes with the samples; f is the one partner with
+    [e, f] = h.  Returns the samples in summand order, then exp(e) and exp(f)."""
+    ident = ExactMatrix.identity(4)
+    idle = ExactMatrix.identity(2).scale(3)
+    scalars = iter((3, -3))
+    samples: list[ExactMatrix] = []
+    weights = [0] * 4
+    for index, ((N, d, sign), block) in enumerate(zip(shape, summand_blocks(len(shape)))):
+        if N == 1:
+            local = [ExactMatrix([[next(scalars)]])]
+        elif N == 2:
+            local = [ExactMatrix.diagonal([2, Fraction(9, 2)]), ExactMatrix([[0, 1], [sign * 9, 0]])]
+        else:
+            local = [ExactMatrix.diagonal([2, 5, Fraction(3, 5), Fraction(3, 2)]), THETA_J]
+            local += [matrix_exp_nilpotent(n) for n in GSP4_NILPOTENTS[:3]]
+        for a in local:
+            m = kron(a, ExactMatrix.identity(d))
+            if len(shape) > 1:
+                m = embed_pair(m, idle) if index == 0 else embed_pair(idle, m)
+            samples.append(m)
+        for k, i in enumerate(block):
+            weights[i] = d - 1 - 2 * (k % d)
+    h = ExactMatrix.diagonal(weights)
+    symplectic = [(ident, "X", THETA_J), (THETA_J, "Xt", ident)]
+
+    def weight(w: int) -> list[tuple]:  # [h, X] = w X
+        return [(h - ident.scale(w), "X", ident), (-ident, "X", h)]
+
+    commuting = [[(ident, "X", a), (-a, "X", ident)] for a in samples]
+    e = sum(matrix_equation_kernel([symplectic, weight(2), *commuting]), ExactMatrix.zeros(4, 4))
+    solutions = matrix_equation_kernel(
+        [[(e, "X", ident), (-ident, "X", e)], weight(-2), symplectic], scalar=h
+    )
+    if len(solutions) != 1 or solutions[0][1] == 0:
+        raise ValueError("no sl2 triple through e")
+    f, t = solutions[0]
+    return (*samples, matrix_exp_nilpotent(e), matrix_exp_nilpotent(f.scale(1 / t)))

@@ -25,9 +25,9 @@ from fractions import Fraction
 from .dualgroups import (
     DualElement,
     GSO4_GRAM,
+    GSP4_NILPOTENTS,
     SO5_GRAM,
     THETA_J,
-    _GSP4_NILPOTENTS,
     embed_pair,
     embed_so4_block,
     project_to_so5,
@@ -196,7 +196,7 @@ def _generators(d: EndoscopicDatum) -> list[DualElement]:
     pairs = [(u, one), (l, one), (one, u), (one, l)]
     family = d.name.split("^")[0]
     if family == "gspin5":
-        gens = [(matrix_exp_nilpotent(n), 1) for n in _GSP4_NILPOTENTS]
+        gens = [(matrix_exp_nilpotent(n), 1) for n in GSP4_NILPOTENTS]
         gens += [(THETA_J, 1), (ExactMatrix.diagonal([1, 1, 2, 2]), 2)]
     elif family == "gspin4":
         gens = [(kron(a, b), a.det() * b.det()) for a, b in pairs + [(t, one)]]

@@ -776,15 +776,10 @@ def similitude_factor(g: ExactMatrix, form: ExactMatrix) -> Fraction | None:
     (a singular g with t(g) form g = 0 included)."""
     if form.rows != form.cols or g.rows != form.rows:
         raise ValueError("shape mismatch")
-    # lhs = t(num g) num(form) num(g): t(g) form g is lhs / (den(g)^2 den(form))
-    g_cols = tuple(zip(*g._num))
-    if all(r.count(0) == len(r) - 1 for r in form._num):
-        # one nonzero c per row of the form, at column r.index(c): form g
-        # takes rows of g times c, and t(g) (form g) is one product
-        pairs = tuple(((r.index(c), c),) for r, c in zip(form._num, map(sum, form._num)))
-        lhs = int_product(g_cols, tuple(zip(*sparse_product(pairs, g._num))))
-    else:
-        lhs = int_product(int_product(g_cols, tuple(zip(*form._num))), g_cols)
+    # lhs = t(num g) num(form) num(g): t(g) form g is lhs / (den(g)^2 den(form));
+    # form g goes through the nonzero entries of each row of the form
+    pairs = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in form._num)
+    lhs = int_product(tuple(zip(*g._num)), tuple(zip(*sparse_product(pairs, g._num))))
     # the first nonzero entry of the form fixes nu = l0 / (f0 den(g)^2); then
     # lhs f0 must equal num(form) l0 entrywise, with f0 and l0 the entries there
     first = next(((i, j) for i, r in enumerate(form._num) for j, x in enumerate(r) if x), None)

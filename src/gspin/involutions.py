@@ -355,18 +355,16 @@ def _reversing_involution(space: QuadraticSpace, g: ExactMatrix, nu: Fraction) -
     # an involution has det (-1)^((dim - tr x) / 2), which is (-1)^n exactly
     # when 4 divides tr x; negating the images M_Q of the first odd-dimensional
     # piece Q, a single chain, flips it, and takes 2 S_Q c_Q R_Q off x.  On a
-    # part of lines Q is its first anisotropic line v, with c_Q = 1
+    # part of lines Q is the chain of its first anisotropic line v alone
     if x.trace() % 4:
         q = next((p for p in pieces if p.length % 2), None)
         if q is None:
             raise FactorizationUnsupportedError("no odd piece available to fix the determinant")
         if q.length == 1:
             v = _find_anisotropic_top(q.vectors, lambda u, w: pairing_matrix(gram, u, w)[0, 0] != 0)
-            rows = v.transpose() * gram
-            x = x - v * rows.scale(2 / (rows * v)[0, 0])
-        else:
-            coordinates, rows = reversal(q)
-            x = x - q.vectors * coordinates.scale(2) * rows
+            q = _Chains(v, v, 1)
+        coordinates, rows = reversal(q)
+        x = x - q.vectors * coordinates.scale(2) * rows
     return x
 
 

@@ -3,156 +3,27 @@
 A parameter is an unordered sum of pairs (cuspidal handle, d) with a
 similitude character chi; discreteness, membership in the discrete set of a
 target group, the six-type classification with component group / automorphy
-character / distinguished sign element, the multiplicity formula, and the
-block-matrix component-group oracle all live here.
+character / distinguished sign element, and the multiplicity formula live
+here, as does the component-group oracle, which reads the group off the
+realization `dualgroups.realize_shape` with `restriction.sign_patterns`.
 
-A component group is a TwoGroup of label sets.  Its elements, its
-characters (each as the labels it flips, valued (-1)^|flips & element|) and
-the sign element (the labels of the even-d summands) are all frozensets of
-labels, multiplied by symmetric difference.
+A component group is a `restriction.TwoGroup` of label sets.  Its elements,
+its characters (each as the labels it flips, valued (-1)^|flips & element|)
+and the sign element (the labels of the even-d summands) are all frozensets
+of labels, multiplied by symmetric difference.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .characters import CharacterGroup, HeckeCharacterHandle
-from .dualgroups import _GSP4_NILPOTENTS, GSPIN5, PAIR_PLANES, GroupTag, THETA_J, embed_pair
-from .exactlin import (
-    ExactMatrix,
-    commutant_basis,
-    frac,
-    kron,
-    matrix_equation_kernel,
-    matrix_exp_nilpotent,
-    similitude_factor,
-)
-
-# ---------------------------------------------------------------------------
-# elementary abelian 2-groups of sign patterns on named labels
-
-
-def _pattern_key(pattern: frozenset) -> tuple:
-    return (len(pattern), sorted(pattern))
-
-
-def _span(patterns: Iterable[frozenset]) -> set[frozenset]:
-    """All symmetric differences of the given patterns, the empty one included."""
-    span = {frozenset()}
-    for p in patterns:
-        if p not in span:
-            span |= {s ^ p for s in span}
-    return span
-
-
-class TwoGroup:
-    """Elementary abelian 2-group of sign patterns (label subsets, multiplied
-    by symmetric difference): the patterns in `elements` (every pattern when
-    omitted; when given, it must list a whole subgroup) modulo those spanned
-    by `relations`.  Each element is the least member of its coset, ordered
-    by (size, sorted labels)."""
-
-    def __init__(
-        self,
-        basis_labels: Sequence[str],
-        relations: Iterable[frozenset] = (),
-        elements: Iterable[frozenset] | None = None,
-    ):
-        self.basis_labels = tuple(basis_labels)
-        if len(set(self.basis_labels)) != len(self.basis_labels):
-            raise ValueError("repeated basis label")
-        self.relations = tuple(self._pattern(r) for r in relations)
-        if elements is None:
-            self._members = _span(frozenset([lab]) for lab in self.basis_labels)
-        else:
-            self._members = {self._pattern(e) for e in elements}
-            if _span(self._members) != self._members:
-                raise ValueError("sign patterns do not form a group")
-        self._relation_span = _span(self.relations)
-        if not self._relation_span <= self._members:
-            raise ValueError("relation outside the group")
-        self._elements = tuple(
-            sorted({self.canonical(m) for m in self._members}, key=_pattern_key)
-        )
-
-    def _pattern(self, labels: Iterable[str]) -> frozenset:
-        pattern = frozenset(labels)
-        unknown = pattern.difference(self.basis_labels)
-        if unknown:
-            raise ValueError(f"unknown label {min(unknown)!r}")
-        return pattern
-
-    def canonical(self, labels: Iterable[str]) -> frozenset:
-        pattern = self._pattern(labels)
-        return min((pattern ^ r for r in self._relation_span), key=_pattern_key)
-
-    def contains(self, labels: Iterable[str]) -> bool:
-        return self._pattern(labels) in self._members
-
-    @property
-    def order(self) -> int:
-        return len(self._elements)
-
-    @property
-    def rank(self) -> int:
-        return self.order.bit_length() - 1
-
-    def elements(self) -> list[frozenset]:
-        return list(self._elements)
-
-    def characters(self) -> list[frozenset]:
-        """Every character once, as the least label set it flips; a flip set
-        must meet each relation evenly to be a character of the quotient."""
-        out = []
-        seen = set()
-        for r in range(len(self.basis_labels) + 1):
-            for flips in itertools.combinations(sorted(self.basis_labels), r):
-                flips = frozenset(flips)
-                if any(len(flips & rel) % 2 for rel in self.relations):
-                    continue
-                key = tuple(len(flips & e) % 2 for e in self._elements)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(flips)
-        assert len(out) == self.order
-        return out
-
-    def character(self, values: Mapping[str, int]) -> frozenset:
-        """The character with the given sign at each label (+1 where omitted),
-        as the labels it flips."""
-        self._pattern(values)  # every label must name a basis label
-        if any(v not in (1, -1) for v in values.values()):
-            raise ValueError("character values must be +-1")
-        flips = frozenset(lab for lab, v in values.items() if v == -1)
-        if any(self.value(flips, rel) != 1 for rel in self.relations):
-            raise ValueError("character violates the relations of the group")
-        return flips
-
-    @staticmethod
-    def value(character: frozenset, element: Iterable[str]) -> int:
-        """(-1) to the number of the element's labels the character flips."""
-        return -1 if len(character.intersection(element)) % 2 else 1
-
-    def is_trivial(self, character: frozenset) -> bool:
-        """Whether the character is 1 on every element."""
-        return all(self.value(character, e) == 1 for e in self._elements)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwoGroup)
-            and self.basis_labels == other.basis_labels
-            and self.relations == other.relations
-            and self._members == other._members
-        )
-
-    def __repr__(self):
-        return f"TwoGroup(rank={self.rank}, basis={self.basis_labels})"
-
+from .dualgroups import GSPIN5, GroupTag, THETA_J, realize_shape, summand_blocks
+from .exactlin import ExactMatrix, commutant_basis, frac, similitude_factor
+from .restriction import PieceData, TwoGroup, sign_patterns
 
 # ---------------------------------------------------------------------------
 # handles and formal parameters
@@ -502,65 +373,16 @@ def std_compose(
 
 
 def realize(psi: FormalParameter) -> list[ExactMatrix]:
-    """Generators of the image of L_psi x SL2 in GSp4 for THETA_J.
-
-    Each handle gets generic samples a (similitude factor 9 for N = 1, 2; the
-    generic GSp4 sample for N = 4), acting as kron(a, I_d) on its summand's
-    block: the whole space for one summand, its plane of PAIR_PLANES for two,
-    with 3 I_2 on the other plane.  The one SL2 is the triple (e, h, f): h is
-    diagonal, of weight d - 1 - 2 (k mod d) on the k-th coordinate of each
-    block; e sums a basis of the weight-2 part of sp(THETA_J) that commutes
-    with the samples; f is the one partner with [e, f] = h.  Returns the
-    samples in summand order, then exp(e) and exp(f)."""
+    """`realize_shape` on the shape of psi, once it has a realization and
+    every GL2 handle a resolved duality type."""
     summands = psi.sorted_summands()
-    blocks = PAIR_PLANES if len(summands) > 1 else (range(4),)
+    blocks = summand_blocks(len(summands))
     if len(summands) > 2 or any(h.N * d != len(b) for (h, d), b in zip(summands, blocks)):
         raise ValueError(f"no realization for shape {tuple((h.N, d) for h, d in summands)}")
     for h, _d in summands:
         if h.N == 2 and h.sign is None:
             raise ValueError(f"{h.id}: unresolved duality type")
-    return list(_realization(tuple((h.N, d, h.sign) for h, d in summands)))
-
-
-@functools.cache
-def _realization(shape: tuple[tuple[int, int, int | None], ...]) -> tuple[ExactMatrix, ...]:
-    """`realize` on a checked shape of (N, d, sign) triples, built once per shape."""
-    blocks = PAIR_PLANES if len(shape) > 1 else (range(4),)
-    ident = ExactMatrix.identity(4)
-    idle = ExactMatrix.identity(2).scale(3)
-    scalars = iter((3, -3))
-    samples: list[ExactMatrix] = []
-    weights = [0] * 4
-    for index, ((N, d, sign), block) in enumerate(zip(shape, blocks)):
-        if N == 1:
-            local = [ExactMatrix([[next(scalars)]])]
-        elif N == 2:
-            local = [ExactMatrix.diagonal([2, Fraction(9, 2)]), ExactMatrix([[0, 1], [sign * 9, 0]])]
-        else:
-            local = [ExactMatrix.diagonal([2, 5, Fraction(3, 5), Fraction(3, 2)]), THETA_J]
-            local += [matrix_exp_nilpotent(n) for n in _GSP4_NILPOTENTS[:3]]
-        for a in local:
-            m = kron(a, ExactMatrix.identity(d))
-            if len(shape) > 1:
-                m = embed_pair(m, idle) if index == 0 else embed_pair(idle, m)
-            samples.append(m)
-        for k, i in enumerate(block):
-            weights[i] = d - 1 - 2 * (k % d)
-    h = ExactMatrix.diagonal(weights)
-    symplectic = [(ident, "X", THETA_J), (THETA_J, "Xt", ident)]
-
-    def weight(w: int) -> list[tuple]:  # [h, X] = w X
-        return [(h - ident.scale(w), "X", ident), (-ident, "X", h)]
-
-    commuting = [[(ident, "X", a), (-a, "X", ident)] for a in samples]
-    e = sum(matrix_equation_kernel([symplectic, weight(2), *commuting]), ExactMatrix.zeros(4, 4))
-    solutions = matrix_equation_kernel(
-        [[(e, "X", ident), (-ident, "X", e)], weight(-2), symplectic], scalar=h
-    )
-    if len(solutions) != 1 or solutions[0][1] == 0:
-        raise ValueError("no sl2 triple through e")
-    f, t = solutions[0]
-    return (*samples, matrix_exp_nilpotent(e), matrix_exp_nilpotent(f.scale(1 / t)))
+    return list(realize_shape(tuple((h.N, d, h.sign) for h, d in summands)))
 
 
 @dataclass(frozen=True)
@@ -579,11 +401,7 @@ def component_group_oracle(psi: FormalParameter) -> OracleResult:
     """Compute the component group from matrices, independently of
     `component_group_table`: the commutant of `realize(psi)` in GSp4,
     with components found by `restriction.sign_patterns` on one self-paired
-    piece per summand (its plane of PAIR_PLANES, or the whole space for a
-    single summand), modulo the center."""
-    # restriction imports this module
-    from .restriction import PieceData, sign_patterns
-
+    piece per summand, its block of `summand_blocks`, modulo the center."""
     summands = psi.sorted_summands()
     generators = realize(psi)
     if any(similitude_factor(g, THETA_J) is None for g in generators):
@@ -592,11 +410,10 @@ def component_group_oracle(psi: FormalParameter) -> OracleResult:
     k = len(summands)
     if dim != k:
         raise ValueError(f"degenerate realization: commutant dimension {dim}, expected {k}")
-    coords = PAIR_PLANES if k > 1 else (range(4),)
     # piece c is the frame of the unit vectors e_j, j in c
     pieces = [
         PieceData(h.id, ExactMatrix([[int(i == j) for j in c] for i in range(4)]), True)
-        for (h, _), c in zip(summands, coords)
+        for (h, _), c in zip(summands, summand_blocks(k))
     ]
     group = sign_patterns(pieces, generators, THETA_J).group
     s_support = group.canonical({h.id for h, d in summands if d % 2 == 0})

@@ -6,7 +6,8 @@ commutant algebra: the underlying space is split into joint eigenspace pieces,
 one column frame each, each piece is classified by the restricted pairing
 (self-paired versus isotropically paired), and component representatives are
 the admissible sign patterns on self-paired pieces, modulo the centre and the
-connected part."""
+connected part.  They form a TwoGroup, the 2-group type of every component
+group in the package, kept here beside the engine that builds them."""
 
 from __future__ import annotations
 
@@ -15,10 +16,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .dualgroups import GSO4_GRAM, SO5_GRAM, THETA_J, embed_pair, project_to_so5
-from .params import TwoGroup, _realization
+from .dualgroups import GSO4_GRAM, SO5_GRAM, THETA_J, embed_pair, project_to_so5, realize_shape
 from .exactlin import (
     ExactMatrix,
     commutant_basis,
@@ -29,6 +29,127 @@ from .exactlin import (
     similitude_factor,
     ONE,
 )
+
+# ---------------------------------------------------------------------------
+# elementary abelian 2-groups of sign patterns on named labels
+
+
+def _pattern_key(pattern: frozenset) -> tuple:
+    return (len(pattern), sorted(pattern))
+
+
+def _span(patterns: Iterable[frozenset]) -> set[frozenset]:
+    """All symmetric differences of the given patterns, the empty one included."""
+    span = {frozenset()}
+    for p in patterns:
+        if p not in span:
+            span |= {s ^ p for s in span}
+    return span
+
+
+class TwoGroup:
+    """Elementary abelian 2-group of sign patterns (label subsets, multiplied
+    by symmetric difference): the patterns in `elements` (every pattern when
+    omitted; when given, it must list a whole subgroup) modulo those spanned
+    by `relations`.  Each element is the least member of its coset, ordered
+    by (size, sorted labels)."""
+
+    def __init__(
+        self,
+        basis_labels: Sequence[str],
+        relations: Iterable[frozenset] = (),
+        elements: Iterable[frozenset] | None = None,
+    ):
+        self.basis_labels = tuple(basis_labels)
+        if len(set(self.basis_labels)) != len(self.basis_labels):
+            raise ValueError("repeated basis label")
+        self.relations = tuple(self._pattern(r) for r in relations)
+        if elements is None:
+            self._members = _span(frozenset([lab]) for lab in self.basis_labels)
+        else:
+            self._members = {self._pattern(e) for e in elements}
+            if _span(self._members) != self._members:
+                raise ValueError("sign patterns do not form a group")
+        self._relation_span = _span(self.relations)
+        if not self._relation_span <= self._members:
+            raise ValueError("relation outside the group")
+        self._elements = tuple(
+            sorted({self.canonical(m) for m in self._members}, key=_pattern_key)
+        )
+
+    def _pattern(self, labels: Iterable[str]) -> frozenset:
+        pattern = frozenset(labels)
+        unknown = pattern.difference(self.basis_labels)
+        if unknown:
+            raise ValueError(f"unknown label {min(unknown)!r}")
+        return pattern
+
+    def canonical(self, labels: Iterable[str]) -> frozenset:
+        pattern = self._pattern(labels)
+        return min((pattern ^ r for r in self._relation_span), key=_pattern_key)
+
+    def contains(self, labels: Iterable[str]) -> bool:
+        return self._pattern(labels) in self._members
+
+    @property
+    def order(self) -> int:
+        return len(self._elements)
+
+    @property
+    def rank(self) -> int:
+        return self.order.bit_length() - 1
+
+    def elements(self) -> list[frozenset]:
+        return list(self._elements)
+
+    def characters(self) -> list[frozenset]:
+        """Every character once, as the least label set it flips; a flip set
+        must meet each relation evenly to be a character of the quotient."""
+        out = []
+        seen = set()
+        for r in range(len(self.basis_labels) + 1):
+            for flips in itertools.combinations(sorted(self.basis_labels), r):
+                flips = frozenset(flips)
+                if any(len(flips & rel) % 2 for rel in self.relations):
+                    continue
+                key = tuple(len(flips & e) % 2 for e in self._elements)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(flips)
+        assert len(out) == self.order
+        return out
+
+    def character(self, values: Mapping[str, int]) -> frozenset:
+        """The character with the given sign at each label (+1 where omitted),
+        as the labels it flips."""
+        self._pattern(values)  # every label must name a basis label
+        if any(v not in (1, -1) for v in values.values()):
+            raise ValueError("character values must be +-1")
+        flips = frozenset(lab for lab, v in values.items() if v == -1)
+        if any(self.value(flips, rel) != 1 for rel in self.relations):
+            raise ValueError("character violates the relations of the group")
+        return flips
+
+    @staticmethod
+    def value(character: frozenset, element: Iterable[str]) -> int:
+        """(-1) to the number of the element's labels the character flips."""
+        return -1 if len(character.intersection(element)) % 2 else 1
+
+    def is_trivial(self, character: frozenset) -> bool:
+        """Whether the character is 1 on every element."""
+        return all(self.value(character, e) == 1 for e in self._elements)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TwoGroup)
+            and self.basis_labels == other.basis_labels
+            and self.relations == other.relations
+            and self._members == other._members
+        )
+
+    def __repr__(self):
+        return f"TwoGroup(rank={self.rank}, basis={self.basis_labels})"
+
 
 # ---------------------------------------------------------------------------
 # commutant pieces
@@ -194,8 +315,8 @@ def shape_catalog() -> Mapping[str, BoundedParameterDescriptor]:
     )
 
     return MappingProxyType({
-        "irreducible": BoundedParameterDescriptor("irreducible", _realization(((4, 1, -1),)), 0),
-        "two_two_generic": BoundedParameterDescriptor("two_two_generic", _realization(((2, 1, -1), (2, 1, -1))), 1),
+        "irreducible": BoundedParameterDescriptor("irreducible", realize_shape(((4, 1, -1),)), 0),
+        "two_two_generic": BoundedParameterDescriptor("two_two_generic", realize_shape(((2, 1, -1), (2, 1, -1))), 1),
         "two_two_dihedral": BoundedParameterDescriptor("two_two_dihedral", two_two_dihedral, 1),
         "principal_series": BoundedParameterDescriptor("principal_series", principal, 0),
     })
@@ -271,16 +392,10 @@ def restriction_count_identity(proj: ProjectedParameter) -> CountReport:
     members = packet_members(proj.parent)
     parts = [restrict_member(m, proj) for m in members]
     all_chars = set(proj.s_group_prime.group.characters())
-    union = set()
-    disjoint = True
-    for p in parts:
-        if union & p:
-            disjoint = False
-        union |= p
-    ok = disjoint and union == all_chars
+    union = set().union(*parts)  # the parts are disjoint when their sizes add up to its size
     return CountReport(
         shape=proj.parent.shape,
-        ok=ok,
+        ok=union == all_chars and sum(map(len, parts)) == len(union),
         packet_sizes=tuple(len(p) for p in parts),
         dual_size=len(all_chars),
         constituents=tuple((m.label or "packet", p) for m, p in zip(members, parts)),

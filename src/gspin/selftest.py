@@ -6,6 +6,7 @@ comparison across runs."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -207,8 +208,6 @@ def check_types_table_vs_oracle(seed: int, corrupt: bool) -> CheckResult:
 
 
 def check_multiplicity_counting(seed: int, corrupt: bool) -> CheckResult:
-    import itertools
-
     g, fixtures = _six_type_fixtures()
     sk = fixtures[3][1]
     sgroup = classify(g, sk).component_group

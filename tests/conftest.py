@@ -5,17 +5,17 @@ projection, say) neither reads a stale answer nor leaves one behind."""
 
 import pytest
 
+from gspin.dualgroups import realize_shape
 from gspin.endoscopy import full_catalog
-from gspin.params import _realization
 from gspin.restriction import project_parameter
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     project_parameter.cache_clear()
-    _realization.cache_clear()
+    realize_shape.cache_clear()
     full_catalog.cache_clear()
     yield
     project_parameter.cache_clear()
-    _realization.cache_clear()
+    realize_shape.cache_clear()
     full_catalog.cache_clear()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gspin.cli import main
-from gspin.params import _realization
+from gspin.dualgroups import realize_shape
 from gspin.restriction import project_parameter
 from gspin.selftest import run_selftest
 
@@ -72,7 +72,7 @@ def test_cold_and_warm_caches_print_the_same_bytes(tmp_path, capsys, scenario):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(ALL_SHAPES_TWICE))
     project_parameter.cache_clear()
-    _realization.cache_clear()
+    realize_shape.cache_clear()
     runs = []
     for warmth in ("cold", "warm"):
         out_path = tmp_path / f"{warmth}.json"

@@ -20,10 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMO = json.loads((ROOT / "demos" / "scenario_saito_kurokawa.json").read_text())
 
 
-def _run(tmp_path, capsys, doc, command="run"):
+def _run(tmp_path, capsys, doc, command="run", options=()):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    code = main([command, str(path)])
+    code = main([command, str(path), *options])
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -230,12 +230,15 @@ def _mutate(rng, doc):
 
 
 def test_scenario_fuzzer_never_crashes(tmp_path, capsys):
+    # every run that answers writes records with the documented keys
     rng = random.Random(20240607)
+    out_path = tmp_path / "report.json"
     start = time.perf_counter()
     codes = []
     for _ in range(300):
         doc = _mutate(rng, DEMO)
-        code, out, err = _run(tmp_path, capsys, doc)
+        out_path.unlink(missing_ok=True)
+        code, out, err = _run(tmp_path, capsys, doc, options=("--out", str(out_path)))
         codes.append(code)
         assert "Traceback" not in err
         if code == 1:
@@ -245,6 +248,8 @@ def test_scenario_fuzzer_never_crashes(tmp_path, capsys):
             assert err.startswith(("input error: ", "computation error: "))
         else:
             assert code == 0 and err == ""
+            results = json.loads(out_path.read_text())["results"]
+            assert [set(rec) for rec in results] == [OUT_KEYS[rec["op"]] for rec in results]
     assert codes.count(2) > 200 and codes.count(0) > 10
     assert time.perf_counter() - start < 5.0
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gspin import params
+from gspin import dualgroups, params
 from gspin.characters import CharacterGroup
 from gspin.dualgroups import GSPIN5, SO5_GRAM, THETA_J, embed_pair, gspin_even_tag, project_to_so5
 from gspin.exactlin import ExactMatrix, commutant_basis, matrix_exp_nilpotent, matrix_log_unipotent, similitude_factor
@@ -403,8 +403,8 @@ def test_oracle_builds_each_realization_once(monkeypatch):
     # the realization depends only on the shape and the handle signs, so a
     # second oracle call on the same psi solves no sl2 kernel
     calls = []
-    real = params.matrix_equation_kernel
-    monkeypatch.setattr(params, "matrix_equation_kernel", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = dualgroups.matrix_equation_kernel
+    monkeypatch.setattr(dualgroups, "matrix_equation_kernel", lambda *a, **k: calls.append(1) or real(*a, **k))
     g = make_group()
     psi = saito_kurokawa_parameter(g)
     first = component_group_oracle(psi)

@@ -107,6 +107,18 @@ def test_count_identity_all_shapes():
         assert sum(report.packet_sizes) == report.dual_size
 
 
+def test_count_identity_fails_on_an_overlap_or_a_gap(monkeypatch):
+    proj = project_parameter(shape_catalog()["two_two_generic"])
+    chars = frozenset(proj.s_group_prime.group.characters())
+    assert len(packet_members(proj.parent)) == 2
+    # both members restrict to the whole dual: the union is right, the parts overlap
+    monkeypatch.setattr(restriction, "restrict_member", lambda member, p: chars)
+    assert not restriction_count_identity(proj).ok
+    # disjoint parts that miss the dual
+    monkeypatch.setattr(restriction, "restrict_member", lambda member, p: frozenset())
+    assert not restriction_count_identity(proj).ok
+
+
 def test_degenerate_generators_rejected():
     phi = BoundedParameterDescriptor("identity-only", (ExactMatrix.identity(4),), 0)
     with pytest.raises(ValueError):

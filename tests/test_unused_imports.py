@@ -3,6 +3,10 @@ module-level private name of the package is read somewhere in it, no
 function imports from a module its file already imports from at module level,
 and no function builds a frame with `ExactMatrix.from_columns`.
 
+The package's module graph is acyclic (an import inside a function counts as
+an edge), no function imports anything at all, and no module imports a
+`_`-prefixed name from another package module.
+
 A name kept on purpose, for instance one that another module binds through
 this one, carries `# noqa: F401` on the line that imports it."""
 
@@ -187,3 +191,138 @@ def test_a_from_columns_call_in_a_function_is_found(tmp_path):
         "g = lambda vs: ExactMatrix.from_columns(vs)\n"
     )
     assert _from_columns_in_functions(module) == ["module.py:4", "module.py:5"]
+
+
+# ---------------------------------------------------------------------------
+# the module graph: acyclic, no import inside a function, no private name
+# taken from another module
+
+
+def _package_imports(node: ast.Import | ast.ImportFrom, modules: set[str]) -> list[tuple[str, str | None]]:
+    """(package module, imported name) for each name an import statement
+    reads from the package: `from .m import a` and `from gspin.m import a`
+    give (m, a), `from . import m` and `import gspin.m` give (m, None), and a
+    name of the package itself, such as `__version__`, comes from __init__."""
+    if isinstance(node, ast.Import):
+        parts = [alias.name.split(".") for alias in node.names]
+        return [(p[1] if len(p) > 1 else "__init__", None) for p in parts if p[0] == "gspin"]
+    if node.level == 1:
+        module = node.module
+    elif node.level == 0 and node.module and node.module.split(".")[0] == "gspin":
+        module = node.module.partition(".")[2]
+    else:
+        return []
+    if module:
+        return [(module.split(".")[0], alias.name) for alias in node.names]
+    return [(a.name, None) if a.name in modules else ("__init__", a.name) for a in node.names]
+
+
+def _imports(paths: list[Path]):
+    """(file, import node, package module, imported name) for every package
+    import anywhere in the files, inside functions too."""
+    modules = {path.stem for path in paths}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for module, name in _package_imports(node, modules):
+                    yield path, node, module, name
+
+
+def _modules_on_a_cycle(paths: list[Path]) -> list[str]:
+    """The modules from which an import path leads back to themselves."""
+    edges = {path.stem: set() for path in paths}
+    for path, _node, module, _name in _imports(paths):
+        edges[path.stem].add(module)
+
+    def reachable(start: str) -> set[str]:
+        seen, todo = set(), list(edges[start])
+        while todo:
+            m = todo.pop()
+            if m not in seen:
+                seen.add(m)
+                todo += edges.get(m, ())
+        return seen
+
+    return sorted(m for m in edges if m in reachable(m))
+
+
+def test_the_module_graph_is_acyclic():
+    assert _modules_on_a_cycle(sorted(SRC.glob("*.py"))) == []
+
+
+def test_an_import_cycle_is_found(tmp_path):
+    files = {
+        "__init__.py": "__version__ = '1'\n",
+        "a.py": "from . import __version__\nfrom .b import f\n",
+        "b.py": "def f():\n    from gspin.c import g\n    return g\n",
+        "c.py": "import gspin.a\n",
+        "d.py": "from .a import f\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _modules_on_a_cycle(paths) == ["a", "b", "c"]
+    (tmp_path / "c.py").write_text("import math\n")
+    assert _modules_on_a_cycle(paths) == []
+
+
+def _imports_in_functions(path: Path) -> list[str]:
+    """Imports inside a function: every module imports at its top."""
+    tree = ast.parse(path.read_text())
+    found = {
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports(path):
+    assert _imports_in_functions(path) == []
+
+
+def test_an_import_inside_a_function_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import math\n"
+        "def f():\n"
+        "    import itertools\n"
+        "    def g():\n"
+        "        from .other import h\n"
+        "    return math, itertools, g\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from math import gcd\n"
+    )
+    assert _imports_in_functions(module) == ["module.py:3", "module.py:5", "module.py:9"]
+
+
+def _private_imports(paths: list[Path]) -> list[str]:
+    """`_`-prefixed names one package module imports from another; dunders
+    such as `__version__` are public."""
+    return [
+        f"{path.name}:{node.lineno}: {name}"
+        for path, node, module, name in _imports(paths)
+        if name and name.startswith("_") and not name.startswith("__") and module != path.stem
+    ]
+
+
+def test_no_module_imports_a_private_name():
+    assert _private_imports(sorted(SRC.glob("*.py"))) == []
+
+
+def test_an_imported_private_name_is_found(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("_LIMIT = 3\n__version__ = '1'\ndef f():\n    return _LIMIT\n")
+    b.write_text(
+        "from .a import _LIMIT, f\n"
+        "from . import __version__\n"
+        "from gspin.a import __version__ as v\n"
+        "def g():\n"
+        "    from gspin.a import _LIMIT as limit\n"
+        "    return _LIMIT, f, v, limit\n"
+    )
+    assert _private_imports([a, b]) == ["b.py:1: _LIMIT", "b.py:5: _LIMIT"]
