@@ -10,10 +10,8 @@ restricts to the full packet, without duplicates.
 
 from gspin.restriction import (
     gso4_shape_catalog,
-    packet_members,
     project_parameter,
     restrict_gso4,
-    restrict_member,
     restriction_count_identity,
     shape_catalog,
 )
@@ -26,9 +24,8 @@ for name, phi in shape_catalog().items():
         f"{name:>18}: component ranks {proj.s_group.group.rank} -> {proj.s_group_prime.group.rank};"
         f" {rep.message()}"
     )
-    for member in packet_members(phi):
-        chars = restrict_member(member, proj)
-        label = member.label or "pi"
+    for label, chars in rep.constituents:
+        label = "pi" if label == "packet" else label
         reps = sorted(sorted(ch) for ch in chars)
         print(f"    member {label:>2} restricts to {len(chars)} constituents {reps}")
 

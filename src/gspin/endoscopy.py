@@ -1,18 +1,18 @@
 """Elliptic endoscopic data with exact verification.
 
 Each datum stores the printed matrix ingredients: the semisimple element s
-(a 4x4 matrix), the Frobenius image for non-split members, and the
-stabilisation constant where one is on record.  Each datum solves, by exact
-linear algebra, the basis of its (twisted) centralizer Lie algebra once,
-when it is built, and checks there, once, that its Frobenius image is an
-involution normalizing the embedded subgroup and that each element of a
-fixed generating set of its group H centralizes s in the twisted or the
-ordinary sense; the six data are built once per process, and full_catalog
-is the only way to them.  verify_centralizer compares the dimension of that
-basis with the printed one and reports both checks.  The generators of a
-twisted datum are elements (g, x) of the stage GL4 x GL1, x from the
-embedding's own formula; the restriction diagrams project bare GSp4
-matrices.
+(a 4x4 matrix), a fixed generating set of its group H, the Frobenius image
+for non-split members, and the stabilisation constant where one is on
+record.  Each datum solves, by exact linear algebra, the basis of its
+(twisted) centralizer Lie algebra once, when it is built, and checks there,
+once, that its Frobenius image is an involution normalizing the embedded
+subgroup and that each of its generators centralizes s in the twisted or
+the ordinary sense; the six data are built once per process, and
+full_catalog is the only way to them.  verify_centralizer compares the
+dimension of that basis with the printed one and reports both checks.  The
+generators of a twisted datum are elements (g, x) of the stage GL4 x GL1,
+x from the embedding's own formula; the restriction diagrams project bare
+GSp4 matrices.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ FROBENIUS_H2 = ExactMatrix(
     ]
 )
 
+# the form of each ordinary ambient; the twisted one, 'twisted_gl4', has none
+ORDINARY_FORMS = {"gspin5": THETA_J, "gspin4": GSO4_GRAM}
+
 
 @dataclass(frozen=True)
 class EndoscopicDatum:
@@ -94,6 +97,7 @@ class EndoscopicDatum:
     h_description: str
     s: ExactMatrix
     expected_centralizer_dim: int
+    generators: tuple[DualElement, ...] = field(compare=False, repr=False)  # a fixed generating set of H
     frobenius_image: ExactMatrix | None = None
     stabilisation_constant: Fraction | None = None
     lie_basis: tuple[tuple[ExactMatrix, Fraction], ...] = field(init=False, compare=False, repr=False)
@@ -101,6 +105,8 @@ class EndoscopicDatum:
     generators_ok: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.base not in ("twisted_gl4", *ORDINARY_FORMS):
+            raise ValueError(f"unknown base {self.base!r}")
         object.__setattr__(self, "lie_basis", tuple(_lie_basis(self)))
         object.__setattr__(self, "frobenius_ok", _frobenius_ok(self))
         object.__setattr__(self, "generators_ok", _generators_ok(self))
@@ -114,16 +120,40 @@ class EndoscopicDatum:
 def full_catalog() -> tuple[EndoscopicDatum, ...]:
     """The data of all three ambients with the one nontrivial square class
     'alpha' declared, built once, read-only: what verify-endoscopy and the
-    selftest verify."""
+    selftest verify.
+
+    Each row carries fixed generators (g, x) of its group H, x from its
+    embedding.  With u, l, t = [[1, 1], [0, 1]], [[1, 0], [1, 1]], diag(2, 1):
+    GSp4 (gspin5) by exp(N) for N in a basis of its strictly upper part,
+    THETA_J and diag(1, 1, 2, 2), x = nu; GSO4 = GL2 (x) GL2 (gspin4, as
+    GSO4_GRAM is J2 (x) J2), x = det a det b; diag(x1, m, det m / x1)
+    (rank1), x = det m; the pairs on PAIR_PLANES (h1), x = det; the torus
+    ad = bc (h2), x = bc."""
+    u, l = ExactMatrix([[1, 1], [0, 1]]), ExactMatrix([[1, 0], [1, 1]])
+    t, one = ExactMatrix.diagonal([2, 1]), ExactMatrix.identity(2)
+    pairs = [(u, one), (l, one), (one, u), (one, l)]
+    gsp4 = tuple(DualElement(matrix_exp_nilpotent(n), 1) for n in GSP4_NILPOTENTS) + (
+        DualElement(THETA_J, 1), DualElement(ExactMatrix.diagonal([1, 1, 2, 2]), 2)
+    )
+    gso4 = tuple(DualElement(kron(a, b), a.det() * b.det()) for a, b in pairs + [(t, one)])
+    rank1 = tuple(
+        DualElement(
+            ExactMatrix.block_diagonal([ExactMatrix.diagonal([x1]), m, ExactMatrix.diagonal([m.det() / x1])]), m.det()
+        )
+        for x1, m in ((1, u), (1, l), (1, t), (2, one))
+    )
+    h1 = tuple(DualElement(embed_pair(a, b), a.det()) for a, b in pairs + [(t, t)])
+    diagonals = ([2, 1, 1, Fraction(1, 2)], [1, 2, 1, 2], [1, 1, 2, 2])
+    h2 = tuple(DualElement(ExactMatrix.diagonal(v), v[1] * v[2]) for v in diagonals)
     tw = "twisted_gl4"
     rows = (
-        # name, ambient, H, s, centralizer dimension, Frobenius image, constant
-        ("gspin5", tw, "GSpin5", ExactMatrix.identity(4), 11, None, ONE),
-        ("gspin4^1", tw, "GSpin4^1", S_GSO4, 7, None, None),
-        ("gspin4^alpha", tw, "GSpin4^alpha", S_GSO4, 7, FROBENIUS_GSO4, None),
-        ("rank1^alpha", tw, "(GSpin2^alpha x GSpin3)/GL1", S_RANK1, 5, FROBENIUS_RANK1, None),
-        ("h1", "gspin5", "(GL2 x GL2)/GL1", S_H1, 7, None, Fraction(1, 4)),
-        ("h2^alpha", "gspin4", "(GSpin2^alpha x GSpin2^alpha)/GL1", S_H2, 3, FROBENIUS_H2, None),
+        # name, ambient, H, s, centralizer dimension, generators, Frobenius image, constant
+        ("gspin5", tw, "GSpin5", ExactMatrix.identity(4), 11, gsp4, None, ONE),
+        ("gspin4^1", tw, "GSpin4^1", S_GSO4, 7, gso4, None, None),
+        ("gspin4^alpha", tw, "GSpin4^alpha", S_GSO4, 7, gso4, FROBENIUS_GSO4, None),
+        ("rank1^alpha", tw, "(GSpin2^alpha x GSpin3)/GL1", S_RANK1, 5, rank1, FROBENIUS_RANK1, None),
+        ("h1", "gspin5", "(GL2 x GL2)/GL1", S_H1, 7, h1, None, Fraction(1, 4)),
+        ("h2^alpha", "gspin4", "(GSpin2^alpha x GSpin2^alpha)/GL1", S_H2, 3, h2, FROBENIUS_H2, None),
     )
     return tuple(EndoscopicDatum(*row) for row in rows)
 
@@ -157,7 +187,7 @@ def ordinary_centralizer_basis(
 def _lie_basis(d: EndoscopicDatum) -> list[tuple[ExactMatrix, Fraction]]:
     if d.twisted:
         return twisted_centralizer_basis(d.s)
-    return ordinary_centralizer_basis(d.s, THETA_J if d.base == "gspin5" else GSO4_GRAM)
+    return ordinary_centralizer_basis(d.s, ORDINARY_FORMS[d.base])
 
 
 def _frobenius_ok(d: EndoscopicDatum) -> bool:
@@ -184,35 +214,6 @@ def theta_s_fixed(s: ExactMatrix, e: DualElement) -> bool:
     return similitude_factor(e.g.transpose(), s * THETA_J) == e.x
 
 
-def _generators(d: EndoscopicDatum) -> list[DualElement]:
-    """Fixed generators (g, x) of the datum's group H, x from its embedding.
-    With u, l, t = [[1, 1], [0, 1]], [[1, 0], [1, 1]], diag(2, 1): GSp4
-    (gspin5) by exp(N) for N in a basis of its strictly upper part, THETA_J and
-    diag(1, 1, 2, 2), x = nu; GSO4 = GL2 (x) GL2 (gspin4, as GSO4_GRAM is
-    J2 (x) J2), x = det a det b; diag(x1, m, det m / x1) (rank1), x = det m;
-    the pairs on PAIR_PLANES (h1), x = det; the torus ad = bc (h2), x = bc."""
-    u, l = ExactMatrix([[1, 1], [0, 1]]), ExactMatrix([[1, 0], [1, 1]])
-    t, one = ExactMatrix.diagonal([2, 1]), ExactMatrix.identity(2)
-    pairs = [(u, one), (l, one), (one, u), (one, l)]
-    family = d.name.split("^")[0]
-    if family == "gspin5":
-        gens = [(matrix_exp_nilpotent(n), 1) for n in GSP4_NILPOTENTS]
-        gens += [(THETA_J, 1), (ExactMatrix.diagonal([1, 1, 2, 2]), 2)]
-    elif family == "gspin4":
-        gens = [(kron(a, b), a.det() * b.det()) for a, b in pairs + [(t, one)]]
-    elif family == "rank1":
-        gens = [
-            (ExactMatrix.block_diagonal([ExactMatrix.diagonal([x1]), m, ExactMatrix.diagonal([m.det() / x1])]), m.det())
-            for x1, m in ((1, u), (1, l), (1, t), (2, one))
-        ]
-    elif family == "h1":
-        gens = [(embed_pair(a, b), a.det()) for a, b in pairs + [(t, t)]]
-    else:
-        diagonals = ([2, 1, 1, Fraction(1, 2)], [1, 2, 1, 2], [1, 1, 2, 2])
-        gens = [(ExactMatrix.diagonal(v), v[1] * v[2]) for v in diagonals]
-    return [DualElement(g, x) for g, x in gens]
-
-
 def _generators_ok(d: EndoscopicDatum) -> bool:
     """Does each generator of H centralize s, twisted or ordinarily?  Both
     are closed subgroup conditions, so they hold on the Zariski closure of
@@ -221,8 +222,8 @@ def _generators_ok(d: EndoscopicDatum) -> bool:
     dimension."""
     s = d.s
     if d.twisted:
-        return all(theta_s_fixed(s, e) for e in _generators(d))
-    return all(s * e.g == e.g * s for e in _generators(d))
+        return all(theta_s_fixed(s, e) for e in d.generators)
+    return all(s * e.g == e.g * s for e in d.generators)
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,11 @@ class ExactMatrix:
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.rows
+        if n == 1:  # [[num / den]] inverts to [[den / num]]
+            ((num,),) = self._num
+            if not num:
+                raise ValueError("singular matrix")
+            return ExactMatrix._make(((self._den,),), num, 1)
         a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self._num)]
         pivots, last, _ = _eliminate(a, n, jordan=True)
         if len(pivots) < n:

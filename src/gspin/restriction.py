@@ -7,7 +7,9 @@ one column frame each, each piece is classified by the restricted pairing
 (self-paired versus isotropically paired), and component representatives are
 the admissible sign patterns on self-paired pieces, modulo the centre and the
 connected part.  They form a TwoGroup, the 2-group type of every component
-group in the package, kept here beside the engine that builds them."""
+group in the package, kept here beside the engine that builds them.  A packet
+member is its label alone ('packet', or '+' and '-': a GSp4 packet has at most
+two members), and CountReport.constituents records what each restricts to."""
 
 from __future__ import annotations
 
@@ -291,29 +293,14 @@ class BoundedParameterDescriptor:
     declared_rank: int
 
 
-@dataclass(frozen=True)
-class PacketMember:
-    parent: BoundedParameterDescriptor
-    label: str  # '' for a singleton packet, '+' or '-' for a pair
-
-
-def packet_members(phi: BoundedParameterDescriptor) -> list[PacketMember]:
-    if phi.declared_rank == 0:
-        return [PacketMember(phi, "")]
-    return [PacketMember(phi, "+"), PacketMember(phi, "-")]
-
-
 @functools.cache
 def shape_catalog() -> Mapping[str, BoundedParameterDescriptor]:
     """Representative generator samples of the bounded shapes, built once, read-only."""
-    diag_a, diag_b = ExactMatrix.diagonal([2, 3]), ExactMatrix.diagonal([5, Fraction(6, 5)])
-    dihedral_flip = ExactMatrix([[0, 1], [6, 0]])  # determinant -6 on both blocks
-    two_two_dihedral = (embed_pair(diag_a, diag_b), embed_pair(dihedral_flip, dihedral_flip))
+    two_two_dihedral = tuple(embed_pair(a, b) for a, b in gso4_shape_catalog()["gso4_dihedral_pair"])
     principal = (
         ExactMatrix.diagonal([2, 3, Fraction(5, 3), Fraction(5, 2)]),
         ExactMatrix.diagonal([7, 2, Fraction(3, 2), Fraction(3, 7)]),
     )
-
     return MappingProxyType({
         "irreducible": BoundedParameterDescriptor("irreducible", realize_shape(((4, 1, -1),)), 0),
         "two_two_generic": BoundedParameterDescriptor("two_two_generic", realize_shape(((2, 1, -1), (2, 1, -1))), 1),
@@ -359,18 +346,6 @@ def project_parameter(phi: BoundedParameterDescriptor) -> ProjectedParameter:
     return ProjectedParameter(phi, upstairs, downstairs, embedded)
 
 
-def restrict_member(member: PacketMember, proj: ProjectedParameter) -> frozenset:
-    """The set of downstairs characters occurring in the restriction of one
-    packet member."""
-    if member.parent != proj.parent:
-        raise ValueError("member belongs to a different parameter")
-    chars = proj.s_group_prime.group.characters()
-    if proj.s_group.group.rank == 0:
-        return frozenset(chars)
-    want = 1 if member.label == "+" else -1
-    return frozenset(ch for ch in chars if TwoGroup.value(ch, proj.embedded_s) == want)
-
-
 @dataclass(frozen=True)
 class CountReport:
     shape: str
@@ -388,17 +363,26 @@ class CountReport:
 
 
 def restriction_count_identity(proj: ProjectedParameter) -> CountReport:
-    """The restrictions of all members partition the downstairs dual."""
-    members = packet_members(proj.parent)
-    parts = [restrict_member(m, proj) for m in members]
-    all_chars = set(proj.s_group_prime.group.characters())
+    """Restrict each packet member once; the restrictions must partition the
+    downstairs dual.  A packet with trivial component group is one member,
+    which gets every character; else its members '+' and '-' get those
+    taking that sign at s', the image of the nontrivial component."""
+    chars = proj.s_group_prime.group.characters()
+    if proj.s_group.group.rank == 0:
+        constituents = (("packet", frozenset(chars)),)
+    else:
+        constituents = tuple(
+            (label, frozenset(ch for ch in chars if TwoGroup.value(ch, proj.embedded_s) == sign))
+            for label, sign in (("+", 1), ("-", -1))
+        )
+    parts = [part for _label, part in constituents]
     union = set().union(*parts)  # the parts are disjoint when their sizes add up to its size
     return CountReport(
         shape=proj.parent.shape,
-        ok=union == all_chars and sum(map(len, parts)) == len(union),
-        packet_sizes=tuple(len(p) for p in parts),
-        dual_size=len(all_chars),
-        constituents=tuple((m.label or "packet", p) for m, p in zip(members, parts)),
+        ok=union == set(chars) and sum(map(len, parts)) == len(union),
+        packet_sizes=tuple(map(len, parts)),
+        dual_size=len(chars),
+        constituents=constituents,
     )
 
 
@@ -417,10 +401,8 @@ def gso4_shape_catalog() -> dict[str, tuple[tuple[ExactMatrix, ExactMatrix], ...
 
 
 def restrict_gso4(pairs: tuple[tuple[ExactMatrix, ExactMatrix], ...]) -> tuple[ComponentSignGroup, frozenset]:
-    """The single member downstairs restriction: the full packet, as a set.
-
-    Returns the downstairs component group and the (duplicate-free) set of
-    its characters."""
+    """The single member's downstairs restriction, the full packet: the
+    downstairs component group and the (duplicate-free) set of its characters."""
     gens = []
     for a, b in pairs:
         if a.det() != b.det():

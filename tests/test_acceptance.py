@@ -34,10 +34,8 @@ from gspin.params import (
 )
 from gspin.restriction import (
     gso4_shape_catalog,
-    packet_members,
     project_parameter,
     restrict_gso4,
-    restrict_member,
     restriction_count_identity,
     shape_catalog,
 )
@@ -232,10 +230,11 @@ def test_criterion_6_restriction():
         rep = restriction_count_identity(proj)
         assert rep.ok, rep.message()
         if proj.s_group.group.rank == 1:
-            plus, minus = packet_members(phi)
-            for ch in restrict_member(plus, proj):
+            (plus, plus_chars), (minus, minus_chars) = rep.constituents
+            assert (plus, minus) == ("+", "-")
+            for ch in plus_chars:
                 assert TwoGroup.value(ch, proj.embedded_s) == 1
-            for ch in restrict_member(minus, proj):
+            for ch in minus_chars:
                 assert TwoGroup.value(ch, proj.embedded_s) == -1
     for name, phi in gso4_shape_catalog().items():
         group, chars = restrict_gso4(phi)

@@ -10,7 +10,6 @@ from gspin.endoscopy import (
     FROBENIUS_GSO4,
     FROBENIUS_H2,
     FROBENIUS_RANK1,
-    _generators,
     full_catalog,
     ordinary_centralizer_basis,
     restriction_diagrams_commute,
@@ -201,11 +200,11 @@ def _generated_lie_algebra_dim(gens: list[ExactMatrix]) -> int:
 
 
 def test_the_generators_generate_a_group_of_the_printed_dimension():
-    dims = [_generated_lie_algebra_dim([e.g for e in _generators(d)]) for d in full_catalog()]
+    dims = [_generated_lie_algebra_dim([e.g for e in d.generators]) for d in full_catalog()]
     assert dims == [d.expected_centralizer_dim for d in full_catalog()] == [11, 7, 7, 5, 7, 3]
     # without the similitude diag(1, 1, 2, 2), GSp4's generators generate Sp4
     (gsp4,) = [d for d in full_catalog() if d.name == "gspin5"]
-    assert _generated_lie_algebra_dim([e.g for e in _generators(gsp4)][:-1]) == 10
+    assert _generated_lie_algebra_dim([e.g for e in gsp4.generators][:-1]) == 10
 
 
 S_ELEMENTS = (ExactMatrix.identity(4), S_GSO4, S_RANK1, S_H1, ExactMatrix.diagonal([2, 1, -1, 3]))
@@ -227,6 +226,14 @@ def test_generator_verdicts_for_every_datum_and_s():
         ("h1", "10010"),
         ("h2^alpha", "11111"),
     ]
+
+
+def test_an_unknown_base_is_refused():
+    from dataclasses import replace
+
+    (h1,) = [d for d in full_catalog() if d.name == "h1"]
+    with pytest.raises(ValueError, match="unknown base 'gspin6'"):
+        replace(h1, base="gspin6")
 
 
 def test_verification_draws_nothing(monkeypatch):
@@ -269,7 +276,7 @@ def test_theta_s_fixedness_of_gsp4_and_gso4_samples():
         x = frac(rng.randint(1, 4))
         assert theta_s_fixed(ExactMatrix.identity(4), DualElement(sample_gsp4(rng, x), x))
     (gso4,) = [d for d in full_catalog() if d.name == "gspin4^1"]
-    for e in _generators(gso4):
+    for e in gso4.generators:
         assert theta_s_fixed(ExactMatrix.diagonal([-1, -1, 1, 1]), e)
 
 

@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gspin.dualgroups import THETA_J, DualElement  # noqa: E402
-from gspin.endoscopy import S_GSO4, S_H1, S_RANK1, _generators, full_catalog, theta_s_fixed  # noqa: E402
+from gspin.endoscopy import S_GSO4, S_H1, S_RANK1, full_catalog, theta_s_fixed  # noqa: E402
 from gspin.exactlin import ExactMatrix  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -36,7 +36,7 @@ def twisted_samples(draw):
     paired with another s."""
     data = [d for d in full_catalog() if d.twisted]
     d = draw(st.sampled_from(data))
-    word = draw(st.lists(st.sampled_from(_generators(d)), min_size=1, max_size=4))
+    word = draw(st.lists(st.sampled_from(d.generators), min_size=1, max_size=4))
     e = DualElement(reduce(mul, (f.g for f in word)), reduce(mul, (f.x for f in word)))
     move = draw(st.sampled_from(["none", "shear", "double", "other s"]))
     s = d.s
@@ -64,7 +64,7 @@ def test_theta_s_fixed_agrees_with_the_twist(sample):
 def test_theta_s_fixed_agrees_with_the_twist_on_every_datum_and_s():
     seen = set()
     for d in full_catalog():
-        for e in _generators(d):
+        for e in d.generators:
             for s in S_ELEMENTS:
                 for f in (e, DualElement(e.g * SHEAR, e.x), DualElement(e.g, 2 * e.x)):
                     fixed = theta_s_fixed(s, f)

@@ -6,22 +6,25 @@ field as an attribute (a bare name that happens to share the method's or
 the field's name does not read it).
 
 Code that only tests call is code to delete.  A name kept on purpose for a
-reader outside the package is listed in KEPT with its reason; the list holds
-exactly the names the scan finds, so an entry goes once the name gains a
-caller or is deleted."""
+reader outside the package is listed in KEPT with its reason, which starts
+with the path of the file that reads it; the list holds exactly the names
+the scan finds, so an entry goes once the name gains a caller or is deleted,
+and the name must occur in the file its reason names, so a reason cannot
+outlive its reader."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gspin"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gspin"
 
 KEPT = {
     "solve": "perfbench/tracer.py binds it",
     "orthogonal_string_decomposition": "perfbench/tracer.py binds it",
     "restrict_gso4": "perfbench/tracer.py binds it",
-    "gso4_shape_catalog": "demo 06 and acceptance criterion 6 read it",
-    "EndoscopicDatum.h_description": "demo 03 prints it",
-    "boxtimes": "ROADMAP item 2 builds on it",
+    "EndoscopicDatum.h_description": "demos/03_endoscopic_catalog.py prints it",
+    "boxtimes": "ROADMAP.md item 2 builds on it",
 }
 
 
@@ -86,6 +89,13 @@ def test_every_definition_has_a_caller_or_a_reason():
     uncalled = _uncalled(sorted(SRC.glob("*.py")))
     assert {name: uncalled[name] for name in uncalled.keys() - KEPT} == {}
     assert sorted(KEPT.keys() - uncalled.keys()) == []
+
+
+def test_each_kept_name_occurs_in_the_file_its_reason_names():
+    for qualified, reason in KEPT.items():
+        name = qualified.split(".")[-1]
+        reader = ROOT / reason.split()[0]
+        assert re.search(rf"\b{name}\b", reader.read_text()), (qualified, reason)
 
 
 def test_an_uncalled_definition_is_found(tmp_path):

@@ -117,6 +117,20 @@ def test_inverse_and_det():
         assert m.inverse().det() == 1 / d
 
 
+def test_a_1x1_inverse_is_the_reciprocal_without_elimination(monkeypatch):
+    from gspin import exactlin
+
+    def no_elimination(*args, **kw):
+        raise AssertionError("a 1 x 1 inverse eliminated")
+
+    monkeypatch.setattr(exactlin, "_eliminate", no_elimination)
+    for x in (Fraction(-3, 4), Fraction(5), Fraction(1, 7)):
+        inv = ExactMatrix([[x]]).inverse()
+        assert inv == ExactMatrix([[1 / x]]) and hash(inv) == hash(ExactMatrix([[1 / x]]))
+    with pytest.raises(ValueError, match="singular"):
+        ExactMatrix([[0]]).inverse()
+
+
 def test_charpoly_matches_det_and_trace():
     rng = random.Random(7)
     for _ in range(15):

@@ -9,16 +9,13 @@ from gspin.exactlin import ONE, ExactMatrix, kron
 from gspin.params import TwoGroup
 from gspin.restriction import (
     BoundedParameterDescriptor,
-    PacketMember,
     _classify_pieces,
     _in_group,
     _split_pieces,
     component_sign_group,
     gso4_shape_catalog,
-    packet_members,
     project_parameter,
     restrict_gso4,
-    restrict_member,
     restriction_count_identity,
     shape_catalog,
 )
@@ -68,35 +65,22 @@ def test_embedding_is_injective_where_defined():
         assert proj.embedded_s is not None and proj.embedded_s != frozenset()
 
 
-def test_restrict_member_trivial_group_gets_everything():
-    cat = shape_catalog()
-    proj = project_parameter(cat["irreducible"])
-    (member,) = packet_members(cat["irreducible"])
-    out = restrict_member(member, proj)
-    assert out == frozenset(proj.s_group_prime.group.characters())
+def test_constituents_of_a_trivial_group_are_one_member_with_everything():
+    proj = project_parameter(shape_catalog()["irreducible"])
+    rep = restriction_count_identity(proj)
+    assert rep.constituents == (("packet", frozenset(proj.s_group_prime.group.characters())),)
 
 
-def test_restrict_member_sign_split():
-    cat = shape_catalog()
-    phi = cat["two_two_dihedral"]
-    proj = project_parameter(phi)
-    plus, minus = packet_members(phi)
-    out_plus = restrict_member(plus, proj)
-    out_minus = restrict_member(minus, proj)
+def test_constituents_split_the_dual_by_the_sign_at_s_prime():
+    proj = project_parameter(shape_catalog()["two_two_dihedral"])
+    (plus_label, out_plus), (minus_label, out_minus) = restriction_count_identity(proj).constituents
+    assert (plus_label, minus_label) == ("+", "-")
     assert len(out_plus) == len(out_minus) == 2  # half of the four characters
     assert not (out_plus & out_minus)
     for ch in out_plus:
         assert TwoGroup.value(ch, proj.embedded_s) == 1
     for ch in out_minus:
         assert TwoGroup.value(ch, proj.embedded_s) == -1
-
-
-def test_restrict_member_wrong_parent():
-    cat = shape_catalog()
-    proj = project_parameter(cat["two_two_generic"])
-    foreign = packet_members(cat["irreducible"])[0]
-    with pytest.raises(ValueError):
-        restrict_member(foreign, proj)
 
 
 def test_count_identity_all_shapes():
@@ -108,15 +92,14 @@ def test_count_identity_all_shapes():
 
 
 def test_count_identity_fails_on_an_overlap_or_a_gap(monkeypatch):
+    # no overlap can occur: each character takes one sign at s', so it lies
+    # in exactly one of the '+' and '-' parts.  A gap can: a value that is
+    # neither sign leaves both parts empty
     proj = project_parameter(shape_catalog()["two_two_generic"])
-    chars = frozenset(proj.s_group_prime.group.characters())
-    assert len(packet_members(proj.parent)) == 2
-    # both members restrict to the whole dual: the union is right, the parts overlap
-    monkeypatch.setattr(restriction, "restrict_member", lambda member, p: chars)
-    assert not restriction_count_identity(proj).ok
-    # disjoint parts that miss the dual
-    monkeypatch.setattr(restriction, "restrict_member", lambda member, p: frozenset())
-    assert not restriction_count_identity(proj).ok
+    assert restriction_count_identity(proj).ok
+    monkeypatch.setattr(restriction.TwoGroup, "value", lambda *args: 0)
+    rep = restriction_count_identity(proj)
+    assert not rep.ok and rep.packet_sizes == (0, 0)
 
 
 def test_degenerate_generators_rejected():
