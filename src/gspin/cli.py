@@ -27,7 +27,7 @@ from .params import require_membership
 from .restriction import project_parameter, restriction_count_identity, shape_catalog
 from .scenario import REQUIRED, ScenarioError, blame, check, load_scenario, local_characters, lookup, read
 from .scenario import parse_json, parse_matrix, parse_rational
-from .selftest import run_selftest
+from .selftest import CORRUPTIBLE, run_selftest
 from .weyl import det_factor, enumerate_levis, enumerate_weyl_elements, is_regular
 from .involutions import FactorizationUnsupportedError, SimilitudeElement, factor, verify
 
@@ -170,7 +170,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    ok, lines = run_selftest(seed=args.seed, corrupt=getattr(args, "corrupt", None))
+    ok, lines = run_selftest(seed=args.seed, corrupt=args.corrupt)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run the full invariant suite")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--corrupt", help=argparse.SUPPRESS)  # test fixture hook
+    p_self.add_argument("--corrupt", choices=CORRUPTIBLE, help=argparse.SUPPRESS)  # test fixture hook
     p_self.set_defaults(fn=cmd_selftest)
 
     p_fac = sub.add_parser("factor-involution", help="factor a similitude into involutions")

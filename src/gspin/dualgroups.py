@@ -202,7 +202,7 @@ BIVECTOR_FORM = exterior_square(THETA_J)
 
 # invariant line: the bivector of the inverse symplectic form (e1^e4 - e2^e3),
 # as a one-column frame
-OMEGA = ExactMatrix.from_columns([[0, 0, 1, -1, 0, 0]])
+OMEGA = ExactMatrix([[0, 0, 1, -1, 0, 0]]).transpose()
 
 # basis change [omega | its orthocomplement] on the bivector space
 SPLIT_BASIS = ExactMatrix.hstack([OMEGA, kernel(OMEGA.transpose() * BIVECTOR_FORM)])
@@ -275,9 +275,9 @@ def project_to_so5(g: ExactMatrix) -> ExactMatrix:
 # e1^e3, e4^e2 = -(e2^e4), e4^e3 = -(e3^e4)
 _SO4_BLOCK_BASIS = ExactMatrix.hstack([
     OMEGA,
-    ExactMatrix.from_columns(
+    ExactMatrix(
         [[0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1]]
-    ),
+    ).transpose(),
 ])
 _SO4_BLOCK_TO_SPLIT = SPLIT_BASIS_INV * _SO4_BLOCK_BASIS
 _SPLIT_TO_SO4_BLOCK = _SO4_BLOCK_BASIS.inverse() * SPLIT_BASIS

@@ -164,17 +164,6 @@ class ExactMatrix:
         return ExactMatrix._make(tuple(out), den, m)
 
     @staticmethod
-    def from_columns(columns: Sequence[Sequence]) -> "ExactMatrix":
-        cols = [[_rational(x) for x in c] for c in columns]
-        if not cols or any(len(c) != len(cols[0]) for c in cols):
-            raise ValueError("columns must be a nonempty list of equal lengths")
-        # over the least common denominator of reduced entries the numerators
-        # already have no common factor with it
-        den = lcm(*(x.denominator for c in cols for x in c))
-        num = zip(*([x.numerator * (den // x.denominator) for x in c] for c in cols))
-        return ExactMatrix._raw(tuple(num), den, len(cols))
-
-    @staticmethod
     def hstack(blocks: Sequence["ExactMatrix"]) -> "ExactMatrix":
         """The columns of equally tall blocks, side by side."""
         den = lcm(*(b._den for b in blocks))

@@ -230,12 +230,15 @@ def require_membership(group: CharacterGroup, psi: FormalParameter, target: Grou
 
 
 class ArthurType(Enum):
-    GENERAL = ("a", "General")
-    YOSHIDA = ("b", "Yoshida")
-    SOUDRY = ("c", "Soudry")
-    SAITO_KUROKAWA = ("d", "SaitoKurokawa")
-    HOWE_PS = ("e", "HowePiatetskiShapiro")
-    ONE_DIMENSIONAL = ("f", "OneDimensional")
+    """(letter, label, shape): the shape is the (N, d) pairs of the type's
+    summands in `FormalParameter.sorted_summands` order."""
+
+    GENERAL = ("a", "General", ((4, 1),))
+    YOSHIDA = ("b", "Yoshida", ((2, 1), (2, 1)))
+    SOUDRY = ("c", "Soudry", ((2, 2),))
+    SAITO_KUROKAWA = ("d", "SaitoKurokawa", ((2, 1), (1, 2)))
+    HOWE_PS = ("e", "HowePiatetskiShapiro", ((1, 2), (1, 2)))
+    ONE_DIMENSIONAL = ("f", "OneDimensional", ((1, 4),))
 
     @property
     def letter(self) -> str:
@@ -244,6 +247,13 @@ class ArthurType(Enum):
     @property
     def label(self) -> str:
         return self.value[1]
+
+    @property
+    def shape(self) -> tuple[tuple[int, int], ...]:
+        return self.value[2]
+
+
+_TYPE_OF_SHAPE = {t.shape: t for t in ArthurType}
 
 
 @dataclass(frozen=True)
@@ -271,34 +281,22 @@ def classify(
     root_number_minus: bool = False,
 ) -> Classification:
     """Type, component group, automorphy character and sign element of a
-    discrete parameter for the rank-two odd similitude spin group."""
+    discrete parameter for the rank-two odd similitude spin group: the type
+    whose shape psi has, once its handles are consistent with it."""
     require_membership(group, psi, GSPIN5)
     summands = psi.sorted_summands()
     shape = tuple((h.N, d) for h, d in summands)
+    kind = _TYPE_OF_SHAPE.get(shape)
+    if kind is None:
+        raise ValueError(f"unclassifiable shape {shape}")
+    if kind is ArthurType.YOSHIDA and any(h.central_character != psi.chi for h, _ in summands):
+        raise ValueError("unclassifiable: central characters must equal chi")
+    if kind is ArthurType.SOUDRY and not group.ratio(summands[0][0].central_character, psi.chi).order_two:
+        raise ValueError("unclassifiable: ratio to chi must have order two")
     sgroup = component_group_table(psi)
-    trivial = frozenset()
+    flipped = sgroup.basis_labels if kind is ArthurType.SAITO_KUROKAWA and root_number_minus else ()
     s_elt = frozenset(h.id for h, d in summands if d % 2 == 0)
-
-    if shape == ((4, 1),):
-        return Classification(ArthurType.GENERAL, sgroup, trivial, s_elt)
-    if shape == ((2, 1), (2, 1)):
-        for h, _ in summands:
-            if h.central_character != psi.chi:
-                raise ValueError("unclassifiable: central characters must equal chi")
-        return Classification(ArthurType.YOSHIDA, sgroup, trivial, s_elt)
-    if shape == ((2, 2),):
-        h = summands[0][0]
-        if not group.ratio(h.central_character, psi.chi).order_two:
-            raise ValueError("unclassifiable: ratio to chi must have order two")
-        return Classification(ArthurType.SOUDRY, sgroup, trivial, s_elt)
-    if shape == ((2, 1), (1, 2)):
-        eps = frozenset(sgroup.basis_labels) if root_number_minus else trivial
-        return Classification(ArthurType.SAITO_KUROKAWA, sgroup, eps, s_elt)
-    if shape == ((1, 2), (1, 2)):
-        return Classification(ArthurType.HOWE_PS, sgroup, trivial, s_elt)
-    if shape == ((1, 4),):
-        return Classification(ArthurType.ONE_DIMENSIONAL, sgroup, trivial, s_elt)
-    raise ValueError(f"unclassifiable shape {shape}")
+    return Classification(kind, sgroup, frozenset(flipped), s_elt)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +399,8 @@ def component_group_oracle(psi: FormalParameter) -> OracleResult:
     """Compute the component group from matrices, independently of
     `component_group_table`: the commutant of `realize(psi)` in GSp4,
     with components found by `restriction.sign_patterns` on one self-paired
-    piece per summand, its block of `summand_blocks`, modulo the center."""
+    piece per summand, its block of `summand_blocks`, modulo the center, and
+    the sign element read as a pattern off the realized SL2."""
     summands = psi.sorted_summands()
     generators = realize(psi)
     if any(similitude_factor(g, THETA_J) is None for g in generators):
@@ -415,6 +414,8 @@ def component_group_oracle(psi: FormalParameter) -> OracleResult:
         PieceData(h.id, ExactMatrix([[int(i == j) for j in c] for i in range(4)]), True)
         for (h, _), c in zip(summands, summand_blocks(k))
     ]
-    group = sign_patterns(pieces, generators, THETA_J).group
-    s_support = group.canonical({h.id for h, d in summands if d % 2 == 0})
-    return OracleResult(component_group=group, sign_element=s_support)
+    signs = sign_patterns(pieces, generators, THETA_J)
+    # s_psi is the image of -1 in SL2: (exp(e) exp(f)^-1 exp(e))^2
+    e, f = generators[-2:]
+    w = e * f.inverse() * e
+    return OracleResult(component_group=signs.group, sign_element=signs.pattern_of(w * w))

@@ -60,7 +60,9 @@ class CheckResult:
         return f"{'pass' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _six_type_fixtures():
+def six_type_fixtures():
+    """The character group and the example parameter of each Arthur type, as
+    (letter, psi, component rank) in letter order."""
     g = CharacterGroup()
     g.declare_generator("eta0")
     g.declare_generator("chi0")
@@ -72,38 +74,17 @@ def _six_type_fixtures():
     chi_sq = g.pow(eta, 2)
 
     def cusp(name, omega, against):
-        return gl2_alternative(
-            g, CuspidalHandle(id=name, N=2, central_character=omega, chi=against)
-        )
+        return gl2_alternative(g, CuspidalHandle(id=name, N=2, central_character=omega, chi=against))
 
-    general = FormalParameter(
-        chi=chi,
-        summands=(
-            (CuspidalHandle(id="Pi4", N=4, central_character=g.pow(chi, 2), chi=chi, sign=-1), 1),
-        ),
-    )
-    yoshida = FormalParameter(chi=chi, summands=((cusp("pi1", chi, chi), 1), (cusp("pi2", chi, chi), 1)))
-    soudry = FormalParameter(chi=chi, summands=((cusp("piDi", g.mul(chi, beta), chi), 2),))
-    sk = FormalParameter(
-        chi=chi_sq,
-        summands=((cusp("piSK", chi_sq, chi_sq), 1), (character_summand(g, eta, chi_sq), 2)),
-    )
-    eta2 = g.mul(eta, beta)
-    hps = FormalParameter(
-        chi=chi_sq,
-        summands=(
-            (character_summand(g, eta, chi_sq), 2),
-            (character_summand(g, eta2, chi_sq), 2),
-        ),
-    )
-    oned = FormalParameter(chi=chi_sq, summands=((character_summand(g, eta, chi_sq), 4),))
+    pi4 = CuspidalHandle(id="Pi4", N=4, central_character=g.pow(chi, 2), chi=chi, sign=-1)
+    e1, e2 = (character_summand(g, e, chi_sq) for e in (eta, g.mul(eta, beta)))
     return g, [
-        ("a", general, 0),
-        ("b", yoshida, 1),
-        ("c", soudry, 0),
-        ("d", sk, 1),
-        ("e", hps, 1),
-        ("f", oned, 0),
+        ("a", FormalParameter(chi=chi, summands=((pi4, 1),)), 0),
+        ("b", FormalParameter(chi=chi, summands=((cusp("pi1", chi, chi), 1), (cusp("pi2", chi, chi), 1))), 1),
+        ("c", FormalParameter(chi=chi, summands=((cusp("piDi", g.mul(chi, beta), chi), 2),)), 0),
+        ("d", FormalParameter(chi=chi_sq, summands=((cusp("piSK", chi_sq, chi_sq), 1), (e1, 2))), 1),
+        ("e", FormalParameter(chi=chi_sq, summands=((e1, 2), (e2, 2))), 1),
+        ("f", FormalParameter(chi=chi_sq, summands=((e1, 4),)), 0),
     ]
 
 
@@ -189,7 +170,7 @@ def check_endoscopy_diagrams(seed: int, corrupt: bool) -> CheckResult:
 
 
 def check_types_table_vs_oracle(seed: int, corrupt: bool) -> CheckResult:
-    g, fixtures = _six_type_fixtures()
+    g, fixtures = six_type_fixtures()
     for letter, psi, expected_rank in fixtures:
         cls = classify(g, psi, root_number_minus=False)
         if cls.arthur_type.letter != letter or cls.component_rank != expected_rank:
@@ -208,7 +189,7 @@ def check_types_table_vs_oracle(seed: int, corrupt: bool) -> CheckResult:
 
 
 def check_multiplicity_counting(seed: int, corrupt: bool) -> CheckResult:
-    g, fixtures = _six_type_fixtures()
+    g, fixtures = six_type_fixtures()
     sk = fixtures[3][1]
     sgroup = classify(g, sk).component_group
     chars = sgroup.characters()
@@ -292,7 +273,7 @@ def check_involutions(seed: int, corrupt: bool) -> CheckResult:
 
 
 def check_std_compose(seed: int, corrupt: bool) -> CheckResult:
-    g, fixtures = _six_type_fixtures()
+    g, fixtures = six_type_fixtures()
     yoshida = fixtures[1][1]
     ids = [h.id for h, _ in yoshida.summands]
     out, _ = std_compose(yoshida, {ids[0]: [2, 3], ids[1]: [5, 7]}, 6)
@@ -324,8 +305,14 @@ CHECKS: list[Callable[[int, bool], CheckResult]] = [
 ]
 
 
+CORRUPTIBLE = ("kernel_rank", "endoscopy_catalog", "involutions")  # the checks that read corrupt
+
+
 def run_selftest(seed: int = 0, corrupt: str | None = None) -> tuple[bool, list[str]]:
-    """Run every named check; returns (all passed, report lines)."""
+    """Run every named check, corrupting the one named (one of CORRUPTIBLE);
+    returns (all passed, report lines)."""
+    if corrupt is not None and corrupt not in CORRUPTIBLE:
+        raise ValueError(f"check {corrupt!r} has no corruption hook")
     lines = [f"selftest seed={seed}"]
     all_ok = True
     for fn in CHECKS:

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from gspin.characters import CharacterGroup
 from gspin.dualgroups import (
     GL4_GL1,
     GSPIN5,
@@ -24,7 +23,6 @@ from gspin.params import (
     CuspidalHandle,
     FormalParameter,
     TwoGroup,
-    character_summand,
     classify,
     component_group_oracle,
     gl2_alternative,
@@ -39,7 +37,7 @@ from gspin.restriction import (
     restriction_count_identity,
     shape_catalog,
 )
-from gspin.selftest import run_selftest
+from gspin.selftest import run_selftest, six_type_fixtures
 from gspin.weyl import (
     LeviDescriptor,
     TwistedWeylElement,
@@ -58,58 +56,7 @@ def report(number: int, ok: bool, text: str):
 
 
 # ---------------------------------------------------------------------------
-# shared fixtures
-
-
-def six_fixtures():
-    g = CharacterGroup()
-    g.declare_generator("eta0")
-    g.declare_generator("chi0")
-    g.declare_generator("beta", order_two=True)
-    beta = g.element({}, {"beta"})
-    g.declare_class("alpha", beta)
-    chi = g.element({"chi0": 1})
-    eta = g.element({"eta0": 1})
-    chi_sq = g.pow(eta, 2)
-
-    def cusp(name, omega, against):
-        return gl2_alternative(
-            g, CuspidalHandle(id=name, N=2, central_character=omega, chi=against)
-        )
-
-    fixtures = {
-        "a": FormalParameter(
-            chi=chi,
-            summands=(
-                (
-                    CuspidalHandle(
-                        id="Pi4", N=4, central_character=g.pow(chi, 2), chi=chi, sign=-1
-                    ),
-                    1,
-                ),
-            ),
-        ),
-        "b": FormalParameter(
-            chi=chi, summands=((cusp("pi1", chi, chi), 1), (cusp("pi2", chi, chi), 1))
-        ),
-        "c": FormalParameter(chi=chi, summands=((cusp("piDi", g.mul(chi, beta), chi), 2),)),
-        "d": FormalParameter(
-            chi=chi_sq,
-            summands=(
-                (cusp("piSK", chi_sq, chi_sq), 1),
-                (character_summand(g, eta, chi_sq), 2),
-            ),
-        ),
-        "e": FormalParameter(
-            chi=chi_sq,
-            summands=(
-                (character_summand(g, eta, chi_sq), 2),
-                (character_summand(g, g.mul(eta, beta), chi_sq), 2),
-            ),
-        ),
-        "f": FormalParameter(chi=chi_sq, summands=((character_summand(g, eta, chi_sq), 4),)),
-    }
-    return g, fixtures
+# the expected letter, type and rank of each of the six example parameters
 
 
 EXPECTED = {
@@ -123,10 +70,12 @@ EXPECTED = {
 
 
 def test_criterion_1_type_table():
-    g, fixtures = six_fixtures()
+    g, fixtures = six_type_fixtures()
+    assert [letter for letter, _, _ in fixtures] == sorted(EXPECTED)
     hits = 0
-    for letter, psi in fixtures.items():
+    for letter, psi, rank in fixtures:
         expected_type, expected_rank = EXPECTED[letter]
+        assert rank == expected_rank
         for flag in (False, True):
             cls = classify(g, psi, root_number_minus=flag)
             assert cls.arthur_type == expected_type and cls.arthur_type.letter == letter
@@ -141,8 +90,8 @@ def test_criterion_1_type_table():
 
 
 def test_criterion_2_oracle_agreement():
-    g, fixtures = six_fixtures()
-    for letter, psi in fixtures.items():
+    g, fixtures = six_type_fixtures()
+    for letter, psi, _ in fixtures:
         cls = classify(g, psi)
         oracle = component_group_oracle(psi)
         assert oracle.component_group.rank == cls.component_rank, letter
@@ -154,8 +103,8 @@ def test_criterion_2_oracle_agreement():
 
 
 def test_criterion_3_multiplicity_formula():
-    g, fixtures = six_fixtures()
-    sk = fixtures["d"]
+    g, fixtures = six_type_fixtures()
+    sk = next(psi for letter, psi, _ in fixtures if letter == "d")
     sgroup = classify(g, sk).component_group
     chars = sgroup.characters()
     automorphic_sets = {}

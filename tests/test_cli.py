@@ -77,6 +77,27 @@ def test_yoshida_scenario_multiplicity_one(tmp_path, capsys):
     assert "membership[psi]: yes" in captured
 
 
+def test_a_yoshida_shape_with_the_wrong_central_character_is_a_computation_error(tmp_path, capsys):
+    # pi2 declares itself symplectic, but its central character is chi beta
+    doc = {
+        "characters": {
+            "generators": [{"name": "chi0"}, {"name": "beta", "order_two": True}],
+            "defined": {"chi": {"free": {"chi0": 1}}, "chibeta": {"free": {"chi0": 1}, "torsion": ["beta"]}},
+        },
+        "cuspidals": [
+            {"id": "pi1", "N": 2, "central_character": "chi", "chi": "chi"},
+            {"id": "pi2", "N": 2, "central_character": "chibeta", "chi": "chi", "sign": -1},
+        ],
+        "parameters": [{"name": "psi", "chi": "chi", "summands": [["pi1", 1], ["pi2", 1]]}],
+        "requests": [{"op": "membership", "parameter": "psi"}, {"op": "classify", "parameter": "psi"}],
+    }
+    code = main(["run", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "computation error: unclassifiable: central characters must equal chi\n"
+
+
 @pytest.mark.parametrize(
     "v2, unknown",
     [({"pl1": -1, "pl2": -1}, "pl1"), ({"pi1": -1, "pl2": -1}, "pl2")],
@@ -275,6 +296,26 @@ def test_selftest_involutions_fault_injection():
     # the seed and the trial replay the failing element
     assert "FAIL involutions.factor: seed 0 trial 3 dim 4" in lines
     assert lines[-1] == "selftest FAIL"
+
+
+@pytest.mark.parametrize(
+    "check, line",
+    [("kernel_rank", "FAIL exactlin.kernel_rank"), ("endoscopy_catalog", "FAIL endoscopy.catalog"),
+     ("involutions", "FAIL involutions.factor")],
+)
+def test_each_corruption_hook_fails_its_own_check(capsys, check, line):
+    assert main(["selftest", "--seed", "2", "--corrupt", check]) == 1
+    fails = [text for text in capsys.readouterr().out.splitlines() if text.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith(line + ":")
+
+
+def test_a_check_without_a_corruption_hook_is_refused(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", "--corrupt", "projection"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'projection'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="check 'projection' has no corruption hook"):
+        run_selftest(0, corrupt="projection")
 
 
 def test_factor_involution_subcommand(tmp_path, capsys):

@@ -194,7 +194,7 @@ def _generated_lie_algebra_dim(gens: list[ExactMatrix]) -> int:
         dim = len(algebra)
         grown = algebra + [g * x * g.inverse() for g in gens for x in algebra]
         grown += [x * y - y * x for i, x in enumerate(algebra) for y in algebra[:i]]
-        basis = span_basis(ExactMatrix.from_columns([[v for r in x.entries() for v in r] for x in grown]))
+        basis = span_basis(ExactMatrix([[v for r in x.entries() for v in r] for x in grown]).transpose())
         algebra = [ExactMatrix([v[n * i : n * i + n] for i in range(n)]) for v in basis.transpose().entries()]
     return dim
 

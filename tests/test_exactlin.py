@@ -392,23 +392,6 @@ def test_reflection_matches_the_column_formula(dim):
         space.reflection((0,) * dim)
 
 
-@pytest.mark.parametrize("columns", [[[1], [2, 3]], [[1, 2], [3]], []])
-def test_from_columns_rejects_ragged_or_empty_input(columns):
-    with pytest.raises(ValueError):
-        ExactMatrix.from_columns(columns)
-
-
-def test_from_columns_is_the_transposed_row_constructor():
-    rng = random.Random(3)
-    for shape in ((1, 1), (3, 2), (2, 5), (6, 6)):
-        cols = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(shape[0])]
-                for _ in range(shape[1])]
-        m = ExactMatrix.from_columns(cols)
-        assert (m.rows, m.cols) == shape
-        assert m == ExactMatrix(cols).transpose()
-        assert m == ExactMatrix([[c[i] for c in cols] for i in range(shape[0])])
-
-
 def test_quadratic_space_validation():
     with pytest.raises(ValueError):
         QuadraticSpace(3, ExactMatrix.identity(3))

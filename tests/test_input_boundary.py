@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from gspin.cli import main
+from gspin.params import ArthurType
+from gspin.selftest import six_type_fixtures
 from test_cli import OUT_KEYS
 from gspin.scenario import ScenarioError, parse_matrix, parse_rational
 
@@ -278,3 +280,17 @@ def test_benchmark_scenarios_are_accepted(tmp_path, capsys, seed):
         assert capsys.readouterr().err == ""
         results = json.loads(out_path.read_text())["results"]
         assert [set(rec) for rec in results] == [OUT_KEYS[rec["op"]] for rec in results]
+
+
+def test_the_benchmark_table_of_arthur_types_matches_the_library():
+    # the benchmark types its own copy of the six example parameters: each
+    # letter's summand shape must be its ArthurType's, and its rank the one
+    # six_type_fixtures declares
+    types = {t.letter: t for t in ArthurType}
+    ranks = {letter: rank for letter, _, rank in six_type_fixtures()[1]}
+    table = _workloads().ARTHUR_TYPES
+    assert sorted(table) == sorted(types) == sorted(ranks)
+    for letter, (_chi, summands, rank) in table.items():
+        shape = tuple(sorted(((n, d) for _, n, _, _, d in summands), key=lambda nd: (-nd[0], -nd[1])))
+        assert shape == types[letter].shape, letter
+        assert rank == ranks[letter], letter

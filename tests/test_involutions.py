@@ -576,9 +576,7 @@ def _two_hyperbolic_spaces():
     g = ExactMatrix.diagonal([2, 2, Fraction(1, 2), Fraction(1, 2), 3, 3, Fraction(1, 3), Fraction(1, 3)])
     x = [0, 2, 1, 3, 0, 2, 1, 3]  # coordinates e1 e2 f1 f2 | e1' e2' f1' f2'
     y = [(4, 1), (5, 1), (6, 1), (7, 1), (4, 2), (5, 2), (6, 2), (7, 2)]
-    u = ExactMatrix.from_columns(
-        [[int(k == i) + c * int(k == j) for k in range(8)] for i, (j, c) in zip(x, y)]
-    )
+    u = ExactMatrix([[int(k == i) + c * int(k == j) for k in range(8)] for i, (j, c) in zip(x, y)]).transpose()
     gram = ExactMatrix.block_diagonal([h, h])
     return SimilitudeElement(QuadraticSpace(8, u.transpose() * gram * u), u.inverse() * g * u, 1)
 
@@ -597,7 +595,7 @@ def test_primary_split_where_every_candidate_is_degenerate(monkeypatch):
         krylov = [v]
         for _ in range(8):
             krylov.append(e.g.apply(krylov[-1]))
-        chain = ExactMatrix.from_columns(krylov[: rank(ExactMatrix(krylov))])
+        chain = ExactMatrix(krylov[: rank(ExactMatrix(krylov))]).transpose()
         assert pairing_matrix(e.space.gram, chain, chain).det() == 0
 
     # the primary parts of g + g^-1 split the space with no random draw

@@ -218,7 +218,7 @@ def planes_beside_a_hyperbolic_space(draw):
             s, t = draw(scales), sizes[i] * draw(st.sampled_from((1, -1)))
             x, y = (k if i % 2 == 0 else 2 + k), 4 + w2 + i % half
             columns.append([s * int(r == x) + t * int(r == y) for r in range(dim)])
-    u = ExactMatrix.from_columns(columns)
+    u = ExactMatrix(columns).transpose()
     hypothesis.assume(u.det() != 0)
     g = ExactMatrix.diagonal([lam1, lam2, nu / lam1, nu / lam2] + [mu] * half + [nu / mu] * half)
     gram = ExactMatrix.block_diagonal([hyperbolic(2), hyperbolic(half)])
@@ -243,7 +243,7 @@ def cyclic_chain(e: SimilitudeElement, v: tuple) -> ExactMatrix:
     krylov = [v]
     for _ in range(e.space.dim):
         krylov.append(e.g.apply(krylov[-1]))
-    return ExactMatrix.from_columns(krylov[: rank(ExactMatrix(krylov))])
+    return ExactMatrix(krylov[: rank(ExactMatrix(krylov))]).transpose()
 
 
 def assert_factors(e: SimilitudeElement) -> None:

@@ -368,6 +368,77 @@ def test_classify_rejects_nonmember():
         classify(g, psi)
 
 
+def test_classify_refuses_a_yoshida_shape_whose_central_character_is_not_chi():
+    # pi2 declares itself symplectic although omega = chi beta: a GSpin5
+    # member of the Yoshida shape that no Yoshida parameter has
+    g = make_group()
+    chi = g.element({"chi0": 1})
+    p1 = gl2_alternative(g, cuspidal_gl2(g, "pi1", chi, chi))
+    p2 = cuspidal_gl2(g, "pi2", g.mul(chi, g.element({}, {"beta"})), chi, sign=-1)
+    psi = FormalParameter(chi=chi, summands=((p1, 1), (p2, 1)))
+    assert psi_disc_membership(g, psi, GSPIN5).ok
+    with pytest.raises(ValueError, match="^unclassifiable: central characters must equal chi$"):
+        classify(g, psi)
+
+
+def test_classify_refuses_a_soudry_shape_whose_ratio_to_chi_is_trivial():
+    g = make_group()
+    chi = g.element({"chi0": 1})
+    psi = FormalParameter(chi=chi, summands=((cuspidal_gl2(g, "piDi", chi, chi, sign=+1), 2),))
+    assert psi_disc_membership(g, psi, GSPIN5).ok
+    with pytest.raises(ValueError, match="^unclassifiable: ratio to chi must have order two$"):
+        classify(g, psi)
+
+
+def declarable_shapes(size):
+    """Every multiset of (N, d, sign) of total size `size` that handles can
+    declare: N = 1 is always orthogonal, N = 2 and N = 4 carry either sign."""
+    kinds = [(n, d, s) for n in (1, 2, 4) for d in range(1, size // n + 1) for s in ((1,) if n == 1 else (1, -1))]
+    return [
+        combo
+        for k in range(1, size + 1)
+        for combo in itertools.combinations_with_replacement(kinds, k)
+        if sum(n * d for n, d, _ in combo) == size
+    ]
+
+
+def declared_parameter(g, shape):
+    """A parameter of the given shape over chi = eta0^2, one distinct handle
+    per summand, each sign resolved by the GL2 or GL4 alternative."""
+    eta = g.element({"eta0": 1})
+    chi = g.pow(eta, 2)
+    twists = [g.element({}, t) for t in ((), ("b0",), ("b1",), ("b0", "b1"))]
+    summands = []
+    for i, (n, d, sign) in enumerate(shape):
+        if n == 1:
+            handle = character_summand(g, g.mul(eta, twists[i]), chi)
+        else:
+            omega = g.pow(chi, n // 2)
+            if sign == 1:
+                omega = g.mul(omega, g.element({}, {"beta"}))
+            handle = CuspidalHandle(id=f"pi{i}", N=n, central_character=omega, chi=chi)
+            handle = gl2_alternative(g, handle) if n == 2 else gl4_alternative(g, handle)
+        assert handle.sign == sign
+        summands.append((handle, d))
+    return FormalParameter(chi=chi, summands=tuple(summands))
+
+
+def test_the_gspin5_members_of_every_declarable_shape_are_the_six_types():
+    # so `unclassifiable shape` is unreachable for a member
+    g = make_group()
+    for name in ("b0", "b1"):
+        g.declare_generator(name, order_two=True)
+    shapes = declarable_shapes(4)
+    assert len(shapes) == 16
+    kinds = []
+    for shape in shapes:
+        psi = declared_parameter(g, shape)
+        if psi_disc_membership(g, psi, GSPIN5).ok:
+            kinds.append(classify(g, psi).arthur_type)
+    assert len(kinds) == 6
+    assert sorted(kinds, key=lambda t: t.letter) == list(ArthurType)
+
+
 # ---------------------------------------------------------------------------
 # the matrix oracle
 
@@ -435,6 +506,20 @@ def test_oracle_disagrees_with_a_table_without_the_centre(monkeypatch):
     for build, _expected_type, _expected_rank in SIX:
         psi = build(g)
         assert not component_group_oracle(psi).agrees_with(classify(g, psi)), build.__name__
+
+
+def test_oracle_reads_the_sign_element_off_the_realized_sl2(monkeypatch):
+    # the Howe-PS realization has the Saito-Kurokawa block sizes, but its
+    # SL2 is -1 on both blocks, so only an oracle that reads s_psi off the
+    # matrices disagrees with the table
+    g = make_group()
+    psi = saito_kurokawa_parameter(g)
+    assert component_group_oracle(psi).agrees_with(classify(g, psi))
+    howe_ps = realize(howe_ps_parameter(g))
+    monkeypatch.setattr(params, "realize", lambda _psi: howe_ps)
+    oracle = component_group_oracle(psi)
+    assert oracle.sign_element == frozenset()
+    assert not oracle.agrees_with(classify(g, psi))
 
 
 def test_oracle_sample_blocks_are_similitudes():

@@ -1,7 +1,6 @@
 """Every name a module of the package imports is used in that module, every
-module-level private name of the package is read somewhere in it, no
-function imports from a module its file already imports from at module level,
-and no function builds a frame with `ExactMatrix.from_columns`.
+module-level private name of the package is read somewhere in it, and no
+function imports from a module its file already imports from at module level.
 
 The package's module graph is acyclic (an import inside a function counts as
 an edge), no function imports anything at all, and no module imports a
@@ -159,38 +158,6 @@ def test_a_function_import_of_a_module_level_source_is_found(tmp_path):
         "    return gcd, math, a, b, c, itertools, g\n"
     )
     assert _function_imports_of_module_imports(module) == ["module.py:4", "module.py:5", "module.py:9"]
-
-
-def _from_columns_in_functions(path: Path) -> list[str]:
-    """Calls of `from_columns` inside a function or lambda: a set of vectors
-    is a frame throughout, so only module-level constant bases are built
-    from lists of columns."""
-    tree = ast.parse(path.read_text())
-    found = {
-        node.lineno
-        for fn in ast.walk(tree)
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "from_columns"
-    }
-    return [f"{path.name}:{line}" for line in sorted(found)]
-
-
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_from_columns_builds_only_module_level_constants(path):
-    assert _from_columns_in_functions(path) == []
-
-
-def test_a_from_columns_call_in_a_function_is_found(tmp_path):
-    module = tmp_path / "module.py"
-    module.write_text(
-        "from gspin.exactlin import ExactMatrix\n"
-        "BASIS = ExactMatrix.from_columns([[1, 0], [0, 1]])\n"
-        "def f(vectors):\n"
-        "    return ExactMatrix.from_columns([list(v) for v in vectors])\n"
-        "g = lambda vs: ExactMatrix.from_columns(vs)\n"
-    )
-    assert _from_columns_in_functions(module) == ["module.py:4", "module.py:5"]
 
 
 # ---------------------------------------------------------------------------
