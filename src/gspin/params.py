@@ -15,7 +15,7 @@ of labels, multiplied by symmetric difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -31,31 +31,54 @@ from .restriction import PieceData, TwoGroup, sign_patterns
 
 @dataclass(frozen=True)
 class CuspidalHandle:
-    """Symbolic chi-self-dual cuspidal/discrete handle on GL_N."""
+    """Symbolic chi-self-dual cuspidal/discrete handle on GL_N, 1 <= N <= 5.
+    Its duality type is read off its characters (`sign`); `check_selfdual`
+    says whether the characters are consistent."""
 
     id: str
     N: int
     central_character: HeckeCharacterHandle
     chi: HeckeCharacterHandle
-    sign: int | None = None  # +1 orthogonal, -1 symplectic
     tensor_origin: tuple[str, str] | None = None
+
+    @property
+    def sign(self) -> int:
+        """+1 orthogonal, -1 symplectic.  Odd N is orthogonal; GL2 is
+        symplectic iff omega = chi (wedge^2 pi = omega); GL4 iff omega = chi^2
+        and it is not a tensor transfer."""
+        omega, chi = self.central_character, self.chi
+        if self.N == 2:
+            return -1 if omega == chi else 1
+        if self.N == 4 and self.tensor_origin is None:
+            chi_sq = tuple((g, 2 * e) for g, e in chi.free)
+            return -1 if omega.free == chi_sq and not omega.torsion else 1
+        return 1
 
 
 def check_selfdual(group: CharacterGroup, handle: CuspidalHandle) -> None:
-    """Enforce omega^2 = chi^N; for odd N, chi must be a square."""
-    omega_sq = group.pow(handle.central_character, 2)
-    chi_n = group.pow(handle.chi, handle.N)
-    if omega_sq != chi_n:
+    """The one handle validator: omega^2 = chi^N, and chi a square for odd N.
+    For even N the ratio omega / chi^(N/2), trivial or of order two, is
+    trivial under a tensor origin, and otherwise has a declared square class
+    (an orthogonal GL2 or GL4 handle)."""
+    omega = handle.central_character
+    if group.pow(omega, 2) != group.pow(handle.chi, handle.N):
         raise ValueError(f"{handle.id}: central character squared != chi^N")
-    if handle.N % 2 == 1 and not handle.chi.square_root_exists:
+    if handle.N % 2 and not handle.chi.square_root_exists:
         raise ValueError(f"{handle.id}: odd N forces chi to be a square")
+    ratio = group.ratio(omega, group.pow(handle.chi, handle.N // 2))
+    if handle.N % 2 or ratio.is_trivial:
+        return
+    if handle.tensor_origin is not None:
+        raise ValueError(f"{handle.id}: tensor origin with omega != chi^2")
+    if group.class_of_character(ratio) is None:
+        raise ValueError(f"{handle.id}: no declared square class for {ratio.id}")
 
 
 def character_summand(group: CharacterGroup, eta: HeckeCharacterHandle, chi: HeckeCharacterHandle) -> CuspidalHandle:
     """A GL1 summand; chi-self-dual means eta^2 = chi, always orthogonal."""
     if group.pow(eta, 2) != chi:
         raise ValueError("character summand must square to chi")
-    return CuspidalHandle(id=f"char:{eta.id}", N=1, central_character=eta, chi=chi, sign=+1)
+    return CuspidalHandle(id=f"char:{eta.id}", N=1, central_character=eta, chi=chi)
 
 
 @dataclass(frozen=True)
@@ -83,45 +106,7 @@ class FormalParameter:
 
 
 # ---------------------------------------------------------------------------
-# symplectic/orthogonal alternatives and the tensor transfer
-
-
-def gl2_alternative(group: CharacterGroup, pi: CuspidalHandle) -> CuspidalHandle:
-    """Resolve the GL2 alternative: symplectic iff chi equals the central
-    character; otherwise orthogonal and dihedral from the quadratic class of
-    their ratio."""
-    if pi.N != 2:
-        raise ValueError("GL2 handle required")
-    ratio = group.ratio(pi.central_character, pi.chi)
-    if ratio.is_trivial:
-        return replace(pi, sign=-1)
-    if ratio.order_two:
-        if group.class_of_character(ratio) is None:
-            raise ValueError(f"no declared square class for {ratio.id}")
-        return replace(pi, sign=+1)
-    raise ValueError("central character / chi is neither trivial nor of order two")
-
-
-def gl4_alternative(group: CharacterGroup, pi: CuspidalHandle) -> CuspidalHandle:
-    """Resolve the GL4 trichotomy to the signed handle: tensor-type
-    (orthogonal), Asai-type (orthogonal, chi^2/omega a declared quadratic
-    class), or symplectic."""
-    if pi.N != 4:
-        raise ValueError("GL4 handle required")
-    chi_sq = group.pow(pi.chi, 2)
-    omega = pi.central_character
-    if pi.tensor_origin is not None:
-        if omega != chi_sq:
-            raise ValueError("inconsistent handle: tensor origin with omega != chi^2")
-        return replace(pi, sign=+1)
-    if omega != chi_sq:
-        ratio = group.ratio(chi_sq, omega)
-        if not ratio.order_two:
-            raise ValueError("chi^2 / omega must have order two")
-        if group.class_of_character(ratio) is None:
-            raise ValueError(f"no declared square class for {ratio.id}")
-        return replace(pi, sign=+1)
-    return replace(pi, sign=-1)
+# the tensor transfer
 
 
 def boxtimes(
@@ -169,7 +154,6 @@ def boxtimes(
         N=2,
         central_character=omega,
         chi=omega,  # the twist is self-dual against its own central character
-        sign=-1,
     )
     return FormalParameter(chi=omega, summands=((twisted, 2),))
 
@@ -200,8 +184,6 @@ def psi_disc_membership(
         if h.chi != psi.chi:
             return MembershipReport(False, f"summand {h.id} is self-dual against the wrong character")
         sign = h.sign
-        if sign is None:
-            return MembershipReport(False, f"summand {h.id} has unresolved duality type")
         required = (-1) ** (d - 1) * target.sign
         if sign != required:
             return MembershipReport(
@@ -282,17 +264,13 @@ def classify(
 ) -> Classification:
     """Type, component group, automorphy character and sign element of a
     discrete parameter for the rank-two odd similitude spin group: the type
-    whose shape psi has, once its handles are consistent with it."""
+    whose shape psi has."""
     require_membership(group, psi, GSPIN5)
     summands = psi.sorted_summands()
     shape = tuple((h.N, d) for h, d in summands)
     kind = _TYPE_OF_SHAPE.get(shape)
     if kind is None:
         raise ValueError(f"unclassifiable shape {shape}")
-    if kind is ArthurType.YOSHIDA and any(h.central_character != psi.chi for h, _ in summands):
-        raise ValueError("unclassifiable: central characters must equal chi")
-    if kind is ArthurType.SOUDRY and not group.ratio(summands[0][0].central_character, psi.chi).order_two:
-        raise ValueError("unclassifiable: ratio to chi must have order two")
     sgroup = component_group_table(psi)
     flipped = sgroup.basis_labels if kind is ArthurType.SAITO_KUROKAWA and root_number_minus else ()
     s_elt = frozenset(h.id for h, d in summands if d % 2 == 0)
@@ -371,15 +349,11 @@ def std_compose(
 
 
 def realize(psi: FormalParameter) -> list[ExactMatrix]:
-    """`realize_shape` on the shape of psi, once it has a realization and
-    every GL2 handle a resolved duality type."""
+    """`realize_shape` on the shape of psi, once it has a realization."""
     summands = psi.sorted_summands()
     blocks = summand_blocks(len(summands))
     if len(summands) > 2 or any(h.N * d != len(b) for (h, d), b in zip(summands, blocks)):
         raise ValueError(f"no realization for shape {tuple((h.N, d) for h, d in summands)}")
-    for h, _d in summands:
-        if h.N == 2 and h.sign is None:
-            raise ValueError(f"{h.id}: unresolved duality type")
     return list(realize_shape(tuple((h.N, d, h.sign) for h, d in summands)))
 
 

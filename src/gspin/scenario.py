@@ -2,28 +2,24 @@
 classes, cuspidal handles, parameters and requested computations.
 
 Exact rationals are integers or strings 'p/q'.  Referenced ids must be
-declared, ids and names are unique, and handle signs left out are resolved
-by the GL2/GL4 alternative at load time.  Every field is read by ``read`` or
-``check``, which raise ScenarioError naming its JSON path."""
+declared, and ids and names are unique.  A handle has 1 <= N <= 5, a tensor
+origin only for N = 4, and characters that `check_selfdual` accepts; its
+duality type is read off those characters, and a declared `sign` must agree
+with it.  Every field is read by ``read`` or ``check``, which raise
+ScenarioError naming its JSON path."""
 
 from __future__ import annotations
 
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
 from .characters import CharacterGroup
 from .exactlin import ExactMatrix
-from .params import (
-    CuspidalHandle,
-    FormalParameter,
-    check_selfdual,
-    gl2_alternative,
-    gl4_alternative,
-)
+from .params import CuspidalHandle, FormalParameter, check_selfdual
 
 
 class ScenarioError(ValueError):
@@ -186,24 +182,23 @@ def build_scenario(doc: dict) -> Scenario:
             "id": (str, REQUIRED), "N": (int, REQUIRED), "central_character": (str, REQUIRED),
             "chi": (str, REQUIRED), "sign": (int, None), "tensor_origin": (list, None),
         })
+        if not 1 <= n <= 5:
+            raise ScenarioError(f"{at}.N: expected 1 to 5")
         if sign not in (None, 1, -1):
             raise ScenarioError(f"{at}.sign: expected 1 or -1")
+        if origin is not None and n != 4:
+            raise ScenarioError(f"{at}.tensor_origin: only a GL4 handle has one")
         handle = CuspidalHandle(
             id=_fresh(cuspidals, ident, f"{at}.id"),
             N=n,
             central_character=lookup(characters, omega, "undeclared character", f"{at}.central_character"),
             chi=lookup(characters, chi, "undeclared character", f"{at}.chi"),
-            sign=sign,
             tensor_origin=tuple(entries(origin, f"{at}.tensor_origin", str, str)) if origin is not None else None,
         )
+        if sign not in (None, handle.sign):
+            raise ScenarioError(f"{at}.sign: declared {sign}, but the characters give {handle.sign}")
         with blame(at):
             check_selfdual(group, handle)
-            if sign is None and n == 1:
-                handle = replace(handle, sign=+1, tensor_origin=None)
-            elif sign is None and n == 2:
-                handle = gl2_alternative(group, handle)
-            elif sign is None and n == 4:
-                handle = gl4_alternative(group, handle)
         cuspidals[ident] = handle
 
     parameters: dict[str, ParameterFixture] = {}

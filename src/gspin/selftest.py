@@ -33,7 +33,6 @@ from .params import (
     character_summand,
     classify,
     component_group_oracle,
-    gl2_alternative,
     multiplicity,
     std_compose,
 )
@@ -74,9 +73,9 @@ def six_type_fixtures():
     chi_sq = g.pow(eta, 2)
 
     def cusp(name, omega, against):
-        return gl2_alternative(g, CuspidalHandle(id=name, N=2, central_character=omega, chi=against))
+        return CuspidalHandle(id=name, N=2, central_character=omega, chi=against)
 
-    pi4 = CuspidalHandle(id="Pi4", N=4, central_character=g.pow(chi, 2), chi=chi, sign=-1)
+    pi4 = CuspidalHandle(id="Pi4", N=4, central_character=g.pow(chi, 2), chi=chi)
     e1, e2 = (character_summand(g, e, chi_sq) for e in (eta, g.mul(eta, beta)))
     return g, [
         ("a", FormalParameter(chi=chi, summands=((pi4, 1),)), 0),

@@ -23,9 +23,9 @@ from gspin.params import (
     CuspidalHandle,
     FormalParameter,
     TwoGroup,
+    check_selfdual,
     classify,
     component_group_oracle,
-    gl2_alternative,
     multiplicity,
     multiplicity_prefactor,
     psi_disc_membership,
@@ -127,12 +127,9 @@ def test_criterion_3_multiplicity_formula():
     # the prefactor 2 on the even similitude spin group with all N_i even
     chi = g.element({"chi0": 1})
     beta = g.element({}, {"beta"})
-    p1 = gl2_alternative(
-        g, CuspidalHandle(id="q1", N=2, central_character=g.mul(chi, beta), chi=chi)
-    )
-    p2 = gl2_alternative(
-        g, CuspidalHandle(id="q2", N=2, central_character=g.mul(chi, beta), chi=chi)
-    )
+    p1, p2 = (CuspidalHandle(id=q, N=2, central_character=g.mul(chi, beta), chi=chi) for q in ("q1", "q2"))
+    for p in (p1, p2):
+        check_selfdual(g, p)
     psi4 = FormalParameter(chi=chi, summands=((p1, 1), (p2, 1)))
     target = gspin_even_tag("1")
     assert psi_disc_membership(g, psi4, target).ok

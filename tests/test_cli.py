@@ -77,8 +77,9 @@ def test_yoshida_scenario_multiplicity_one(tmp_path, capsys):
     assert "membership[psi]: yes" in captured
 
 
-def test_a_yoshida_shape_with_the_wrong_central_character_is_a_computation_error(tmp_path, capsys):
-    # pi2 declares itself symplectic, but its central character is chi beta
+def test_a_yoshida_shape_with_the_wrong_central_character_is_an_input_error(tmp_path, capsys):
+    # pi2 declares itself symplectic, but its central character chi beta
+    # makes it orthogonal
     doc = {
         "characters": {
             "generators": [{"name": "chi0"}, {"name": "beta", "order_two": True}],
@@ -95,7 +96,7 @@ def test_a_yoshida_shape_with_the_wrong_central_character_is_a_computation_error
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "computation error: unclassifiable: central characters must equal chi\n"
+    assert captured.err == "input error: cuspidals[1].sign: declared -1, but the characters give 1\n"
 
 
 @pytest.mark.parametrize(

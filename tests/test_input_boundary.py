@@ -16,7 +16,7 @@ from gspin.cli import main
 from gspin.params import ArthurType
 from gspin.selftest import six_type_fixtures
 from test_cli import OUT_KEYS
-from gspin.scenario import ScenarioError, parse_matrix, parse_rational
+from gspin.scenario import ScenarioError, load_scenario, parse_matrix, parse_rational
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = json.loads((ROOT / "demos" / "scenario_saito_kurokawa.json").read_text())
@@ -80,6 +80,17 @@ DEFECTS = {
         _set(["characters", "generators"], [{"name": "eta0"}, {"name": "eta0"}]),
         "characters.generators[1].name: duplicate 'eta0'"),
     "sign-three": (_set(["cuspidals", 0, "sign"], 3), "cuspidals[0].sign: expected 1 or -1"),
+    "sign-against-characters": (
+        _set(["cuspidals", 0, "sign"], 1), "cuspidals[0].sign: declared 1, but the characters give -1"),
+    "N-zero": (_set(["cuspidals", 0, "N"], 0), "cuspidals[0].N: expected 1 to 5"),
+    "N-minus-two": (_set(["cuspidals", 0, "N"], -2), "cuspidals[0].N: expected 1 to 5"),
+    "N-six": (_set(["cuspidals", 0, "N"], 6), "cuspidals[0].N: expected 1 to 5"),
+    "tensor-origin-on-gl1": (
+        _set(["cuspidals", 1, "tensor_origin"], ["pi", "pi"]),
+        "cuspidals[1].tensor_origin: only a GL4 handle has one"),
+    "tensor-origin-on-gl2": (
+        _set(["cuspidals", 0, "tensor_origin"], ["pi", "pi"]),
+        "cuspidals[0].tensor_origin: only a GL4 handle has one"),
     "class-token-one": (
         _set(["classes"], [{"token": "1", "character": "chi"}]), "classes[0].token: duplicate '1'"),
 }
@@ -164,8 +175,13 @@ def test_even_target_needs_its_square_class(tmp_path, capsys):
     # GSpin4^alpha reads the class 'alpha', which this scenario does not
     # declare; once declared, orthogonal summands reach its condition
     doc = {
-        "characters": {"generators": [{"name": "chi0"}], "defined": {"chi": {"free": {"chi0": 1}}}},
-        "cuspidals": [{"id": f"p{k}", "N": 2, "central_character": "chi", "chi": "chi", "sign": 1}
+        "characters": {
+            "generators": [{"name": "chi0"}, {"name": "b", "order_two": True}],
+            "defined": {"chi": {"free": {"chi0": 1}}, "chibeta": {"free": {"chi0": 1}, "torsion": ["b"]},
+                        "beta": {"torsion": ["b"]}},
+        },
+        "classes": [{"token": "delta", "character": "beta"}],
+        "cuspidals": [{"id": f"p{k}", "N": 2, "central_character": "chibeta", "chi": "chi", "sign": 1}
                       for k in (1, 2)],
         "parameters": [{"name": "psi", "chi": "chi", "summands": [["p1", 1], ["p2", 1]]}],
         "requests": [{"op": "membership", "parameter": "psi", "target": "gspin4a"}],
@@ -176,11 +192,37 @@ def test_even_target_needs_its_square_class(tmp_path, capsys):
         assert (code, out, err) == (
             2, "", "input error: requests[0].target: 'gspin4a' reads the undeclared square class 'alpha'\n"
         )
-    doc["characters"]["generators"].append({"name": "b", "order_two": True})
-    doc["characters"]["defined"]["beta"] = {"torsion": ["b"]}
-    doc["classes"] = [{"token": "alpha", "character": "beta"}]
+    doc["characters"]["generators"].append({"name": "c", "order_two": True})
+    doc["characters"]["defined"]["gamma"] = {"torsion": ["c"]}
+    doc["classes"].append({"token": "alpha", "character": "gamma"})
     code, out, err = _run(tmp_path, capsys, doc)
     assert (code, err) == (0, "") and out.startswith("membership[psi]: no (central-character product")
+
+
+def _gl3_scenario(sign):
+    """g3[1] + eta + eta beta on Sp4 x GL1, g3 a GL3 handle with the given
+    declared sign (None: left out)."""
+    g3 = {"id": "g3", "N": 3, "central_character": "eta3", "chi": "chi"}
+    if sign is not None:
+        g3["sign"] = sign
+    return {
+        "characters": {
+            "generators": [{"name": "eta0"}, {"name": "b", "order_two": True}],
+            "defined": {"chi": {"free": {"eta0": 2}}, "eta": {"free": {"eta0": 1}},
+                        "etabeta": {"free": {"eta0": 1}, "torsion": ["b"]}, "eta3": {"free": {"eta0": 3}}},
+        },
+        "cuspidals": [g3, {"id": "e1", "N": 1, "central_character": "eta", "chi": "chi"},
+                      {"id": "e2", "N": 1, "central_character": "etabeta", "chi": "chi"}],
+        "parameters": [{"name": "psi", "chi": "chi", "summands": [["g3", 1], ["e1", 1], ["e2", 1]]}],
+        "requests": [{"op": "membership", "parameter": "psi", "target": "sp4"}],
+    }
+
+
+def test_an_odd_handle_is_orthogonal(tmp_path, capsys):
+    for sign in (None, 1):
+        assert _run(tmp_path, capsys, _gl3_scenario(sign)) == (0, "membership[psi]: yes (ok)\n", "")
+    code, out, err = _run(tmp_path, capsys, _gl3_scenario(-1))
+    assert (code, out, err) == (2, "", "input error: cuspidals[0].sign: declared -1, but the characters give 1\n")
 
 
 def test_factor_involution_reads_integers_and_fraction_strings(tmp_path, capsys):
@@ -288,9 +330,16 @@ def test_the_benchmark_table_of_arthur_types_matches_the_library():
     # six_type_fixtures declares
     types = {t.letter: t for t in ArthurType}
     ranks = {letter: rank for letter, _, rank in six_type_fixtures()[1]}
-    table = _workloads().ARTHUR_TYPES
+    workloads = _workloads()
+    table = workloads.ARTHUR_TYPES
     assert sorted(table) == sorted(types) == sorted(ranks)
     for letter, (_chi, summands, rank) in table.items():
         shape = tuple(sorted(((n, d) for _, n, _, _, d in summands), key=lambda nd: (-nd[0], -nd[1])))
         assert shape == types[letter].shape, letter
         assert rank == ranks[letter], letter
+    # every sign it declares is the one the loader reads off its handle's
+    # characters
+    doc, _, _ = workloads.build_scenario(random.Random(0), sorted(table), [], False)
+    handles = {h.id: h for fx in load_scenario(json.dumps(doc)).parameters.values() for h, _ in fx.parameter.summands}
+    declared = [(node["id"], node["sign"]) for node in doc["cuspidals"] if "sign" in node]
+    assert declared and all(handles[ident].sign == sign for ident, sign in declared)

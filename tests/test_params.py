@@ -19,8 +19,6 @@ from gspin.params import (
     classify,
     component_group_oracle,
     component_group_table,
-    gl2_alternative,
-    gl4_alternative,
     multiplicity,
     multiplicity_prefactor,
     psi_disc_membership,
@@ -45,16 +43,16 @@ def make_group():
     return g
 
 
-def cuspidal_gl2(g, name, omega, chi, sign=None):
-    h = CuspidalHandle(id=name, N=2, central_character=omega, chi=chi, sign=sign)
+def cuspidal_gl2(g, name, omega, chi):
+    h = CuspidalHandle(id=name, N=2, central_character=omega, chi=chi)
     check_selfdual(g, h)
     return h
 
 
 def yoshida_parameter(g):
     chi = g.element({"chi0": 1})
-    p1 = gl2_alternative(g, cuspidal_gl2(g, "pi1", chi, chi))
-    p2 = gl2_alternative(g, cuspidal_gl2(g, "pi2", chi, chi))
+    p1 = cuspidal_gl2(g, "pi1", chi, chi)
+    p2 = cuspidal_gl2(g, "pi2", chi, chi)
     return FormalParameter(chi=chi, summands=((p1, 1), (p2, 1)))
 
 
@@ -62,15 +60,14 @@ def general_parameter(g):
     chi = g.element({"chi0": 1})
     pi = CuspidalHandle(id="Pi4", N=4, central_character=g.pow(chi, 2), chi=chi)
     check_selfdual(g, pi)
-    handle = gl4_alternative(g, pi)
-    assert handle.sign == -1
-    return FormalParameter(chi=chi, summands=((handle, 1),))
+    assert pi.sign == -1
+    return FormalParameter(chi=chi, summands=((pi, 1),))
 
 
 def soudry_parameter(g):
     chi = g.element({"chi0": 1})
     beta = g.element({}, {"beta"})
-    pi = gl2_alternative(g, cuspidal_gl2(g, "piDi", g.mul(chi, beta), chi))
+    pi = cuspidal_gl2(g, "piDi", g.mul(chi, beta), chi)
     assert pi.sign == +1
     return FormalParameter(chi=chi, summands=((pi, 2),))
 
@@ -78,7 +75,7 @@ def soudry_parameter(g):
 def saito_kurokawa_parameter(g):
     eta = g.element({"eta0": 1})
     chi = g.pow(eta, 2)
-    pi = gl2_alternative(g, cuspidal_gl2(g, "piSK", chi, chi))
+    pi = cuspidal_gl2(g, "piSK", chi, chi)
     e = character_summand(g, eta, chi)
     return FormalParameter(chi=chi, summands=((pi, 1), (e, 2)))
 
@@ -162,79 +159,51 @@ def test_character_is_multiplicative():
 
 
 # ---------------------------------------------------------------------------
-# alternatives
+# duality type and the handle validator
 
 
-def test_gl2_alternative_symplectic():
+def test_the_sign_is_read_off_the_characters():
     g = make_group()
     chi = g.element({"chi0": 1})
-    pi = gl2_alternative(g, cuspidal_gl2(g, "pi", chi, chi))
-    assert pi.sign == -1
+    beta = g.element({}, {"beta"})
+    eta = g.element({"eta0": 1})
+    chi_sq, chi_beta = g.pow(chi, 2), g.mul(chi, beta)
+    cases = [
+        (CuspidalHandle("pi", 2, chi, chi), -1),  # wedge^2 pi = omega = chi
+        (CuspidalHandle("pi1", 2, g.trivial(), g.trivial()), -1),
+        (CuspidalHandle("piDi", 2, chi_beta, chi), +1),  # dihedral from alpha
+        (CuspidalHandle("s4", 4, chi_sq, chi), -1),
+        (CuspidalHandle("t4", 4, chi_sq, chi, tensor_origin=("a", "b")), +1),
+        (CuspidalHandle("a4", 4, g.mul(chi_sq, beta), chi), +1),  # Asai type
+        (character_summand(g, eta, g.pow(eta, 2)), +1),
+        (CuspidalHandle("g3", 3, g.pow(eta, 3), g.pow(eta, 2)), +1),
+        (CuspidalHandle("g5", 5, g.pow(eta, 5), g.pow(eta, 2)), +1),
+    ]
+    for handle, sign in cases:
+        check_selfdual(g, handle)
+        assert handle.sign == sign, handle.id
+    assert g.class_of_character(g.ratio(chi_beta, chi)) == "alpha"
 
 
-def test_gl2_alternative_orthogonal_dihedral():
+def test_check_selfdual_refuses_inconsistent_characters():
     g = make_group()
     chi = g.element({"chi0": 1})
-    omega = g.mul(chi, g.element({}, {"beta"}))
-    pi = gl2_alternative(g, cuspidal_gl2(g, "pi", omega, chi))
-    assert pi.sign == +1 and g.class_of_character(g.ratio(omega, chi)) == "alpha"
-
-
-def test_gl2_alternative_trivial_chi():
-    g = make_group()
-    chi = g.trivial()
-    pi = gl2_alternative(g, cuspidal_gl2(g, "pi", chi, chi))
-    assert pi.sign == -1
-
-
-def test_gl2_alternative_bad_ratio():
-    g = make_group()
-    chi = g.element({"chi0": 1})
-    omega = g.mul(chi, g.element({"eta0": 1}))
-    h = CuspidalHandle(id="bad", N=2, central_character=omega, chi=g.pow(omega, 2))
-    with pytest.raises(ValueError):
-        gl2_alternative(g, CuspidalHandle(id="bad", N=2, central_character=omega, chi=chi))
-
-
-def test_gl4_alternative_cases():
-    g = make_group()
-    chi = g.element({"chi0": 1})
-    # case 1: tensor origin with omega = chi^2
-    t = CuspidalHandle(
-        id="t", N=4, central_character=g.pow(chi, 2), chi=chi, tensor_origin=("a", "b")
-    )
-    assert gl4_alternative(g, t).sign == +1
-    # case 2: omega != chi^2 by the quadratic beta
-    a = CuspidalHandle(
-        id="a4", N=4, central_character=g.mul(g.pow(chi, 2), g.element({}, {"beta"})), chi=chi
-    )
-    assert gl4_alternative(g, a).sign == +1
-    # case 3: symplectic
-    s = CuspidalHandle(id="s4", N=4, central_character=g.pow(chi, 2), chi=chi)
-    assert gl4_alternative(g, s).sign == -1
-    # inconsistent: tensor origin but omega != chi^2
-    bad = CuspidalHandle(
-        id="bad4",
-        N=4,
-        central_character=g.mul(g.pow(chi, 2), g.element({}, {"beta"})),
-        chi=chi,
-        tensor_origin=("a", "b"),
-    )
-    with pytest.raises(ValueError):
-        gl4_alternative(g, bad)
-    # Asai-type refusals: chi^2 / omega not of order two, or of order two
-    # without a declared square class
-    free = CuspidalHandle(
-        id="f4", N=4, central_character=g.mul(g.pow(chi, 2), g.element({"eta0": 1})), chi=chi
-    )
-    with pytest.raises(ValueError, match="order two"):
-        gl4_alternative(g, free)
     g.declare_generator("gamma", order_two=True)
-    undeclared = CuspidalHandle(
-        id="u4", N=4, central_character=g.mul(g.pow(chi, 2), g.element({}, {"gamma"})), chi=chi
-    )
-    with pytest.raises(ValueError, match="no declared square class"):
-        gl4_alternative(g, undeclared)
+    gamma = g.element({}, {"gamma"})
+    free = g.element({"eta0": 1})
+    refused = [
+        # omega / chi^(N/2) neither trivial nor of order two
+        (CuspidalHandle("bad", 2, g.mul(chi, free), chi), "bad: central character squared != chi"),
+        (CuspidalHandle("f4", 4, g.mul(g.pow(chi, 2), free), chi), "f4: central character squared"),
+        # odd N: omega^2 = chi^N has no solution unless chi is a square
+        (CuspidalHandle("o3", 3, g.pow(chi, 2), chi), "o3: central character squared"),
+        (CuspidalHandle("bad4", 4, g.mul(g.pow(chi, 2), gamma), chi, ("a", "b")), "bad4: tensor origin"),
+        (CuspidalHandle("u2", 2, g.mul(chi, gamma), chi), "u2: no declared square class for gamma"),
+        (CuspidalHandle("u4", 4, g.mul(g.pow(chi, 2), gamma), chi), "u4: no declared square class for gamma"),
+    ]
+    for handle, message in refused:
+        with pytest.raises(ValueError, match=message):
+            check_selfdual(g, handle)
 
 
 def test_boxtimes_rules():
@@ -251,14 +220,18 @@ def test_boxtimes_rules():
     ids = {h.id for h, _ in out.summands}
     assert len(ids) == 1
     # eta[2] x cuspidal = (eta pi)[2]
-    pi = cuspidal_gl2(g, "pi", chi, chi, sign=-1)
+    pi = cuspidal_gl2(g, "pi", chi, chi)
     out2 = boxtimes(g, (e1, 2), pi)
     assert [(h.N, d) for h, d in out2.summands] == [(2, 2)]
     assert out2.summands[0][0].central_character == out2.chi
-    # cuspidal x cuspidal: opaque GL4 handle with provenance
-    out3 = boxtimes(g, pi, cuspidal_gl2(g, "rho", chi, chi, sign=-1))
+    # cuspidal x cuspidal: an orthogonal GL4 handle with provenance, a
+    # member of the split even target
+    out3 = boxtimes(g, pi, cuspidal_gl2(g, "rho", chi, chi))
     assert [(h.N, d) for h, d in out3.summands] == [(4, 1)]
-    assert out3.summands[0][0].tensor_origin == ("pi", "rho")
+    (tensor, _), = out3.summands
+    assert tensor.tensor_origin == ("pi", "rho") and tensor.sign == +1
+    check_selfdual(g, tensor)
+    assert psi_disc_membership(g, out3, gspin_even_tag("1")).ok
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +253,7 @@ def test_membership_soudry():
 def test_membership_rejects_repeated_summand():
     g = make_group()
     chi = g.element({"chi0": 1})
-    p = gl2_alternative(g, cuspidal_gl2(g, "pi", chi, chi))
+    p = cuspidal_gl2(g, "pi", chi, chi)
     psi = FormalParameter(chi=chi, summands=((p, 1), (p, 1)))
     rep = psi_disc_membership(g, psi, GSPIN5)
     assert not rep.ok and "discrete" in rep.reason
@@ -291,8 +264,8 @@ def test_membership_rejects_wrong_sign():
     chi = g.element({"chi0": 1})
     # orthogonal summand with d = 1 for the symplectic-dual target: forbidden
     omega = g.mul(chi, g.element({}, {"beta"}))
-    p = gl2_alternative(g, cuspidal_gl2(g, "pi", omega, chi))
-    q = gl2_alternative(g, cuspidal_gl2(g, "rho", chi, chi))
+    p = cuspidal_gl2(g, "pi", omega, chi)
+    q = cuspidal_gl2(g, "rho", chi, chi)
     psi = FormalParameter(chi=chi, summands=((p, 1), (q, 1)))
     rep = psi_disc_membership(g, psi, GSPIN5)
     assert not rep.ok and "sign" in rep.reason
@@ -312,8 +285,8 @@ def test_membership_gspin4_square_class():
     beta = g.element({}, {"beta"})
     # two orthogonal summands with central characters chi*beta: product is
     # chi^2, matching the split class
-    p1 = gl2_alternative(g, cuspidal_gl2(g, "p1", g.mul(chi, beta), chi))
-    p2 = gl2_alternative(g, cuspidal_gl2(g, "p2", g.mul(chi, beta), chi))
+    p1 = cuspidal_gl2(g, "p1", g.mul(chi, beta), chi)
+    p2 = cuspidal_gl2(g, "p2", g.mul(chi, beta), chi)
     psi = FormalParameter(chi=chi, summands=((p1, 1), (p2, 1)))
     assert psi_disc_membership(g, psi, gspin_even_tag("1")).ok
     # against the nontrivial class the same parameter fails
@@ -362,31 +335,9 @@ def test_sign_element_parities():
 def test_classify_rejects_nonmember():
     g = make_group()
     chi = g.element({"chi0": 1})
-    p = gl2_alternative(g, cuspidal_gl2(g, "pi", chi, chi))
+    p = cuspidal_gl2(g, "pi", chi, chi)
     psi = FormalParameter(chi=chi, summands=((p, 1), (p, 1)))
     with pytest.raises(ValueError):
-        classify(g, psi)
-
-
-def test_classify_refuses_a_yoshida_shape_whose_central_character_is_not_chi():
-    # pi2 declares itself symplectic although omega = chi beta: a GSpin5
-    # member of the Yoshida shape that no Yoshida parameter has
-    g = make_group()
-    chi = g.element({"chi0": 1})
-    p1 = gl2_alternative(g, cuspidal_gl2(g, "pi1", chi, chi))
-    p2 = cuspidal_gl2(g, "pi2", g.mul(chi, g.element({}, {"beta"})), chi, sign=-1)
-    psi = FormalParameter(chi=chi, summands=((p1, 1), (p2, 1)))
-    assert psi_disc_membership(g, psi, GSPIN5).ok
-    with pytest.raises(ValueError, match="^unclassifiable: central characters must equal chi$"):
-        classify(g, psi)
-
-
-def test_classify_refuses_a_soudry_shape_whose_ratio_to_chi_is_trivial():
-    g = make_group()
-    chi = g.element({"chi0": 1})
-    psi = FormalParameter(chi=chi, summands=((cuspidal_gl2(g, "piDi", chi, chi, sign=+1), 2),))
-    assert psi_disc_membership(g, psi, GSPIN5).ok
-    with pytest.raises(ValueError, match="^unclassifiable: ratio to chi must have order two$"):
         classify(g, psi)
 
 
@@ -404,7 +355,7 @@ def declarable_shapes(size):
 
 def declared_parameter(g, shape):
     """A parameter of the given shape over chi = eta0^2, one distinct handle
-    per summand, each sign resolved by the GL2 or GL4 alternative."""
+    per summand, each with the central character that gives it its sign."""
     eta = g.element({"eta0": 1})
     chi = g.pow(eta, 2)
     twists = [g.element({}, t) for t in ((), ("b0",), ("b1",), ("b0", "b1"))]
@@ -417,14 +368,15 @@ def declared_parameter(g, shape):
             if sign == 1:
                 omega = g.mul(omega, g.element({}, {"beta"}))
             handle = CuspidalHandle(id=f"pi{i}", N=n, central_character=omega, chi=chi)
-            handle = gl2_alternative(g, handle) if n == 2 else gl4_alternative(g, handle)
+            check_selfdual(g, handle)
         assert handle.sign == sign
         summands.append((handle, d))
     return FormalParameter(chi=chi, summands=tuple(summands))
 
 
 def test_the_gspin5_members_of_every_declarable_shape_are_the_six_types():
-    # so `unclassifiable shape` is unreachable for a member
+    # membership says yes iff classify succeeds, so `unclassifiable shape`
+    # is unreachable for a member and classify refuses every non-member
     g = make_group()
     for name in ("b0", "b1"):
         g.declare_generator(name, order_two=True)
@@ -433,8 +385,13 @@ def test_the_gspin5_members_of_every_declarable_shape_are_the_six_types():
     kinds = []
     for shape in shapes:
         psi = declared_parameter(g, shape)
-        if psi_disc_membership(g, psi, GSPIN5).ok:
+        member = psi_disc_membership(g, psi, GSPIN5).ok
+        try:
             kinds.append(classify(g, psi).arthur_type)
+        except ValueError:
+            assert not member, shape
+        else:
+            assert member, shape
     assert len(kinds) == 6
     assert sorted(kinds, key=lambda t: t.letter) == list(ArthurType)
 
@@ -460,16 +417,6 @@ def test_oracle_refuses_a_realization_with_a_large_commutant(monkeypatch):
         component_group_oracle(yoshida_parameter(make_group()))
 
 
-def test_oracle_refuses_a_gl2_handle_of_unresolved_duality_type():
-    # a Yoshida-shaped psi whose handles never went through gl2_alternative
-    g = make_group()
-    chi = g.element({"chi0": 1})
-    handles = [cuspidal_gl2(g, name, chi, chi) for name in ("pi1", "pi2")]
-    psi = FormalParameter(chi=chi, summands=tuple((h, 1) for h in handles))
-    with pytest.raises(ValueError, match="pi1: unresolved duality type"):
-        component_group_oracle(psi)
-
-
 def test_oracle_builds_each_realization_once(monkeypatch):
     # the realization depends only on the shape and the handle signs, so a
     # second oracle call on the same psi solves no sl2 kernel
@@ -486,12 +433,6 @@ def test_oracle_builds_each_realization_once(monkeypatch):
     assert second.component_group.elements() == first.component_group.elements()
     realize(psi).clear()  # each call returns a fresh list
     assert realize(psi) == realize(psi) != []
-    # the handle checks run before the shared realization is looked up
-    component_group_oracle(yoshida_parameter(g))
-    chi = g.element({"chi0": 1})
-    unresolved = [cuspidal_gl2(g, name, chi, chi) for name in ("pi1", "pi2")]
-    with pytest.raises(ValueError, match="pi1: unresolved duality type"):
-        realize(FormalParameter(chi=chi, summands=tuple((h, 1) for h in unresolved)))
 
 
 def test_oracle_disagrees_with_a_table_without_the_centre(monkeypatch):
@@ -628,8 +569,8 @@ def test_multiplicity_gspin4_prefactor_two():
     g = make_group()
     chi = g.element({"chi0": 1})
     beta = g.element({}, {"beta"})
-    p1 = gl2_alternative(g, cuspidal_gl2(g, "p1", g.mul(chi, beta), chi))
-    p2 = gl2_alternative(g, cuspidal_gl2(g, "p2", g.mul(chi, beta), chi))
+    p1 = cuspidal_gl2(g, "p1", g.mul(chi, beta), chi)
+    p2 = cuspidal_gl2(g, "p2", g.mul(chi, beta), chi)
     psi = FormalParameter(chi=chi, summands=((p1, 1), (p2, 1)))
     target = gspin_even_tag("1")
     assert psi_disc_membership(g, psi, target).ok
@@ -699,7 +640,7 @@ def test_std_compose_size_mismatch():
 def test_membership_size_mismatch_rejected():
     g = make_group()
     chi = g.element({"chi0": 1})
-    p = gl2_alternative(g, cuspidal_gl2(g, "pi", chi, chi))
+    p = cuspidal_gl2(g, "pi", chi, chi)
     too_small = FormalParameter(chi=chi, summands=((p, 1),))
     rep = psi_disc_membership(g, too_small, GSPIN5)
     assert (rep.ok, rep.reason) == (False, "parameter has size 2, target needs 4")
