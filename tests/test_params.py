@@ -159,22 +159,75 @@ def test_character_is_multiplicative():
 
 
 # ---------------------------------------------------------------------------
-# duality type and the handle validator
+# duality type and the handle validator: the GL2 alternative (omega = chi
+# or omega / chi of order two) and the GL4 alternative (symplectic, tensor
+# or Asai type) are read off the characters
 
 
-def test_the_sign_is_read_off_the_characters():
+def test_gl2_alternative_symplectic():
     g = make_group()
     chi = g.element({"chi0": 1})
+    pi = cuspidal_gl2(g, "pi", chi, chi)  # wedge^2 pi = omega = chi
+    assert pi.sign == -1
+
+
+def test_gl2_alternative_orthogonal_dihedral():
+    g = make_group()
+    chi = g.element({"chi0": 1})
+    omega = g.mul(chi, g.element({}, {"beta"}))
+    pi = cuspidal_gl2(g, "pi", omega, chi)
+    assert pi.sign == +1 and g.class_of_character(g.ratio(omega, chi)) == "alpha"
+
+
+def test_gl2_alternative_trivial_chi():
+    g = make_group()
+    chi = g.trivial()
+    pi = cuspidal_gl2(g, "pi", chi, chi)
+    assert pi.sign == -1
+
+
+def test_gl2_alternative_bad_ratio():
+    # omega / chi neither trivial nor of order two
+    g = make_group()
+    chi = g.element({"chi0": 1})
+    omega = g.mul(chi, g.element({"eta0": 1}))
+    with pytest.raises(ValueError, match="bad: central character squared != chi"):
+        check_selfdual(g, CuspidalHandle("bad", 2, omega, chi))
+
+
+def test_gl4_alternative_cases():
+    g = make_group()
+    chi = g.element({"chi0": 1})
+    chi_sq = g.pow(chi, 2)
     beta = g.element({}, {"beta"})
-    eta = g.element({"eta0": 1})
-    chi_sq, chi_beta = g.pow(chi, 2), g.mul(chi, beta)
     cases = [
-        (CuspidalHandle("pi", 2, chi, chi), -1),  # wedge^2 pi = omega = chi
-        (CuspidalHandle("pi1", 2, g.trivial(), g.trivial()), -1),
-        (CuspidalHandle("piDi", 2, chi_beta, chi), +1),  # dihedral from alpha
         (CuspidalHandle("s4", 4, chi_sq, chi), -1),
         (CuspidalHandle("t4", 4, chi_sq, chi, tensor_origin=("a", "b")), +1),
         (CuspidalHandle("a4", 4, g.mul(chi_sq, beta), chi), +1),  # Asai type
+    ]
+    for handle, sign in cases:
+        check_selfdual(g, handle)
+        assert handle.sign == sign, handle.id
+    g.declare_generator("gamma", order_two=True)
+    gamma = g.element({}, {"gamma"})
+    refused = [
+        # chi^2 / omega not of order two
+        (CuspidalHandle("f4", 4, g.mul(chi_sq, g.element({"eta0": 1})), chi), "f4: central character squared"),
+        # a tensor origin needs omega = chi^2
+        (CuspidalHandle("bad4", 4, g.mul(chi_sq, gamma), chi, ("a", "b")), "bad4: tensor origin"),
+        # of order two, but without a declared square class
+        (CuspidalHandle("u4", 4, g.mul(chi_sq, gamma), chi), "u4: no declared square class for gamma"),
+    ]
+    for handle, message in refused:
+        with pytest.raises(ValueError, match=message):
+            check_selfdual(g, handle)
+
+
+def test_the_sign_is_read_off_the_characters():
+    # odd N is always orthogonal
+    g = make_group()
+    eta = g.element({"eta0": 1})
+    cases = [
         (character_summand(g, eta, g.pow(eta, 2)), +1),
         (CuspidalHandle("g3", 3, g.pow(eta, 3), g.pow(eta, 2)), +1),
         (CuspidalHandle("g5", 5, g.pow(eta, 5), g.pow(eta, 2)), +1),
@@ -182,7 +235,6 @@ def test_the_sign_is_read_off_the_characters():
     for handle, sign in cases:
         check_selfdual(g, handle)
         assert handle.sign == sign, handle.id
-    assert g.class_of_character(g.ratio(chi_beta, chi)) == "alpha"
 
 
 def test_check_selfdual_refuses_inconsistent_characters():
@@ -190,16 +242,10 @@ def test_check_selfdual_refuses_inconsistent_characters():
     chi = g.element({"chi0": 1})
     g.declare_generator("gamma", order_two=True)
     gamma = g.element({}, {"gamma"})
-    free = g.element({"eta0": 1})
     refused = [
-        # omega / chi^(N/2) neither trivial nor of order two
-        (CuspidalHandle("bad", 2, g.mul(chi, free), chi), "bad: central character squared != chi"),
-        (CuspidalHandle("f4", 4, g.mul(g.pow(chi, 2), free), chi), "f4: central character squared"),
         # odd N: omega^2 = chi^N has no solution unless chi is a square
         (CuspidalHandle("o3", 3, g.pow(chi, 2), chi), "o3: central character squared"),
-        (CuspidalHandle("bad4", 4, g.mul(g.pow(chi, 2), gamma), chi, ("a", "b")), "bad4: tensor origin"),
         (CuspidalHandle("u2", 2, g.mul(chi, gamma), chi), "u2: no declared square class for gamma"),
-        (CuspidalHandle("u4", 4, g.mul(g.pow(chi, 2), gamma), chi), "u4: no declared square class for gamma"),
     ]
     for handle, message in refused:
         with pytest.raises(ValueError, match=message):
@@ -338,6 +384,29 @@ def test_classify_rejects_nonmember():
     p = cuspidal_gl2(g, "pi", chi, chi)
     psi = FormalParameter(chi=chi, summands=((p, 1), (p, 1)))
     with pytest.raises(ValueError):
+        classify(g, psi)
+
+
+def test_classify_refuses_a_yoshida_shape_whose_central_character_is_not_chi():
+    # omega = chi beta makes pi2 orthogonal, so the Yoshida shape with it is
+    # no GSpin5 member and classify refuses it as such
+    g = make_group()
+    chi = g.element({"chi0": 1})
+    p1 = cuspidal_gl2(g, "pi1", chi, chi)
+    p2 = cuspidal_gl2(g, "pi2", g.mul(chi, g.element({}, {"beta"})), chi)
+    psi = FormalParameter(chi=chi, summands=((p1, 1), (p2, 1)))
+    assert not psi_disc_membership(g, psi, GSPIN5).ok
+    with pytest.raises(ValueError, match="^not a discrete parameter: .*sign"):
+        classify(g, psi)
+
+
+def test_classify_refuses_a_soudry_shape_whose_ratio_to_chi_is_trivial():
+    # omega = chi makes piDi symplectic, which d = 2 forbids on GSpin5
+    g = make_group()
+    chi = g.element({"chi0": 1})
+    psi = FormalParameter(chi=chi, summands=((cuspidal_gl2(g, "piDi", chi, chi), 2),))
+    assert not psi_disc_membership(g, psi, GSPIN5).ok
+    with pytest.raises(ValueError, match="^not a discrete parameter: .*sign"):
         classify(g, psi)
 
 
